@@ -449,9 +449,9 @@ def measure(gn, cls, seed: int, seconds: float, trace: bool, smoke: bool = False
                     workload.next_round()
                     round_times.append(timed_round(workload, plain, checks, records))
             rounds = len(round_times)
-            # best of the run's rounds: the shared machine's speed drifts by
-            # about 20% within seconds, and the fastest instance of an op is
-            # the one least disturbed by it
+            # best of the run's rounds: on a shared host one op's time can
+            # drift by tens of percent within seconds (README.md has
+            # figures), and its fastest instance is the least disturbed
             fastest: dict[str, float] = {}
             for label, dt, _ in records:
                 fastest[label] = min(dt, fastest.get(label, math.inf))
