@@ -136,10 +136,7 @@ def cmd_minimize(args) -> int:
     if args.init_edge is not None or args.init_offset is not None:
         if args.init != "soliton":
             raise _UsageError("--init-edge/--init-offset require --init soliton")
-        from .solver import _resolved_schedule
-
-        first_cut = _resolved_schedule(graph, args.mu, cfg)[0]
-        mesh0 = Mesh(graph, h_max=cfg.h_max, r_cut=first_cut)
+        mesh0 = Mesh(graph, h_max=cfg.h_max, r_cut=cfg.r_cut_schedule[0])
         initial = initializer_soliton(
             graph,
             args.mu,
@@ -333,9 +330,12 @@ class SweepSpec:
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
             raise _UsageError("solver overrides must be a JSON object")
-        if "r_cut_schedule" in solver:
-            solver = dict(solver)
-            solver["r_cut_schedule"] = tuple(float(v) for v in solver["r_cut_schedule"])
+        # an unknown key or bad value caught only inside the sweep would
+        # turn every point into an undecided row
+        try:
+            replace(SolverConfig(), **solver)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(f"bad solver overrides {solver!r}: {exc}")
         return SweepSpec(
             axis=axis,
             grid=grid,

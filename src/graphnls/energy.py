@@ -18,6 +18,7 @@ from .functions import (
     GraphFunction,
     Mesh,
     _abs_pow,
+    _simpson_abs_pow,
     kinetic_energy,
     l2_norm_sq,
     linf_norm,
@@ -111,25 +112,14 @@ class EnergyOperator:
         self.p = float(p)
         self.stiffness = mesh.stiffness_matrix()
         self.mass_vec = mesh.mass_vector()
-        ia, ib, h = mesh.cells(core_only=not uniform_nonlinearity)
-        self._ia, self._ib, self._h = ia, ib, h
-
-    def mass(self, v: np.ndarray) -> float:
-        return float(np.dot(self.mass_vec, v * v))
-
-    def kinetic_sq(self, v: np.ndarray) -> float:
-        return float(np.dot(v, self.stiffness @ v))
+        self._ia, self._ib, self._h = mesh.cells(core_only=not uniform_nonlinearity)
 
     def potential_integral(self, v: np.ndarray) -> float:
-        a, b = v[self._ia], v[self._ib]
-        mid = 0.5 * (a + b)
-        p = self.p
-        return float(
-            np.dot(self._h / 6.0, _abs_pow(a, p) + 4.0 * _abs_pow(mid, p) + _abs_pow(b, p))
-        )
+        return _simpson_abs_pow(v[self._ia], v[self._ib], self._h, self.p)
 
     def value(self, v: np.ndarray) -> float:
-        return 0.5 * self.kinetic_sq(v) - self.potential_integral(v) / self.p
+        kinetic_sq = float(np.dot(v, self.stiffness @ v))
+        return 0.5 * kinetic_sq - self.potential_integral(v) / self.p
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Exact gradient of the discrete energy w.r.t. nodal values."""
@@ -281,7 +271,3 @@ def el_residual(
         interior_residuals=interior,
         kirchhoff_residuals=kirchhoff,
     )
-
-
-# report-producing twin of energy_value; kept under both names
-energy = energy_report

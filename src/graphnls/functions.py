@@ -219,15 +219,18 @@ def kinetic_energy(u: GraphFunction) -> float:
     return float(np.dot(d, d / h))
 
 
+def _simpson_abs_pow(a: np.ndarray, b: np.ndarray, h: np.ndarray, p: float) -> float:
+    """Per-cell Simpson integral of |u|^p over cells with endpoint values a, b."""
+    mid = 0.5 * (a + b)
+    return float(np.dot(h / 6.0, _abs_pow(a, p) + 4.0 * _abs_pow(mid, p) + _abs_pow(b, p)))
+
+
 def lp_integral(u: GraphFunction, p: float, core_only: bool = True) -> float:
     """Per-cell Simpson integral of |u|^p."""
     if not p > 0:
         raise ValueError("p must be positive")
     ia, ib, h = u.mesh.cells(core_only)
-    a = u.values[ia]
-    b = u.values[ib]
-    mid = 0.5 * (a + b)
-    return float(np.dot(h / 6.0, _abs_pow(a, p) + 4.0 * _abs_pow(mid, p) + _abs_pow(b, p)))
+    return _simpson_abs_pow(u.values[ia], u.values[ib], h, p)
 
 
 def lp_norm_core(u: GraphFunction, p: float) -> float:

@@ -212,6 +212,33 @@ def core_measure(graph: MetricGraph) -> float:
 measure_core = core_measure
 
 
+def has_dead_end(graph: MetricGraph) -> bool:
+    """True when some core edge is a bridge once every half-line is joined
+    to one added vertex at infinity (its implicit head, ``None``).
+
+    Mass peaked beyond such an edge drains to infinity through that edge
+    alone, not along two edge-disjoint routes. An edge is a bridge when
+    removing it leaves its endpoints apart.
+    """
+    links = [(e.tail, e.head) for e in graph.edges]
+    for skip, edge in enumerate(graph.edges):
+        if not edge.in_core:
+            continue
+        reached, frontier = {edge.tail}, [edge.tail]
+        while frontier:
+            v = frontier.pop()
+            for k, (a, b) in enumerate(links):
+                if k == skip or v not in (a, b):
+                    continue
+                w = b if a == v else a
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+        if edge.head not in reached:
+            return True
+    return False
+
+
 def homothety(graph: MetricGraph, factor: float) -> MetricGraph:
     """Rescale every bounded edge length by ``factor`` (> 0)."""
     if not (factor > 0 and math.isfinite(factor)):

@@ -2,9 +2,9 @@
 
 The scheme is projected gradient descent on the mass sphere: step along a
 descent direction, rescale back to the constraint, accept via an Armijo
-test. Directions are H1-preconditioned by default, which keeps the
-iteration count essentially mesh independent; ``preconditioner="none"``
-falls back to the plain (mass-weighted) gradient.
+test. Directions are H1-preconditioned (the Sobolev gradient of
+Henning & Peterseim), which keeps the iteration count essentially mesh
+independent.
 
 Because the half-lines are truncated, every run solves a compact surrogate
 problem. The truncation length is therefore swept over an increasing
@@ -16,15 +16,17 @@ escaping to infinity.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 from scipy.special import gamma as gamma_fn
 
 from .energy import ELReport, EnergyOperator, EnergyReport, el_residual, energy_report, require_p
-from .functions import GraphFunction, Mesh
+from .functions import GraphFunction, Mesh, project_mass
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
 
@@ -33,53 +35,39 @@ ZERO_INFIMUM_SUSPECTED = "ZERO_INFIMUM_SUSPECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _INITIALIZERS = ("competitor", "soliton", "random")
-_PRECONDITIONERS = ("h1", "none")
+
+# fixed descent parameters: first trial step, Armijo constant, and the
+# energy drop a stage must stay below over _STALL_WINDOW iterations to stop
+_STEP0 = 1.0
+_ARMIJO = 1e-4
+_ENERGY_TOL = 1e-5
+_STALL_WINDOW = 10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    step0: float = 1.0
     backtrack: float = 0.5
-    armijo: float = 1e-4
     grad_tol: float = 1e-7
-    energy_tol: float = 1e-5
-    r_cut_schedule: tuple[float, ...] | None = (10.0, 20.0, 40.0)
+    r_cut_schedule: tuple[float, ...] = (10.0, 20.0, 40.0)
     h_max: float = 0.02
     initializer: str = "competitor"
     seed: int = 0
-    preconditioner: str = "h1"
-    stagnation_window: int = 10
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError("backtrack factor must lie in (0,1)")
-        for name in ("step0", "armijo", "grad_tol", "energy_tol", "h_max"):
+        for name in ("grad_tol", "h_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.r_cut_schedule is not None:
-            sched = tuple(float(r) for r in self.r_cut_schedule)
-            if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
-                raise ValueError("r_cut_schedule must be strictly increasing and nonempty")
-            object.__setattr__(self, "r_cut_schedule", sched)
+        sched = tuple(float(r) for r in self.r_cut_schedule)
+        if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
+            raise ValueError("r_cut_schedule must be strictly increasing and nonempty")
+        object.__setattr__(self, "r_cut_schedule", sched)
         if self.initializer not in _INITIALIZERS:
             raise ValueError(f"initializer must be one of {_INITIALIZERS}")
-        if self.preconditioner not in _PRECONDITIONERS:
-            raise ValueError(f"preconditioner must be one of {_PRECONDITIONERS}")
-
-
-def _resolved_schedule(graph: MetricGraph, mu: float, config: SolverConfig) -> tuple[float, ...]:
-    if config.r_cut_schedule is not None:
-        return config.r_cut_schedule
-    # heuristic: scale the default truncations by the competitor tail decay length
-    ell = core_measure(graph)
-    n = graph.n_half_lines
-    a_sq = 0.25 * mu / ell
-    m = (mu - a_sq * ell) / n
-    decay = min(4.0, max(0.5, 2.0 * m / a_sq))
-    return tuple(r * decay for r in (10.0, 20.0, 40.0))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +109,6 @@ def initializer_competitor(
             values[dofs] = a * np.exp(-rate * mesh.edge_coords[eid])
         else:
             values[dofs] = a
-    from .functions import project_mass
-
     return project_mass(GraphFunction(mesh, values), mu)
 
 
@@ -185,8 +171,6 @@ def initializer_soliton(
     values = np.empty(mesh.n_dofs)
     for eid, dofs in mesh.edge_dofs.items():
         values[dofs] = soliton_profile(dist[eid](mesh.edge_coords[eid]), mu, p)
-    from .functions import project_mass
-
     return project_mass(GraphFunction(mesh, values), mu)
 
 
@@ -216,8 +200,6 @@ def initializer_random(
         np.add.at(acc, ia, values[ib])
         np.add.at(acc, ib, values[ia])
         values = (values + acc) / (1.0 + deg)
-    from .functions import project_mass
-
     return project_mass(GraphFunction(mesh, values), mu)
 
 
@@ -248,10 +230,7 @@ class _StageResult:
 def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConfig) -> _StageResult:
     op = EnergyOperator(mesh, p)
     mass_vec = op.mass_vec
-    solve = None
-    if config.preconditioner == "h1":
-        pre = (op.stiffness + diags(mass_vec)).tocsc()
-        solve = splu(pre).solve
+    solve = splu((op.stiffness + diags(mass_vec)).tocsc()).solve
 
     def project(v: np.ndarray) -> np.ndarray:
         m = float(np.dot(mass_vec, v * v))
@@ -262,7 +241,7 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
     v = project(np.asarray(v0, dtype=float))
     energy = op.value(v)
     trace: list[tuple[int, float, float, float]] = []
-    window: list[float] = [energy]
+    window = deque([energy], maxlen=_STALL_WINDOW + 1)
     grad_norm = math.inf
     converged = False
     it = 0
@@ -277,33 +256,30 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         grad_norm = math.sqrt(max(float(np.dot(mass_vec, tangent * tangent)), 0.0))
 
         stagnant = (
-            len(window) > config.stagnation_window
-            and window[0] - energy < config.energy_tol
+            len(window) > _STALL_WINDOW
+            and window[0] - energy < _ENERGY_TOL
         )
         if grad_norm < config.grad_tol and stagnant:
             converged = True
             break
 
-        if solve is not None:
-            d = -solve(residual)
-            d -= (float(np.dot(mass_vec, d * v)) / mu) * v
-            slope = float(np.dot(g, d))
-            if slope >= 0.0:
-                d = -tangent
-                slope = float(np.dot(g, d))
-        else:
+        d = -solve(residual)
+        d -= (float(np.dot(mass_vec, d * v)) / mu) * v
+        slope = float(np.dot(g, d))
+        if slope >= 0.0:
+            # safeguard: fall back to the plain mass-weighted gradient
             d = -tangent
             slope = float(np.dot(g, d))
         if slope >= 0.0:
             converged = grad_norm < config.grad_tol
             break
 
-        t = config.step0
+        t = _STEP0
         accepted = False
         while t > 1e-16:
             w = project(v + t * d)
             e_new = op.value(w)
-            if e_new <= energy + config.armijo * t * slope:
+            if e_new <= energy + _ARMIJO * t * slope:
                 accepted = True
                 break
             t *= config.backtrack
@@ -316,8 +292,6 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         energy = e_new
         trace.append((it, energy, grad_norm, t))
         window.append(energy)
-        if len(window) > config.stagnation_window + 1:
-            window.pop(0)
     return _StageResult(
         values=v,
         energy=energy,
@@ -425,24 +399,21 @@ def minimize(
     schedule, warm starting each stage from the previous one.
 
     The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
-    strictly negative limit (a rigorous existence indicator, since any
-    admissible function with negative energy certifies attainment),
-    ZERO_INFIMUM_SUSPECTED when energies rise monotonically to zero (mass
-    escaping along the half-lines; evidence only), INCONCLUSIVE otherwise.
+    strictly negative limit (evidence of existence, up to truncation and
+    discretization error), ZERO_INFIMUM_SUSPECTED when energies rise
+    monotonically to zero (mass escaping along the half-lines; evidence
+    only), INCONCLUSIVE otherwise.
     """
     require_p(p)
     if mu <= 0:
         raise ValueError("mu must be positive")
     graph.require_valid()
     config = config or SolverConfig()
-    schedule = _resolved_schedule(graph, mu, config)
 
     table: list[tuple[float, float, int, bool]] = []
     u_prev: GraphFunction | None = initial
     last_stage: _StageResult | None = None
-    mesh: Mesh | None = None
-    total_iters = 0
-    for r_cut in schedule:
+    for r_cut in config.r_cut_schedule:
         mesh = Mesh(graph, h_max=config.h_max, r_cut=r_cut)
         if u_prev is None:
             v0 = _initial_function(graph, mu, p, mesh, config).values
@@ -451,29 +422,28 @@ def minimize(
         stage = _descend(mesh, v0, p, mu, config)
         u_prev = GraphFunction(mesh, stage.values)
         table.append((r_cut, stage.energy, stage.iterations, stage.converged))
-        total_iters += stage.iterations
         last_stage = stage
-    assert mesh is not None and last_stage is not None and u_prev is not None
+    assert last_stage is not None and u_prev is not None
 
     values = u_prev.values
     if np.any(values < 0.0):
         # same energy or lower, and the mass form only sees |u|
         values = np.abs(values)
-    u_final = GraphFunction(mesh, values)
+    u_final = GraphFunction(u_prev.mesh, values)
     report = energy_report(u_final, p)
     el = el_residual(u_final, p)
     min_node = float(values.min())
     return MinimizationResult(
         function=u_final,
         energy=last_stage.energy,
-        verdict=_verdict(table, config.energy_tol),
+        verdict=_verdict(table, _ENERGY_TOL),
         report=report,
         el=el,
         energy_trace=[row[1] for row in last_stage.trace],
         trace=last_stage.trace,
         r_cut_table=table,
         converged=last_stage.converged,
-        iterations=total_iters,
+        iterations=sum(row[2] for row in table),
         grad_norm=last_stage.grad_norm,
         min_node_value=min_node,
         strictly_positive=min_node > 0.0,
@@ -493,9 +463,14 @@ def dirichlet_line_min(
     half_line: bool = False,
     r_cut: float | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Minimal Dirichlet integral over functions on a truncated line (or
-    half-line) with prescribed squared L2 mass m and pinned value a at the
+    """Minimal Dirichlet integral over P1 functions on a truncated line (or
+    half-line) with prescribed trapezoid mass m and pinned value a at the
     origin. Exact values: a^4/m on the line, a^4/(4m) on the half-line.
+
+    A direct constrained solve: by symmetry one side suffices, whose free
+    nodes solve (S_ff + lam W_ff) v_f = -S_fp a for a multiplier lam > 0,
+    set by bisection on the mass, which falls monotonically in lam. Only
+    ``config.h_max`` is used.
 
     Returns (minimal value, (grid, minimizer values)).
     """
@@ -507,68 +482,50 @@ def dirichlet_line_min(
     h = min(config.h_max, r / 50.0)
     n_side = int(math.ceil(r / h))
     h = r / n_side
+    pin_weight = h / 2.0 if half_line else h
+    if pin_weight * a**2 >= m:
+        raise ValueError("infeasible: pinned node already exhausts the mass")
+    # mass each side carries once the pinned node's trapezoid share is paid
+    side_mass = (m - pin_weight * a**2) / (1 if half_line else 2)
+    weights = np.full(n_side, h)
+    weights[-1] = h / 2.0
+    stiff_diag = np.full(n_side, 2.0 / h)
+    stiff_diag[-1] = 1.0 / h  # natural far end
+    band = np.full((3, n_side), -1.0 / h)
+    rhs = np.zeros(n_side)
+    rhs[0] = a / h
+
+    def side(lam: float) -> np.ndarray:
+        band[1] = stiff_diag + lam * weights
+        return solve_banded((1, 1), band, rhs)
+
+    def excess(lam: float) -> float:
+        v = side(lam)
+        return float(np.dot(weights, v * v)) - side_mass
+
+    # at lam = 0 the side is the constant a
+    if excess(0.0) <= 0.0:
+        raise ValueError("truncation too short: the constant a carries no more than mass m")
+    # bisection to floating-point resolution; scipy.optimize would slow imports
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0.0:
+        lo, hi = hi, 4.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    v = side(hi)
+    # the tridiagonal solve's rounding leaves the mass inexact; rescale
+    v *= math.sqrt(side_mass / float(np.dot(weights, v * v)))
     if half_line:
         xs = np.linspace(0.0, r, n_side + 1)
-        pin = 0
+        v = np.concatenate(([a], v))
     else:
         xs = np.linspace(-r, r, 2 * n_side + 1)
-        pin = n_side
-    n = len(xs)
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    if weights[pin] * a**2 >= m:
-        raise ValueError("infeasible: pinned node already exhausts the mass")
-    free = np.arange(n) != pin
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v = v.copy()
-        v[pin] = a
-        rest = m - weights[pin] * a**2
-        cur = float(np.dot(weights[free], v[free] ** 2))
-        if cur <= 0:
-            raise ValueError("cannot project: no free mass to scale")
-        v[free] *= math.sqrt(rest / cur)
-        return v
-
-    def kin(v: np.ndarray) -> float:
-        d = np.diff(v)
-        return float(np.dot(d, d)) / h
-
-    def grad(v: np.ndarray) -> np.ndarray:
-        g = np.zeros(n)
-        d = np.diff(v)
-        g[:-1] -= 2.0 * d / h
-        g[1:] += 2.0 * d / h
-        return g
-
-    v = project(a * np.exp(-a**2 * np.abs(xs) / (m if not half_line else 2.0 * m)))
-    energy = kin(v)
-    for _ in range(config.max_iters):
-        g = grad(v)
-        riesz = g / weights
-        riesz[pin] = 0.0
-        coef = float(np.dot(weights[free], riesz[free] * v[free])) / float(
-            np.dot(weights[free], v[free] ** 2)
-        )
-        d = -(riesz - coef * v)
-        d[pin] = 0.0
-        slope = float(np.dot(g, d))
-        gn = math.sqrt(max(float(np.dot(weights, d * d)), 0.0))
-        if gn < config.grad_tol or slope >= 0.0:
-            break
-        t = config.step0
-        accepted = False
-        while t > 1e-16:
-            w = project(v + t * d)
-            e_new = kin(w)
-            if e_new <= energy + config.armijo * t * slope:
-                accepted = True
-                break
-            t *= config.backtrack
-        if not accepted:
-            break
-        v, energy = w, e_new
-    return energy, (xs, v)
+        v = np.concatenate((v[::-1], [a], v))
+    d = np.diff(v)
+    return float(np.dot(d, d)) / h, (xs, v)
 
 
 # ---------------------------------------------------------------------------
@@ -608,19 +565,15 @@ def existence_dichotomy(
     graph.require_valid()
     config = config or SolverConfig()
     runs: dict[str, MinimizationResult] = {}
-
-    def run_with(label: str, initial_cfg: SolverConfig) -> None:
-        runs[label] = minimize(graph, mu, p, initial_cfg)
-
-    run_with("competitor", replace(config, initializer="competitor"))
+    runs["competitor"] = minimize(graph, mu, p, replace(config, initializer="competitor"))
+    mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])
     for frac in (0.25, 0.5, 0.75):
         eid, off = _core_position(graph, frac)
-        sched = _resolved_schedule(graph, mu, config)
-        mesh0 = Mesh(graph, h_max=config.h_max, r_cut=sched[0])
         u0 = initializer_soliton(graph, mu, p, center_edge=eid, center_offset=off, mesh=mesh0)
         runs[f"soliton@{frac}"] = minimize(graph, mu, p, config, initial=u0)
     for k in range(1, 4):
-        run_with(f"random{k}", replace(config, initializer="random", seed=config.seed + k))
+        cfg = replace(config, initializer="random", seed=config.seed + k)
+        runs[f"random{k}"] = minimize(graph, mu, p, cfg)
 
     best_label = min(runs, key=lambda key: runs[key].energy)
     best = runs[best_label]

@@ -25,6 +25,7 @@ from .graphs import (
     Partition,
     core_measure,
     enumerate_partitions,
+    has_dead_end,
     homothety,
     part_core_measure,
     partition_violations,
@@ -248,15 +249,20 @@ def certify_nonexistence(
     graph has at least two half-lines, all partitions into at most
     ``max_parts`` regions (default: one per half-line). The best candidate
     minimizes the largest per-region core measure; the certificate is valid
-    when that measure is below the threshold.
+    when that measure is below the threshold. Constants not passed default
+    to those for the graph's number of half-lines, or to the single-lead
+    pair C = 2^((p-2)/2), c = sqrt(2) when the graph has a dead end
+    (:func:`graphnls.graphs.has_dead_end`).
     """
     _require_p46(p)
     graph.require_valid()
     n = graph.n_half_lines
-    l2 = threshold_nonexist(p, mu, C, c, n_half_lines=n)
-    dC, dc = default_gn_constants(p, n)
+    # a state peaked at a dead end drains to infinity through one edge only,
+    # so there only the single-lead constants hold
+    dC, dc = default_gn_constants(p, 1 if has_dead_end(graph) else n)
     used_C = dC if C is None else C
     used_c = dc if c is None else c
+    l2 = threshold_nonexist(p, mu, used_C, used_c)
 
     if partitions is not None:
         for q in partitions:

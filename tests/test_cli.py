@@ -231,6 +231,27 @@ def test_sweep_phase_csv(broom_file, tmp_path):
     assert (tmp_path / "out" / "phase.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "solver,named",
+    [({"max_iter": 50}, "max_iter"), ({"r_cut_schedule": None}, "r_cut_schedule")],
+)
+def test_sweep_bad_solver_overrides(tmp_path, broom_file, solver, named):
+    # caught up front, not turned into an INCONCLUSIVE row per point
+    spec = {
+        "axis": "core_scale",
+        "grid": [0.25],
+        "graph": broom_file,
+        "out_dir": str(tmp_path / "out"),
+        "solver": solver,
+    }
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(spec))
+    proc = run_cli("sweep", str(sweep_file))
+    assert proc.returncode == 1
+    assert named in proc.stderr
+    assert not (tmp_path / "out" / "phase.csv").exists()
+
+
 def test_sweep_missing_key(tmp_path):
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps({"axis": "mu", "grid": [1.0]}))

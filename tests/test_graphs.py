@@ -12,6 +12,7 @@ from graphnls.graphs import (
     double_bridge,
     enumerate_partitions,
     graph_to_text,
+    has_dead_end,
     homothety,
     line_graph,
     load_graph,
@@ -38,6 +39,21 @@ def test_line_graph_shape():
 def test_measure_core_alias():
     g = double_bridge(0.7, 1.3)
     assert measure_core(g) == core_measure(g) == 2.0
+
+
+def test_has_dead_end():
+    assert not has_dead_end(line_graph(1.0))
+    assert not has_dead_end(double_bridge(0.5, 0.5))
+    assert not has_dead_end(star_graph((0.5, 0.8, 1.1)))
+    # a core edge whose far end carries no lead
+    assert has_dead_end(star_graph((0.9,), half_lines_per_terminal=2))
+    assert has_dead_end(metric_graph(["a", "b"], [("seg", "a", "b", 1.0)], [("l", "b")]))
+    # a loop at the far end gives no second route across the edge
+    lollipop = metric_graph(
+        ["a", "b"], [("e", "a", "b", 1.0), ("o", "b", "b", 1.0)], [("l1", "a"), ("l2", "a")]
+    )
+    assert has_dead_end(lollipop)
+    assert not has_dead_end(metric_graph(["a"], [("o", "a", "a", 1.0)], [("l1", "a"), ("l2", "a")]))
 
 
 def test_star_graph_counts():

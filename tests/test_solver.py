@@ -180,6 +180,18 @@ def test_dirichlet_infeasible_pin():
         dirichlet_line_min(1e-9, 1.0)
 
 
+def test_dirichlet_line_second_order_and_exact_mass():
+    errors = []
+    for h in (0.04, 0.02, 0.01):
+        val, (xs, vs) = dirichlet_line_min(1.0, 1.0, SolverConfig(h_max=h))
+        errors.append(abs(val - 1.0))
+        weights = np.full(len(xs), xs[1] - xs[0])
+        weights[0] = weights[-1] = weights[0] / 2.0
+        assert float(np.dot(weights, vs * vs)) == pytest.approx(1.0, abs=1e-12)
+    # O(h^2): each halving of the mesh width cuts the error about fourfold
+    assert all(a >= 3.5 * b for a, b in zip(errors, errors[1:]))
+
+
 # verdict classification on synthetic truncation tables
 
 

@@ -232,6 +232,14 @@ def test_certificate_single_half_line_whole_graph_only():
     assert cert.valid
 
 
+def test_certificate_dead_end_uses_single_lead_constants():
+    # the hub of this broom is a dead end: c = sqrt 2, threshold 1/4 < 0.9
+    cert = certify_nonexistence(star_graph((0.9,), 2), 4.0, 1.0)
+    assert cert.threshold == pytest.approx(0.25, rel=1e-12)
+    assert cert.c == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert cert.valid is False
+
+
 def test_certificate_respects_custom_constants():
     g = line_graph(0.5)
     strict = certify_nonexistence(g, 4.0, 1.0, C=1.0, c=1.0)
