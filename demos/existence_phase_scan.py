@@ -15,7 +15,7 @@ from graphnls import SolverConfig, line_graph, minimize, threshold_exist, thresh
 
 P, MU = 4.0, 1.0
 l1 = threshold_exist(P, MU, 2)
-l2 = threshold_nonexist(P, MU, 2)
+l2 = threshold_nonexist(P, MU, n_half_lines=2)
 print(f"p={P}, mu={MU}, N=2:  L1={l1}  L2={l2}\n")
 
 config = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0, 80.0), max_iters=8000)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import default_gn_constants, energy_gradient, energy_report, energy_value, gn_check
+from .energy import energy_gradient, energy_report, energy_value, gn_check, gn_constants
 from .functions import (
     GraphFunction,
     Mesh,
@@ -227,8 +227,7 @@ def check_gn(seed: int = 0, gn_c: float | None = None) -> CheckResult:
     rng = np.random.default_rng(seed + 3)
     for graph in _sample_graphs():
         mesh = Mesh(graph, h_max=0.04, r_cut=9.0)
-        C_def, c_def = default_gn_constants(4.0, graph.n_half_lines)
-        c_use = c_def if gn_c is None else gn_c
+        _, c_use = gn_constants(4.0, graph, c=gn_c)
         for _ in range(5):
             u = _random_decaying(mesh, rng)
             if kinetic_energy(u) <= 1e-12:
@@ -243,7 +242,7 @@ def check_gn(seed: int = 0, gn_c: float | None = None) -> CheckResult:
             # energy lower bound implied by the interpolation inequality
             K = kinetic_energy(u)
             mu = l2_norm_sq(u)
-            Cq, _ = default_gn_constants(p, graph.n_half_lines)
+            Cq, _ = gn_constants(p, graph)
             lower = 0.5 * K - (Cq / p) * mu ** ((p + 2.0) / 4.0) * K ** ((p - 2.0) / 4.0)
             col.check(energy_value(u, p) >= lower - 1e-9, "energy below interpolation lower bound")
             # exact scalar scaling of the two energy terms

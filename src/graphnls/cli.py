@@ -20,11 +20,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checks import SUITES, run_checks
-from .energy import SCHEMA_VERSION
+from .energy import SCHEMA_VERSION, gn_constants
 from .functions import Mesh, save_function
 from .graphs import (
     GraphFormatError,
     InvalidGraphError,
+    MetricGraph,
     Partition,
     core_measure,
     homothety,
@@ -349,13 +350,15 @@ class SweepSpec:
         )
 
 
-def _band(meas: float, p: float, mu: float, n: int) -> tuple[float, float, str]:
-    """Analytic bands: above L1 existence is guaranteed, below L2 it is
-    ruled out, in between the theory leaves the question open."""
+def _band(graph: MetricGraph, p: float, mu: float) -> tuple[float, float, str]:
+    """Analytic bands: above L1 existence is guaranteed, below L2 (with the
+    graph's GN constants) it is ruled out, in between the theory is open."""
+    meas = core_measure(graph)
     if p < 4.0:
         return 0.0, 0.0, "EXIST_BAND"
-    l1 = threshold_exist(p, mu, n)
-    l2 = threshold_nonexist(p, mu, n_half_lines=n)
+    l1 = threshold_exist(p, mu, graph.n_half_lines)
+    C, c = gn_constants(p, graph)
+    l2 = threshold_nonexist(p, mu, C=C, c=c)
     if meas > l1:
         return l1, l2, "EXIST_BAND"
     if meas < l2:
@@ -372,7 +375,7 @@ def _sweep_point(base, spec: SweepSpec, axis_value: float):
     else:
         p = axis_value
     try:
-        l1, l2, band = _band(core_measure(graph), p, mu, graph.n_half_lines)
+        l1, l2, band = _band(graph, p, mu)
     except Exception:
         l1 = l2 = float("nan")
         band = "GAP"

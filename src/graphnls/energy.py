@@ -18,12 +18,14 @@ from .functions import (
     GraphFunction,
     Mesh,
     _abs_pow,
+    _dirichlet_integral,
     _simpson_abs_pow,
     kinetic_energy,
     l2_norm_sq,
     linf_norm,
     lp_integral,
 )
+from .graphs import MetricGraph, has_dead_end
 
 SCHEMA_VERSION = 1
 
@@ -34,21 +36,33 @@ def require_p(p: float) -> None:
 
 
 def default_gn_constants(p: float, n_half_lines: int) -> tuple[float, float]:
-    """Interpolation constants (C, c) by the number of half-lines.
+    """Interpolation constants (C, c) by the number of half-lines alone.
 
     The sup-norm constant c is sqrt(2) for a single lead and 1 for two or
     more; the L^p constant is tied to it as C = c^(p-2). The two-lead value
-    rests on mass draining from a maximum point to infinity along two
-    edge-disjoint routes; a graph with a dead-end core vertex defeats that
-    (a state peaked there leaks through one edge only), and for such graphs
-    the single-lead pair C = 2^((p-2)/2), c = sqrt(2) is the one that holds
-    unconditionally. Pass constants explicitly to override.
+    needs two edge-disjoint routes to infinity from a maximum point, which a
+    dead end defeats; :func:`gn_constants` applies that rule for a graph.
     """
     require_p(p)
     if n_half_lines < 1:
         raise ValueError("need at least one half-line")
     c = math.sqrt(2.0) if n_half_lines == 1 else 1.0
     return c ** (p - 2.0), c
+
+
+def gn_constants(
+    p: float, graph_or_n: MetricGraph | int, C: float | None = None, c: float | None = None
+) -> tuple[float, float]:
+    """Interpolation constants (C, c): the caller's where given, otherwise
+    the single-lead pair C = 2^((p-2)/2), c = sqrt(2) for a graph with a
+    dead end (:func:`graphnls.graphs.has_dead_end`), whose peaked states
+    drain to infinity through one edge only, and ``default_gn_constants``
+    for the number of half-lines (at least one) of any other graph or N."""
+    n = graph_or_n
+    if isinstance(graph_or_n, MetricGraph):
+        n = 1 if has_dead_end(graph_or_n) else max(1, graph_or_n.n_half_lines)
+    dC, dc = default_gn_constants(p, n)
+    return (dC if C is None else C), (dc if c is None else c)
 
 
 @dataclass
@@ -112,13 +126,15 @@ class EnergyOperator:
         self.p = float(p)
         self.stiffness = mesh.stiffness_matrix()
         self.mass_vec = mesh.mass_vector()
+        self._cells = mesh.cells()
         self._ia, self._ib, self._h = mesh.cells(core_only=not uniform_nonlinearity)
 
     def potential_integral(self, v: np.ndarray) -> float:
         return _simpson_abs_pow(v[self._ia], v[self._ib], self._h, self.p)
 
     def value(self, v: np.ndarray) -> float:
-        kinetic_sq = float(np.dot(v, self.stiffness @ v))
+        # kinetic_energy's per-cell form: v.S.v is not exactly 0 on constants
+        kinetic_sq = _dirichlet_integral(v, *self._cells)
         return 0.5 * kinetic_sq - self.potential_integral(v) / self.p
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
@@ -139,13 +155,13 @@ class EnergyOperator:
 
 def energy_report(u: GraphFunction, p: float) -> EnergyReport:
     """Full energy accounting for one function, including GN slacks with
-    the graph's default constants."""
+    the graph's constants (:func:`gn_constants`)."""
     require_p(p)
     ksq = kinetic_energy(u)
     pot = lp_integral(u, p, core_only=True) / p
     mass = l2_norm_sq(u)
     sup = linf_norm(u)
-    C, c = default_gn_constants(p, max(1, u.mesh.graph.n_half_lines))
+    C, c = gn_constants(p, u.mesh.graph)
     slack_p, slack_inf = gn_check(u, p, C, c)
     degenerate = ksq <= 1e-13 * max(1.0, mass)
     return EnergyReport(
@@ -177,16 +193,14 @@ def gn_check(
     u: GraphFunction, p: float, C: float | None = None, c: float | None = None
 ) -> tuple[float, float]:
     """Interpolation-inequality slacks (nonnegative when the constants are
-    valid for the graph and u decays into the truncation).
+    valid for the graph and u decays into the truncation), by default with
+    the graph's :func:`gn_constants`.
 
     slack_p   = C ||u||_2^(p/2+1) ||u'||_2^(p/2-1) - ||u||_p^p   (whole graph)
     slack_inf = c ||u||_2^(1/2) ||u'||_2^(1/2)     - ||u||_inf
     """
     require_p(p)
-    if C is None or c is None:
-        dC, dc = default_gn_constants(p, max(1, u.mesh.graph.n_half_lines))
-        C = dC if C is None else C
-        c = dc if c is None else c
+    C, c = gn_constants(p, u.mesh.graph, C, c)
     mass = l2_norm_sq(u)
     ksq = kinetic_energy(u)
     norm2 = math.sqrt(max(mass, 0.0))

@@ -140,9 +140,6 @@ class Mesh:
             self._mass = m
         return self._mass
 
-    def total_measure(self) -> float:
-        return float(self._cell_h.sum())
-
     @property
     def mesh_hash(self) -> str:
         parts = [f"r_cut={self.r_cut!r}"]
@@ -214,8 +211,12 @@ def l2_norm_sq(u: GraphFunction, core_only: bool = False) -> float:
 
 def kinetic_energy(u: GraphFunction) -> float:
     """Exact Dirichlet integral of the interpolant (no 1/2 factor)."""
-    ia, ib, h = u.mesh.cells()
-    d = u.values[ib] - u.values[ia]
+    return _dirichlet_integral(u.values, *u.mesh.cells())
+
+
+def _dirichlet_integral(v: np.ndarray, ia: np.ndarray, ib: np.ndarray, h: np.ndarray) -> float:
+    """Per-cell Dirichlet integral of the interpolant of nodal values v."""
+    d = v[ib] - v[ia]
     return float(np.dot(d, d / h))
 
 

@@ -96,16 +96,6 @@ class MetricGraph:
     def validation(self) -> ValidationReport:
         return validate(self)
 
-    def degree(self, vertex: str) -> int:
-        """Number of edge ends meeting ``vertex`` (a self-loop counts twice)."""
-        d = 0
-        for e in self.edges:
-            if e.tail == vertex:
-                d += 1
-            if e.head == vertex:
-                d += 1
-        return d
-
     def require_valid(self) -> None:
         if not self.validation.ok:
             raise InvalidGraphError(

@@ -36,10 +36,12 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 _INITIALIZERS = ("competitor", "soliton", "random")
 
-# fixed descent parameters: first trial step, Armijo constant, and the
-# energy drop a stage must stay below over _STALL_WINDOW iterations to stop
+# fixed descent parameters: first trial step, Armijo constant, backtrack
+# factor, and the energy drop a stage must stay below over _STALL_WINDOW
+# iterations to stop
 _STEP0 = 1.0
 _ARMIJO = 1e-4
+_BACKTRACK = 0.5
 _ENERGY_TOL = 1e-5
 _STALL_WINDOW = 10
 
@@ -47,7 +49,6 @@ _STALL_WINDOW = 10
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    backtrack: float = 0.5
     grad_tol: float = 1e-7
     r_cut_schedule: tuple[float, ...] = (10.0, 20.0, 40.0)
     h_max: float = 0.02
@@ -55,10 +56,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iters", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0,1)")
         for name in ("grad_tol", "h_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -282,7 +284,7 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
             if e_new <= energy + _ARMIJO * t * slope:
                 accepted = True
                 break
-            t *= config.backtrack
+            t *= _BACKTRACK
         if not accepted:
             # line search exhausted: descent direction no longer useful at
             # this precision, treat as converged only if the gradient agrees

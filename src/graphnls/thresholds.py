@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import default_gn_constants, energy_value, require_p
+from .energy import energy_value, gn_constants, require_p
 from .functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm
 from .graphs import (
     MetricGraph,
     Partition,
     core_measure,
     enumerate_partitions,
-    has_dead_end,
     homothety,
     part_core_measure,
     partition_violations,
@@ -68,6 +67,7 @@ def threshold_exist(p: float, mu: float, n_half_lines: int) -> float:
 def threshold_nonexist(
     p: float,
     mu: float,
+    *,
     C: float | None = None,
     c: float | None = None,
     n_half_lines: int | None = None,
@@ -75,19 +75,15 @@ def threshold_nonexist(
     """Core measure below which no ground state exists.
 
     L2 = C^((4-p)/(6-p)) * mu^((2-p)/(6-p)) * c^(-p), with (C, c) the
-    interpolation constants. Defaults come from ``default_gn_constants``
-    for the given number of half-lines (two or more assumed when omitted);
-    see that function for when the sharper two-lead constants apply, and
-    pass the unconditional pair C = 2^((p-2)/2), c = sqrt(2) for graphs
-    with dead-end core vertices.
+    interpolation constants, passed by keyword. Constants not passed come
+    from the number of half-lines alone (two assumed when omitted), which
+    knows nothing of dead ends; for a graph, pass ``gn_constants(p, graph)``
+    as :func:`certify_nonexistence` does.
     """
     _require_p46(p)
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if C is None or c is None:
-        dC, dc = default_gn_constants(p, 2 if n_half_lines is None else n_half_lines)
-        C = dC if C is None else C
-        c = dc if c is None else c
+    C, c = gn_constants(p, 2 if n_half_lines is None else n_half_lines, C, c)
     if C <= 0 or c <= 0:
         raise ValueError("constants must be positive")
     return C ** ((4.0 - p) / (6.0 - p)) * mu ** ((2.0 - p) / (6.0 - p)) * c ** (-p)
@@ -132,11 +128,9 @@ def threshold_report(
     c: float | None = None,
 ) -> ThresholdReport:
     _require_p46(p)
-    dC, dc = default_gn_constants(p, n_half_lines)
-    Cu = dC if C is None else C
-    cu = dc if c is None else c
+    Cu, cu = gn_constants(p, n_half_lines, C, c)
     l1 = threshold_exist(p, mu, n_half_lines)
-    l2 = threshold_nonexist(p, mu, Cu, cu)
+    l2 = threshold_nonexist(p, mu, C=Cu, c=cu)
     inv = mu ** ((p - 2.0) / (6.0 - p))
     return ThresholdReport(
         p=p,
@@ -249,20 +243,15 @@ def certify_nonexistence(
     graph has at least two half-lines, all partitions into at most
     ``max_parts`` regions (default: one per half-line). The best candidate
     minimizes the largest per-region core measure; the certificate is valid
-    when that measure is below the threshold. Constants not passed default
-    to those for the graph's number of half-lines, or to the single-lead
-    pair C = 2^((p-2)/2), c = sqrt(2) when the graph has a dead end
-    (:func:`graphnls.graphs.has_dead_end`).
+    when that measure is below the threshold. Constants not passed come
+    from :func:`graphnls.energy.gn_constants` for the graph, which gives
+    the single-lead pair on graphs with a dead end.
     """
     _require_p46(p)
     graph.require_valid()
     n = graph.n_half_lines
-    # a state peaked at a dead end drains to infinity through one edge only,
-    # so there only the single-lead constants hold
-    dC, dc = default_gn_constants(p, 1 if has_dead_end(graph) else n)
-    used_C = dC if C is None else C
-    used_c = dc if c is None else c
-    l2 = threshold_nonexist(p, mu, used_C, used_c)
+    used_C, used_c = gn_constants(p, graph, C, c)
+    l2 = threshold_nonexist(p, mu, C=used_C, c=used_c)
 
     if partitions is not None:
         for q in partitions:
@@ -374,9 +363,7 @@ def mass_thresholds(
     _require_p46(p)
     if L <= 0:
         raise ValueError("L must be positive")
-    dC, dc = default_gn_constants(p, n_half_lines)
-    Cu = dC if C is None else C
-    cu = dc if c is None else c
+    Cu, cu = gn_constants(p, n_half_lines, C, c)
     if p == 4.0:
         mu1 = n_half_lines**2 / (2.0 * L)
         mu2 = cu ** (-4.0) / L
@@ -413,8 +400,7 @@ def inductive_bound_check(
     _require_p46(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if c is None:
-        _, c = default_gn_constants(p, max(1, u.mesh.graph.n_half_lines))
+    _, c = gn_constants(p, u.mesh.graph, c=c)
     ell = core_measure(u.mesh.graph)
     mu = l2_norm_sq(u)
     ksq = kinetic_energy(u)

@@ -252,7 +252,7 @@ def test_criterion_12_partition_certificate():
     cert = certify_nonexistence(graph, 4.0, 1.0)
     assert cert.valid
     assert not cert.whole_graph
-    assert cert.threshold == pytest.approx(threshold_nonexist(4.0, 1.0, 2), rel=1e-12)
+    assert cert.threshold == pytest.approx(threshold_nonexist(4.0, 1.0, n_half_lines=2), rel=1e-12)
     assert cert.max_part_measure == pytest.approx(0.9, rel=1e-12)
     assert cert.max_part_measure < cert.threshold
 

@@ -218,11 +218,14 @@ def test_sweep_phase_csv(broom_file, tmp_path):
     rows = [line.split(",") for line in lines[2:]]
     assert [r[0] for r in rows] == ["0.25", "3.0"]  # grid order
     by_val = {r[0]: r for r in rows}
-    assert by_val["0.25"][5] == "NONEXIST_BAND"
+    # the broom's hub is a dead end: L2 uses c = sqrt 2, so L2 = 1/4 and the
+    # 0.25 point (core measure 1/4) sits in the gap, not below L2
+    assert by_val["0.25"][5] == "GAP"
+    assert float(by_val["0.25"][4]) == pytest.approx(0.25, abs=1e-12)
     assert by_val["0.25"][2] == "ZERO_INFIMUM_SUSPECTED"
     assert by_val["3.0"][5] == "EXIST_BAND"
     assert by_val["3.0"][2] == "NEGATIVE_MINIMUM"
-    assert by_val["3.0"][3] == "2.0" and by_val["3.0"][4] == "1.0"
+    assert by_val["3.0"][3] == "2.0" and float(by_val["3.0"][4]) == pytest.approx(0.25, abs=1e-12)
 
     # byte determinism of the data rows on a rerun
     first = (tmp_path / "out" / "phase.csv").read_bytes()
@@ -233,7 +236,11 @@ def test_sweep_phase_csv(broom_file, tmp_path):
 
 @pytest.mark.parametrize(
     "solver,named",
-    [({"max_iter": 50}, "max_iter"), ({"r_cut_schedule": None}, "r_cut_schedule")],
+    [
+        ({"max_iter": 50}, "max_iter"),
+        ({"r_cut_schedule": None}, "r_cut_schedule"),
+        ({"max_iters": 2.5}, "max_iters"),
+    ],
 )
 def test_sweep_bad_solver_overrides(tmp_path, broom_file, solver, named):
     # caught up front, not turned into an INCONCLUSIVE row per point

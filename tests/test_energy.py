@@ -11,10 +11,11 @@ from graphnls.energy import (
     energy_report,
     energy_value,
     gn_check,
+    gn_constants,
     require_p,
 )
 from graphnls.functions import GraphFunction, Mesh, interpolate, kinetic_energy, project_mass
-from graphnls.graphs import double_bridge, line_graph, metric_graph
+from graphnls.graphs import double_bridge, line_graph, metric_graph, star_graph
 from graphnls.solver import soliton_profile
 
 
@@ -98,6 +99,23 @@ def test_gn_constants_by_half_line_count():
     assert c2 == 1.0 and C2 == 1.0
     C5, c5 = default_gn_constants(5.0, 2)
     assert C5 == 1.0 and c5 == 1.0
+
+
+def test_gn_constants_follow_the_graph():
+    broom = star_graph((3.0,), half_lines_per_terminal=2)
+    single = default_gn_constants(4.0, 1)
+    assert gn_constants(4.0, broom) == single  # dead end: one route out
+    assert gn_constants(4.0, line_graph(1.0)) == default_gn_constants(4.0, 2)
+    assert gn_constants(4.5, double_bridge(0.5, 0.5)) == default_gn_constants(4.5, 2)
+    assert gn_constants(4.5, 3) == default_gn_constants(4.5, 3)  # N alone
+    # explicit constants win, each on its own
+    assert gn_constants(4.0, broom, C=1.0, c=1.0) == (1.0, 1.0)
+    assert gn_constants(4.0, broom, c=1.0) == (single[0], 1.0)
+    # no half-lines: the single-lead fallback
+    loop = metric_graph(["a"], [("o", "a", "a", 1.0)], [])
+    assert gn_constants(4.0, loop) == single
+    with pytest.raises(ValueError):
+        gn_constants(4.0, 0)
 
 
 def test_gn_slack_nonnegative_for_decaying_functions():

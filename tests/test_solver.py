@@ -7,6 +7,8 @@ adaptive RK at rtol 1e-12, an entirely different discretization from the
 mesh descent under test. Agreement is limited by the P1 mesh (h = 0.02),
 measured at roughly 1e-4 relative.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from graphnls.solver import (
     minimize,
     soliton_profile,
 )
+from graphnls.thresholds import inductive_bound_check
 
 # (graph factory, p, truncation schedule, shooting energy, shooting multiplier)
 SHOOTING_CASES = [
@@ -48,6 +51,7 @@ def test_minimize_matches_shooting_oracle(factory, p, schedule, e_ref, lam_ref):
     assert res.el.lambda_estimate == pytest.approx(lam_ref, rel=5e-3)
     assert res.report.mass == pytest.approx(1.0, abs=1e-10)
     assert res.strictly_positive
+    assert res.energy == res.report.total_energy
 
 
 def test_weakly_bound_state_needs_long_truncation():
@@ -82,9 +86,23 @@ def test_minimize_rejects_bad_parameters():
         minimize(line_graph(1.0), 1.0, 6.5)
 
 
+def test_solver_config_rejects_non_integer_counts():
+    for name, bad in (("max_iters", 2.5), ("seed", 0.5), ("max_iters", "10")):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: bad})
+
+
+def test_dead_end_minimizer_within_single_lead_constants():
+    # the broom's tip is a dead end, so the report checks the minimizer
+    # against c = sqrt 2 (it violates the two-lead c = 1)
+    res = minimize(star_graph((3.0,), 2), 1.0, 4.0, SolverConfig(r_cut_schedule=(20.0, 40.0)))
+    assert res.report.gn_c == math.sqrt(2.0)
+    assert res.report.gn_slack_inf > 0.0 and res.report.gn_slack_p > 0.0
+    # contraction c^4 mu meas(K) = 4 * 1 * 3
+    assert inductive_bound_check(res.function, 4.0).contraction == pytest.approx(12.0, abs=1e-12)
+
+
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack=1.5)
     with pytest.raises(ValueError):
         SolverConfig(r_cut_schedule=(20.0, 10.0))
     with pytest.raises(ValueError):

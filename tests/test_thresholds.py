@@ -71,6 +71,14 @@ def test_threshold_nonexist_values():
     assert l2_n1 == pytest.approx((c ** 2.0) ** 0.0 * c ** (-4.0), rel=1e-12)
 
 
+def test_threshold_nonexist_constants_are_keyword_only():
+    # a positional third argument would be read as C, not as N: at p = 5
+    # C = 2 gives L2 = 2^(-1) instead of 1
+    with pytest.raises(TypeError):
+        threshold_nonexist(5.0, 1.0, 2)
+    assert threshold_nonexist(5.0, 1.0, n_half_lines=2) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_threshold_scaling_invariance():
     rng = np.random.default_rng(2)
     for _ in range(50):
