@@ -2,9 +2,13 @@
 
 The scheme is projected gradient descent on the mass sphere: step along a
 descent direction, rescale back to the constraint, accept via an Armijo
-test. Directions are H1-preconditioned (the Sobolev gradient of
-Henning & Peterseim), which keeps the iteration count essentially mesh
-independent.
+test that also demands a strict decrease. Directions are Sobolev
+gradients preconditioned by S + sigma*M (Henning & Peterseim), with the
+shift sigma the current multiplier estimate, floored at 1/r_cut^2 and
+refactored whenever the estimate leaves [sigma/2, 2*sigma]. The
+preconditioner then matches the linearized problem on the half-line tails
+as well as on the core, which keeps the iteration count independent of
+the mesh and of how weakly the state is bound.
 
 Because the half-lines are truncated, every run solves a compact surrogate
 problem. The truncation length is therefore swept over an increasing
@@ -23,7 +27,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
-from scipy.special import gamma as gamma_fn
 
 from .energy import ELReport, EnergyOperator, EnergyReport, el_residual, energy_report, require_p
 from .functions import GraphFunction, Mesh, project_mass
@@ -121,7 +124,7 @@ def soliton_constants(p: float) -> tuple[float, float, float]:
     q = 2.0 / (p - 2.0)
 
     def sech_integral(s: float) -> float:
-        return math.sqrt(math.pi) * gamma_fn(s / 2.0) / gamma_fn((s + 1.0) / 2.0)
+        return math.sqrt(math.pi) * math.gamma(s / 2.0) / math.gamma((s + 1.0) / 2.0)
 
     i2q = sech_integral(2.0 * q)
     rate = (q * (q + 1.0)) ** (2.0 / (p - 6.0)) * i2q ** ((p - 2.0) / (p - 6.0))
@@ -232,7 +235,16 @@ class _StageResult:
 def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConfig) -> _StageResult:
     op = EnergyOperator(mesh, p)
     mass_vec = op.mass_vec
-    solve = splu((op.stiffness + diags(mass_vec)).tocsc()).solve
+    # the preconditioner S + sigma*M is shifted by the current multiplier
+    # estimate sigma ~ -lam_hat: with a fixed S + M the slow tail modes
+    # contract only by about lam/(k^2 + 1), which costs thousands of
+    # iterations when lam is small (weakly bound states). 1/r_cut^2 floors
+    # the shift so the operator stays positive definite while lam_hat >= 0
+    # (random starts, zero-infimum runs); there is no cap. It is refactored
+    # only when the estimate leaves [sigma/2, 2*sigma].
+    shift_floor = 1.0 / mesh.r_cut**2
+    sigma = 0.0
+    solve = None
 
     def project(v: np.ndarray) -> np.ndarray:
         m = float(np.dot(mass_vec, v * v))
@@ -265,6 +277,10 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
             converged = True
             break
 
+        shift = max(-lam_hat, shift_floor)
+        if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
+            sigma = shift
+            solve = splu((op.stiffness + diags(sigma * mass_vec)).tocsc()).solve
         d = -solve(residual)
         d -= (float(np.dot(mass_vec, d * v)) / mu) * v
         slope = float(np.dot(g, d))
@@ -281,7 +297,10 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         while t > 1e-16:
             w = project(v + t * d)
             e_new = op.value(w)
-            if e_new <= energy + _ARMIJO * t * slope:
+            # strict decrease too: once the Armijo margin drops below the
+            # energy's ulp, an equal energy would pass and the stage would
+            # creep on with vanishing steps until max_iters
+            if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
                 accepted = True
                 break
             t *= _BACKTRACK

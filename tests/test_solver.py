@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from graphnls.functions import GraphFunction, Mesh, l2_norm_sq, linf_norm
+from graphnls.functions import GraphFunction, Mesh, l2_norm_sq, linf_norm, project_mass
 from graphnls.graphs import double_bridge, line_graph, metric_graph, star_graph
 from graphnls.solver import (
     INCONCLUSIVE,
@@ -62,6 +62,40 @@ def test_weakly_bound_state_needs_long_truncation():
     assert res.verdict == NEGATIVE_MINIMUM
     assert res.energy == pytest.approx(-0.0002174268, rel=2e-3)
     assert res.el.lambda_estimate == pytest.approx(0.0027622728, rel=1e-2)
+    # the multiplier-shifted preconditioner resolves the slow tail in a few
+    # dozen iterations per stage; a fixed S + M shift needs about 13.5k
+    assert res.iterations <= 500
+
+
+def test_noisy_starts_reach_the_same_minimum():
+    # the benchmark's recipe: plateau start times 1 + 5% noise, back on the
+    # mass sphere; every stage must converge from every start
+    graph = line_graph(1.0)
+    cfg = SolverConfig(r_cut_schedule=(20.0, 40.0, 80.0, 160.0), h_max=0.02, max_iters=8000)
+    start = initializer_competitor(graph, 1.0, 2.5, mesh=Mesh(graph, h_max=0.02, r_cut=20.0))
+    energies = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        noisy = start.values * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, start.values.shape))
+        res = minimize(graph, 1.0, 2.5, cfg, initial=project_mass(start.with_values(noisy), 1.0))
+        assert res.verdict == NEGATIVE_MINIMUM, (seed, res.r_cut_table)
+        energies.append(res.energy)
+    assert max(energies) - min(energies) <= 1e-9 * abs(energies[0])
+
+
+def test_line_search_requires_strict_decrease():
+    # strongly bound (mu = 4, p = 5): the Armijo margin falls below the
+    # energy's ulp, and accepting equal energies used to creep on with
+    # steps of about 3e-11 until max_iters in both stages
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), initializer="random")
+    res = minimize(line_graph(1.0), 4.0, 5.0, cfg)
+    assert res.verdict == NEGATIVE_MINIMUM
+    assert all(converged for *_, converged in res.r_cut_table)
+    assert res.iterations < 1000
+    # at p = 5.5 the shifted preconditioner alone does not prevent the
+    # creep: a stage must end once no step lowers the energy
+    res = minimize(line_graph(1.0), 4.0, 5.5, SolverConfig(r_cut_schedule=(10.0, 20.0)))
+    assert res.iterations < 1000
 
 
 def test_zero_infimum_below_threshold():
