@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -281,7 +279,6 @@ class SweepSpec:
     mu: float
     p: float
     out_dir: Path
-    threads: int
     seed: int
     solver: dict
 
@@ -325,9 +322,7 @@ class SweepSpec:
             raise _UsageError("mu must be positive")
         if axis != "p" and not 2.0 < p < 6.0:
             raise _UsageError("p must be in (2,6)")
-        threads = int(data.get("threads", 1))
-        if threads < 1:
-            raise _UsageError("threads must be at least 1")
+        # a "threads" key from older specs is ignored: points run serially
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
             raise _UsageError("solver overrides must be a JSON object")
@@ -344,7 +339,6 @@ class SweepSpec:
             mu=mu,
             p=p,
             out_dir=out_dir,
-            threads=threads,
             seed=int(data.get("seed", 0)),
             solver=solver,
         )
@@ -393,19 +387,9 @@ def cmd_sweep(args) -> int:
     base = load_graph(spec.graph_file)
     base.require_valid()
 
-    workers = spec.threads
-    env_cap = os.environ.get("GRAPHNLS_THREADS")
-    if env_cap is not None:
-        try:
-            workers = min(workers, max(1, int(env_cap)))
-        except ValueError:
-            raise _UsageError(f"GRAPHNLS_THREADS must be an integer, got {env_cap!r}")
-    workers = max(1, min(workers, len(spec.grid)))
-
-    # dispatch concurrently, then collect strictly in grid order
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_point, base, spec, v) for v in spec.grid]
-        rows = [f.result() for f in futures]
+    # one point after another: the work holds the GIL, so worker threads
+    # would only contend for it
+    rows = [_sweep_point(base, spec, v) for v in spec.grid]
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = spec.out_dir / "phase.csv"

@@ -44,6 +44,12 @@ __all__ = [
 class Mesh:
     """Uniform P1 mesh over a metric graph.
 
+    Numbering: the vertices take dofs ``0..V-1`` in sorted order; every
+    other node lies inside one edge (a half-line's free end included), and
+    each edge's nodes are numbered consecutively, edge after edge. So the
+    stiffness block on the non-vertex dofs is tridiagonal, which the
+    solver's preconditioner relies on.
+
     Parameters
     ----------
     graph:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -31,13 +30,8 @@ edge e1 a b 1.0
 """
 
 
-def run_cli(*args, env=None):
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=merged, timeout=600
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=600)
 
 
 @pytest.fixture
@@ -204,13 +198,13 @@ def test_sweep_phase_csv(broom_file, tmp_path):
         "mu": 1.0,
         "p": 4.0,
         "out_dir": str(tmp_path / "out"),
-        "threads": 2,
+        "threads": 2,  # from older specs: accepted and ignored
         "seed": 0,
         "solver": {"h_max": 0.05, "r_cut_schedule": [10, 20, 40]},
     }
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps(spec))
-    proc = run_cli("sweep", str(sweep_file), env={"GRAPHNLS_THREADS": "2"})
+    proc = run_cli("sweep", str(sweep_file))
     assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / "out" / "phase.csv").read_text().splitlines()
     assert lines[0].startswith("# graphnls")
@@ -229,7 +223,7 @@ def test_sweep_phase_csv(broom_file, tmp_path):
 
     # byte determinism of the data rows on a rerun
     first = (tmp_path / "out" / "phase.csv").read_bytes()
-    proc2 = run_cli("sweep", str(sweep_file), env={"GRAPHNLS_THREADS": "1"})
+    proc2 = run_cli("sweep", str(sweep_file))
     assert proc2.returncode == 0
     assert (tmp_path / "out" / "phase.csv").read_bytes() == first
 

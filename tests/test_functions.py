@@ -36,6 +36,26 @@ def test_mesh_dof_sharing():
     assert mesh.edge_dofs["core"][-1] == mesh.edge_dofs["lead2"][0]
 
 
+def test_mesh_numbers_vertices_first_and_edge_nodes_in_runs():
+    # the solver's preconditioner eliminates the non-vertex dofs with a
+    # tridiagonal factorization, which needs exactly this numbering
+    graphs = [
+        line_graph(1.0),
+        double_bridge(0.5, 0.5),
+        star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2),
+        metric_graph(["v"], [("loop", "v", "v", 1.0)], [("lead", "v")]),
+        metric_graph(["a", "b"], [("short", "a", "b", 0.01)], [("l1", "a"), ("l2", "b")]),
+    ]
+    for graph in graphs:
+        mesh = Mesh(graph, h_max=0.05, r_cut=3.0)
+        nv = len(mesh.vertex_dof)
+        assert sorted(mesh.vertex_dof.values()) == list(range(nv))
+        for dofs in mesh.edge_dofs.values():
+            assert np.all(np.diff(dofs[dofs >= nv]) == 1)
+        block = mesh.stiffness_matrix()[nv:, nv:].tocoo()
+        assert np.all(np.abs(block.row - block.col) <= 1)
+
+
 def test_mesh_h_subdivision():
     mesh = Mesh(line_graph(1.0), h_max=0.3, r_cut=2.0)
     for eid, coords in mesh.edge_coords.items():

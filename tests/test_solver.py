@@ -8,17 +8,22 @@ mesh descent under test. Agreement is limited by the P1 mesh (h = 0.02),
 measured at roughly 1e-4 relative.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.sparse import diags
+from scipy.sparse.linalg import splu
 
 from graphnls.functions import GraphFunction, Mesh, l2_norm_sq, linf_norm, project_mass
-from graphnls.graphs import double_bridge, line_graph, metric_graph, star_graph
+from graphnls.graphs import double_bridge, line_graph, load_graph, metric_graph, star_graph
 from graphnls.solver import (
     INCONCLUSIVE,
     NEGATIVE_MINIMUM,
     ZERO_INFIMUM_SUSPECTED,
     SolverConfig,
+    _shifted_factorizer,
     _verdict,
     dirichlet_line_min,
     existence_dichotomy,
@@ -96,6 +101,74 @@ def test_line_search_requires_strict_decrease():
     # creep: a stage must end once no step lowers the energy
     res = minimize(line_graph(1.0), 4.0, 5.5, SolverConfig(r_cut_schedule=(10.0, 20.0)))
     assert res.iterations < 1000
+
+
+def test_strongly_bound_stage_converges_on_relative_tolerance():
+    # mu = 8, p = 5: E = -133.3 and lambda of order 100, so the gradient
+    # cannot be resolved below about 5e-6; an absolute grad_tol of 1e-7
+    # left both stages unconverged and the verdict INCONCLUSIVE
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), max_iters=2000)
+    res = minimize(line_graph(1.0), 8.0, 5.0, cfg)
+    assert res.verdict == NEGATIVE_MINIMUM
+    assert all(converged for *_, converged in res.r_cut_table)
+
+
+DEMO_GRAPHS = sorted((Path(__file__).resolve().parents[1] / "demos" / "graphs").glob("*.graph"))
+STRUCTURED_SOLVE_GRAPHS = [(f.stem, lambda f=f: load_graph(f)) for f in DEMO_GRAPHS] + [
+    ("star_.5_.7_.9", lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)),
+    # a self-loop: both ends of its inner run couple to the same vertex
+    ("self_loop", lambda: metric_graph(["v"], [("loop", "v", "v", 1.0)], [("lead", "v")])),
+    # one cell shorter than h_max: the edge has no inner node and couples
+    # its two vertices directly in the junction block
+    (
+        "short_edge",
+        lambda: metric_graph(
+            ["a", "b", "c"],
+            [("short", "a", "b", 0.01), ("long", "b", "c", 1.0)],
+            [("l1", "a"), ("l2", "c")],
+        ),
+    ),
+]
+
+
+def test_structured_solve_covers_the_demo_graphs():
+    assert {f.stem for f in DEMO_GRAPHS} >= {"line", "double_bridge", "star", "broom"}
+
+
+def _assert_structured_solve_matches_sparse_lu(mesh, sigma):
+    stiffness, mass = mesh.stiffness_matrix(), mesh.mass_vector()
+    b = np.random.default_rng(0).standard_normal(mesh.n_dofs)
+    x = _shifted_factorizer(mesh)(sigma)(b)
+    ref = splu((stiffness + diags(sigma * mass)).tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("sigma", ["floor", 1.0, 1e3])
+@pytest.mark.parametrize(
+    "factory", [f for _, f in STRUCTURED_SOLVE_GRAPHS], ids=[n for n, _ in STRUCTURED_SOLVE_GRAPHS]
+)
+def test_structured_solve_matches_sparse_lu(factory, sigma):
+    graph = factory()
+    graph.require_valid()
+    mesh = Mesh(graph, h_max=0.02, r_cut=20.0)
+    _assert_structured_solve_matches_sparse_lu(mesh, 1.0 / mesh.r_cut**2 if sigma == "floor" else sigma)
+
+
+def test_structured_solve_with_a_single_edge_node():
+    # a lead cut at one cell next to a one-cell core edge: the tridiagonal
+    # block is 1 x 1, with no off-diagonal
+    graph = metric_graph(["a", "b"], [("e", "a", "b", 0.01)], [("lead", "a")])
+    graph.require_valid()
+    mesh = Mesh(graph, h_max=0.02, r_cut=0.01)
+    assert mesh.n_dofs - len(mesh.vertex_dof) == 1
+    _assert_structured_solve_matches_sparse_lu(mesh, 1.0)
+
+
+def test_structured_solve_rejects_an_indefinite_edge_block():
+    mesh = Mesh(line_graph(1.0), h_max=0.1, r_cut=5.0)
+    factor = _shifted_factorizer(mesh)
+    with pytest.raises(LinAlgError, match="not positive definite"):
+        factor(-1e3)
 
 
 def test_zero_infimum_below_threshold():
