@@ -367,7 +367,8 @@ def check_solver(seed: int = 0, gn_c: float | None = None) -> CheckResult:
     col.check(res.energy < 0.0, "subcritical power failed to reach negative energy")
     col.check(res.strictly_positive, "minimizer not strictly positive")
 
-    u0 = initializer_competitor(line_graph(1.0), 1.0, 3.0, h_max=0.1, r_cut=4.0)
+    line = line_graph(1.0)
+    u0 = initializer_competitor(line, 1.0, 3.0, Mesh(line, h_max=0.1, r_cut=4.0))
     col.check(abs(l2_norm_sq(u0) - 1.0) < 1e-10, "initializer mass projection")
 
     val, _ = dirichlet_line_min(1.0, 1.0, SolverConfig(h_max=0.05, max_iters=3000))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .checks import SUITES, run_checks
@@ -35,6 +35,7 @@ from .solver import (
     ZERO_INFIMUM_SUSPECTED,
     SolverConfig,
     existence_dichotomy,
+    initializer_random,
     initializer_soliton,
     minimize,
 )
@@ -107,8 +108,7 @@ def cmd_validate(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    updates: dict = {"initializer": args.init, "seed": args.seed}
+    updates: dict = {}
     if args.h is not None:
         updates["h_max"] = args.h
     if args.rcut is not None:
@@ -121,7 +121,7 @@ def _solver_config(args) -> SolverConfig:
         updates["r_cut_schedule"] = schedule
     if args.max_iters is not None:
         updates["max_iters"] = args.max_iters
-    return replace(cfg, **updates)
+    return SolverConfig(**updates)
 
 
 def cmd_minimize(args) -> int:
@@ -131,19 +131,18 @@ def cmd_minimize(args) -> int:
     graph.require_valid()
     cfg = _solver_config(args)
 
+    if (args.init_edge is not None or args.init_offset is not None) and args.init != "soliton":
+        raise _UsageError("--init-edge/--init-offset require --init soliton")
+    # the competitor is minimize's own default start
     initial = None
-    if args.init_edge is not None or args.init_offset is not None:
-        if args.init != "soliton":
-            raise _UsageError("--init-edge/--init-offset require --init soliton")
+    if args.init != "competitor":
         mesh0 = Mesh(graph, h_max=cfg.h_max, r_cut=cfg.r_cut_schedule[0])
-        initial = initializer_soliton(
-            graph,
-            args.mu,
-            args.p,
-            center_edge=args.init_edge,
-            center_offset=args.init_offset,
-            mesh=mesh0,
-        )
+        if args.init == "soliton":
+            initial = initializer_soliton(
+                graph, args.mu, args.p, mesh0, center_edge=args.init_edge, center_offset=args.init_offset
+            )
+        else:
+            initial = initializer_random(graph, args.mu, args.p, mesh0, seed=args.seed)
 
     result = minimize(graph, args.mu, args.p, cfg, initial=initial)
 
@@ -154,8 +153,8 @@ def cmd_minimize(args) -> int:
     payload.update(
         {
             "graph_file": str(args.graph),
-            "initializer": cfg.initializer,
-            "seed": cfg.seed,
+            "initializer": args.init,
+            "seed": args.seed,
             "h_max": cfg.h_max,
         }
     )
@@ -280,7 +279,7 @@ class SweepSpec:
     p: float
     out_dir: Path
     seed: int
-    solver: dict
+    config: SolverConfig
 
     @staticmethod
     def from_file(path) -> "SweepSpec":
@@ -323,13 +322,16 @@ class SweepSpec:
         if axis != "p" and not 2.0 < p < 6.0:
             raise _UsageError("p must be in (2,6)")
         # a "threads" key from older specs is ignored: points run serially
+        seed = data.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise _UsageError(f"seed must be an integer, got {seed!r}")
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
             raise _UsageError("solver overrides must be a JSON object")
         # an unknown key or bad value caught only inside the sweep would
         # turn every point into an undecided row
         try:
-            replace(SolverConfig(), **solver)
+            config = SolverConfig(**solver)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad solver overrides {solver!r}: {exc}")
         return SweepSpec(
@@ -339,8 +341,8 @@ class SweepSpec:
             mu=mu,
             p=p,
             out_dir=out_dir,
-            seed=int(data.get("seed", 0)),
-            solver=solver,
+            seed=seed,
+            config=config,
         )
 
 
@@ -374,8 +376,7 @@ def _sweep_point(base, spec: SweepSpec, axis_value: float):
         l1 = l2 = float("nan")
         band = "GAP"
     try:
-        cfg = replace(SolverConfig(seed=spec.seed), **spec.solver)
-        result = existence_dichotomy(graph, mu, p, cfg)
+        result = existence_dichotomy(graph, mu, p, spec.config, seed=spec.seed)
         return (axis_value, result.best_energy, result.verdict, l1, l2, band)
     except Exception:
         # a failed point must not kill the sweep; record it as undecided

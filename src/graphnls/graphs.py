@@ -346,11 +346,32 @@ def _canonical(parts: Iterable[frozenset[str]]) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(p)) for p in parts))
 
 
-def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
-    """All admissible partitions with 2..max_parts parts, deduplicated as
-    unordered families and returned in lexicographic order.
+def _splits(items: Sequence[str], r: int) -> Iterable[list[list[str]]]:
+    """Every split of ``items`` into r nonempty unordered groups, each once:
+    the first item either starts a group of its own or joins one group of
+    a split of the rest."""
+    if r == 0:
+        if not items:
+            yield []
+        return
+    if len(items) < r:
+        return
+    first, rest = items[0], items[1:]
+    for groups in _splits(rest, r - 1):
+        yield [[first], *groups]
+    for groups in _splits(rest, r):
+        for k in range(r):
+            yield [[first, *g] if i == k else g for i, g in enumerate(groups)]
 
-    Feasible only at desk scale; the count grows like r^(number of edges).
+
+def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
+    """All admissible partitions with 2..max_parts parts, each once as an
+    unordered family, in lexicographic order of the canonical key.
+
+    The half-lines are split into r nonempty groups, which tells the parts
+    apart, and each core edge then joins one of them: sum_r S(N, r) r^E
+    partitions for N half-lines and E core edges, so only desk scale is
+    feasible.
     """
     graph.require_valid()
     n = graph.n_half_lines
@@ -360,20 +381,15 @@ def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
         raise ValueError(f"max_parts must lie in [2, {n}]")
     half_ids = sorted(e.id for e in graph.half_lines)
     core_ids = sorted(e.id for e in graph.core_edges)
-    seen: set[tuple[tuple[str, ...], ...]] = set()
+    keys = []
     for r in range(2, max_parts + 1):
-        for h_assign in itertools.product(range(r), repeat=len(half_ids)):
-            if len(set(h_assign)) != r:
-                continue  # some part would have no half-line
+        for groups in _splits(half_ids, r):
             for c_assign in itertools.product(range(r), repeat=len(core_ids)):
-                groups: list[set[str]] = [set() for _ in range(r)]
-                for eid, k in zip(half_ids, h_assign):
-                    groups[k].add(eid)
+                parts = [list(g) for g in groups]
                 for eid, k in zip(core_ids, c_assign):
-                    groups[k].add(eid)
-                seen.add(_canonical(groups))
-    out = [Partition(tuple(frozenset(p) for p in key)) for key in sorted(seen)]
-    return out
+                    parts[k].append(eid)
+                keys.append(_canonical(parts))
+    return [Partition(tuple(frozenset(p) for p in key)) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
@@ -41,8 +41,6 @@ NEGATIVE_MINIMUM = "NEGATIVE_MINIMUM"
 ZERO_INFIMUM_SUSPECTED = "ZERO_INFIMUM_SUSPECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_INITIALIZERS = ("competitor", "soliton", "random")
-
 # fixed descent parameters: first trial step, Armijo constant, backtrack
 # factor, and the energy drop a stage must stay below over _STALL_WINDOW
 # iterations to stop
@@ -51,6 +49,8 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _ENERGY_TOL = 1e-5
 _STALL_WINDOW = 10
+# neighbor-averaging passes that smooth the random starting state
+_SMOOTHING_PASSES = 5
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,10 @@ class SolverConfig:
     grad_tol: float = 1e-7
     r_cut_schedule: tuple[float, ...] = (10.0, 20.0, 40.0)
     h_max: float = 0.02
-    initializer: str = "competitor"
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         for name in ("grad_tol", "h_max"):
@@ -75,23 +72,16 @@ class SolverConfig:
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("r_cut_schedule must be strictly increasing and nonempty")
         object.__setattr__(self, "r_cut_schedule", sched)
-        if self.initializer not in _INITIALIZERS:
-            raise ValueError(f"initializer must be one of {_INITIALIZERS}")
 
 
 # ---------------------------------------------------------------------------
-# initializers
+# initializers: starting states for minimize(initial=...), each sampled on
+# a mesh the caller builds
 
 
-def initializer_competitor(
-    graph: MetricGraph,
-    mu: float,
-    p: float,
-    mesh: Mesh | None = None,
-    h_max: float = 0.02,
-    r_cut: float = 20.0,
-) -> GraphFunction:
-    """Plateau on the core with exponential tails on the half-lines.
+def initializer_competitor(graph: MetricGraph, mu: float, p: float, mesh: Mesh) -> GraphFunction:
+    """Plateau on the core with exponential tails on the half-lines,
+    sampled on ``mesh``.
 
     The amplitude is the minimizer of the competitor's mass requirement
     when p > 4 and that critical amplitude is admissible, otherwise half
@@ -100,8 +90,6 @@ def initializer_competitor(
     """
     require_p(p)
     graph.require_valid()
-    if mesh is None:
-        mesh = Mesh(graph, h_max=h_max, r_cut=r_cut)
     ell = core_measure(graph)
     n = graph.n_half_lines
     cap = math.sqrt(mu / ell)
@@ -154,18 +142,16 @@ def initializer_soliton(
     graph: MetricGraph,
     mu: float,
     p: float,
+    mesh: Mesh,
     center_edge: str | None = None,
     center_offset: float | None = None,
-    mesh: Mesh | None = None,
-    h_max: float = 0.02,
-    r_cut: float = 20.0,
 ) -> GraphFunction:
     """Bump profile centered on a core edge, transported along shortest
-    path distance from the center; re-projected to the requested mass."""
+    path distance from the center, sampled on ``mesh`` and re-projected
+    to the requested mass. Without ``center_edge`` it sits at the middle
+    of the first core edge by id."""
     require_p(p)
     graph.require_valid()
-    if mesh is None:
-        mesh = Mesh(graph, h_max=h_max, r_cut=r_cut)
     if center_edge is None:
         center_edge = sorted(e.id for e in graph.core_edges)[0]
         center_offset = graph.edges_by_id[center_edge].length / 2.0
@@ -183,43 +169,23 @@ def initializer_soliton(
     return project_mass(GraphFunction(mesh, values), mu)
 
 
-def initializer_random(
-    graph: MetricGraph,
-    mu: float,
-    p: float,
-    seed: int = 0,
-    mesh: Mesh | None = None,
-    h_max: float = 0.02,
-    r_cut: float = 20.0,
-    smoothing_passes: int = 5,
-) -> GraphFunction:
-    """Seeded uniform noise smoothed by a few neighbor-averaging passes."""
+def initializer_random(graph: MetricGraph, mu: float, p: float, mesh: Mesh, seed: int = 0) -> GraphFunction:
+    """Seeded uniform noise on ``mesh``, smoothed by _SMOOTHING_PASSES
+    neighbor-averaging passes and projected to mass mu."""
     require_p(p)
     graph.require_valid()
-    if mesh is None:
-        mesh = Mesh(graph, h_max=h_max, r_cut=r_cut)
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, mesh.n_dofs)
     ia, ib, _ = mesh.cells()
     deg = np.zeros(mesh.n_dofs)
     np.add.at(deg, ia, 1.0)
     np.add.at(deg, ib, 1.0)
-    for _ in range(smoothing_passes):
+    for _ in range(_SMOOTHING_PASSES):
         acc = np.zeros(mesh.n_dofs)
         np.add.at(acc, ia, values[ib])
         np.add.at(acc, ib, values[ia])
         values = (values + acc) / (1.0 + deg)
     return project_mass(GraphFunction(mesh, values), mu)
-
-
-def _initial_function(
-    graph: MetricGraph, mu: float, p: float, mesh: Mesh, config: SolverConfig
-) -> GraphFunction:
-    if config.initializer == "competitor":
-        return initializer_competitor(graph, mu, p, mesh=mesh)
-    if config.initializer == "soliton":
-        return initializer_soliton(graph, mu, p, mesh=mesh)
-    return initializer_random(graph, mu, p, seed=config.seed, mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +443,11 @@ def minimize(
     """Projected-gradient minimization over an increasing truncation
     schedule, warm starting each stage from the previous one.
 
+    The first stage starts from ``initial``, transferred onto its mesh
+    (exactly, when ``initial`` lives on an equal mesh). Without one it
+    starts from the plateau competitor on the first stage's mesh; other
+    starts come from the ``initializer_*`` functions.
+
     The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
     strictly negative limit (evidence of existence, up to truncation and
     discretization error), ZERO_INFIMUM_SUSPECTED when energies rise
@@ -495,7 +466,7 @@ def minimize(
     for r_cut in config.r_cut_schedule:
         mesh = Mesh(graph, h_max=config.h_max, r_cut=r_cut)
         if u_prev is None:
-            v0 = _initial_function(graph, mu, p, mesh, config).values
+            v0 = initializer_competitor(graph, mu, p, mesh).values
         else:
             v0 = _transfer(u_prev, mesh)
         stage = _descend(mesh, v0, p, mu, config)
@@ -633,26 +604,25 @@ def _core_position(graph: MetricGraph, frac: float) -> tuple[str, float]:
 
 
 def existence_dichotomy(
-    graph: MetricGraph, mu: float, p: float, config: SolverConfig | None = None
+    graph: MetricGraph, mu: float, p: float, config: SolverConfig | None = None, *, seed: int = 0
 ) -> DichotomyResult:
-    """Run the minimizer from a spread of starting points: the plateau
-    competitor, bump profiles centered at three core positions, and three
-    seeded random starts. Any stably negative run settles the question in
-    favor of existence; unanimous zero-trending runs are reported as
-    suspicion of an unattained zero infimum."""
+    """Run the minimizer from a spread of starting points, all sampled on
+    the first stage's mesh: the plateau competitor, bump profiles centered
+    at three core positions, and random starts seeded seed+1..seed+3. Any
+    stably negative run settles the question in favor of existence;
+    unanimous zero-trending runs are reported as suspicion of an
+    unattained zero infimum."""
     require_p(p)
     graph.require_valid()
     config = config or SolverConfig()
-    runs: dict[str, MinimizationResult] = {}
-    runs["competitor"] = minimize(graph, mu, p, replace(config, initializer="competitor"))
     mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])
+    starts = {"competitor": initializer_competitor(graph, mu, p, mesh0)}
     for frac in (0.25, 0.5, 0.75):
         eid, off = _core_position(graph, frac)
-        u0 = initializer_soliton(graph, mu, p, center_edge=eid, center_offset=off, mesh=mesh0)
-        runs[f"soliton@{frac}"] = minimize(graph, mu, p, config, initial=u0)
+        starts[f"soliton@{frac}"] = initializer_soliton(graph, mu, p, mesh0, center_edge=eid, center_offset=off)
     for k in range(1, 4):
-        cfg = replace(config, initializer="random", seed=config.seed + k)
-        runs[f"random{k}"] = minimize(graph, mu, p, cfg)
+        starts[f"random{k}"] = initializer_random(graph, mu, p, mesh0, seed=seed + k)
+    runs = {label: minimize(graph, mu, p, config, initial=u0) for label, u0 in starts.items()}
 
     best_label = min(runs, key=lambda key: runs[key].energy)
     best = runs[best_label]

@@ -234,16 +234,15 @@ def certify_nonexistence(
     partitions: list[Partition] | None = None,
     C: float | None = None,
     c: float | None = None,
-    max_parts: int | None = None,
 ) -> NonexistenceCertificate:
     """Search for a piecewise smallness certificate ruling out ground states.
 
     Candidates are the single-region check (core measure of the whole graph
     against the threshold) plus either the supplied partitions or, when the
-    graph has at least two half-lines, all partitions into at most
-    ``max_parts`` regions (default: one per half-line). The best candidate
-    minimizes the largest per-region core measure; the certificate is valid
-    when that measure is below the threshold. Constants not passed come
+    graph has at least two half-lines, all partitions into at most one
+    region per half-line. The best candidate minimizes the largest
+    per-region core measure; the certificate is valid when that measure is
+    below the threshold. Constants not passed come
     from :func:`graphnls.energy.gn_constants` for the graph, which gives
     the single-lead pair on graphs with a dead end.
     """
@@ -260,7 +259,7 @@ def certify_nonexistence(
                 raise ValueError("invalid partition: " + "; ".join(bad))
         cands: list[Partition | None] = [None, *partitions]
     elif n >= 2:
-        cands = [None, *enumerate_partitions(graph, n if max_parts is None else max_parts)]
+        cands = [None, *enumerate_partitions(graph, n)]
     else:
         cands = [None]
 

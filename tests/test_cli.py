@@ -229,21 +229,27 @@ def test_sweep_phase_csv(broom_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "solver,named",
+    "keys,named",
     [
-        ({"max_iter": 50}, "max_iter"),
-        ({"r_cut_schedule": None}, "r_cut_schedule"),
-        ({"max_iters": 2.5}, "max_iters"),
+        pytest.param({"solver": {"max_iter": 50}}, "max_iter", id="solver0-max_iter"),
+        pytest.param({"solver": {"r_cut_schedule": None}}, "r_cut_schedule", id="solver1-r_cut_schedule"),
+        pytest.param({"solver": {"max_iters": 2.5}}, "max_iters", id="solver2-max_iters"),
+        # starting states are not solver settings; the seed is top-level only
+        pytest.param({"solver": {"seed": 3}}, "seed", id="solver-seed"),
+        pytest.param({"solver": {"initializer": "random"}}, "initializer", id="solver-initializer"),
+        pytest.param({"seed": 2.5}, "seed", id="seed-float"),
+        pytest.param({"seed": "7"}, "seed", id="seed-string"),
+        pytest.param({"seed": True}, "seed", id="seed-bool"),
     ],
 )
-def test_sweep_bad_solver_overrides(tmp_path, broom_file, solver, named):
+def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
     # caught up front, not turned into an INCONCLUSIVE row per point
     spec = {
         "axis": "core_scale",
         "grid": [0.25],
         "graph": broom_file,
         "out_dir": str(tmp_path / "out"),
-        "solver": solver,
+        **keys,
     }
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps(spec))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -157,11 +158,28 @@ def brute_force_partitions(graph, max_parts):
     return found
 
 
-def test_enumerate_partitions_matches_brute_force():
-    g = star_graph((0.4, 0.6, 0.9), half_lines_per_terminal=1)
-    enum = enumerate_partitions(g, g.n_half_lines)
-    got = set(tuple(sorted(tuple(sorted(part)) for part in q.parts)) for q in enum)
-    assert got == brute_force_partitions(g, g.n_half_lines)
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+PARTITION_GRAPHS = {
+    "demo_star": lambda: load_graph(DEMOS / "graphs" / "star.graph"),
+    # two leads at one terminal: a part can hold two half-lines
+    "star_2_1_1": lambda: metric_graph(
+        ["hub", "t1", "t2", "t3"],
+        [("arm1", "hub", "t1", 0.4), ("arm2", "hub", "t2", 0.6), ("arm3", "hub", "t3", 0.9)],
+        [("lead1_1", "t1"), ("lead1_2", "t1"), ("lead2_1", "t2"), ("lead3_1", "t3")],
+    ),
+    "double_bridge": lambda: double_bridge(1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", PARTITION_GRAPHS)
+def test_enumerate_partitions_matches_brute_force(name):
+    g = PARTITION_GRAPHS[name]()
+    for max_parts in range(2, g.n_half_lines + 1):
+        keys = [tuple(sorted(tuple(sorted(part)) for part in q.parts)) for q in enumerate_partitions(g, max_parts)]
+        # each partition once, in canonical order (certify_nonexistence
+        # returns the first of equally good candidates)
+        assert keys == sorted(set(keys))
+        assert set(keys) == brute_force_partitions(g, max_parts)
 
 
 def test_double_bridge_partition_count():

@@ -92,8 +92,9 @@ def test_line_search_requires_strict_decrease():
     # strongly bound (mu = 4, p = 5): the Armijo margin falls below the
     # energy's ulp, and accepting equal energies used to creep on with
     # steps of about 3e-11 until max_iters in both stages
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), initializer="random")
-    res = minimize(line_graph(1.0), 4.0, 5.0, cfg)
+    graph = line_graph(1.0)
+    start = initializer_random(graph, 4.0, 5.0, Mesh(graph, h_max=0.02, r_cut=10.0))
+    res = minimize(graph, 4.0, 5.0, SolverConfig(r_cut_schedule=(10.0, 20.0)), initial=start)
     assert res.verdict == NEGATIVE_MINIMUM
     assert all(converged for *_, converged in res.r_cut_table)
     assert res.iterations < 1000
@@ -194,7 +195,7 @@ def test_minimize_rejects_bad_parameters():
 
 
 def test_solver_config_rejects_non_integer_counts():
-    for name, bad in (("max_iters", 2.5), ("seed", 0.5), ("max_iters", "10")):
+    for name, bad in (("max_iters", 2.5), ("max_iters", "10")):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: bad})
 
@@ -214,16 +215,17 @@ def test_solver_config_validation():
         SolverConfig(r_cut_schedule=(20.0, 10.0))
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
+    # starting states are built by the initializers, not chosen by config
+    with pytest.raises(TypeError):
         SolverConfig(initializer="fancy")
 
 
 def test_determinism_with_seed():
-    cfg = SolverConfig(
-        r_cut_schedule=(6.0,), h_max=0.1, initializer="random", seed=42, max_iters=800
-    )
-    r1 = minimize(line_graph(1.0), 1.0, 3.0, cfg)
-    r2 = minimize(line_graph(1.0), 1.0, 3.0, cfg)
+    graph = line_graph(1.0)
+    mesh = Mesh(graph, h_max=0.1, r_cut=6.0)
+    cfg = SolverConfig(r_cut_schedule=(6.0,), h_max=0.1, max_iters=800)
+    r1 = minimize(graph, 1.0, 3.0, cfg, initial=initializer_random(graph, 1.0, 3.0, mesh, seed=42))
+    r2 = minimize(graph, 1.0, 3.0, cfg, initial=initializer_random(graph, 1.0, 3.0, mesh, seed=42))
     assert r1.energy == r2.energy
     assert np.array_equal(r1.function.values, r2.function.values)
 
@@ -233,10 +235,11 @@ def test_determinism_with_seed():
 
 def test_initializer_masses():
     g = double_bridge(0.8, 1.2)
+    mesh = Mesh(g, h_max=0.05, r_cut=10.0)
     for make in (initializer_competitor, initializer_soliton):
-        u = make(g, 2.0, 3.5, h_max=0.05, r_cut=10.0)
+        u = make(g, 2.0, 3.5, mesh)
         assert l2_norm_sq(u) == pytest.approx(2.0, rel=1e-10)
-    u = initializer_random(g, 2.0, 3.5, seed=1, h_max=0.05, r_cut=10.0)
+    u = initializer_random(g, 2.0, 3.5, mesh, seed=1)
     assert l2_norm_sq(u) == pytest.approx(2.0, rel=1e-10)
 
 
@@ -371,8 +374,9 @@ def test_existence_dichotomy_zero_side():
 
 
 def test_postprocess_keeps_mass_and_positivity():
-    cfg = SolverConfig(r_cut_schedule=(8.0,), h_max=0.1, initializer="random", seed=3)
-    res = minimize(double_bridge(0.5, 0.5), 1.0, 3.0, cfg)
+    graph = double_bridge(0.5, 0.5)
+    start = initializer_random(graph, 1.0, 3.0, Mesh(graph, h_max=0.1, r_cut=8.0), seed=3)
+    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(8.0,), h_max=0.1), initial=start)
     assert res.report.mass == pytest.approx(1.0, abs=1e-10)
     assert res.min_node_value >= 0.0
 
