@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,18 +134,18 @@ def cmd_minimize(args) -> int:
 
     if (args.init_edge is not None or args.init_offset is not None) and args.init != "soliton":
         raise _UsageError("--init-edge/--init-offset require --init soliton")
+    # the start is sampled on the first stage's mesh, which the run reuses;
     # the competitor is minimize's own default start
+    meshes = [Mesh(graph, h_max=cfg.h_max, r_cut=r) for r in cfg.r_cut_schedule]
     initial = None
-    if args.init != "competitor":
-        mesh0 = Mesh(graph, h_max=cfg.h_max, r_cut=cfg.r_cut_schedule[0])
-        if args.init == "soliton":
-            initial = initializer_soliton(
-                graph, args.mu, args.p, mesh0, center_edge=args.init_edge, center_offset=args.init_offset
-            )
-        else:
-            initial = initializer_random(graph, args.mu, args.p, mesh0, seed=args.seed)
+    if args.init == "soliton":
+        initial = initializer_soliton(
+            graph, args.mu, args.p, meshes[0], center_edge=args.init_edge, center_offset=args.init_offset
+        )
+    elif args.init == "random":
+        initial = initializer_random(graph, args.mu, args.p, meshes[0], seed=args.seed)
 
-    result = minimize(graph, args.mu, args.p, cfg, initial=initial)
+    result = minimize(graph, args.mu, args.p, cfg, initial=initial, meshes=meshes)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,7 +363,10 @@ def _band(graph: MetricGraph, p: float, mu: float) -> tuple[float, float, str]:
     return l1, l2, "GAP"
 
 
-def _sweep_point(base, spec: SweepSpec, axis_value: float):
+def _sweep_point(base, spec: SweepSpec, axis_value: float) -> tuple[tuple, dict]:
+    """One phase.csv row and its sweep_log.json record (wall time, and
+    the exception that ended the point, if any)."""
+    t0 = time.perf_counter()
     graph, mu, p = base, spec.mu, spec.p
     if spec.axis == "core_scale":
         graph = homothety(base, axis_value)
@@ -375,12 +379,16 @@ def _sweep_point(base, spec: SweepSpec, axis_value: float):
     except Exception:
         l1 = l2 = float("nan")
         band = "GAP"
+    error = None
     try:
         result = existence_dichotomy(graph, mu, p, spec.config, seed=spec.seed)
-        return (axis_value, result.best_energy, result.verdict, l1, l2, band)
-    except Exception:
-        # a failed point must not kill the sweep; record it as undecided
-        return (axis_value, float("nan"), INCONCLUSIVE, l1, l2, band)
+        row = (axis_value, result.best_energy, result.verdict, l1, l2, band)
+    except Exception as exc:
+        # a failed point must not kill the sweep: its row is undecided and
+        # the log names the exception
+        error = f"{type(exc).__name__}: {exc}"
+        row = (axis_value, float("nan"), INCONCLUSIVE, l1, l2, band)
+    return row, {"axis_value": axis_value, "seconds": time.perf_counter() - t0, "error": error}
 
 
 def cmd_sweep(args) -> int:
@@ -390,7 +398,8 @@ def cmd_sweep(args) -> int:
 
     # one point after another: the work holds the GIL, so worker threads
     # would only contend for it
-    rows = [_sweep_point(base, spec, v) for v in spec.grid]
+    points = [_sweep_point(base, spec, v) for v in spec.grid]
+    rows = [row for row, _ in points]
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = spec.out_dir / "phase.csv"
@@ -399,10 +408,13 @@ def cmd_sweep(args) -> int:
         fh.write("axis_value,E_min,verdict,L1,L2,band\n")
         for value, e_min, verdict, l1, l2, band in rows:
             fh.write(f"{value!r},{e_min!r},{verdict},{l1!r},{l2!r},{band}\n")
+    # wall times change between reruns: keep them out of the byte-identical phase.csv
+    log = {"schema_version": SCHEMA_VERSION, "axis": spec.axis, "points": [record for _, record in points]}
+    (spec.out_dir / "sweep_log.json").write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
 
     for value, e_min, verdict, l1, l2, band in rows:
         print(f"{spec.axis}={value!r}: {verdict} E_min={e_min!r} band={band}")
-    print(f"wrote {out_path}")
+    print(f"wrote {out_path}, sweep_log.json")
 
     unsound = [
         row for row in rows if row[5] == "EXIST_BAND" and row[2] == ZERO_INFIMUM_SUSPECTED

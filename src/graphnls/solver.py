@@ -11,7 +11,16 @@ as well as on the core, which keeps the iteration count independent of
 the mesh and of how weakly the state is bound. It is solved in O(n): the
 Mesh numbers each edge's inner nodes consecutively after the vertices, so
 a tridiagonal Cholesky eliminates them and only the small junction system
-on the vertices goes through a sparse LU.
+on the vertices goes through a sparse LU. That set-up (the stiffness
+blocks and the edge-node columns) is made once per mesh and kept as long
+as the mesh lives, so every run on the same mesh only refactors for its
+own shifts.
+
+The line search halves the step while the predicted first-order decrease
+t*|slope| is above one ulp of the energy, and no further: below that level
+a trial can pass the Armijo test only on rounding noise, so a stage that
+has reached its minimum ends after a few trials instead of halving t
+down to 1e-16.
 
 Because the half-lines are truncated, every run solves a compact surrogate
 problem. The truncation length is therefore swept over an increasing
@@ -23,7 +32,9 @@ escaping to infinity.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +60,8 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _ENERGY_TOL = 1e-5
 _STALL_WINDOW = 10
+# relative rounding level of an energy value, where the line search stops
+_EPS = float(np.finfo(float).eps)
 # neighbor-averaging passes that smooth the random starting state
 _SMOOTHING_PASSES = 5
 
@@ -148,13 +161,12 @@ def initializer_soliton(
 ) -> GraphFunction:
     """Bump profile centered on a core edge, transported along shortest
     path distance from the center, sampled on ``mesh`` and re-projected
-    to the requested mass. Without ``center_edge`` it sits at the middle
-    of the first core edge by id."""
+    to the requested mass. Without ``center_edge`` it sits on the first
+    core edge by id; without ``center_offset``, at the edge's middle."""
     require_p(p)
     graph.require_valid()
     if center_edge is None:
         center_edge = sorted(e.id for e in graph.core_edges)[0]
-        center_offset = graph.edges_by_id[center_edge].length / 2.0
     edge = graph.edges_by_id.get(center_edge)
     if edge is None or edge.is_half_line:
         raise ValueError("soliton center must lie on a core edge")
@@ -202,8 +214,14 @@ class _StageResult:
     trace: list[tuple[int, float, float, float]]
 
 
+# one factorizer set-up per mesh, dropped with the mesh: the factor
+# closures hold the assembled blocks only, never the mesh itself
+_FACTORIZERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _shifted_factorizer(mesh: Mesh):
-    """Direct solver for S + sigma*diag(M) built on the Mesh numbering.
+    """Direct solver for S + sigma*diag(M) built on the Mesh numbering,
+    set up once per mesh.
 
     The vertices hold dofs 0..V-1 and every other node lies inside one
     edge, whose nodes are numbered consecutively, so the block on the
@@ -213,6 +231,13 @@ def _shifted_factorizer(mesh: Mesh):
     the ``solve(b)`` it returns is one tridiagonal pass per side around a
     junction solve. Both cost O(n V) rather than a sparse LU of all n nodes.
     """
+    factor = _FACTORIZERS.get(mesh)
+    if factor is None:
+        factor = _FACTORIZERS[mesh] = _build_factorizer(mesh)
+    return factor
+
+
+def _build_factorizer(mesh: Mesh):
     stiffness, mass_vec = mesh.stiffness_matrix(), mesh.mass_vector()
     nv = len(mesh.vertex_dof)
     s_vv = stiffness[:nv, :nv].toarray()
@@ -318,7 +343,12 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
 
         t = _STEP0
         accepted = False
-        while t > 1e-16:
+        # halve t only while the predicted decrease t*|slope| is above one
+        # ulp of the energy: below it a trial passes only on rounding noise,
+        # and a stage at its minimum would otherwise spend about 54 failing
+        # trials halving t down to the 1e-16 backstop
+        rounding = _EPS * abs(energy)
+        while t > 1e-16 and t * -slope > rounding:
             w = project(v + t * d)
             e_new = op.value(w)
             # strict decrease too: once the Armijo margin drops below the
@@ -433,12 +463,28 @@ def _verdict(table: list[tuple[float, float, int, bool]], energy_tol: float) -> 
     return INCONCLUSIVE
 
 
+def _check_meshes(graph: MetricGraph, config: SolverConfig, meshes: Sequence[Mesh]) -> None:
+    schedule = config.r_cut_schedule
+    if len(meshes) != len(schedule):
+        raise ValueError(f"expected {len(schedule)} meshes, one per r_cut of the schedule, got {len(meshes)}")
+    for mesh, r_cut in zip(meshes, schedule):
+        if mesh.graph != graph:
+            raise ValueError("a stage mesh is built on a different graph")
+        if mesh.h_max != config.h_max or mesh.r_cut != r_cut:
+            raise ValueError(
+                f"stage mesh has h_max={mesh.h_max!r}, r_cut={mesh.r_cut!r}; "
+                f"the config needs h_max={config.h_max!r}, r_cut={r_cut!r}"
+            )
+
+
 def minimize(
     graph: MetricGraph,
     mu: float,
     p: float,
     config: SolverConfig | None = None,
     initial: GraphFunction | None = None,
+    *,
+    meshes: Sequence[Mesh] | None = None,
 ) -> MinimizationResult:
     """Projected-gradient minimization over an increasing truncation
     schedule, warm starting each stage from the previous one.
@@ -447,6 +493,12 @@ def minimize(
     (exactly, when ``initial`` lives on an equal mesh). Without one it
     starts from the plateau competitor on the first stage's mesh; other
     starts come from the ``initializer_*`` functions.
+
+    ``meshes`` supplies the stage meshes, one per ``r_cut`` of the
+    schedule, so that several runs share them and their preconditioner
+    set-up; each must be built on ``graph`` with the config's ``h_max``
+    and its stage's ``r_cut`` (ValueError otherwise). Without it every
+    stage builds its own mesh.
 
     The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
     strictly negative limit (evidence of existence, up to truncation and
@@ -459,12 +511,14 @@ def minimize(
         raise ValueError("mu must be positive")
     graph.require_valid()
     config = config or SolverConfig()
+    if meshes is not None:
+        _check_meshes(graph, config, meshes)
 
     table: list[tuple[float, float, int, bool]] = []
     u_prev: GraphFunction | None = initial
     last_stage: _StageResult | None = None
-    for r_cut in config.r_cut_schedule:
-        mesh = Mesh(graph, h_max=config.h_max, r_cut=r_cut)
+    for k, r_cut in enumerate(config.r_cut_schedule):
+        mesh = Mesh(graph, h_max=config.h_max, r_cut=r_cut) if meshes is None else meshes[k]
         if u_prev is None:
             v0 = initializer_competitor(graph, mu, p, mesh).values
         else:
@@ -608,21 +662,23 @@ def existence_dichotomy(
 ) -> DichotomyResult:
     """Run the minimizer from a spread of starting points, all sampled on
     the first stage's mesh: the plateau competitor, bump profiles centered
-    at three core positions, and random starts seeded seed+1..seed+3. Any
+    at three core positions, and random starts seeded seed+1..seed+3. The
+    runs share the stage meshes and their preconditioner set-up. Any
     stably negative run settles the question in favor of existence;
     unanimous zero-trending runs are reported as suspicion of an
     unattained zero infimum."""
     require_p(p)
     graph.require_valid()
     config = config or SolverConfig()
-    mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])
+    meshes = [Mesh(graph, h_max=config.h_max, r_cut=r) for r in config.r_cut_schedule]
+    mesh0 = meshes[0]
     starts = {"competitor": initializer_competitor(graph, mu, p, mesh0)}
     for frac in (0.25, 0.5, 0.75):
         eid, off = _core_position(graph, frac)
         starts[f"soliton@{frac}"] = initializer_soliton(graph, mu, p, mesh0, center_edge=eid, center_offset=off)
     for k in range(1, 4):
         starts[f"random{k}"] = initializer_random(graph, mu, p, mesh0, seed=seed + k)
-    runs = {label: minimize(graph, mu, p, config, initial=u0) for label, u0 in starts.items()}
+    runs = {label: minimize(graph, mu, p, config, initial=u0, meshes=meshes) for label, u0 in starts.items()}
 
     best_label = min(runs, key=lambda key: runs[key].energy)
     best = runs[best_label]

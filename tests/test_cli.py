@@ -1,10 +1,19 @@
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from graphnls import cli
+from graphnls.functions import Mesh
+from graphnls.graphs import load_graph
+from graphnls.solver import initializer_soliton
+
 CLI = [sys.executable, "-m", "graphnls.cli"]
+STAR = Path(__file__).resolve().parents[1] / "demos" / "graphs" / "star.graph"
 
 BROOM = """\
 vertex hub
@@ -183,6 +192,24 @@ def test_minimize_soliton_placement(db_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_minimize_soliton_offset_without_edge(tmp_path):
+    # --init-offset alone places the bump on the first core edge (arm1)
+    # instead of being reset to that edge's middle
+    args = ("minimize", str(STAR), "--p", "4", "--rcut", "10", "--h", "0.05", "--init", "soliton")
+    plain = run_cli(*args, "--out", str(tmp_path / "plain"))
+    offset = run_cli(*args, "--init-offset", "0.1", "--out", str(tmp_path / "offset"))
+    assert plain.returncode == 0 and offset.returncode == 0, offset.stderr
+    assert (tmp_path / "plain" / "state.csv").read_bytes() != (tmp_path / "offset" / "state.csv").read_bytes()
+    # the descent moves the peak, so check the start the command builds
+    graph = load_graph(STAR)
+    mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
+    u0 = initializer_soliton(graph, 1.0, 4.0, mesh, center_offset=0.1)
+    peak = int(np.argmax(u0.values))
+    arm = list(mesh.edge_dofs["arm1"])
+    assert peak in arm
+    assert abs(mesh.edge_coords["arm1"][arm.index(peak)] - 0.1) <= mesh.edge_h["arm1"]
+
+
 def test_minimize_init_edge_requires_soliton(broom_file, tmp_path):
     proc = run_cli(
         "minimize", broom_file, "--init-edge", "arm1", "--out", str(tmp_path / "x")
@@ -257,6 +284,37 @@ def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
     assert proc.returncode == 1
     assert named in proc.stderr
     assert not (tmp_path / "out" / "phase.csv").exists()
+
+
+def test_sweep_log_records_failed_points(tmp_path, broom_file, monkeypatch, capsys):
+    real = cli.existence_dichotomy
+
+    def failing_at_mu_2(graph, mu, p, config, *, seed):
+        if mu == 2.0:
+            raise RuntimeError("no convergence")
+        return real(graph, mu, p, config, seed=seed)
+
+    monkeypatch.setattr(cli, "existence_dichotomy", failing_at_mu_2)
+    spec = {
+        "axis": "mu",
+        "grid": [1.0, 2.0],
+        "graph": broom_file,
+        "p": 3.0,
+        "out_dir": str(tmp_path / "out"),
+        "solver": {"h_max": 0.1, "r_cut_schedule": [5, 10]},
+    }
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(spec))
+    assert cli.main(["sweep", str(sweep_file)]) == 0
+    assert "sweep_log.json" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "phase.csv").read_text().splitlines()[2:]
+    assert rows[1].startswith("2.0,nan,INCONCLUSIVE,")
+    assert not rows[0].startswith("1.0,nan,")
+    log = json.loads((tmp_path / "out" / "sweep_log.json").read_text())
+    assert log["schema_version"] == 1 and log["axis"] == "mu"
+    assert [r["axis_value"] for r in log["points"]] == [1.0, 2.0]
+    assert [r["error"] for r in log["points"]] == [None, "RuntimeError: no convergence"]
+    assert all(math.isfinite(r["seconds"]) and r["seconds"] >= 0.0 for r in log["points"])
 
 
 def test_sweep_missing_key(tmp_path):

@@ -7,7 +7,9 @@ adaptive RK at rtol 1e-12, an entirely different discretization from the
 mesh descent under test. Agreement is limited by the P1 mesh (h = 0.02),
 measured at roughly 1e-4 relative.
 """
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.linalg import LinAlgError
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
+from graphnls.energy import EnergyOperator
 from graphnls.functions import GraphFunction, Mesh, l2_norm_sq, linf_norm, project_mass
 from graphnls.graphs import double_bridge, line_graph, load_graph, metric_graph, star_graph
 from graphnls.solver import (
@@ -102,6 +105,23 @@ def test_line_search_requires_strict_decrease():
     # creep: a stage must end once no step lowers the energy
     res = minimize(line_graph(1.0), 4.0, 5.5, SolverConfig(r_cut_schedule=(10.0, 20.0)))
     assert res.iterations < 1000
+
+
+def test_line_search_stops_at_the_energys_rounding_level(monkeypatch):
+    # halving the step down to 1e-16 at a stage's minimum costs about 54
+    # failing energy values: 130 values for 21 iterations here
+    value = EnergyOperator.value
+    calls = []
+
+    def counted(self, v):
+        calls.append(1)
+        return value(self, v)
+
+    monkeypatch.setattr(EnergyOperator, "value", counted)
+    res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    assert res.verdict == NEGATIVE_MINIMUM
+    assert all(converged for *_, converged in res.r_cut_table)
+    assert len(calls) <= 2 * res.iterations
 
 
 def test_strongly_bound_stage_converges_on_relative_tolerance():
@@ -391,3 +411,65 @@ def test_warm_start_transfer_extends_tails():
     lead = res.function.values[mesh.edge_dofs["lead1"]]
     tail = lead[len(lead) // 2 :]
     assert np.all(np.diff(tail) <= 1e-12)
+
+
+# shared stage meshes
+
+
+def test_existence_dichotomy_builds_each_stage_mesh_once(monkeypatch):
+    init = Mesh.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("r_cut"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mesh, "__init__", counted)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    d = existence_dichotomy(line_graph(1.0), 1.0, 3.0, cfg)
+    assert len(d.runs) == 7
+    assert built == list(cfg.r_cut_schedule)
+
+
+def test_shared_meshes_give_identical_results():
+    graph = line_graph(1.0)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    meshes = [Mesh(graph, h_max=cfg.h_max, r_cut=r) for r in cfg.r_cut_schedule]
+    start = initializer_soliton(graph, 1.0, 3.0, meshes[0], center_edge="core", center_offset=0.3)
+    own = minimize(graph, 1.0, 3.0, cfg, initial=start)
+    for _ in range(2):  # the second run reuses the meshes' factorizer set-up
+        shared = minimize(graph, 1.0, 3.0, cfg, initial=start, meshes=meshes)
+        assert shared.energy == own.energy
+        assert shared.r_cut_table == own.r_cut_table
+        assert shared.trace == own.trace
+        assert np.array_equal(shared.function.values, own.function.values)
+        assert shared.function.mesh is meshes[-1]
+
+
+@pytest.mark.parametrize(
+    "meshes",
+    [
+        pytest.param(lambda g: [Mesh(g, h_max=0.05, r_cut=10.0), Mesh(g, h_max=0.05, r_cut=40.0)], id="r_cut"),
+        pytest.param(lambda g: [Mesh(g, h_max=0.05, r_cut=10.0), Mesh(g, h_max=0.1, r_cut=20.0)], id="h_max"),
+        pytest.param(
+            lambda g: [Mesh(g, h_max=0.05, r_cut=10.0), Mesh(line_graph(2.0), h_max=0.05, r_cut=20.0)], id="graph"
+        ),
+        pytest.param(lambda g: [Mesh(g, h_max=0.05, r_cut=10.0)], id="count"),
+    ],
+)
+def test_minimize_rejects_mismatched_meshes(meshes):
+    graph = line_graph(1.0)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    with pytest.raises(ValueError, match="mesh"):
+        minimize(graph, 1.0, 3.0, cfg, meshes=meshes(graph))
+
+
+def test_factorizer_set_up_lives_with_its_mesh():
+    mesh = Mesh(line_graph(1.0), h_max=0.05, r_cut=10.0)
+    factor = _shifted_factorizer(mesh)
+    assert _shifted_factorizer(mesh) is factor
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    # the cached set-up holds no reference back to the mesh
+    assert alive() is None
