@@ -10,6 +10,16 @@ Quadrature conventions: trapezoid for the L2 pairing, per-cell Simpson for
 for piecewise-linear functions). An exact closed-form integral of |u|^r is
 also provided; the rearrangement checks rely on it because equimeasurability
 is an identity of the interpolant itself, not of any sampling rule.
+
+The kinetic form is built on the Mesh numbering rather than on a sparse
+matrix: every node that is not a vertex lies in one consecutive run of its
+edge's nodes, so the cells split into chain cells, between neighbours in
+one run (one ``np.diff`` over the non-vertex values, with zero weight where
+two runs meet), and at most two link cells per edge, the ones that touch a
+vertex. The Dirichlet integral, the stiffness action (a difference of cell
+fluxes) and the blocks of the solver's preconditioner all come from these
+two pieces; ``Mesh.stiffness_matrix`` assembles the same form as a CSR
+matrix for reference.
 """
 from __future__ import annotations
 
@@ -48,7 +58,9 @@ class Mesh:
     other node lies inside one edge (a half-line's free end included), and
     each edge's nodes are numbered consecutively, edge after edge. So the
     stiffness block on the non-vertex dofs is tridiagonal, which the
-    solver's preconditioner relies on.
+    solver's preconditioner relies on, and the kinetic forms are computed
+    on these runs (:meth:`dirichlet_integral`, :meth:`stiffness_action`,
+    :meth:`stiffness_blocks`).
 
     Parameters
     ----------
@@ -99,17 +111,36 @@ class Mesh:
         self.edge_h = edge_h
         self.n_dofs = next_dof
 
-        ia, ib, hh, core = [], [], [], []
+        # chain cells join neighbours within one run of non-vertex nodes;
+        # where two runs meet the width is inf, so the cell weighs nothing.
+        # Link cells join a vertex (first end) to its edge's run, or to the
+        # other vertex when the edge is a single cell.
+        nv = len(vertex_dof)
+        chain_h = np.full(max(next_dof - nv - 1, 0), np.inf)
+        ia, ib, hh, core, links = [], [], [], [], []
         for e in sorted(graph.edges, key=lambda e: e.id):
-            dofs = edge_dofs[e.id]
+            dofs, h = edge_dofs[e.id], edge_h[e.id]
             ia.append(dofs[:-1])
             ib.append(dofs[1:])
-            hh.append(np.full(len(dofs) - 1, edge_h[e.id]))
+            hh.append(np.full(len(dofs) - 1, h))
             core.append(np.full(len(dofs) - 1, e.in_core))
+            run = dofs[1:] if e.head is None else dofs[1:-1]
+            if len(run) == 0:
+                links.append((dofs[0], dofs[-1], h))
+                continue
+            chain_h[run[0] - nv : run[-1] - nv] = h
+            links.append((dofs[0], run[0], h))
+            if e.head is not None:
+                links.append((dofs[-1], run[-1], h))
         self._cell_a = np.concatenate(ia)
         self._cell_b = np.concatenate(ib)
         self._cell_h = np.concatenate(hh)
         self._cell_core = np.concatenate(core)
+        self._n_vertices = nv
+        self._chain_h = chain_h
+        self._link_v = np.array([v for v, _, _ in links], dtype=np.int64)
+        self._link_o = np.array([o for _, o, _ in links], dtype=np.int64)
+        self._link_h = np.array([h for _, _, h in links])
         self._stiffness = None
         self._mass = None
 
@@ -122,9 +153,62 @@ class Mesh:
             return self._cell_a[m], self._cell_b[m], self._cell_h[m]
         return self._cell_a, self._cell_b, self._cell_h
 
+    def dirichlet_integral(self, values: np.ndarray) -> float:
+        """Exact Dirichlet integral of the interpolant of nodal ``values``,
+        summed over the chain cells and then the link cells."""
+        d = np.diff(values[self._n_vertices :])
+        e = values[self._link_o] - values[self._link_v]
+        return float(np.dot(d, d / self._chain_h) + np.dot(e, e / self._link_h))
+
+    def stiffness_action(self, values: np.ndarray) -> np.ndarray:
+        """``S @ values`` as a difference of cell fluxes: each cell adds its
+        flux (difference over width) to its second end, subtracts it from
+        its first."""
+        nv = self._n_vertices
+        flux = np.diff(values[nv:])
+        flux /= self._chain_h
+        out = np.zeros(self.n_dofs)
+        out[nv + 1 :] = flux
+        out[nv : self.n_dofs - 1] -= flux
+        flux = (values[self._link_o] - values[self._link_v]) / self._link_h
+        np.add.at(out, self._link_o, flux)
+        np.subtract.at(out, self._link_v, flux)
+        return out
+
+    def stiffness_blocks(self):
+        """The stiffness matrix split by the numbering, from the same cells
+        as :meth:`stiffness_action`.
+
+        Returns ``(s_vv, ends, s_ev, diag, off)``: the dense V x V vertex
+        block; the non-vertex nodes coupled to a vertex (as offsets past
+        the V vertex dofs, sorted) and their dense rows of the
+        non-vertex-by-vertex block; and the diagonal and off-diagonal of
+        the tridiagonal block on the non-vertex nodes.
+        """
+        nv = self._n_vertices
+        w_chain = 1.0 / self._chain_h
+        w_link = 1.0 / self._link_h
+        lv, lo = self._link_v, self._link_o
+        diag = np.zeros(self.n_dofs - nv)
+        diag[:-1] += w_chain
+        diag[1:] += w_chain
+        s_vv = np.zeros((nv, nv))
+        np.add.at(s_vv, (lv, lv), w_link)
+        vv = lo < nv
+        np.add.at(s_vv, (lo[vv], lo[vv]), w_link[vv])
+        np.add.at(s_vv, (lv[vv], lo[vv]), -w_link[vv])
+        np.add.at(s_vv, (lo[vv], lv[vv]), -w_link[vv])
+        run = ~vv
+        np.add.at(diag, lo[run] - nv, w_link[run])
+        ends, rows = np.unique(lo[run] - nv, return_inverse=True)
+        s_ev = np.zeros((len(ends), nv))
+        np.add.at(s_ev, (rows, lv[run]), -w_link[run])
+        return s_vv, ends, s_ev, diag, -w_chain
+
     def stiffness_matrix(self) -> sp.csr_matrix:
         """Assembled P1 stiffness matrix: u.S.u equals the exact Dirichlet
-        integral of the interpolant."""
+        integral of the interpolant. The solver does not use it; it is the
+        reference for the run-based forms above."""
         if self._stiffness is None:
             ia, ib, h = self.cells()
             w = 1.0 / h
@@ -140,10 +224,10 @@ class Mesh:
         """Lumped (trapezoid) mass weights per dof."""
         if self._mass is None:
             ia, ib, h = self.cells()
-            m = np.zeros(self.n_dofs)
-            np.add.at(m, ia, h / 2.0)
-            np.add.at(m, ib, h / 2.0)
-            self._mass = m
+            # one bincount in add.at's order: bit-identical to it, faster
+            self._mass = np.bincount(
+                np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=self.n_dofs
+            )
         return self._mass
 
     @property
@@ -217,13 +301,7 @@ def l2_norm_sq(u: GraphFunction, core_only: bool = False) -> float:
 
 def kinetic_energy(u: GraphFunction) -> float:
     """Exact Dirichlet integral of the interpolant (no 1/2 factor)."""
-    return _dirichlet_integral(u.values, *u.mesh.cells())
-
-
-def _dirichlet_integral(v: np.ndarray, ia: np.ndarray, ib: np.ndarray, h: np.ndarray) -> float:
-    """Per-cell Dirichlet integral of the interpolant of nodal values v."""
-    d = v[ib] - v[ia]
-    return float(np.dot(d, d / h))
+    return u.mesh.dirichlet_integral(u.values)
 
 
 def _simpson_abs_pow(a: np.ndarray, b: np.ndarray, h: np.ndarray, p: float) -> float:

@@ -12,15 +12,21 @@ the mesh and of how weakly the state is bound. It is solved in O(n): the
 Mesh numbers each edge's inner nodes consecutively after the vertices, so
 a tridiagonal Cholesky eliminates them and only the small junction system
 on the vertices goes through a sparse LU. That set-up (the stiffness
-blocks and the edge-node columns) is made once per mesh and kept as long
-as the mesh lives, so every run on the same mesh only refactors for its
-own shifts.
+blocks, taken from the Mesh's edge runs with no sparse matrix assembled,
+and the edge-node columns) is made once per mesh and kept as long as the
+mesh lives, so every run on the same mesh only refactors for its own
+shifts.
 
-The line search halves the step while the predicted first-order decrease
+Each line search starts at step 1, or longer: after a search that took its
+first trial, the next starts at the minimizer of the parabola through the
+energy at 0, the slope and the energy at that step, when the parabola
+curves upward and its minimizer lies beyond 1. Every stage starts at 1.
+The search halves the step while the predicted first-order decrease
 t*|slope| is above one ulp of the energy, and no further: below that level
 a trial can pass the Armijo test only on rounding noise, so a stage that
 has reached its minimum ends after a few trials instead of halving t
-down to 1e-16.
+down to 1e-16. Each stage records why it stopped and how many trials its
+searches rejected (``MinimizationResult.stages``).
 
 Because the half-lines are truncated, every run solves a compact surrogate
 problem. The truncation length is therefore swept over an increasing
@@ -62,6 +68,9 @@ _ENERGY_TOL = 1e-5
 _STALL_WINDOW = 10
 # relative rounding level of an energy value, where the line search stops
 _EPS = float(np.finfo(float).eps)
+# energies within this relative distance of the lowest count as equal when
+# existence_dichotomy picks its best start, so rounding does not flip it
+_ENERGY_TIE = 64 * _EPS
 # neighbor-averaging passes that smooth the random starting state
 _SMOOTHING_PASSES = 5
 
@@ -189,13 +198,11 @@ def initializer_random(graph: MetricGraph, mu: float, p: float, mesh: Mesh, seed
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, mesh.n_dofs)
     ia, ib, _ = mesh.cells()
-    deg = np.zeros(mesh.n_dofs)
-    np.add.at(deg, ia, 1.0)
-    np.add.at(deg, ib, 1.0)
+    # each bincount sums in np.add.at's order, so the result is the same
+    ends, other = np.concatenate((ia, ib)), np.concatenate((ib, ia))
+    deg = np.bincount(ends, minlength=mesh.n_dofs).astype(float)
     for _ in range(_SMOOTHING_PASSES):
-        acc = np.zeros(mesh.n_dofs)
-        np.add.at(acc, ia, values[ib])
-        np.add.at(acc, ib, values[ia])
+        acc = np.bincount(ends, weights=values[other], minlength=mesh.n_dofs)
         values = (values + acc) / (1.0 + deg)
     return project_mass(GraphFunction(mesh, values), mu)
 
@@ -212,6 +219,11 @@ class _StageResult:
     iterations: int
     converged: bool
     trace: list[tuple[int, float, float, float]]
+    # why the stage ended: "gradient" (the gradient test passed),
+    # "no_descent" (no descent direction left), "line_search" (no
+    # acceptable step) or "max_iters"
+    stop: str
+    backtracks: int  # rejected line-search trials over the stage
 
 
 # one factorizer set-up per mesh, dropped with the mesh: the factor
@@ -238,17 +250,15 @@ def _shifted_factorizer(mesh: Mesh):
 
 
 def _build_factorizer(mesh: Mesh):
-    stiffness, mass_vec = mesh.stiffness_matrix(), mesh.mass_vector()
+    mass_vec = mesh.mass_vector()
     nv = len(mesh.vertex_dof)
-    s_vv = stiffness[:nv, :nv].toarray()
-    s_iv = stiffness[nv:, :nv]
-    rhs = s_iv.toarray(order="F")
-    # only the end nodes of each edge touch a vertex: keep their rows
-    ends = np.flatnonzero(s_iv.getnnz(axis=1))
-    s_ev = rhs[ends]
-    diag_i = stiffness.diagonal()[nv:]
+    # only the end nodes of each edge touch a vertex: s_ev holds their rows
+    s_vv, ends, s_ev, diag_i, off_i = mesh.stiffness_blocks()
+    rhs = np.zeros((len(diag_i), nv), order="F")
+    rhs[ends] = s_ev
     # the LAPACK wrapper wants a nonempty off-diagonal even for one node
-    off_i = stiffness.diagonal(1)[nv:] if len(diag_i) > 1 else np.zeros(1)
+    if len(diag_i) == 1:
+        off_i = np.zeros(1)
     mass_v, mass_i = mass_vec[:nv], mass_vec[nv:]
 
     def factor(sigma: float):
@@ -303,6 +313,9 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
     window = deque([energy], maxlen=_STALL_WINDOW + 1)
     grad_norm = math.inf
     converged = False
+    stop = "max_iters"
+    backtracks = 0
+    t0 = _STEP0
     it = 0
     for it in range(1, config.max_iters + 1):
         g = op.gradient(v)
@@ -324,6 +337,7 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         )
         if grad_norm < tol and stagnant:
             converged = True
+            stop = "gradient"
             break
 
         shift = max(-lam_hat, shift_floor)
@@ -339,9 +353,10 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
             slope = float(np.dot(g, d))
         if slope >= 0.0:
             converged = grad_norm < tol
+            stop = "no_descent"
             break
 
-        t = _STEP0
+        t = t0
         accepted = False
         # halve t only while the predicted decrease t*|slope| is above one
         # ulp of the energy: below it a trial passes only on rounding noise,
@@ -358,11 +373,23 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
                 accepted = True
                 break
             t *= _BACKTRACK
+            backtracks += 1
         if not accepted:
             # line search exhausted: descent direction no longer useful at
             # this precision, treat as converged only if the gradient agrees
             converged = grad_norm < 10.0 * tol
+            stop = "line_search"
             break
+        # the next search starts at the minimizer of the parabola through
+        # E(0), the slope and E(t), never below _STEP0, when this search
+        # took its first trial and the parabola curves upward; with step 1
+        # alone, weakly bound stages shrink the gradient by only about 0.7
+        # per iteration. Otherwise it starts at _STEP0.
+        curvature = e_new - energy - t * slope
+        if t == t0 and curvature > 0.0:
+            t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
+        else:
+            t0 = _STEP0
         v = w
         energy = e_new
         trace.append((it, energy, grad_norm, t))
@@ -374,6 +401,8 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         iterations=it,
         converged=converged,
         trace=trace,
+        stop=stop,
+        backtracks=backtracks,
     )
 
 
@@ -413,6 +442,7 @@ class MinimizationResult:
     energy_trace: list[float]
     trace: list[tuple[int, float, float, float]]
     r_cut_table: list[tuple[float, float, int, bool]]  # (r_cut, energy, iterations, converged)
+    stages: list[tuple[float, int, int, str]]  # (r_cut, iterations, backtracks, stop)
     converged: bool
     iterations: int
     grad_norm: float
@@ -515,6 +545,7 @@ def minimize(
         _check_meshes(graph, config, meshes)
 
     table: list[tuple[float, float, int, bool]] = []
+    stages: list[tuple[float, int, int, str]] = []
     u_prev: GraphFunction | None = initial
     last_stage: _StageResult | None = None
     for k, r_cut in enumerate(config.r_cut_schedule):
@@ -526,6 +557,7 @@ def minimize(
         stage = _descend(mesh, v0, p, mu, config)
         u_prev = GraphFunction(mesh, stage.values)
         table.append((r_cut, stage.energy, stage.iterations, stage.converged))
+        stages.append((r_cut, stage.iterations, stage.backtracks, stage.stop))
         last_stage = stage
     assert last_stage is not None and u_prev is not None
 
@@ -546,6 +578,7 @@ def minimize(
         energy_trace=[row[1] for row in last_stage.trace],
         trace=last_stage.trace,
         r_cut_table=table,
+        stages=stages,
         converged=last_stage.converged,
         iterations=sum(row[2] for row in table),
         grad_norm=last_stage.grad_norm,
@@ -680,7 +713,9 @@ def existence_dichotomy(
         starts[f"random{k}"] = initializer_random(graph, mu, p, mesh0, seed=seed + k)
     runs = {label: minimize(graph, mu, p, config, initial=u0, meshes=meshes) for label, u0 in starts.items()}
 
-    best_label = min(runs, key=lambda key: runs[key].energy)
+    # the first start, in order, whose energy ties with the lowest
+    e_min = min(r.energy for r in runs.values())
+    best_label = next(k for k, r in runs.items() if r.energy <= e_min + _ENERGY_TIE * abs(e_min))
     best = runs[best_label]
     if any(r.verdict == NEGATIVE_MINIMUM for r in runs.values()):
         verdict = NEGATIVE_MINIMUM

@@ -19,7 +19,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from graphnls.energy import EnergyOperator
-from graphnls.functions import GraphFunction, Mesh, l2_norm_sq, linf_norm, project_mass
+from graphnls.functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm, project_mass
 from graphnls.graphs import double_bridge, line_graph, load_graph, metric_graph, star_graph
 from graphnls.solver import (
     INCONCLUSIVE,
@@ -124,6 +124,30 @@ def test_line_search_stops_at_the_energys_rounding_level(monkeypatch):
     assert len(calls) <= 2 * res.iterations
 
 
+def test_model_first_step_shortens_the_weakly_bound_descent():
+    # with every search starting at step 1, the step is 1 at every iteration
+    # and the gradient shrinks by about 0.7 per iteration: 102 iterations
+    cfg = SolverConfig(r_cut_schedule=(20.0, 40.0, 80.0, 160.0))
+    res = minimize(line_graph(1.0), 1.0, 3.5, cfg)
+    assert res.verdict == NEGATIVE_MINIMUM
+    assert res.iterations <= 70
+    assert max(t for *_, t in res.trace) > 1.0
+
+
+def test_stages_record_why_they_stopped():
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    res = minimize(line_graph(1.0), 1.0, 3.5, cfg)
+    assert [row[0] for row in res.stages] == list(cfg.r_cut_schedule)
+    for (r_cut, iterations, backtracks, stop), row in zip(res.stages, res.r_cut_table):
+        assert iterations == row[2]
+        assert backtracks >= 0
+        assert stop in ("gradient", "no_descent", "line_search")
+    res = minimize(line_graph(1.0), 1.0, 3.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=3))
+    assert [stop for *_, stop in res.stages] == ["max_iters", "max_iters"]
+    assert [iterations for _, iterations, _, _ in res.stages] == [3, 3]
+    assert res.verdict == INCONCLUSIVE
+
+
 def test_strongly_bound_stage_converges_on_relative_tolerance():
     # mu = 8, p = 5: E = -133.3 and lambda of order 100, so the gradient
     # cannot be resolved below about 5e-6; an absolute grad_tol of 1e-7
@@ -134,7 +158,8 @@ def test_strongly_bound_stage_converges_on_relative_tolerance():
     assert all(converged for *_, converged in res.r_cut_table)
 
 
-DEMO_GRAPHS = sorted((Path(__file__).resolve().parents[1] / "demos" / "graphs").glob("*.graph"))
+DEMO_GRAPHS_DIR = Path(__file__).resolve().parents[1] / "demos" / "graphs"
+DEMO_GRAPHS = sorted(DEMO_GRAPHS_DIR.glob("*.graph"))
 STRUCTURED_SOLVE_GRAPHS = [(f.stem, lambda f=f: load_graph(f)) for f in DEMO_GRAPHS] + [
     ("star_.5_.7_.9", lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)),
     # a self-loop: both ends of its inner run couple to the same vertex
@@ -190,6 +215,58 @@ def test_structured_solve_rejects_an_indefinite_edge_block():
     factor = _shifted_factorizer(mesh)
     with pytest.raises(LinAlgError, match="not positive definite"):
         factor(-1e3)
+
+
+RUN_FORM_MESHES = [
+    (name, lambda factory=factory: Mesh(factory(), h_max=0.02, r_cut=20.0))
+    for name, factory in STRUCTURED_SOLVE_GRAPHS
+] + [
+    # one edge node in all: no chain cell, the lead's link cell and the core
+    # edge's vertex-to-vertex link cell
+    (
+        "single_node",
+        lambda: Mesh(metric_graph(["a", "b"], [("e", "a", "b", 0.01)], [("lead", "a")]), h_max=0.02, r_cut=0.01),
+    ),
+]
+
+
+@pytest.mark.parametrize("make_mesh", [f for _, f in RUN_FORM_MESHES], ids=[n for n, _ in RUN_FORM_MESHES])
+def test_run_forms_match_the_assembled_stiffness(make_mesh):
+    mesh = make_mesh()
+    stiffness = mesh.stiffness_matrix()
+    v = np.random.default_rng(2).standard_normal(mesh.n_dofs)
+    # the per-cell Dirichlet integral over every cell, as gathers
+    ia, ib, h = mesh.cells()
+    d = v[ib] - v[ia]
+    per_cell = float(np.dot(d, d / h))
+    assert kinetic_energy(GraphFunction(mesh, v)) == pytest.approx(per_cell, rel=1e-12)
+    assert mesh.dirichlet_integral(v) == pytest.approx(float(v @ (stiffness @ v)), rel=1e-12)
+    ref = stiffness @ v
+    assert np.linalg.norm(mesh.stiffness_action(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the blocks the preconditioner factors are the matrix's own
+    nv = len(mesh.vertex_dof)
+    s_vv, ends, s_ev, diag, off = mesh.stiffness_blocks()
+    dense = stiffness.toarray()
+    s_iv = np.zeros((mesh.n_dofs - nv, nv))
+    s_iv[ends] = s_ev
+    assert np.allclose(s_vv, dense[:nv, :nv], rtol=1e-12, atol=0.0)
+    assert np.allclose(s_iv, dense[nv:, :nv], rtol=1e-12, atol=0.0)
+    assert np.allclose(diag, np.diag(dense)[nv:], rtol=1e-12, atol=0.0)
+    assert np.allclose(off, np.diag(dense, 1)[nv:], rtol=1e-12, atol=0.0)
+    # differences of equal values: exactly 0 on constants
+    constant = np.full(mesh.n_dofs, 0.7)
+    assert mesh.dirichlet_integral(constant) == 0.0
+    assert not np.any(mesh.stiffness_action(constant))
+
+
+def test_solver_path_never_assembles_the_stiffness_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the solver path assembled a CSR stiffness matrix")
+
+    monkeypatch.setattr(Mesh, "stiffness_matrix", refuse)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    assert minimize(line_graph(1.0), 1.0, 2.5, cfg).verdict == NEGATIVE_MINIMUM
+    assert existence_dichotomy(line_graph(1.0), 1.0, 2.5, cfg).verdict == NEGATIVE_MINIMUM
 
 
 def test_zero_infimum_below_threshold():
@@ -382,6 +459,27 @@ def test_existence_dichotomy_negative_side():
     assert d.best_energy < -0.02
     assert d.best_label in d.runs
     assert d.runs[d.best_label].energy == d.best_energy
+
+
+@pytest.mark.parametrize(
+    "factory,p",
+    [
+        pytest.param(lambda: line_graph(0.25), 4.0, id="line0.25"),
+        pytest.param(lambda: star_graph((3.0,), 2), 4.0, id="broom"),
+        pytest.param(lambda: double_bridge(0.9, 0.9), 4.0, id="double_bridge0.9"),
+        pytest.param(lambda: line_graph(1.0), 3.0, id="line1"),
+        pytest.param(lambda: load_graph(DEMO_GRAPHS_DIR / "star.graph"), 4.5, id="demo_star"),
+    ],
+)
+def test_existence_dichotomy_breaks_energy_ties_by_start_order(factory, p):
+    # several starts reach the same minimum to within rounding; the label
+    # used to follow the last digits, here the competitor comes first
+    cfg = SolverConfig(h_max=0.05, r_cut_schedule=(10.0, 20.0, 40.0), max_iters=3000)
+    d = existence_dichotomy(factory(), 1.0, p, cfg)
+    assert d.best_label == "competitor"
+    assert d.best_energy == d.runs["competitor"].energy
+    e_min = min(r.energy for r in d.runs.values())
+    assert d.best_energy - e_min <= 64 * np.finfo(float).eps * abs(e_min)
 
 
 def test_existence_dichotomy_zero_side():
