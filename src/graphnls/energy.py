@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (
+    CoreForms,
     GraphFunction,
     Mesh,
     _abs_pow,
@@ -118,11 +119,12 @@ class ELReport:
 class EnergyOperator:
     """Cached discrete forms for one (mesh, p) pair.
 
-    Used by the solver to avoid reassembling per iteration; the public
-    functions below wrap it for one-off evaluations.
+    The solver builds it on a mesh's ``CoreForms``, which have the Mesh's
+    forms restricted to the core, and adds the leads' closed-form terms;
+    the public functions below wrap it for one-off evaluations.
     """
 
-    def __init__(self, mesh: Mesh, p: float, uniform_nonlinearity: bool = False):
+    def __init__(self, mesh: Mesh | CoreForms, p: float, uniform_nonlinearity: bool = False):
         require_p(p)
         self.mesh = mesh
         self.p = float(p)

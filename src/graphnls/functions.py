@@ -19,7 +19,9 @@ two runs meet), and at most two link cells per edge, the ones that touch a
 vertex. The Dirichlet integral, the stiffness action (a difference of cell
 fluxes) and the blocks of the solver's preconditioner all come from these
 two pieces; ``Mesh.stiffness_matrix`` assembles the same form as a CSR
-matrix for reference.
+matrix for reference. ``Mesh.core_forms`` builds the same pieces for the
+compact core alone, on a numbering that does not depend on the truncation;
+the solver descends on it.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .graphs import MetricGraph
 
 __all__ = [
     "Mesh",
+    "CoreForms",
     "GraphFunction",
     "LineProfile",
     "l2_norm_sq",
@@ -51,7 +54,152 @@ __all__ = [
 ]
 
 
-class Mesh:
+class _RunForms:
+    """The P1 forms of a set of edges on a numbering that puts the vertices
+    first (dofs ``0..V-1``) and every other node of an edge in one
+    consecutive run, edge after edge.
+
+    The cells split into chain cells, between neighbours in one run (one
+    ``np.diff`` over the non-vertex values, with infinite width, so zero
+    weight, where two runs meet), and at most two link cells per edge: a
+    vertex (first end) to its edge's run, or to the other vertex when the
+    edge is a single cell. ``edges`` lists ``(dofs, h, in_core, free_end)``
+    per edge in numbering order; ``free_end`` marks a truncated lead, whose
+    last node belongs to its run.
+    """
+
+    def __init__(self, n_vertices: int, n_dofs: int, edges):
+        self.n_vertices = n_vertices
+        self.n_dofs = n_dofs
+        nv = n_vertices
+        chain_h = np.full(max(n_dofs - nv - 1, 0), np.inf)
+        ia, ib, hh, core, links = [], [], [], [], []
+        for dofs, h, in_core, free_end in edges:
+            ia.append(dofs[:-1])
+            ib.append(dofs[1:])
+            hh.append(np.full(len(dofs) - 1, h))
+            core.append(np.full(len(dofs) - 1, in_core))
+            run = dofs[1:] if free_end else dofs[1:-1]
+            if len(run) == 0:
+                links.append((dofs[0], dofs[-1], h))
+                continue
+            chain_h[run[0] - nv : run[-1] - nv] = h
+            links.append((dofs[0], run[0], h))
+            if not free_end:
+                links.append((dofs[-1], run[-1], h))
+        self._cell_a = np.concatenate(ia)
+        self._cell_b = np.concatenate(ib)
+        self._cell_h = np.concatenate(hh)
+        self._cell_core = np.concatenate(core)
+        self._chain_h = chain_h
+        self._link_v = np.array([v for v, _, _ in links], dtype=np.int64)
+        self._link_o = np.array([o for _, o, _ in links], dtype=np.int64)
+        self._link_h = np.array([h for _, _, h in links])
+        self._mass = None
+
+    def cells(self, core_only: bool = False):
+        """Cell endpoint dof indices and widths ``(ia, ib, h)``."""
+        if core_only:
+            m = self._cell_core
+            return self._cell_a[m], self._cell_b[m], self._cell_h[m]
+        return self._cell_a, self._cell_b, self._cell_h
+
+    def dirichlet_integral(self, values: np.ndarray) -> float:
+        """Exact Dirichlet integral of the interpolant of nodal ``values``,
+        summed over the chain cells and then the link cells."""
+        d = np.diff(values[self.n_vertices :])
+        e = values[self._link_o] - values[self._link_v]
+        return float(np.dot(d, d / self._chain_h) + np.dot(e, e / self._link_h))
+
+    def stiffness_action(self, values: np.ndarray) -> np.ndarray:
+        """``S @ values`` as a difference of cell fluxes: each cell adds its
+        flux (difference over width) to its second end, subtracts it from
+        its first."""
+        nv = self.n_vertices
+        flux = np.diff(values[nv:])
+        flux /= self._chain_h
+        out = np.zeros(self.n_dofs)
+        out[nv + 1 :] = flux
+        out[nv : self.n_dofs - 1] -= flux
+        flux = (values[self._link_o] - values[self._link_v]) / self._link_h
+        np.add.at(out, self._link_o, flux)
+        np.subtract.at(out, self._link_v, flux)
+        return out
+
+    def stiffness_blocks(self):
+        """The stiffness matrix split by the numbering, from the same cells
+        as :meth:`stiffness_action`.
+
+        Returns ``(s_vv, ends, s_ev, diag, off)``: the dense V x V vertex
+        block; the non-vertex nodes coupled to a vertex (as offsets past
+        the V vertex dofs, sorted) and their dense rows of the
+        non-vertex-by-vertex block; and the diagonal and off-diagonal of
+        the tridiagonal block on the non-vertex nodes.
+        """
+        nv = self.n_vertices
+        w_chain = 1.0 / self._chain_h
+        w_link = 1.0 / self._link_h
+        lv, lo = self._link_v, self._link_o
+        diag = np.zeros(self.n_dofs - nv)
+        diag[:-1] += w_chain
+        diag[1:] += w_chain
+        s_vv = np.zeros((nv, nv))
+        np.add.at(s_vv, (lv, lv), w_link)
+        vv = lo < nv
+        np.add.at(s_vv, (lo[vv], lo[vv]), w_link[vv])
+        np.add.at(s_vv, (lv[vv], lo[vv]), -w_link[vv])
+        np.add.at(s_vv, (lo[vv], lv[vv]), -w_link[vv])
+        run = ~vv
+        np.add.at(diag, lo[run] - nv, w_link[run])
+        ends, rows = np.unique(lo[run] - nv, return_inverse=True)
+        s_ev = np.zeros((len(ends), nv))
+        np.add.at(s_ev, (rows, lv[run]), -w_link[run])
+        return s_vv, ends, s_ev, diag, -w_chain
+
+    def mass_vector(self) -> np.ndarray:
+        """Lumped (trapezoid) mass weights per dof."""
+        if self._mass is None:
+            ia, ib, h = self.cells()
+            # one bincount in add.at's order: bit-identical to it, faster
+            self._mass = np.bincount(
+                np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=self.n_dofs
+            )
+        return self._mass
+
+
+class CoreForms(_RunForms):
+    """The P1 forms of a mesh's compact core alone, on the core's own
+    numbering: the V vertices, then the inner nodes of the core edges in
+    the mesh's order. That numbering depends on ``h_max`` but not on
+    ``r_cut``, so a core vector carries over between the truncations of
+    one graph unchanged.
+
+    ``dofs`` maps the core numbering into the mesh's and ``edge_dofs`` gives
+    each core edge's nodes in the core numbering. Every lead of the mesh
+    has ``lead_cells`` cells of width ``lead_h``; ``lead_counts`` holds the
+    number of leads anchored at each vertex.
+    """
+
+    def __init__(self, mesh: "Mesh"):
+        nv = mesh.n_vertices
+        core_edges = sorted((e for e in mesh.graph.edges if e.in_core), key=lambda e: e.id)
+        dofs = np.concatenate([np.arange(nv)] + [mesh.edge_dofs[e.id][1:-1] for e in core_edges])
+        local = np.full(mesh.n_dofs, -1, dtype=np.int64)
+        local[dofs] = np.arange(len(dofs))
+        self.dofs = dofs
+        self.edge_dofs = {e.id: local[mesh.edge_dofs[e.id]] for e in core_edges}
+        super().__init__(
+            nv, len(dofs), [(self.edge_dofs[e.id], mesh.edge_h[e.id], True, False) for e in core_edges]
+        )
+        leads = [e for e in mesh.graph.edges if e.is_half_line]
+        self.lead_counts = np.bincount(
+            [mesh.vertex_dof[e.tail] for e in leads], minlength=nv
+        ).astype(float)
+        self.lead_cells = len(mesh.edge_dofs[leads[0].id]) - 1
+        self.lead_h = mesh.edge_h[leads[0].id]
+
+
+class Mesh(_RunForms):
     """Uniform P1 mesh over a metric graph.
 
     Numbering: the vertices take dofs ``0..V-1`` in sorted order; every
@@ -60,7 +208,8 @@ class Mesh:
     stiffness block on the non-vertex dofs is tridiagonal, which the
     solver's preconditioner relies on, and the kinetic forms are computed
     on these runs (:meth:`dirichlet_integral`, :meth:`stiffness_action`,
-    :meth:`stiffness_blocks`).
+    :meth:`stiffness_blocks`). :meth:`core_forms` gives the same forms on
+    the core alone.
 
     Parameters
     ----------
@@ -87,7 +236,8 @@ class Mesh:
         edge_dofs: dict[str, np.ndarray] = {}
         edge_coords: dict[str, np.ndarray] = {}
         edge_h: dict[str, float] = {}
-        for e in sorted(graph.edges, key=lambda e: e.id):
+        edges = sorted(graph.edges, key=lambda e: e.id)
+        for e in edges:
             length = e.length if e.in_core else self.r_cut
             cells = max(1, int(math.ceil(length / self.h_max - 1e-9)))
             n = cells + 1
@@ -109,101 +259,22 @@ class Mesh:
         self.edge_dofs = edge_dofs
         self.edge_coords = edge_coords
         self.edge_h = edge_h
-        self.n_dofs = next_dof
-
-        # chain cells join neighbours within one run of non-vertex nodes;
-        # where two runs meet the width is inf, so the cell weighs nothing.
-        # Link cells join a vertex (first end) to its edge's run, or to the
-        # other vertex when the edge is a single cell.
-        nv = len(vertex_dof)
-        chain_h = np.full(max(next_dof - nv - 1, 0), np.inf)
-        ia, ib, hh, core, links = [], [], [], [], []
-        for e in sorted(graph.edges, key=lambda e: e.id):
-            dofs, h = edge_dofs[e.id], edge_h[e.id]
-            ia.append(dofs[:-1])
-            ib.append(dofs[1:])
-            hh.append(np.full(len(dofs) - 1, h))
-            core.append(np.full(len(dofs) - 1, e.in_core))
-            run = dofs[1:] if e.head is None else dofs[1:-1]
-            if len(run) == 0:
-                links.append((dofs[0], dofs[-1], h))
-                continue
-            chain_h[run[0] - nv : run[-1] - nv] = h
-            links.append((dofs[0], run[0], h))
-            if e.head is not None:
-                links.append((dofs[-1], run[-1], h))
-        self._cell_a = np.concatenate(ia)
-        self._cell_b = np.concatenate(ib)
-        self._cell_h = np.concatenate(hh)
-        self._cell_core = np.concatenate(core)
-        self._n_vertices = nv
-        self._chain_h = chain_h
-        self._link_v = np.array([v for v, _, _ in links], dtype=np.int64)
-        self._link_o = np.array([o for _, o, _ in links], dtype=np.int64)
-        self._link_h = np.array([h for _, _, h in links])
+        super().__init__(
+            len(vertex_dof),
+            next_dof,
+            [(edge_dofs[e.id], edge_h[e.id], e.in_core, e.head is None) for e in edges],
+        )
         self._stiffness = None
-        self._mass = None
+        self._core = None
 
     # -- discrete forms ----------------------------------------------------
 
-    def cells(self, core_only: bool = False):
-        """Cell endpoint dof indices and widths ``(ia, ib, h)``."""
-        if core_only:
-            m = self._cell_core
-            return self._cell_a[m], self._cell_b[m], self._cell_h[m]
-        return self._cell_a, self._cell_b, self._cell_h
-
-    def dirichlet_integral(self, values: np.ndarray) -> float:
-        """Exact Dirichlet integral of the interpolant of nodal ``values``,
-        summed over the chain cells and then the link cells."""
-        d = np.diff(values[self._n_vertices :])
-        e = values[self._link_o] - values[self._link_v]
-        return float(np.dot(d, d / self._chain_h) + np.dot(e, e / self._link_h))
-
-    def stiffness_action(self, values: np.ndarray) -> np.ndarray:
-        """``S @ values`` as a difference of cell fluxes: each cell adds its
-        flux (difference over width) to its second end, subtracts it from
-        its first."""
-        nv = self._n_vertices
-        flux = np.diff(values[nv:])
-        flux /= self._chain_h
-        out = np.zeros(self.n_dofs)
-        out[nv + 1 :] = flux
-        out[nv : self.n_dofs - 1] -= flux
-        flux = (values[self._link_o] - values[self._link_v]) / self._link_h
-        np.add.at(out, self._link_o, flux)
-        np.subtract.at(out, self._link_v, flux)
-        return out
-
-    def stiffness_blocks(self):
-        """The stiffness matrix split by the numbering, from the same cells
-        as :meth:`stiffness_action`.
-
-        Returns ``(s_vv, ends, s_ev, diag, off)``: the dense V x V vertex
-        block; the non-vertex nodes coupled to a vertex (as offsets past
-        the V vertex dofs, sorted) and their dense rows of the
-        non-vertex-by-vertex block; and the diagonal and off-diagonal of
-        the tridiagonal block on the non-vertex nodes.
-        """
-        nv = self._n_vertices
-        w_chain = 1.0 / self._chain_h
-        w_link = 1.0 / self._link_h
-        lv, lo = self._link_v, self._link_o
-        diag = np.zeros(self.n_dofs - nv)
-        diag[:-1] += w_chain
-        diag[1:] += w_chain
-        s_vv = np.zeros((nv, nv))
-        np.add.at(s_vv, (lv, lv), w_link)
-        vv = lo < nv
-        np.add.at(s_vv, (lo[vv], lo[vv]), w_link[vv])
-        np.add.at(s_vv, (lv[vv], lo[vv]), -w_link[vv])
-        np.add.at(s_vv, (lo[vv], lv[vv]), -w_link[vv])
-        run = ~vv
-        np.add.at(diag, lo[run] - nv, w_link[run])
-        ends, rows = np.unique(lo[run] - nv, return_inverse=True)
-        s_ev = np.zeros((len(ends), nv))
-        np.add.at(s_ev, (rows, lv[run]), -w_link[run])
-        return s_vv, ends, s_ev, diag, -w_chain
+    def core_forms(self) -> CoreForms:
+        """The forms of the compact core alone (:class:`CoreForms`), built
+        once per mesh."""
+        if self._core is None:
+            self._core = CoreForms(self)
+        return self._core
 
     def stiffness_matrix(self) -> sp.csr_matrix:
         """Assembled P1 stiffness matrix: u.S.u equals the exact Dirichlet
@@ -219,16 +290,6 @@ class Mesh:
                 (vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs)
             )
         return self._stiffness
-
-    def mass_vector(self) -> np.ndarray:
-        """Lumped (trapezoid) mass weights per dof."""
-        if self._mass is None:
-            ia, ib, h = self.cells()
-            # one bincount in add.at's order: bit-identical to it, faster
-            self._mass = np.bincount(
-                np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=self.n_dofs
-            )
-        return self._mass
 
     @property
     def mesh_hash(self) -> str:

@@ -1,21 +1,33 @@
 """Mass-constrained energy minimization on truncated metric graphs.
 
+Every truncation stage is solved on the compact core alone. The
+nonlinearity lives on the core, so on a lead the discrete problem is
+linear and the stage minimizer's lead values are a closed-form profile of
+the anchor value a and the shift omega (minus the multiplier),
+a cosh((n - i) theta) / cosh(n theta) with cosh(theta) = 1 + omega h^2/2.
+A lead then carries mass s Phi(omega) and Dirichlet integral s Psi(omega),
+where s sums the squared anchor values over the leads, so a stage descends
+on the core dofs and the one shift omega that all leads share; the energy
+and the verdicts are those of the truncated problem on the whole stage
+mesh, which only the last stage's state is lifted onto.
+
 The scheme is projected gradient descent on the mass sphere: step along a
 descent direction, rescale back to the constraint, accept via an Armijo
 test that also demands a strict decrease. Directions are Sobolev
-gradients preconditioned by S + sigma*M (Henning & Peterseim), with the
+gradients preconditioned by S + sigma*M (Henning & Peterseim), eliminated
+onto the core (the leads add Psi + sigma*Phi at their anchors), with the
 shift sigma the current multiplier estimate, floored at 1/r_cut^2 and
-refactored whenever the estimate leaves [sigma/2, 2*sigma]. The
-preconditioner then matches the linearized problem on the half-line tails
-as well as on the core, which keeps the iteration count independent of
-the mesh and of how weakly the state is bound. It is solved in O(n): the
-Mesh numbers each edge's inner nodes consecutively after the vertices, so
-a tridiagonal Cholesky eliminates them and only the small junction system
-on the vertices goes through a sparse LU. That set-up (the stiffness
-blocks, taken from the Mesh's edge runs with no sparse matrix assembled,
-and the edge-node columns) is made once per mesh and kept as long as the
-mesh lives, so every run on the same mesh only refactors for its own
-shifts.
+refactored whenever the estimate leaves [sigma/2, 2*sigma]; omega steps
+toward the same estimate. The preconditioner then matches the linearized
+problem on the half-line tails as well as on the core, which keeps the
+iteration count independent of the mesh and of how weakly the state is
+bound. It is solved in O(n): the core numbers each edge's inner nodes
+consecutively after the vertices, so a tridiagonal Cholesky eliminates
+them and only the small junction system on the vertices goes through a
+sparse LU. That set-up (the core forms, taken from the stage mesh's edge
+runs with no sparse matrix assembled, and the edge-node columns) is made
+once per mesh and kept as long as the mesh lives, so every run on the
+same mesh only refactors for its own shifts.
 
 Each line search starts at step 1, or longer: after a search that took its
 first trial, the next starts at the minimizer of the parabola through the
@@ -28,7 +40,7 @@ has reached its minimum ends after a few trials instead of halving t
 down to 1e-16. Each stage records why it stopped and how many trials its
 searches rejected (``MinimizationResult.stages``).
 
-Because the half-lines are truncated, every run solves a compact surrogate
+Because the half-lines are truncated, every stage solves a compact surrogate
 problem. The truncation length is therefore swept over an increasing
 schedule and the trend of the minimal energy is the computable evidence
 for the attained / not-attained dichotomy: a stable negative limit
@@ -50,7 +62,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .energy import ELReport, EnergyOperator, EnergyReport, el_residual, energy_report, require_p
-from .functions import GraphFunction, Mesh, project_mass
+from .functions import CoreForms, GraphFunction, Mesh, l2_norm_sq, project_mass
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
 
@@ -208,12 +220,142 @@ def initializer_random(graph: MetricGraph, mu: float, p: float, mesh: Mesh, seed
 
 
 # ---------------------------------------------------------------------------
+# the leads in closed form
+#
+# On a lead the discrete problem is linear. With anchor value a and shift
+# omega (minus the multiplier), the stage minimizer's lead values solve
+# (S + omega M) u = 0 off the anchor, with the natural far end, so
+# u_i = a cosh((n - i) theta) / cosh(n theta), i = 0..n, where
+# cosh(theta) = 1 + omega h^2 / 2 (cos and phi in place of cosh and theta
+# when omega < 0, which needs n phi < pi/2). Per unit a^2 the lead then has
+# lumped mass Phi (the anchor's half cell included) and Dirichlet integral
+# Psi; stationarity of the profile gives Psi' = -omega Phi'.
+
+
+def _sine_excess(m: int, y: float, sign: float) -> float:
+    """sinh(m y) - m sinh(y) for sign = 1, sin(m y) - m sin(y) for
+    sign = -1, for m y <= 1, by the Taylor series: its terms carry no
+    cancellation, while the direct difference loses a relative (m y)^-2
+    of precision, which ruins the lead forms at small |omega|."""
+    x = m * y
+    total, xk, yk, fact, k = 0.0, x, y, 1.0, 0
+    while True:
+        k += 1
+        xk *= x * x
+        yk *= y * y
+        fact *= 2 * k * (2 * k + 1)
+        term = sign**k * (xk - m * yk) / fact
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            return total
+
+
+def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | None:
+    """(Phi, Psi, dPhi/domega) of a lead of ``n`` cells of width ``h`` at
+    shift ``omega``, per unit squared anchor value, or None when omega is
+    at or below the lead's lowest shift, where n phi reaches pi/2.
+
+    Phi = h [n sech^2(n theta) + tanh(n theta) coth(theta)] / 2 and
+    Psi = tanh(theta/2) / h [tanh(n theta) - n sinh(theta) sech^2(n theta)];
+    the bracket of Psi, like that of dPhi/dtheta, is taken from a sine
+    excess (:func:`_sine_excess`) where n theta is small, and in the form
+    above where cosh(n theta) may overflow. omega < 0 uses the cos
+    analogue.
+    """
+    if omega == 0.0:
+        return n * h, 0.0, -(h**3) * (4.0 * n**3 - n) / 6.0
+    r = 0.5 * h * math.sqrt(abs(omega))
+    if omega > 0.0:
+        th = 2.0 * math.asinh(r)
+        x = n * th
+        t = math.tanh(x)
+        sech2 = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))) ** 2
+        phi = 0.5 * h * (n * sech2 + t / math.tanh(th))
+        if x <= 0.5:
+            b = 0.5 * sech2 * _sine_excess(2 * n, th, 1.0)
+            c = sech2 * _sine_excess(n, 2.0 * th, 1.0)
+        else:
+            b = t - n * math.sinh(th) * sech2
+            c = 2.0 * t - n * math.sinh(2.0 * th) * sech2
+        sh = math.sinh(th)
+        psi = math.tanh(0.5 * th) / h * b
+        dphi = -(h**3) / (2.0 * sh) * (n * n * sech2 * t + c / (4.0 * sh * sh))
+        return phi, psi, dphi
+    if r >= 1.0:
+        return None
+    ph = 2.0 * math.asin(r)
+    x = n * ph
+    if not x < 0.5 * math.pi:
+        return None
+    t = math.tan(x)
+    sec2 = 1.0 / math.cos(x) ** 2
+    phi = 0.5 * h * (n * sec2 + t / math.tan(ph))
+    if x <= 0.5:
+        b = -0.5 * sec2 * _sine_excess(2 * n, ph, -1.0)
+        c = -sec2 * _sine_excess(n, 2.0 * ph, -1.0)
+    else:
+        b = n * math.sin(ph) * sec2 - t
+        c = n * math.sin(2.0 * ph) * sec2 - 2.0 * t
+    sn = math.sin(ph)
+    psi = math.tan(0.5 * ph) / h * b
+    dphi = -(h**3) / (2.0 * sn) * (n * n * sec2 * t + c / (4.0 * sn * sn))
+    return phi, psi, dphi
+
+
+def _lowest_shift(n: int, h: float) -> float:
+    """The shift at which n phi reaches pi/2: below it the cos profile
+    changes sign, at it Phi is infinite."""
+    return -((2.0 * math.sin(0.25 * math.pi / n) / h) ** 2)
+
+
+def lead_profile(omega: float, n: int, h: float) -> np.ndarray:
+    """The lead's node values per unit anchor value, from the anchor
+    (i = 0) to the free end (i = n): cosh((n - i) theta) / cosh(n theta),
+    written with exponentials of -theta so that it cannot overflow, or its
+    cos analogue when omega < 0."""
+    i = np.arange(n + 1)
+    r = 0.5 * h * math.sqrt(abs(omega))
+    if omega >= 0.0:
+        th = 2.0 * math.asinh(r)
+        return np.exp(-i * th) * (1.0 + np.exp(-2.0 * (n - i) * th)) / (1.0 + math.exp(-2.0 * n * th))
+    ph = 2.0 * math.asin(r)
+    return np.cos((n - i) * ph) / math.cos(n * ph)
+
+
+def _lead_shift(ratio: float, n: int, h: float) -> float:
+    """The shift at which a lead carries mass ``ratio`` per unit squared
+    anchor value (Phi(omega) = ratio), by bisection: Phi falls from
+    infinity at the lowest shift to h/2 as omega grows. A ratio at or
+    below the anchor's half cell gets a shift whose lead is empty to
+    rounding."""
+
+    def shift(z: float) -> float:
+        # z = theta for omega >= 0, -phi below
+        return (2.0 * math.sinh(0.5 * z) / h) ** 2 if z >= 0.0 else -((2.0 * math.sin(0.5 * z) / h) ** 2)
+
+    lo, hi = -0.5 * math.pi / n, 1.0
+    while lead_forms(shift(hi), n, h)[0] > ratio:
+        lo, hi = hi, 2.0 * hi
+        if hi > 64.0:
+            return shift(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        forms = lead_forms(shift(mid), n, h)
+        if forms is None or forms[0] > ratio:
+            lo = mid
+        else:
+            hi = mid
+    return shift(hi)
+
+
+# ---------------------------------------------------------------------------
 # descent core
 
 
 @dataclass
 class _StageResult:
-    values: np.ndarray
+    values: np.ndarray  # on the core numbering (CoreForms)
+    omega: float  # the lead shift
+    lead_mass: float  # s * Phi(omega)
     energy: float
     grad_norm: float
     iterations: int
@@ -226,34 +368,37 @@ class _StageResult:
     backtracks: int  # rejected line-search trials over the stage
 
 
-# one factorizer set-up per mesh, dropped with the mesh: the factor
+# one factorizer set-up per mesh or core, dropped with it: the factor
 # closures hold the assembled blocks only, never the mesh itself
 _FACTORIZERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _shifted_factorizer(mesh: Mesh):
-    """Direct solver for S + sigma*diag(M) built on the Mesh numbering,
-    set up once per mesh.
+def _shifted_factorizer(forms: Mesh | CoreForms):
+    """Direct solver for S + sigma*diag(M), plus an optional diagonal on
+    the vertex dofs, built on the numbering of a Mesh or of its
+    CoreForms, set up once per object.
 
     The vertices hold dofs 0..V-1 and every other node lies inside one
     edge, whose nodes are numbered consecutively, so the block on the
-    non-vertex nodes is tridiagonal. Returns ``factor(sigma)``, which
-    Cholesky-factors that block (LAPACK pttrf), eliminates it from the V
-    vertex columns and LU-factors the V x V junction system that is left;
-    the ``solve(b)`` it returns is one tridiagonal pass per side around a
-    junction solve. Both cost O(n V) rather than a sparse LU of all n nodes.
+    non-vertex nodes is tridiagonal. Returns ``factor(sigma,
+    vertex_shift=0.0)``, which Cholesky-factors that block (LAPACK pttrf),
+    eliminates it from the V vertex columns and LU-factors the V x V
+    junction system that is left, with ``vertex_shift`` added to its
+    diagonal; the ``solve(b)`` it returns is one tridiagonal pass per side
+    around a junction solve. Both cost O(n V) rather than a sparse LU of
+    all n nodes.
     """
-    factor = _FACTORIZERS.get(mesh)
+    factor = _FACTORIZERS.get(forms)
     if factor is None:
-        factor = _FACTORIZERS[mesh] = _build_factorizer(mesh)
+        factor = _FACTORIZERS[forms] = _build_factorizer(forms)
     return factor
 
 
-def _build_factorizer(mesh: Mesh):
-    mass_vec = mesh.mass_vector()
-    nv = len(mesh.vertex_dof)
+def _build_factorizer(forms: Mesh | CoreForms):
+    mass_vec = forms.mass_vector()
+    nv = forms.n_vertices
     # only the end nodes of each edge touch a vertex: s_ev holds their rows
-    s_vv, ends, s_ev, diag_i, off_i = mesh.stiffness_blocks()
+    s_vv, ends, s_ev, diag_i, off_i = forms.stiffness_blocks()
     rhs = np.zeros((len(diag_i), nv), order="F")
     rhs[ends] = s_ev
     # the LAPACK wrapper wants a nonempty off-diagonal even for one node
@@ -261,18 +406,23 @@ def _build_factorizer(mesh: Mesh):
         off_i = np.zeros(1)
     mass_v, mass_i = mass_vec[:nv], mass_vec[nv:]
 
-    def factor(sigma: float):
-        d, e, info = dpttrf(diag_i + sigma * mass_i, off_i)
-        if info != 0:
-            raise LinAlgError(
-                f"edge block of S + sigma*M is not positive definite (sigma={sigma!r}, info={info})"
-            )
-        z = dpttrs(d, e, rhs)[0]
-        junction = s_vv - s_ev.T @ z[ends]
-        junction[np.diag_indices(nv)] += sigma * mass_v
+    def factor(sigma: float, vertex_shift=0.0):
+        if len(diag_i):
+            d, e, info = dpttrf(diag_i + sigma * mass_i, off_i)
+            if info != 0:
+                raise LinAlgError(
+                    f"edge block of S + sigma*M is not positive definite (sigma={sigma!r}, info={info})"
+                )
+            z = dpttrs(d, e, rhs)[0]
+            junction = s_vv - s_ev.T @ z[ends]
+        else:  # every edge is a single cell: there is no edge block
+            junction = s_vv.copy()
+        junction[np.diag_indices(nv)] += sigma * mass_v + vertex_shift
         # through the module-level splu, so the benchmark's lu_factor and
         # lu_solve spans see one factor per refactor, one solve per step
         lu = splu(csc_matrix(junction))
+        if not len(diag_i):
+            return lu.solve
 
         def solve(b: np.ndarray) -> np.ndarray:
             y = dpttrs(d, e, b[nv:])[0]
@@ -284,31 +434,54 @@ def _build_factorizer(mesh: Mesh):
     return factor
 
 
-def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConfig) -> _StageResult:
-    op = EnergyOperator(mesh, p)
-    mass_vec = op.mass_vec
-    # the preconditioner S + sigma*M is shifted by the current multiplier
-    # estimate sigma ~ -lam_hat: with a fixed S + M the slow tail modes
-    # contract only by about lam/(k^2 + 1), which costs thousands of
-    # iterations when lam is small (weakly bound states). 1/r_cut^2 floors
-    # the shift so the operator stays positive definite while lam_hat >= 0
-    # (random starts, zero-infimum runs); there is no cap. It is refactored
-    # only when the estimate leaves [sigma/2, 2*sigma]. Each factorization
-    # eliminates the edge nodes by a tridiagonal Cholesky and factors only
-    # the small junction system on the vertices (_shifted_factorizer).
+def _descend(mesh: Mesh, v0: np.ndarray, omega: float, p: float, mu: float, config: SolverConfig) -> _StageResult:
+    """One truncation stage, descended on the core dofs and the lead shift
+    omega: the leads are eliminated by their closed-form profile, so the
+    stage energy is E(u, omega) = 1/2 (u.S_K u + s Psi(omega)) - 1/p
+    int_K |u|^p on the sphere M_K.u^2 + s Phi(omega) = mu, where
+    s = sum_j a_j^2 over the leads' anchor values (A u.u, A the diagonal
+    of lead counts on the vertex dofs). Its minimum is that of the
+    truncated problem on the whole stage mesh."""
+    core = mesh.core_forms()
+    op = EnergyOperator(core, p)
+    mass_k = op.mass_vec
+    nv = core.n_vertices
+    counts = core.lead_counts
+    n, h = core.lead_cells, core.lead_h
+    # full-mesh mass weights of the vertex dofs: the anchor's half cells
+    mass_full_v = mass_k[:nv] + 0.5 * h * counts
+    # the preconditioner is the exact Schur complement of S + sigma*M on
+    # the stage mesh: S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per
+    # lead at its anchor, shifted by the current multiplier estimate
+    # sigma ~ -lam_hat: with a fixed S + M the slow tail modes contract only
+    # by about lam/(k^2 + 1), which costs thousands of iterations when lam
+    # is small (weakly bound states). 1/r_cut^2 floors the shift so the
+    # operator stays positive definite while lam_hat >= 0 (random starts,
+    # zero-infimum runs); there is no cap. It is refactored only when the
+    # estimate leaves [sigma/2, 2*sigma]. Each factorization eliminates the
+    # edge nodes by a tridiagonal Cholesky and factors only the small
+    # junction system on the vertices (_shifted_factorizer).
     shift_floor = 1.0 / mesh.r_cut**2
-    factor = _shifted_factorizer(mesh)
+    omega_floor = 0.5 * _lowest_shift(n, h)
+    factor = _shifted_factorizer(core)
     sigma = 0.0
     solve = None
 
-    def project(v: np.ndarray) -> np.ndarray:
-        m = float(np.dot(mass_vec, v * v))
+    def anchors(v: np.ndarray) -> float:
+        a = v[:nv]
+        return float(np.dot(counts, a * a))
+
+    def project(v: np.ndarray, phi: float) -> np.ndarray:
+        m = float(np.dot(mass_k, v * v)) + phi * anchors(v)
         if m <= 0:
             raise ValueError("cannot project the zero function onto the mass sphere")
         return v * math.sqrt(mu / m)
 
-    v = project(np.asarray(v0, dtype=float))
-    energy = op.value(v)
+    phi, psi, dphi = lead_forms(omega, n, h)
+    u = project(np.asarray(v0, dtype=float), phi)
+    s = anchors(u)
+    energy = op.value(u) + 0.5 * psi * s
+    weights = mass_k.copy()
     trace: list[tuple[int, float, float, float]] = []
     window = deque([energy], maxlen=_STALL_WINDOW + 1)
     grad_norm = math.inf
@@ -318,14 +491,27 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
     t0 = _STEP0
     it = 0
     for it in range(1, config.max_iters + 1):
-        g = op.gradient(v)
+        weights[:nv] = mass_k[:nv] + phi * counts
+        g = op.gradient(u)
+        g[:nv] += psi * counts * u[:nv]
         # strip the multiplier component before preconditioning: near a
         # constrained minimum g is dominated by lam*M*u, and preconditioning
         # that part yields directions with vanishing slope
-        lam_hat = float(np.dot(g, v)) / mu
-        residual = g - lam_hat * (mass_vec * v)
-        tangent = residual / mass_vec
-        grad_norm = math.sqrt(max(float(np.dot(mass_vec, tangent * tangent)), 0.0))
+        lam_hat = float(np.dot(g, u)) / mu
+        residual = g - lam_hat * (weights * u)
+        tangent = residual / weights
+        # the gradient test reads the lifted state on the whole stage mesh,
+        # where the leads' nodes carry -(omega + lam_hat) M u and each
+        # anchor the lead's share of it beyond its half cell
+        drift = omega + lam_hat
+        tail = phi - 0.5 * h
+        full_v = residual[:nv] + drift * tail * counts * u[:nv]
+        grad_sq = (
+            float(np.dot(mass_k[nv:], tangent[nv:] * tangent[nv:]))
+            + float(np.dot(full_v, full_v / mass_full_v))
+            + drift * drift * s * tail
+        )
+        grad_norm = math.sqrt(max(grad_sq, 0.0))
         # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)): a
         # strongly bound state cannot resolve its gradient below rounding
         # of that term, so an absolute grad_tol would never be met there
@@ -343,14 +529,25 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         shift = max(-lam_hat, shift_floor)
         if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
             sigma = shift
-            solve = factor(sigma)
+            phi_s, psi_s, _ = lead_forms(sigma, n, h)
+            solve = factor(sigma, counts * (psi_s + sigma * phi_s))
         d = -solve(residual)
-        d -= (float(np.dot(mass_vec, d * v)) / mu) * v
-        slope = float(np.dot(g, d))
+        d -= (float(np.dot(weights, d * u)) / mu) * u
+        # omega steps toward -lam_hat, which along the projected path adds
+        # -1/2 s Phi'(omega) (omega + lam_hat) d_omega < 0 to the slope. The
+        # target stays above omega_floor, so that at lam_hat > 0 (random
+        # starts) the trials do not leave the admissible shifts and throttle
+        # the core step; where that floor would turn the step uphill, omega
+        # stays.
+        d_omega = max(-lam_hat, omega_floor) - omega
+        lead_slope = -0.5 * s * dphi * drift * d_omega
+        if lead_slope > 0.0:
+            d_omega = lead_slope = 0.0
+        slope = float(np.dot(g, d)) + lead_slope
         if slope >= 0.0:
             # safeguard: fall back to the plain mass-weighted gradient
             d = -tangent
-            slope = float(np.dot(g, d))
+            slope = float(np.dot(g, d)) + lead_slope
         if slope >= 0.0:
             converged = grad_norm < tol
             stop = "no_descent"
@@ -364,14 +561,18 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
         # trials halving t down to the 1e-16 backstop
         rounding = _EPS * abs(energy)
         while t > 1e-16 and t * -slope > rounding:
-            w = project(v + t * d)
-            e_new = op.value(w)
-            # strict decrease too: once the Armijo margin drops below the
-            # energy's ulp, an equal energy would pass and the stage would
-            # creep on with vanishing steps until max_iters
-            if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
-                accepted = True
-                break
+            w_omega = omega + t * d_omega
+            forms = lead_forms(w_omega, n, h)
+            # a shift at or below the lead's lowest is no state: reject it
+            if forms is not None:
+                w = project(u + t * d, forms[0])
+                e_new = op.value(w) + 0.5 * forms[1] * anchors(w)
+                # strict decrease too: once the Armijo margin drops below
+                # the energy's ulp, an equal energy would pass and the stage
+                # would creep on with vanishing steps until max_iters
+                if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
+                    accepted = True
+                    break
             t *= _BACKTRACK
             backtracks += 1
         if not accepted:
@@ -390,12 +591,16 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
             t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
         else:
             t0 = _STEP0
-        v = w
+        u, omega = w, w_omega
+        phi, psi, dphi = forms
+        s = anchors(u)
         energy = e_new
         trace.append((it, energy, grad_norm, t))
         window.append(energy)
     return _StageResult(
-        values=v,
+        values=u,
+        omega=omega,
+        lead_mass=s * phi,
         energy=energy,
         grad_norm=grad_norm,
         iterations=it,
@@ -406,30 +611,16 @@ def _descend(mesh: Mesh, v0: np.ndarray, p: float, mu: float, config: SolverConf
     )
 
 
-def _transfer(u: GraphFunction, mesh_new: Mesh) -> np.ndarray:
-    """Warm start on a longer truncation: interpolate where the old mesh has
-    data, extend half-line tails exponentially at the observed decay rate."""
-    mesh_old = u.mesh
-    values = np.empty(mesh_new.n_dofs)
-    for eid, dofs in mesh_new.edge_dofs.items():
-        xs = mesh_new.edge_coords[eid]
-        edge = mesh_new.graph.edges_by_id[eid]
-        if not edge.is_half_line:
-            values[dofs] = np.interp(xs, mesh_old.edge_coords[eid], u.values[mesh_old.edge_dofs[eid]])
-            continue
-        xs_old = mesh_old.edge_coords[eid]
-        vals_old = u.values[mesh_old.edge_dofs[eid]]
-        r_old = xs_old[-1]
-        inside = xs <= r_old
-        values[dofs[inside]] = np.interp(xs[inside], xs_old, vals_old)
-        if np.any(~inside):
-            v_end = vals_old[-1]
-            rate = 0.0
-            if len(xs_old) >= 2 and vals_old[-2] > abs(v_end) > 0:
-                # continue the tail at its observed log-slope
-                rate = max(0.0, math.log(vals_old[-2] / abs(v_end)) / (xs_old[-1] - xs_old[-2]))
-            values[dofs[~inside]] = v_end * np.exp(-rate * (xs[~inside] - r_old))
-    return values
+def _start(initial: GraphFunction, core: CoreForms, mesh: Mesh) -> tuple[np.ndarray, float]:
+    """Core values and lead mass of a start on any mesh of the graph: the
+    core edges are interpolated onto ``mesh`` (exactly, on an equal
+    mesh)."""
+    old = initial.mesh
+    values = np.empty(core.n_dofs)
+    values[: core.n_vertices] = initial.values[: core.n_vertices]
+    for eid, dofs in core.edge_dofs.items():
+        values[dofs] = np.interp(mesh.edge_coords[eid], old.edge_coords[eid], initial.values[old.edge_dofs[eid]])
+    return values, l2_norm_sq(initial) - l2_norm_sq(initial, core_only=True)
 
 
 @dataclass
@@ -450,6 +641,10 @@ class MinimizationResult:
     strictly_positive: bool
     mu: float
     p: float
+    # the last stage's lead shift omega (minus the multiplier the leads
+    # decay with) and the mass the leads carry, anchors' half cells included
+    lead_shift: float
+    lead_mass: float
 
     def to_dict(self) -> dict:
         d = self.report.to_dict()
@@ -519,10 +714,16 @@ def minimize(
     """Projected-gradient minimization over an increasing truncation
     schedule, warm starting each stage from the previous one.
 
-    The first stage starts from ``initial``, transferred onto its mesh
-    (exactly, when ``initial`` lives on an equal mesh). Without one it
-    starts from the plateau competitor on the first stage's mesh; other
-    starts come from the ``initializer_*`` functions.
+    Each stage descends on the core dofs and one lead shift, with the
+    leads eliminated by their closed-form profile (:func:`_descend`). The
+    first stage starts from the core of ``initial``, interpolated onto its
+    mesh (exactly, when ``initial`` lives on an equal mesh), and the shift
+    at which the leads carry ``initial``'s lead mass. Without ``initial``
+    it starts from the plateau competitor on the first stage's mesh; other
+    starts come from the ``initializer_*`` functions. Later stages take
+    the core values and the shift as they are. The result's ``function``
+    is the last stage's state on its mesh, the leads filled in with their
+    profile, and ``energy`` is that function's energy.
 
     ``meshes`` supplies the stage meshes, one per ``r_cut`` of the
     schedule, so that several runs share them and their preconditioner
@@ -546,46 +747,62 @@ def minimize(
 
     table: list[tuple[float, float, int, bool]] = []
     stages: list[tuple[float, int, int, str]] = []
-    u_prev: GraphFunction | None = initial
-    last_stage: _StageResult | None = None
+    stage: _StageResult | None = None
     for k, r_cut in enumerate(config.r_cut_schedule):
         mesh = Mesh(graph, h_max=config.h_max, r_cut=r_cut) if meshes is None else meshes[k]
-        if u_prev is None:
-            v0 = initializer_competitor(graph, mu, p, mesh).values
+        core = mesh.core_forms()
+        n, h = core.lead_cells, core.lead_h
+        if stage is None:
+            start = initializer_competitor(graph, mu, p, mesh) if initial is None else initial
+            u, lead_mass = _start(start, core, mesh)
+            omega = None
         else:
-            v0 = _transfer(u_prev, mesh)
-        stage = _descend(mesh, v0, p, mu, config)
-        u_prev = GraphFunction(mesh, stage.values)
+            # the core numbering does not depend on r_cut, so the core values
+            # and the shift carry over as they are
+            u, omega, lead_mass = stage.values, stage.omega, stage.lead_mass
+        if omega is None or lead_forms(omega, n, h) is None:
+            # the shift at which this stage's leads carry the lead mass; with
+            # every anchor at zero they carry nothing and start flat
+            s = float(np.dot(core.lead_counts, u[: core.n_vertices] ** 2))
+            omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
+        stage = _descend(mesh, u, omega, p, mu, config)
         table.append((r_cut, stage.energy, stage.iterations, stage.converged))
         stages.append((r_cut, stage.iterations, stage.backtracks, stage.stop))
-        last_stage = stage
-    assert last_stage is not None and u_prev is not None
+    assert stage is not None
 
-    values = u_prev.values
+    # lift the last stage onto its mesh: the leads take their profile
+    values = np.empty(mesh.n_dofs)
+    values[core.dofs] = stage.values
+    profile = lead_profile(stage.omega, n, h)
+    for e in graph.half_lines:
+        dofs = mesh.edge_dofs[e.id]
+        values[dofs] = values[dofs[0]] * profile
     if np.any(values < 0.0):
         # same energy or lower, and the mass form only sees |u|
         values = np.abs(values)
-    u_final = GraphFunction(u_prev.mesh, values)
+    u_final = GraphFunction(mesh, values)
     report = energy_report(u_final, p)
     el = el_residual(u_final, p)
     min_node = float(values.min())
     return MinimizationResult(
         function=u_final,
-        energy=last_stage.energy,
+        energy=report.total_energy,
         verdict=_verdict(table, _ENERGY_TOL),
         report=report,
         el=el,
-        energy_trace=[row[1] for row in last_stage.trace],
-        trace=last_stage.trace,
+        energy_trace=[row[1] for row in stage.trace],
+        trace=stage.trace,
         r_cut_table=table,
         stages=stages,
-        converged=last_stage.converged,
+        converged=stage.converged,
         iterations=sum(row[2] for row in table),
-        grad_norm=last_stage.grad_norm,
+        grad_norm=stage.grad_norm,
         min_node_value=min_node,
         strictly_positive=min_node > 0.0,
         mu=mu,
         p=p,
+        lead_shift=stage.omega,
+        lead_mass=stage.lead_mass,
     )
 
 

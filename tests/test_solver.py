@@ -19,13 +19,15 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from graphnls.energy import EnergyOperator
-from graphnls.functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm, project_mass
+from graphnls.functions import CoreForms, GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm, project_mass
 from graphnls.graphs import double_bridge, line_graph, load_graph, metric_graph, star_graph
 from graphnls.solver import (
     INCONCLUSIVE,
     NEGATIVE_MINIMUM,
     ZERO_INFIMUM_SUSPECTED,
     SolverConfig,
+    _lead_shift,
+    _lowest_shift,
     _shifted_factorizer,
     _verdict,
     dirichlet_line_min,
@@ -33,6 +35,8 @@ from graphnls.solver import (
     initializer_competitor,
     initializer_random,
     initializer_soliton,
+    lead_forms,
+    lead_profile,
     minimize,
     soliton_profile,
 )
@@ -570,4 +574,224 @@ def test_factorizer_set_up_lives_with_its_mesh():
     del mesh
     gc.collect()
     # the cached set-up holds no reference back to the mesh
+    assert alive() is None
+
+
+# the leads in closed form
+
+
+def _recurrence_lead(omega, n, h):
+    """Phi, Psi and dPhi/domega summed node by node over the profile
+    T_{n-i}(c) / T_n(c), c = 1 + delta, delta = omega h^2 / 2, with the
+    Chebyshev recurrence and its delta-derivative written in differences
+    (Delta_k = T_k - T_{k-1}), so that delta survives next to 1. Every
+    array is rescaled together whenever T grows past 1e150, so n theta may
+    exceed the float range of cosh."""
+    delta = 0.5 * omega * h * h
+    t, dt, step, dstep = [1.0, 1.0 + delta], [0.0, 1.0], [0.0, delta], [0.0, 1.0]
+    for k in range(1, n):
+        step.append(step[k] + 2.0 * delta * t[k])
+        dstep.append(dstep[k] + 2.0 * t[k] + 2.0 * delta * dt[k])
+        t.append(t[k] + step[k + 1])
+        dt.append(dt[k] + dstep[k + 1])
+        if t[-1] > 1e150:
+            t, dt, step, dstep = ([x * 1e-150 for x in a] for a in (t, dt, step, dstep))
+    t, dt, step = np.array(t[: n + 1]), np.array(dt[: n + 1]), np.array(step[: n + 1])
+    u = t[::-1] / t[n]  # node i holds T_{n-i} / T_n
+    du = (dt[::-1] * t[n] - t[::-1] * dt[n]) / t[n] ** 2  # d/d delta
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = h / 2.0
+    phi = float(np.dot(w, u * u))
+    psi = float(np.dot(step[1:], step[1:])) / (t[n] ** 2 * h)
+    dphi = 0.5 * h * h * float(np.dot(w, 2.0 * u * du))
+    return phi, psi, dphi
+
+
+LEAD_CASES = [
+    # n theta 0.28 and n phi 0.35: inside the range where the brackets are
+    # summed as series
+    pytest.param(0.02, 40, 0.05, id="series_range"),
+    pytest.param(0.05 * _lowest_shift(50, 0.1), 50, 0.1, id="series_range_negative"),
+    pytest.param(0.3, 40, 0.05, id="moderate"),
+    pytest.param(5.0, 40, 0.05, id="n_theta_above_the_series_range"),
+    pytest.param(1e-12, 1000, 0.02, id="tiny_positive"),
+    pytest.param(-1e-12, 1000, 0.02, id="tiny_negative"),
+    pytest.param(0.0, 300, 0.05, id="zero"),
+    pytest.param(0.4 * _lowest_shift(50, 0.1), 50, 0.1, id="negative"),
+    pytest.param(0.98 * _lowest_shift(50, 0.1), 50, 0.1, id="near_the_lowest_shift"),
+    pytest.param(4.0, 2000, 0.5, id="n_theta_above_710"),
+    pytest.param(2.0, 1, 0.3, id="one_cell"),
+    pytest.param(-1.0, 1, 0.3, id="one_cell_negative"),
+]
+
+
+@pytest.mark.parametrize("omega,n,h", LEAD_CASES)
+def test_lead_forms_match_the_recurrence_profile(omega, n, h):
+    phi, psi, dphi = lead_forms(omega, n, h)
+    ref_phi, ref_psi, ref_dphi = _recurrence_lead(omega, n, h)
+    assert phi == pytest.approx(ref_phi, rel=1e-12)
+    assert psi == pytest.approx(ref_psi, rel=1e-9, abs=1e-300)
+    assert dphi == pytest.approx(ref_dphi, rel=1e-9)
+    # the profile the leads are lifted with is the same one
+    profile = lead_profile(omega, n, h)
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = h / 2.0
+    assert profile[0] == 1.0
+    assert float(np.dot(w, profile * profile)) == pytest.approx(phi, rel=1e-12)
+    # differences of values near 1: their squares carry rounding of about
+    # eps * |d| per cell, which only shows when Psi is near 0
+    d = np.diff(profile)
+    assert float(np.dot(d, d)) / h == pytest.approx(psi, rel=1e-9, abs=1e-24)
+
+
+def test_lead_forms_are_continuous_at_zero_shift():
+    n, h = 1000, 0.02
+    at_zero = lead_forms(0.0, n, h)
+    for omega in (1e-14, -1e-14):
+        assert lead_forms(omega, n, h) == pytest.approx(at_zero, rel=1e-9, abs=1e-20)
+
+
+def test_lead_forms_reject_shifts_at_the_lowest():
+    n, h = 50, 0.1
+    lowest = _lowest_shift(n, h)
+    assert lead_forms(1.001 * lowest, n, h) is None
+    assert lead_forms(-1e3, n, h) is None
+    assert lead_forms(0.999 * lowest, n, h) is not None
+
+
+@pytest.mark.parametrize("omega", [0.5, 1e-3, 0.0, 0.3 * _lowest_shift(500, 0.02)])
+def test_lead_shift_recovers_the_shift_from_the_lead_mass(omega):
+    n, h = 500, 0.02
+    phi = lead_forms(omega, n, h)[0]
+    back = _lead_shift(phi, n, h)
+    assert lead_forms(back, n, h)[0] == pytest.approx(phi, rel=1e-12)
+    assert back == pytest.approx(omega, abs=1e-9 * max(1.0, abs(omega)))
+
+
+# the core alone
+
+
+def test_core_forms_do_not_depend_on_the_truncation():
+    graph = star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)
+    short, long = (Mesh(graph, h_max=0.05, r_cut=r).core_forms() for r in (10.0, 40.0))
+    assert short.n_dofs == long.n_dofs
+    assert all(np.array_equal(short.edge_dofs[e], long.edge_dofs[e]) for e in short.edge_dofs)
+    assert np.array_equal(short.mass_vector(), long.mass_vector())
+    assert short.lead_cells == 200 and long.lead_cells == 800
+    assert list(short.lead_counts) == [0.0, 2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "factory", [f for _, f in STRUCTURED_SOLVE_GRAPHS], ids=[n for n, _ in STRUCTURED_SOLVE_GRAPHS]
+)
+def test_core_forms_are_the_mesh_forms_on_the_core(factory):
+    graph = factory()
+    mesh = Mesh(graph, h_max=0.02, r_cut=5.0)
+    core = mesh.core_forms()
+    assert mesh.core_forms() is core
+    v = np.random.default_rng(3).standard_normal(mesh.n_dofs)
+    ia, ib, h = mesh.cells(core_only=True)
+    d = v[ib] - v[ia]
+    u = v[core.dofs]
+    assert core.dirichlet_integral(u) == pytest.approx(float(np.dot(d, d / h)), rel=1e-12)
+    mass = np.bincount(np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=mesh.n_dofs)
+    assert np.allclose(core.mass_vector(), mass[core.dofs], rtol=1e-14, atol=0.0)
+    for eid, dofs in core.edge_dofs.items():
+        assert np.array_equal(core.dofs[dofs], mesh.edge_dofs[eid])
+
+
+@pytest.mark.parametrize("sigma", [0.04, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "factory", [f for _, f in STRUCTURED_SOLVE_GRAPHS], ids=[n for n, _ in STRUCTURED_SOLVE_GRAPHS]
+)
+def test_core_solve_is_the_schur_complement_of_the_stage_mesh(factory, sigma):
+    # eliminating the lead nodes of S + sigma*M leaves, per lead, the
+    # diagonal Psi + sigma*Phi at its anchor
+    graph = factory()
+    graph.require_valid()
+    mesh = Mesh(graph, h_max=0.02, r_cut=5.0)
+    core = mesh.core_forms()
+    b = np.zeros(mesh.n_dofs)
+    b[core.dofs] = np.random.default_rng(0).standard_normal(core.n_dofs)
+    ref = splu((mesh.stiffness_matrix() + diags(sigma * mesh.mass_vector())).tocsc()).solve(b)[core.dofs]
+    phi, psi, _ = lead_forms(sigma, core.lead_cells, core.lead_h)
+    x = _shifted_factorizer(core)(sigma, core.lead_counts * (psi + sigma * phi))(b[core.dofs])
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_core_solve_without_edge_nodes():
+    # every core edge is one cell: the core has no edge block at all
+    graph = metric_graph(["a", "b"], [("e", "a", "b", 0.01)], [("lead", "a")])
+    core = Mesh(graph, h_max=0.02, r_cut=1.0).core_forms()
+    assert core.n_dofs == 2
+    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(5.0, 10.0), h_max=0.02))
+    assert res.report.mass == pytest.approx(1.0, abs=1e-10)
+
+
+FULL_PROBLEM_GRAPHS = [
+    pytest.param(lambda: line_graph(1.0), 3.0, id="line"),
+    pytest.param(lambda: double_bridge(0.5, 0.5), 3.0, id="bridge"),
+    pytest.param(lambda: star_graph((3.0,), 2), 4.0, id="broom"),
+    pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 3.0, id="star"),
+    pytest.param(lambda: metric_graph(["v"], [("loop", "v", "v", 1.0)], [("lead", "v")]), 3.0, id="self_loop"),
+]
+
+
+@pytest.mark.parametrize("factory,p", FULL_PROBLEM_GRAPHS)
+def test_result_solves_the_full_truncated_problem(factory, p):
+    graph = factory()
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    res = minimize(graph, 1.0, p, cfg)
+    mesh, u = res.function.mesh, res.function.values
+    op = EnergyOperator(mesh, p)
+    g = op.gradient(u)
+    lam = float(np.dot(g, u))  # mu = 1
+    residual = g - lam * op.mass_vec * u
+    tangent = residual / op.mass_vec
+    grad_norm = math.sqrt(float(np.dot(op.mass_vec, tangent * tangent)))
+    # the last stage's gradient rule, read on the whole stage mesh
+    tol = cfg.grad_tol * max(1.0, abs(lam))
+    stop = res.stages[-1][3]
+    assert stop in ("gradient", "line_search")
+    assert grad_norm < (tol if stop == "gradient" else 10.0 * tol)
+    assert grad_norm == pytest.approx(res.grad_norm, rel=1e-6)
+    # on the lead nodes it is at the energy's rounding level: a gradient
+    # step there would gain less than one ulp of the energy
+    lead = np.concatenate([mesh.edge_dofs[e.id][1:] for e in graph.half_lines])
+    lead_sq = float(np.dot(op.mass_vec[lead], tangent[lead] ** 2))
+    assert lead_sq <= np.finfo(float).eps * abs(res.energy)
+    # the result reports the leads' shift and mass
+    assert res.lead_shift == pytest.approx(-lam, rel=1e-6)
+    assert res.lead_mass == pytest.approx(l2_norm_sq(res.function) - l2_norm_sq(res.function, core_only=True), rel=1e-12)
+    assert set(res.to_dict()) == set(res.report.to_dict()) | set(res.el.to_dict()) | {
+        "verdict", "converged", "iterations", "grad_norm", "min_node_value", "strictly_positive", "mu", "r_cut_table"
+    }
+
+
+def test_no_stage_evaluates_the_energy_on_the_stage_mesh(monkeypatch):
+    value, gradient = EnergyOperator.value, EnergyOperator.gradient
+    seen = []
+
+    def on_value(self, v):
+        seen.append(type(self.mesh))
+        return value(self, v)
+
+    def on_gradient(self, v):
+        seen.append(type(self.mesh))
+        return gradient(self, v)
+
+    monkeypatch.setattr(EnergyOperator, "value", on_value)
+    monkeypatch.setattr(EnergyOperator, "gradient", on_gradient)
+    res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    assert res.verdict == NEGATIVE_MINIMUM
+    assert seen and set(seen) == {CoreForms}
+
+
+def test_core_set_up_lives_with_its_mesh():
+    mesh = Mesh(line_graph(1.0), h_max=0.05, r_cut=10.0)
+    factor = _shifted_factorizer(mesh.core_forms())
+    assert _shifted_factorizer(mesh.core_forms()) is factor
+    alive = weakref.ref(mesh)
+    del mesh, factor
+    gc.collect()
     assert alive() is None
