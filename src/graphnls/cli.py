@@ -134,18 +134,19 @@ def cmd_minimize(args) -> int:
 
     if (args.init_edge is not None or args.init_offset is not None) and args.init != "soliton":
         raise _UsageError("--init-edge/--init-offset require --init soliton")
-    # the start is sampled on the first stage's mesh, which the run reuses;
-    # the competitor is minimize's own default start
-    meshes = [Mesh(graph, h_max=cfg.h_max, r_cut=r) for r in cfg.r_cut_schedule]
+    # the start is sampled on the first stage's mesh; the competitor is
+    # minimize's own default start
     initial = None
-    if args.init == "soliton":
-        initial = initializer_soliton(
-            graph, args.mu, args.p, meshes[0], center_edge=args.init_edge, center_offset=args.init_offset
-        )
-    elif args.init == "random":
-        initial = initializer_random(graph, args.mu, args.p, meshes[0], seed=args.seed)
+    if args.init != "competitor":
+        mesh = Mesh(graph, h_max=cfg.h_max, r_cut=cfg.r_cut_schedule[0])
+        if args.init == "soliton":
+            initial = initializer_soliton(
+                graph, args.mu, args.p, mesh, center_edge=args.init_edge, center_offset=args.init_offset
+            )
+        else:
+            initial = initializer_random(graph, args.mu, args.p, mesh, seed=args.seed)
 
-    result = minimize(graph, args.mu, args.p, cfg, initial=initial, meshes=meshes)
+    result = minimize(graph, args.mu, args.p, cfg, initial=initial)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

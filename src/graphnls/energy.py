@@ -8,7 +8,9 @@ of the discrete energy (stiffness action minus the Simpson-rule core load),
 so directional-derivative checks close to machine precision. The kinetic
 value and the stiffness action come from the Mesh's edge runs
 (``Mesh.dirichlet_integral``, ``Mesh.stiffness_action``), the same form
-``kinetic_energy`` uses, so a solver's energy equals its report's exactly.
+``kinetic_energy`` uses, so ``EnergyOperator.value`` equals
+``energy_value`` exactly. The solver evaluates it on a Mesh of the core
+subgraph and adds the leads in closed form (:mod:`graphnls.solver`).
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (
-    CoreForms,
     GraphFunction,
     Mesh,
     _abs_pow,
@@ -119,17 +120,17 @@ class ELReport:
 class EnergyOperator:
     """Cached discrete forms for one (mesh, p) pair.
 
-    The solver builds it on a mesh's ``CoreForms``, which have the Mesh's
-    forms restricted to the core, and adds the leads' closed-form terms;
-    the public functions below wrap it for one-off evaluations.
+    The solver builds it on a Mesh of the core subgraph, which has no
+    half-lines, and adds the leads' closed-form terms; the public functions
+    below wrap it for one-off evaluations.
     """
 
-    def __init__(self, mesh: Mesh | CoreForms, p: float, uniform_nonlinearity: bool = False):
+    def __init__(self, mesh: Mesh, p: float):
         require_p(p)
         self.mesh = mesh
         self.p = float(p)
         self.mass_vec = mesh.mass_vector()
-        self._ia, self._ib, self._h = mesh.cells(core_only=not uniform_nonlinearity)
+        self._ia, self._ib, self._h = mesh.cells(core_only=True)
 
     def potential_integral(self, v: np.ndarray) -> float:
         return _simpson_abs_pow(v[self._ia], v[self._ib], self._h, self.p)

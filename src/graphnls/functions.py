@@ -19,9 +19,10 @@ two runs meet), and at most two link cells per edge, the ones that touch a
 vertex. The Dirichlet integral, the stiffness action (a difference of cell
 fluxes) and the blocks of the solver's preconditioner all come from these
 two pieces; ``Mesh.stiffness_matrix`` assembles the same form as a CSR
-matrix for reference. ``Mesh.core_forms`` builds the same pieces for the
-compact core alone, on a numbering that does not depend on the truncation;
-the solver descends on it.
+matrix for reference. The solver descends on a Mesh of the core subgraph
+alone, whose numbering does not depend on the truncation, and takes each
+truncation's lead grid from ``uniform_cells``, the rule every edge of a
+Mesh is meshed by.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .graphs import MetricGraph
 
 __all__ = [
     "Mesh",
-    "CoreForms",
+    "uniform_cells",
     "GraphFunction",
     "LineProfile",
     "l2_norm_sq",
@@ -54,39 +55,93 @@ __all__ = [
 ]
 
 
-class _RunForms:
-    """The P1 forms of a set of edges on a numbering that puts the vertices
-    first (dofs ``0..V-1``) and every other node of an edge in one
-    consecutive run, edge after edge.
+def uniform_cells(length: float, h_max: float) -> tuple[int, float]:
+    """Cell count and width of the uniform mesh of an edge of ``length``
+    with spacing at most ``h_max``: the rule of every edge of a
+    :class:`Mesh`, a truncated lead's length being its ``r_cut``."""
+    cells = max(1, int(math.ceil(length / h_max - 1e-9)))
+    return cells, length / cells
 
-    The cells split into chain cells, between neighbours in one run (one
-    ``np.diff`` over the non-vertex values, with infinite width, so zero
-    weight, where two runs meet), and at most two link cells per edge: a
-    vertex (first end) to its edge's run, or to the other vertex when the
-    edge is a single cell. ``edges`` lists ``(dofs, h, in_core, free_end)``
-    per edge in numbering order; ``free_end`` marks a truncated lead, whose
-    last node belongs to its run.
+
+class Mesh:
+    """Uniform P1 mesh over a metric graph.
+
+    Numbering: the vertices take dofs ``0..V-1`` in sorted order; every
+    other node lies inside one edge (a half-line's free end included), and
+    each edge's nodes are numbered consecutively, edge after edge. So the
+    stiffness block on the non-vertex dofs is tridiagonal, which the
+    solver's preconditioner relies on, and the kinetic forms are computed
+    on these runs (:meth:`dirichlet_integral`, :meth:`stiffness_action`,
+    :meth:`stiffness_blocks`): chain cells join neighbours in one run
+    (infinite width, so zero weight, where two runs meet) and link cells
+    join a vertex to its edge's run, or to the other vertex when the edge
+    is a single cell.
+
+    Parameters
+    ----------
+    graph:
+        The metric graph; it is kept by reference and not revalidated, so
+        diagnostic meshes over structurally invalid graphs are possible.
+    h_max:
+        Upper bound on the node spacing of every edge.
+    r_cut:
+        Truncation length for each half-line.
     """
 
-    def __init__(self, n_vertices: int, n_dofs: int, edges):
-        self.n_vertices = n_vertices
-        self.n_dofs = n_dofs
-        nv = n_vertices
-        chain_h = np.full(max(n_dofs - nv - 1, 0), np.inf)
+    def __init__(self, graph: MetricGraph, h_max: float = 0.05, r_cut: float = 20.0):
+        if not h_max > 0:
+            raise ValueError("h_max must be positive")
+        if not r_cut > 0:
+            raise ValueError("r_cut must be positive")
+        self.graph = graph
+        self.h_max = float(h_max)
+        self.r_cut = float(r_cut)
+
+        vertex_dof = {v: i for i, v in enumerate(sorted(graph.vertex_ids))}
+        nv = next_dof = len(vertex_dof)
+        edge_dofs: dict[str, np.ndarray] = {}
+        edge_coords: dict[str, np.ndarray] = {}
+        edge_h: dict[str, float] = {}
         ia, ib, hh, core, links = [], [], [], [], []
-        for dofs, h, in_core, free_end in edges:
+        runs = []
+        for e in sorted(graph.edges, key=lambda e: e.id):
+            length = e.length if e.in_core else self.r_cut
+            cells, h = uniform_cells(length, self.h_max)
+            dofs = np.empty(cells + 1, dtype=np.int64)
+            dofs[0] = vertex_dof[e.tail]
+            dofs[1:-1] = np.arange(next_dof, next_dof + cells - 1, dtype=np.int64)
+            next_dof += cells - 1
+            if e.head is None:
+                dofs[-1] = next_dof  # free endpoint of the truncated lead
+                next_dof += 1
+                run = dofs[1:]
+            else:
+                dofs[-1] = vertex_dof[e.head]
+                run = dofs[1:-1]
+            edge_dofs[e.id] = dofs
+            edge_coords[e.id] = np.linspace(0.0, length, cells + 1)
+            edge_h[e.id] = h
             ia.append(dofs[:-1])
             ib.append(dofs[1:])
-            hh.append(np.full(len(dofs) - 1, h))
-            core.append(np.full(len(dofs) - 1, in_core))
-            run = dofs[1:] if free_end else dofs[1:-1]
+            hh.append(np.full(cells, h))
+            core.append(np.full(cells, e.in_core))
             if len(run) == 0:
                 links.append((dofs[0], dofs[-1], h))
                 continue
-            chain_h[run[0] - nv : run[-1] - nv] = h
+            runs.append((run, h))
             links.append((dofs[0], run[0], h))
-            if not free_end:
+            if e.head is not None:
                 links.append((dofs[-1], run[-1], h))
+
+        self.vertex_dof = vertex_dof
+        self.edge_dofs = edge_dofs
+        self.edge_coords = edge_coords
+        self.edge_h = edge_h
+        self.n_vertices = nv
+        self.n_dofs = next_dof
+        chain_h = np.full(max(next_dof - nv - 1, 0), np.inf)
+        for run, h in runs:
+            chain_h[run[0] - nv : run[-1] - nv] = h
         self._cell_a = np.concatenate(ia)
         self._cell_b = np.concatenate(ib)
         self._cell_h = np.concatenate(hh)
@@ -96,6 +151,7 @@ class _RunForms:
         self._link_o = np.array([o for _, o, _ in links], dtype=np.int64)
         self._link_h = np.array([h for _, _, h in links])
         self._mass = None
+        self._stiffness = None
 
     def cells(self, core_only: bool = False):
         """Cell endpoint dof indices and widths ``(ia, ib, h)``."""
@@ -165,116 +221,6 @@ class _RunForms:
                 np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=self.n_dofs
             )
         return self._mass
-
-
-class CoreForms(_RunForms):
-    """The P1 forms of a mesh's compact core alone, on the core's own
-    numbering: the V vertices, then the inner nodes of the core edges in
-    the mesh's order. That numbering depends on ``h_max`` but not on
-    ``r_cut``, so a core vector carries over between the truncations of
-    one graph unchanged.
-
-    ``dofs`` maps the core numbering into the mesh's and ``edge_dofs`` gives
-    each core edge's nodes in the core numbering. Every lead of the mesh
-    has ``lead_cells`` cells of width ``lead_h``; ``lead_counts`` holds the
-    number of leads anchored at each vertex.
-    """
-
-    def __init__(self, mesh: "Mesh"):
-        nv = mesh.n_vertices
-        core_edges = sorted((e for e in mesh.graph.edges if e.in_core), key=lambda e: e.id)
-        dofs = np.concatenate([np.arange(nv)] + [mesh.edge_dofs[e.id][1:-1] for e in core_edges])
-        local = np.full(mesh.n_dofs, -1, dtype=np.int64)
-        local[dofs] = np.arange(len(dofs))
-        self.dofs = dofs
-        self.edge_dofs = {e.id: local[mesh.edge_dofs[e.id]] for e in core_edges}
-        super().__init__(
-            nv, len(dofs), [(self.edge_dofs[e.id], mesh.edge_h[e.id], True, False) for e in core_edges]
-        )
-        leads = [e for e in mesh.graph.edges if e.is_half_line]
-        self.lead_counts = np.bincount(
-            [mesh.vertex_dof[e.tail] for e in leads], minlength=nv
-        ).astype(float)
-        self.lead_cells = len(mesh.edge_dofs[leads[0].id]) - 1
-        self.lead_h = mesh.edge_h[leads[0].id]
-
-
-class Mesh(_RunForms):
-    """Uniform P1 mesh over a metric graph.
-
-    Numbering: the vertices take dofs ``0..V-1`` in sorted order; every
-    other node lies inside one edge (a half-line's free end included), and
-    each edge's nodes are numbered consecutively, edge after edge. So the
-    stiffness block on the non-vertex dofs is tridiagonal, which the
-    solver's preconditioner relies on, and the kinetic forms are computed
-    on these runs (:meth:`dirichlet_integral`, :meth:`stiffness_action`,
-    :meth:`stiffness_blocks`). :meth:`core_forms` gives the same forms on
-    the core alone.
-
-    Parameters
-    ----------
-    graph:
-        The metric graph; it is kept by reference and not revalidated, so
-        diagnostic meshes over structurally invalid graphs are possible.
-    h_max:
-        Upper bound on the node spacing of every edge.
-    r_cut:
-        Truncation length for each half-line.
-    """
-
-    def __init__(self, graph: MetricGraph, h_max: float = 0.05, r_cut: float = 20.0):
-        if not h_max > 0:
-            raise ValueError("h_max must be positive")
-        if not r_cut > 0:
-            raise ValueError("r_cut must be positive")
-        self.graph = graph
-        self.h_max = float(h_max)
-        self.r_cut = float(r_cut)
-
-        vertex_dof = {v: i for i, v in enumerate(sorted(graph.vertex_ids))}
-        next_dof = len(vertex_dof)
-        edge_dofs: dict[str, np.ndarray] = {}
-        edge_coords: dict[str, np.ndarray] = {}
-        edge_h: dict[str, float] = {}
-        edges = sorted(graph.edges, key=lambda e: e.id)
-        for e in edges:
-            length = e.length if e.in_core else self.r_cut
-            cells = max(1, int(math.ceil(length / self.h_max - 1e-9)))
-            n = cells + 1
-            dofs = np.empty(n, dtype=np.int64)
-            dofs[0] = vertex_dof[e.tail]
-            interior = np.arange(next_dof, next_dof + n - 2, dtype=np.int64)
-            dofs[1:-1] = interior
-            next_dof += n - 2
-            if e.head is None:
-                dofs[-1] = next_dof  # free endpoint of the truncated lead
-                next_dof += 1
-            else:
-                dofs[-1] = vertex_dof[e.head]
-            edge_dofs[e.id] = dofs
-            edge_coords[e.id] = np.linspace(0.0, length, n)
-            edge_h[e.id] = length / cells
-
-        self.vertex_dof = vertex_dof
-        self.edge_dofs = edge_dofs
-        self.edge_coords = edge_coords
-        self.edge_h = edge_h
-        super().__init__(
-            len(vertex_dof),
-            next_dof,
-            [(edge_dofs[e.id], edge_h[e.id], e.in_core, e.head is None) for e in edges],
-        )
-        self._stiffness = None
-        self._core = None
-
-    # -- discrete forms ----------------------------------------------------
-
-    def core_forms(self) -> CoreForms:
-        """The forms of the compact core alone (:class:`CoreForms`), built
-        once per mesh."""
-        if self._core is None:
-            self._core = CoreForms(self)
-        return self._core
 
     def stiffness_matrix(self) -> sp.csr_matrix:
         """Assembled P1 stiffness matrix: u.S.u equals the exact Dirichlet

@@ -24,10 +24,11 @@ iteration count independent of the mesh and of how weakly the state is
 bound. It is solved in O(n): the core numbers each edge's inner nodes
 consecutively after the vertices, so a tridiagonal Cholesky eliminates
 them and only the small junction system on the vertices goes through a
-sparse LU. That set-up (the core forms, taken from the stage mesh's edge
-runs with no sparse matrix assembled, and the edge-node columns) is made
-once per mesh and kept as long as the mesh lives, so every run on the
-same mesh only refactors for its own shifts.
+sparse LU. A run meshes its core once, as a Mesh of the core subgraph,
+whose numbering does not depend on the truncation; its set-up (the
+blocks, taken from the edge runs with no sparse matrix assembled, and the
+edge-node columns) is made once and shared by every stage, since stages
+differ only by their lead grid. Each refactors only for its own shifts.
 
 Each line search starts at step 1, or longer: after a search that took its
 first trial, the next starts at the minimizer of the parabola through the
@@ -50,9 +51,7 @@ escaping to infinity.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .energy import ELReport, EnergyOperator, EnergyReport, el_residual, energy_report, require_p
-from .functions import CoreForms, GraphFunction, Mesh, l2_norm_sq, project_mass
+from .functions import GraphFunction, Mesh, l2_norm_sq, project_mass, uniform_cells
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
 
@@ -99,10 +98,15 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        # NaN and infinity pass a plain > 0 test: NaN tolerances never stop
+        # a stage, infinite spacings or cuts give one-cell meshes or overflow
         for name in ("grad_tol", "h_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         sched = tuple(float(r) for r in self.r_cut_schedule)
+        if not all(math.isfinite(r) and r > 0 for r in sched):
+            raise ValueError(f"every r_cut must be finite and positive, got {sched!r}")
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("r_cut_schedule must be strictly increasing and nonempty")
         object.__setattr__(self, "r_cut_schedule", sched)
@@ -353,7 +357,7 @@ def _lead_shift(ratio: float, n: int, h: float) -> float:
 
 @dataclass
 class _StageResult:
-    values: np.ndarray  # on the core numbering (CoreForms)
+    values: np.ndarray  # on the core mesh's numbering
     omega: float  # the lead shift
     lead_mass: float  # s * Phi(omega)
     energy: float
@@ -368,15 +372,9 @@ class _StageResult:
     backtracks: int  # rejected line-search trials over the stage
 
 
-# one factorizer set-up per mesh or core, dropped with it: the factor
-# closures hold the assembled blocks only, never the mesh itself
-_FACTORIZERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _shifted_factorizer(forms: Mesh | CoreForms):
-    """Direct solver for S + sigma*diag(M), plus an optional diagonal on
-    the vertex dofs, built on the numbering of a Mesh or of its
-    CoreForms, set up once per object.
+def _shifted_factorizer(mesh: Mesh):
+    """Direct solver for S + sigma*diag(M) on ``mesh``, plus an optional
+    diagonal on the vertex dofs.
 
     The vertices hold dofs 0..V-1 and every other node lies inside one
     edge, whose nodes are numbered consecutively, so the block on the
@@ -388,17 +386,10 @@ def _shifted_factorizer(forms: Mesh | CoreForms):
     around a junction solve. Both cost O(n V) rather than a sparse LU of
     all n nodes.
     """
-    factor = _FACTORIZERS.get(forms)
-    if factor is None:
-        factor = _FACTORIZERS[forms] = _build_factorizer(forms)
-    return factor
-
-
-def _build_factorizer(forms: Mesh | CoreForms):
-    mass_vec = forms.mass_vector()
-    nv = forms.n_vertices
+    mass_vec = mesh.mass_vector()
+    nv = mesh.n_vertices
     # only the end nodes of each edge touch a vertex: s_ev holds their rows
-    s_vv, ends, s_ev, diag_i, off_i = forms.stiffness_blocks()
+    s_vv, ends, s_ev, diag_i, off_i = mesh.stiffness_blocks()
     rhs = np.zeros((len(diag_i), nv), order="F")
     rhs[ends] = s_ev
     # the LAPACK wrapper wants a nonempty off-diagonal even for one node
@@ -434,20 +425,24 @@ def _build_factorizer(forms: Mesh | CoreForms):
     return factor
 
 
-def _descend(mesh: Mesh, v0: np.ndarray, omega: float, p: float, mu: float, config: SolverConfig) -> _StageResult:
+def _descend(
+    op: EnergyOperator, factor, counts: np.ndarray, r_cut: float, v0: np.ndarray, omega: float, mu: float,
+    config: SolverConfig,
+) -> _StageResult:
     """One truncation stage, descended on the core dofs and the lead shift
     omega: the leads are eliminated by their closed-form profile, so the
     stage energy is E(u, omega) = 1/2 (u.S_K u + s Psi(omega)) - 1/p
     int_K |u|^p on the sphere M_K.u^2 + s Phi(omega) = mu, where
-    s = sum_j a_j^2 over the leads' anchor values (A u.u, A the diagonal
-    of lead counts on the vertex dofs). Its minimum is that of the
-    truncated problem on the whole stage mesh."""
-    core = mesh.core_forms()
-    op = EnergyOperator(core, p)
+    s = sum_j a_j^2 over the leads' anchor values (A u.u, A = ``counts``
+    the diagonal of lead counts on the vertex dofs). Its minimum is that
+    of the truncated problem on the whole stage mesh.
+
+    ``op`` evaluates the core terms on the core mesh and ``factor`` is
+    that mesh's :func:`_shifted_factorizer`; each lead is cut at ``r_cut``
+    and meshed by :func:`uniform_cells`."""
     mass_k = op.mass_vec
-    nv = core.n_vertices
-    counts = core.lead_counts
-    n, h = core.lead_cells, core.lead_h
+    nv = op.mesh.n_vertices
+    n, h = uniform_cells(r_cut, config.h_max)
     # full-mesh mass weights of the vertex dofs: the anchor's half cells
     mass_full_v = mass_k[:nv] + 0.5 * h * counts
     # the preconditioner is the exact Schur complement of S + sigma*M on
@@ -461,9 +456,8 @@ def _descend(mesh: Mesh, v0: np.ndarray, omega: float, p: float, mu: float, conf
     # estimate leaves [sigma/2, 2*sigma]. Each factorization eliminates the
     # edge nodes by a tridiagonal Cholesky and factors only the small
     # junction system on the vertices (_shifted_factorizer).
-    shift_floor = 1.0 / mesh.r_cut**2
+    shift_floor = 1.0 / r_cut**2
     omega_floor = 0.5 * _lowest_shift(n, h)
-    factor = _shifted_factorizer(core)
     sigma = 0.0
     solve = None
 
@@ -611,15 +605,15 @@ def _descend(mesh: Mesh, v0: np.ndarray, omega: float, p: float, mu: float, conf
     )
 
 
-def _start(initial: GraphFunction, core: CoreForms, mesh: Mesh) -> tuple[np.ndarray, float]:
+def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:
     """Core values and lead mass of a start on any mesh of the graph: the
-    core edges are interpolated onto ``mesh`` (exactly, on an equal
-    mesh)."""
+    core edges are interpolated onto the core mesh (exactly, on an equal
+    spacing)."""
     old = initial.mesh
     values = np.empty(core.n_dofs)
     values[: core.n_vertices] = initial.values[: core.n_vertices]
     for eid, dofs in core.edge_dofs.items():
-        values[dofs] = np.interp(mesh.edge_coords[eid], old.edge_coords[eid], initial.values[old.edge_dofs[eid]])
+        values[dofs] = np.interp(core.edge_coords[eid], old.edge_coords[eid], initial.values[old.edge_dofs[eid]])
     return values, l2_norm_sq(initial) - l2_norm_sq(initial, core_only=True)
 
 
@@ -688,48 +682,30 @@ def _verdict(table: list[tuple[float, float, int, bool]], energy_tol: float) -> 
     return INCONCLUSIVE
 
 
-def _check_meshes(graph: MetricGraph, config: SolverConfig, meshes: Sequence[Mesh]) -> None:
-    schedule = config.r_cut_schedule
-    if len(meshes) != len(schedule):
-        raise ValueError(f"expected {len(schedule)} meshes, one per r_cut of the schedule, got {len(meshes)}")
-    for mesh, r_cut in zip(meshes, schedule):
-        if mesh.graph != graph:
-            raise ValueError("a stage mesh is built on a different graph")
-        if mesh.h_max != config.h_max or mesh.r_cut != r_cut:
-            raise ValueError(
-                f"stage mesh has h_max={mesh.h_max!r}, r_cut={mesh.r_cut!r}; "
-                f"the config needs h_max={config.h_max!r}, r_cut={r_cut!r}"
-            )
-
-
 def minimize(
     graph: MetricGraph,
     mu: float,
     p: float,
     config: SolverConfig | None = None,
     initial: GraphFunction | None = None,
-    *,
-    meshes: Sequence[Mesh] | None = None,
 ) -> MinimizationResult:
     """Projected-gradient minimization over an increasing truncation
     schedule, warm starting each stage from the previous one.
 
     Each stage descends on the core dofs and one lead shift, with the
     leads eliminated by their closed-form profile (:func:`_descend`). The
-    first stage starts from the core of ``initial``, interpolated onto its
-    mesh (exactly, when ``initial`` lives on an equal mesh), and the shift
-    at which the leads carry ``initial``'s lead mass. Without ``initial``
-    it starts from the plateau competitor on the first stage's mesh; other
-    starts come from the ``initializer_*`` functions. Later stages take
-    the core values and the shift as they are. The result's ``function``
-    is the last stage's state on its mesh, the leads filled in with their
-    profile, and ``energy`` is that function's energy.
-
-    ``meshes`` supplies the stage meshes, one per ``r_cut`` of the
-    schedule, so that several runs share them and their preconditioner
-    set-up; each must be built on ``graph`` with the config's ``h_max``
-    and its stage's ``r_cut`` (ValueError otherwise). Without it every
-    stage builds its own mesh.
+    run meshes the core once, as a Mesh of the core subgraph, and every
+    stage shares it and its preconditioner set-up; a stage differs only
+    by its leads' grid. The first stage starts from the core of
+    ``initial``, a state on any mesh of ``graph`` (ValueError for another
+    graph), interpolated onto the core mesh (exactly, when ``initial``
+    lives on an equal spacing), and the shift at which the leads carry
+    ``initial``'s lead mass. Without ``initial`` it starts from the
+    plateau competitor on the first stage's mesh; other starts come from
+    the ``initializer_*`` functions. Later stages take the core values and
+    the shift as they are. The result's ``function`` is the last stage's
+    state on its mesh, the leads filled in with their profile, and
+    ``energy`` is that function's energy.
 
     The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
     strictly negative limit (evidence of existence, up to truncation and
@@ -742,37 +718,42 @@ def minimize(
         raise ValueError("mu must be positive")
     graph.require_valid()
     config = config or SolverConfig()
-    if meshes is not None:
-        _check_meshes(graph, config, meshes)
+    schedule = config.r_cut_schedule
+    if initial is None:
+        initial = initializer_competitor(graph, mu, p, Mesh(graph, h_max=config.h_max, r_cut=schedule[0]))
+    elif initial.mesh.graph != graph:
+        raise ValueError("the initial state lives on a mesh of another graph")
 
+    core = Mesh(MetricGraph(graph.vertex_ids, graph.core_edges), config.h_max)
+    op = EnergyOperator(core, p)
+    factor = _shifted_factorizer(core)
+    counts = np.bincount(
+        [core.vertex_dof[e.tail] for e in graph.half_lines], minlength=core.n_vertices
+    ).astype(float)
+    u, lead_mass = _start(initial, core)
+    omega = None
     table: list[tuple[float, float, int, bool]] = []
     stages: list[tuple[float, int, int, str]] = []
-    stage: _StageResult | None = None
-    for k, r_cut in enumerate(config.r_cut_schedule):
-        mesh = Mesh(graph, h_max=config.h_max, r_cut=r_cut) if meshes is None else meshes[k]
-        core = mesh.core_forms()
-        n, h = core.lead_cells, core.lead_h
-        if stage is None:
-            start = initializer_competitor(graph, mu, p, mesh) if initial is None else initial
-            u, lead_mass = _start(start, core, mesh)
-            omega = None
-        else:
-            # the core numbering does not depend on r_cut, so the core values
-            # and the shift carry over as they are
-            u, omega, lead_mass = stage.values, stage.omega, stage.lead_mass
+    for r_cut in schedule:
+        n, h = uniform_cells(r_cut, config.h_max)
         if omega is None or lead_forms(omega, n, h) is None:
             # the shift at which this stage's leads carry the lead mass; with
             # every anchor at zero they carry nothing and start flat
-            s = float(np.dot(core.lead_counts, u[: core.n_vertices] ** 2))
+            s = float(np.dot(counts, u[: core.n_vertices] ** 2))
             omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
-        stage = _descend(mesh, u, omega, p, mu, config)
+        stage = _descend(op, factor, counts, r_cut, u, omega, mu, config)
         table.append((r_cut, stage.energy, stage.iterations, stage.converged))
         stages.append((r_cut, stage.iterations, stage.backtracks, stage.stop))
-    assert stage is not None
+        # the core numbering does not depend on r_cut, so the core values
+        # and the shift carry over as they are
+        u, omega, lead_mass = stage.values, stage.omega, stage.lead_mass
 
-    # lift the last stage onto its mesh: the leads take their profile
+    # lift the last stage onto its mesh: the core edges keep their nodes,
+    # the leads take their profile
+    mesh = Mesh(graph, h_max=config.h_max, r_cut=schedule[-1])
     values = np.empty(mesh.n_dofs)
-    values[core.dofs] = stage.values
+    for eid, dofs in core.edge_dofs.items():
+        values[mesh.edge_dofs[eid]] = stage.values[dofs]
     profile = lead_profile(stage.omega, n, h)
     for e in graph.half_lines:
         dofs = mesh.edge_dofs[e.id]
@@ -912,23 +893,21 @@ def existence_dichotomy(
 ) -> DichotomyResult:
     """Run the minimizer from a spread of starting points, all sampled on
     the first stage's mesh: the plateau competitor, bump profiles centered
-    at three core positions, and random starts seeded seed+1..seed+3. The
-    runs share the stage meshes and their preconditioner set-up. Any
+    at three core positions, and random starts seeded seed+1..seed+3. Any
     stably negative run settles the question in favor of existence;
     unanimous zero-trending runs are reported as suspicion of an
     unattained zero infimum."""
     require_p(p)
     graph.require_valid()
     config = config or SolverConfig()
-    meshes = [Mesh(graph, h_max=config.h_max, r_cut=r) for r in config.r_cut_schedule]
-    mesh0 = meshes[0]
+    mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])
     starts = {"competitor": initializer_competitor(graph, mu, p, mesh0)}
     for frac in (0.25, 0.5, 0.75):
         eid, off = _core_position(graph, frac)
         starts[f"soliton@{frac}"] = initializer_soliton(graph, mu, p, mesh0, center_edge=eid, center_offset=off)
     for k in range(1, 4):
         starts[f"random{k}"] = initializer_random(graph, mu, p, mesh0, seed=seed + k)
-    runs = {label: minimize(graph, mu, p, config, initial=u0, meshes=meshes) for label, u0 in starts.items()}
+    runs = {label: minimize(graph, mu, p, config, initial=u0) for label, u0 in starts.items()}
 
     # the first start, in order, whose energy ties with the lowest
     e_min = min(r.energy for r in runs.values())

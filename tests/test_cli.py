@@ -210,6 +210,12 @@ def test_minimize_soliton_offset_without_edge(tmp_path):
     assert abs(mesh.edge_coords["arm1"][arm.index(peak)] - 0.1) <= mesh.edge_h["arm1"]
 
 
+def test_minimize_rejects_an_infinite_cut(broom_file, tmp_path):
+    proc = run_cli("minimize", broom_file, "--rcut", "10,inf", "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert "r_cut must be finite and positive" in proc.stderr
+
+
 def test_minimize_init_edge_requires_soliton(broom_file, tmp_path):
     proc = run_cli(
         "minimize", broom_file, "--init-edge", "arm1", "--out", str(tmp_path / "x")

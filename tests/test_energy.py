@@ -50,15 +50,6 @@ def test_energy_scalar_scaling_identity():
         assert energy_value(sigma * u, p) == pytest.approx(expected, rel=1e-12)
 
 
-def test_uniform_nonlinearity_flag():
-    mesh = Mesh(line_graph(1.0), h_max=0.05, r_cut=3.0)
-    u = GraphFunction.constant(mesh, 1.0)
-    op_core = EnergyOperator(mesh, 3.0)
-    op_full = EnergyOperator(mesh, 3.0, uniform_nonlinearity=True)
-    assert op_core.potential_integral(u.values) == pytest.approx(1.0, rel=1e-12)
-    assert op_full.potential_integral(u.values) == pytest.approx(7.0, rel=1e-12)
-
-
 def test_gradient_matches_finite_differences():
     mesh = Mesh(double_bridge(0.8, 1.1), h_max=0.08, r_cut=5.0)
     rng = np.random.default_rng(17)

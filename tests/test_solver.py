@@ -7,9 +7,7 @@ adaptive RK at rtol 1e-12, an entirely different discretization from the
 mesh descent under test. Agreement is limited by the P1 mesh (h = 0.02),
 measured at roughly 1e-4 relative.
 """
-import gc
 import math
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +17,16 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from graphnls.energy import EnergyOperator
-from graphnls.functions import CoreForms, GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm, project_mass
-from graphnls.graphs import double_bridge, line_graph, load_graph, metric_graph, star_graph
+from graphnls.functions import (
+    GraphFunction,
+    Mesh,
+    kinetic_energy,
+    l2_norm_sq,
+    linf_norm,
+    project_mass,
+    uniform_cells,
+)
+from graphnls.graphs import MetricGraph, double_bridge, line_graph, load_graph, metric_graph, star_graph
 from graphnls.solver import (
     INCONCLUSIVE,
     NEGATIVE_MINIMUM,
@@ -321,6 +327,64 @@ def test_solver_config_validation():
         SolverConfig(initializer="fancy")
 
 
+@pytest.mark.parametrize(
+    "name,bad",
+    [
+        pytest.param("r_cut_schedule", (10.0, math.inf), id="r_cut_inf"),
+        pytest.param("r_cut_schedule", (10.0, math.nan), id="r_cut_nan"),
+        pytest.param("r_cut_schedule", (-5.0, 10.0), id="r_cut_negative"),
+        pytest.param("r_cut_schedule", (0.0, 10.0), id="r_cut_zero"),
+        pytest.param("h_max", math.inf, id="h_max_inf"),
+        pytest.param("h_max", math.nan, id="h_max_nan"),
+        pytest.param("h_max", 0.0, id="h_max_zero"),
+        pytest.param("grad_tol", math.nan, id="grad_tol_nan"),
+        pytest.param("grad_tol", math.inf, id="grad_tol_inf"),
+        pytest.param("grad_tol", -1e-7, id="grad_tol_negative"),
+    ],
+)
+def test_solver_config_rejects_non_finite_or_non_positive_values(name, bad):
+    # the config is the only check on them: a run meshes its leads from
+    # r_cut and h_max without building a Mesh per stage
+    with pytest.raises(ValueError, match="finite and positive"):
+        SolverConfig(**{name: bad})
+
+
+# r_cut_table and stages of SolverConfig(r_cut_schedule=(10, 20), h_max=0.05)
+# runs from the default start at mu = 1, recorded when every stage built its
+# own mesh: where the stages get their core forms must not move them. They
+# do not move with the BLAS thread count either.
+PINNED_STAGES = [
+    pytest.param(
+        lambda: line_graph(1.0),
+        3.0,
+        [(10.0, -0.00826461777908636, 12, True), (20.0, -0.007072884756353197, 7, True)],
+        [(10.0, 12, 0, "line_search"), (20.0, 7, 0, "line_search")],
+        id="line",
+    ),
+    pytest.param(
+        lambda: double_bridge(0.5, 0.5),
+        3.5,
+        [(10.0, -0.0019902680780338475, 9, True), (20.0, -0.0007243027927813094, 10, True)],
+        [(10.0, 9, 1, "line_search"), (20.0, 10, 0, "line_search")],
+        id="double_bridge",
+    ),
+    pytest.param(
+        lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2),
+        3.0,
+        [(10.0, -0.0019098137117035687, 11, True), (20.0, -0.0008086105552482245, 9, True)],
+        [(10.0, 11, 0, "line_search"), (20.0, 9, 0, "line_search")],
+        id="star",
+    ),
+]
+
+
+@pytest.mark.parametrize("factory,p,table,stages", PINNED_STAGES)
+def test_stage_tables_are_pinned(factory, p, table, stages):
+    res = minimize(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    assert res.r_cut_table == table
+    assert res.stages == stages
+
+
 def test_determinism_with_seed():
     graph = line_graph(1.0)
     mesh = Mesh(graph, h_max=0.1, r_cut=6.0)
@@ -515,66 +579,44 @@ def test_warm_start_transfer_extends_tails():
     assert np.all(np.diff(tail) <= 1e-12)
 
 
-# shared stage meshes
+# what a run builds
 
 
-def test_existence_dichotomy_builds_each_stage_mesh_once(monkeypatch):
+@pytest.mark.parametrize(
+    "other", [pytest.param(lambda: line_graph(3.0), id="graph"), pytest.param(lambda: double_bridge(0.5, 0.5), id="double_bridge")]
+)
+def test_minimize_rejects_mismatched_meshes(other):
+    # a start's mesh must be built on the run's graph: a longer line would
+    # be clipped onto the shorter core, another topology has other edges
+    graph = other()
+    start = initializer_competitor(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0))
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    with pytest.raises(ValueError, match="another graph"):
+        minimize(line_graph(1.0), 1.0, 3.0, cfg, initial=start)
+
+
+def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
+    graph = line_graph(1.0)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05)
+    start = initializer_soliton(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0), center_offset=0.3)
     init = Mesh.__init__
     built = []
 
     def counted(self, *args, **kwargs):
-        built.append(kwargs.get("r_cut"))
         init(self, *args, **kwargs)
+        built.append(self)
 
     monkeypatch.setattr(Mesh, "__init__", counted)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
-    d = existence_dichotomy(line_graph(1.0), 1.0, 3.0, cfg)
-    assert len(d.runs) == 7
-    assert built == list(cfg.r_cut_schedule)
-
-
-def test_shared_meshes_give_identical_results():
-    graph = line_graph(1.0)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
-    meshes = [Mesh(graph, h_max=cfg.h_max, r_cut=r) for r in cfg.r_cut_schedule]
-    start = initializer_soliton(graph, 1.0, 3.0, meshes[0], center_edge="core", center_offset=0.3)
-    own = minimize(graph, 1.0, 3.0, cfg, initial=start)
-    for _ in range(2):  # the second run reuses the meshes' factorizer set-up
-        shared = minimize(graph, 1.0, 3.0, cfg, initial=start, meshes=meshes)
-        assert shared.energy == own.energy
-        assert shared.r_cut_table == own.r_cut_table
-        assert shared.trace == own.trace
-        assert np.array_equal(shared.function.values, own.function.values)
-        assert shared.function.mesh is meshes[-1]
-
-
-@pytest.mark.parametrize(
-    "meshes",
-    [
-        pytest.param(lambda g: [Mesh(g, h_max=0.05, r_cut=10.0), Mesh(g, h_max=0.05, r_cut=40.0)], id="r_cut"),
-        pytest.param(lambda g: [Mesh(g, h_max=0.05, r_cut=10.0), Mesh(g, h_max=0.1, r_cut=20.0)], id="h_max"),
-        pytest.param(
-            lambda g: [Mesh(g, h_max=0.05, r_cut=10.0), Mesh(line_graph(2.0), h_max=0.05, r_cut=20.0)], id="graph"
-        ),
-        pytest.param(lambda g: [Mesh(g, h_max=0.05, r_cut=10.0)], id="count"),
-    ],
-)
-def test_minimize_rejects_mismatched_meshes(meshes):
-    graph = line_graph(1.0)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
-    with pytest.raises(ValueError, match="mesh"):
-        minimize(graph, 1.0, 3.0, cfg, meshes=meshes(graph))
-
-
-def test_factorizer_set_up_lives_with_its_mesh():
-    mesh = Mesh(line_graph(1.0), h_max=0.05, r_cut=10.0)
-    factor = _shifted_factorizer(mesh)
-    assert _shifted_factorizer(mesh) is factor
-    alive = weakref.ref(mesh)
-    del mesh
-    gc.collect()
-    # the cached set-up holds no reference back to the mesh
-    assert alive() is None
+    res = minimize(graph, 1.0, 3.0, cfg, initial=start)
+    assert len(built) == 2
+    core, last = built
+    assert core.graph.n_half_lines == 0 and core.n_dofs == 21
+    assert last is res.function.mesh and last.r_cut == 40.0
+    # the default start is sampled on the first stage's mesh, built for it
+    built.clear()
+    minimize(graph, 1.0, 3.0, cfg)
+    assert [m.r_cut for m in built if m.graph is graph] == [10.0, 40.0]
+    assert len(built) == 3
 
 
 # the leads in closed form
@@ -671,14 +713,32 @@ def test_lead_shift_recovers_the_shift_from_the_lead_mass(omega):
 # the core alone
 
 
+def _core_mesh(graph, h_max):
+    return Mesh(MetricGraph(graph.vertex_ids, graph.core_edges), h_max)
+
+
+def _core_dofs(core, mesh):
+    """The dof of ``mesh`` that each node of the core mesh is."""
+    dofs = np.empty(core.n_dofs, dtype=np.int64)
+    for eid, local in core.edge_dofs.items():
+        dofs[local] = mesh.edge_dofs[eid]
+    return dofs
+
+
 def test_core_forms_do_not_depend_on_the_truncation():
+    # every truncation meshes the core edges as the core mesh does, and
+    # its leads by uniform_cells
     graph = star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)
-    short, long = (Mesh(graph, h_max=0.05, r_cut=r).core_forms() for r in (10.0, 40.0))
-    assert short.n_dofs == long.n_dofs
-    assert all(np.array_equal(short.edge_dofs[e], long.edge_dofs[e]) for e in short.edge_dofs)
-    assert np.array_equal(short.mass_vector(), long.mass_vector())
-    assert short.lead_cells == 200 and long.lead_cells == 800
-    assert list(short.lead_counts) == [0.0, 2.0, 2.0, 2.0]
+    core = _core_mesh(graph, 0.05)
+    for r_cut, cells in ((10.0, 200), (40.0, 800)):
+        mesh = Mesh(graph, h_max=0.05, r_cut=r_cut)
+        assert np.array_equal(_core_dofs(core, mesh)[: core.n_vertices], np.arange(core.n_vertices))
+        for eid in core.edge_dofs:
+            assert mesh.edge_h[eid] == core.edge_h[eid]
+            assert np.array_equal(mesh.edge_coords[eid], core.edge_coords[eid])
+        assert uniform_cells(r_cut, 0.05) == (cells, 0.05)
+        for e in graph.half_lines:
+            assert (len(mesh.edge_dofs[e.id]) - 1, mesh.edge_h[e.id]) == (cells, 0.05)
 
 
 @pytest.mark.parametrize(
@@ -687,17 +747,19 @@ def test_core_forms_do_not_depend_on_the_truncation():
 def test_core_forms_are_the_mesh_forms_on_the_core(factory):
     graph = factory()
     mesh = Mesh(graph, h_max=0.02, r_cut=5.0)
-    core = mesh.core_forms()
-    assert mesh.core_forms() is core
-    v = np.random.default_rng(3).standard_normal(mesh.n_dofs)
+    core = _core_mesh(graph, 0.02)
+    dofs = _core_dofs(core, mesh)
+    # the core mesh's cells are the mesh's core cells, in the same order
     ia, ib, h = mesh.cells(core_only=True)
+    core_a, core_b, core_h = core.cells()
+    assert np.array_equal(dofs[core_a], ia) and np.array_equal(dofs[core_b], ib)
+    assert np.array_equal(core_h, h)
+    v = np.random.default_rng(3).standard_normal(mesh.n_dofs)
     d = v[ib] - v[ia]
-    u = v[core.dofs]
+    u = v[dofs]
     assert core.dirichlet_integral(u) == pytest.approx(float(np.dot(d, d / h)), rel=1e-12)
     mass = np.bincount(np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=mesh.n_dofs)
-    assert np.allclose(core.mass_vector(), mass[core.dofs], rtol=1e-14, atol=0.0)
-    for eid, dofs in core.edge_dofs.items():
-        assert np.array_equal(core.dofs[dofs], mesh.edge_dofs[eid])
+    assert np.array_equal(core.mass_vector(), mass[dofs])
 
 
 @pytest.mark.parametrize("sigma", [0.04, 1.0, 1e3])
@@ -710,20 +772,21 @@ def test_core_solve_is_the_schur_complement_of_the_stage_mesh(factory, sigma):
     graph = factory()
     graph.require_valid()
     mesh = Mesh(graph, h_max=0.02, r_cut=5.0)
-    core = mesh.core_forms()
+    core = _core_mesh(graph, 0.02)
+    dofs = _core_dofs(core, mesh)
+    counts = np.bincount([core.vertex_dof[e.tail] for e in graph.half_lines], minlength=core.n_vertices)
     b = np.zeros(mesh.n_dofs)
-    b[core.dofs] = np.random.default_rng(0).standard_normal(core.n_dofs)
-    ref = splu((mesh.stiffness_matrix() + diags(sigma * mesh.mass_vector())).tocsc()).solve(b)[core.dofs]
-    phi, psi, _ = lead_forms(sigma, core.lead_cells, core.lead_h)
-    x = _shifted_factorizer(core)(sigma, core.lead_counts * (psi + sigma * phi))(b[core.dofs])
+    b[dofs] = np.random.default_rng(0).standard_normal(core.n_dofs)
+    ref = splu((mesh.stiffness_matrix() + diags(sigma * mesh.mass_vector())).tocsc()).solve(b)[dofs]
+    phi, psi, _ = lead_forms(sigma, *uniform_cells(5.0, 0.02))
+    x = _shifted_factorizer(core)(sigma, counts * (psi + sigma * phi))(b[dofs])
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_core_solve_without_edge_nodes():
     # every core edge is one cell: the core has no edge block at all
     graph = metric_graph(["a", "b"], [("e", "a", "b", 0.01)], [("lead", "a")])
-    core = Mesh(graph, h_max=0.02, r_cut=1.0).core_forms()
-    assert core.n_dofs == 2
+    assert _core_mesh(graph, 0.02).n_dofs == 2
     res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(5.0, 10.0), h_max=0.02))
     assert res.report.mass == pytest.approx(1.0, abs=1e-10)
 
@@ -769,29 +832,15 @@ def test_result_solves_the_full_truncated_problem(factory, p):
 
 
 def test_no_stage_evaluates_the_energy_on_the_stage_mesh(monkeypatch):
-    value, gradient = EnergyOperator.value, EnergyOperator.gradient
-    seen = []
+    # a run builds one operator, on its core mesh, which has no half-lines
+    init = EnergyOperator.__init__
+    built = []
 
-    def on_value(self, v):
-        seen.append(type(self.mesh))
-        return value(self, v)
+    def counted(self, mesh, p):
+        init(self, mesh, p)
+        built.append(mesh)
 
-    def on_gradient(self, v):
-        seen.append(type(self.mesh))
-        return gradient(self, v)
-
-    monkeypatch.setattr(EnergyOperator, "value", on_value)
-    monkeypatch.setattr(EnergyOperator, "gradient", on_gradient)
+    monkeypatch.setattr(EnergyOperator, "__init__", counted)
     res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
     assert res.verdict == NEGATIVE_MINIMUM
-    assert seen and set(seen) == {CoreForms}
-
-
-def test_core_set_up_lives_with_its_mesh():
-    mesh = Mesh(line_graph(1.0), h_max=0.05, r_cut=10.0)
-    factor = _shifted_factorizer(mesh.core_forms())
-    assert _shifted_factorizer(mesh.core_forms()) is factor
-    alive = weakref.ref(mesh)
-    del mesh, factor
-    gc.collect()
-    assert alive() is None
+    assert len(built) == 1 and built[0].graph.n_half_lines == 0
