@@ -22,6 +22,7 @@ from .functions import (
     decreasing_rearrangement,
     kinetic_energy,
     l2_norm_sq,
+    neighbor_average,
     project_mass,
 )
 from .graphs import (
@@ -39,7 +40,7 @@ from .graphs import (
     star_graph,
     validate,
 )
-from .solver import SolverConfig, dirichlet_line_min, initializer_competitor, minimize
+from .solver import NEGATIVE_MINIMUM, SolverConfig, dirichlet_line_min, initializer_competitor, minimize
 from .thresholds import (
     certify_nonexistence,
     competitor_energy,
@@ -52,8 +53,6 @@ from .thresholds import (
     threshold_nonexist,
     threshold_report,
 )
-
-NEGATIVE_MINIMUM = "NEGATIVE_MINIMUM"
 
 
 @dataclass
@@ -108,19 +107,8 @@ def _random_decaying(mesh: Mesh, rng: np.random.Generator) -> GraphFunction:
         if mesh.graph.edges_by_id[eid].is_half_line:
             prof = prof * np.exp(-rng.uniform(1.5, 2.5) * xs)
         values[dofs] = prof
-    u = GraphFunction(mesh, np.abs(values) + 1e-3)
     # smooth wiggles across vertices with two averaging passes
-    ia, ib, _ = mesh.cells()
-    vals = u.values.copy()
-    for _ in range(2):
-        acc = np.zeros(mesh.n_dofs)
-        deg = np.zeros(mesh.n_dofs)
-        np.add.at(acc, ia, vals[ib])
-        np.add.at(acc, ib, vals[ia])
-        np.add.at(deg, ia, 1.0)
-        np.add.at(deg, ib, 1.0)
-        vals = (vals + acc) / (1.0 + deg)
-    return GraphFunction(mesh, vals)
+    return GraphFunction(mesh, neighbor_average(mesh, np.abs(values) + 1e-3, 2))
 
 
 def _brute_force_partitions(graph: MetricGraph, max_parts: int) -> set:
@@ -371,7 +359,7 @@ def check_solver(seed: int = 0, gn_c: float | None = None) -> CheckResult:
     u0 = initializer_competitor(line, 1.0, 3.0, Mesh(line, h_max=0.1, r_cut=4.0))
     col.check(abs(l2_norm_sq(u0) - 1.0) < 1e-10, "initializer mass projection")
 
-    val, _ = dirichlet_line_min(1.0, 1.0, SolverConfig(h_max=0.05, max_iters=3000))
+    val, _ = dirichlet_line_min(1.0, 1.0, h_max=0.05)
     col.check(abs(val - 1.0) < 0.03, f"pinned line benchmark off: {val:.4f}")
 
     # analytic certificate and numeric trend must not contradict each other

@@ -8,9 +8,9 @@ of the discrete energy (stiffness action minus the Simpson-rule core load),
 so directional-derivative checks close to machine precision. The kinetic
 value and the stiffness action come from the Mesh's edge runs
 (``Mesh.dirichlet_integral``, ``Mesh.stiffness_action``), the same form
-``kinetic_energy`` uses, so ``EnergyOperator.value`` equals
-``energy_value`` exactly. The solver evaluates it on a Mesh of the core
-subgraph and adds the leads in closed form (:mod:`graphnls.solver`).
+``kinetic_energy`` uses; ``energy_value`` is ``EnergyOperator.value``.
+The solver evaluates it on a Mesh of the core subgraph and adds the leads
+in closed form (:mod:`graphnls.solver`).
 """
 from __future__ import annotations
 
@@ -183,8 +183,7 @@ def energy_report(u: GraphFunction, p: float) -> EnergyReport:
 
 
 def energy_value(u: GraphFunction, p: float) -> float:
-    require_p(p)
-    return 0.5 * kinetic_energy(u) - lp_integral(u, p, core_only=True) / p
+    return EnergyOperator(u.mesh, p).value(u.values)
 
 
 def energy_gradient(u: GraphFunction, p: float) -> GraphFunction:

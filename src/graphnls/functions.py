@@ -89,10 +89,11 @@ class Mesh:
     """
 
     def __init__(self, graph: MetricGraph, h_max: float = 0.05, r_cut: float = 20.0):
-        if not h_max > 0:
-            raise ValueError("h_max must be positive")
-        if not r_cut > 0:
-            raise ValueError("r_cut must be positive")
+        # an infinite cut overflows the cell count, an infinite spacing
+        # gives one cell per edge, NaN passes no comparison
+        for name, value in (("h_max", h_max), ("r_cut", r_cut)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.graph = graph
         self.h_max = float(h_max)
         self.r_cut = float(r_cut)
@@ -304,6 +305,19 @@ def l2_norm_sq(u: GraphFunction, core_only: bool = False) -> float:
     ia, ib, h = u.mesh.cells(core_only)
     v = u.values
     return float(np.dot(h, v[ia] ** 2 + v[ib] ** 2) / 2.0)
+
+
+def neighbor_average(mesh: Mesh, values: np.ndarray, passes: int) -> np.ndarray:
+    """``passes`` rounds of replacing every nodal value by the mean of
+    itself and its neighbours across the mesh's cells."""
+    ia, ib, _ = mesh.cells()
+    # each bincount sums a node's neighbours in cell order, as np.add.at does
+    ends, other = np.concatenate((ia, ib)), np.concatenate((ib, ia))
+    deg = np.bincount(ends, minlength=mesh.n_dofs).astype(float)
+    for _ in range(passes):
+        acc = np.bincount(ends, weights=values[other], minlength=mesh.n_dofs)
+        values = (values + acc) / (1.0 + deg)
+    return values
 
 
 def kinetic_energy(u: GraphFunction) -> float:

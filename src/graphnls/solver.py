@@ -55,13 +55,13 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .energy import ELReport, EnergyOperator, EnergyReport, el_residual, energy_report, require_p
-from .functions import GraphFunction, Mesh, l2_norm_sq, project_mass, uniform_cells
+from .functions import GraphFunction, Mesh, l2_norm_sq, neighbor_average, project_mass, uniform_cells
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
 
@@ -212,14 +212,7 @@ def initializer_random(graph: MetricGraph, mu: float, p: float, mesh: Mesh, seed
     require_p(p)
     graph.require_valid()
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 1.0, mesh.n_dofs)
-    ia, ib, _ = mesh.cells()
-    # each bincount sums in np.add.at's order, so the result is the same
-    ends, other = np.concatenate((ia, ib)), np.concatenate((ib, ia))
-    deg = np.bincount(ends, minlength=mesh.n_dofs).astype(float)
-    for _ in range(_SMOOTHING_PASSES):
-        acc = np.bincount(ends, weights=values[other], minlength=mesh.n_dofs)
-        values = (values + acc) / (1.0 + deg)
+    values = neighbor_average(mesh, rng.uniform(0.0, 1.0, mesh.n_dofs), _SMOOTHING_PASSES)
     return project_mass(GraphFunction(mesh, values), mu)
 
 
@@ -794,7 +787,7 @@ def minimize(
 def dirichlet_line_min(
     m: float,
     a: float,
-    config: SolverConfig | None = None,
+    h_max: float = 0.02,
     half_line: bool = False,
     r_cut: float | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
@@ -802,63 +795,41 @@ def dirichlet_line_min(
     half-line) with prescribed trapezoid mass m and pinned value a at the
     origin. Exact values: a^4/m on the line, a^4/(4m) on the half-line.
 
-    A direct constrained solve: by symmetry one side suffices, whose free
-    nodes solve (S_ff + lam W_ff) v_f = -S_fp a for a multiplier lam > 0,
-    set by bisection on the mass, which falls monotonically in lam. Only
-    ``config.h_max`` is used.
+    With the pin as anchor, each side is a lead of the solver's truncated
+    problem (natural far end, no nonlinearity): its minimizer is
+    a * :func:`lead_profile` at the shift :func:`_lead_shift` that carries
+    ratio = m / (sides * a^2) per unit a^2, the pin's half cell included.
+    The default cut is 12 decay lengths of the side's tail
+    a exp(-x / (2 ratio)), and no less than 10; the grid is
+    ``uniform_cells(r, min(h_max, r/50))``.
 
     Returns (minimal value, (grid, minimizer values)).
     """
-    if m <= 0 or a <= 0:
-        raise ValueError("m and a must be positive")
-    config = config or SolverConfig()
-    decay = m / a**2
-    r = r_cut if r_cut is not None else max(10.0, 12.0 * decay)
-    h = min(config.h_max, r / 50.0)
-    n_side = int(math.ceil(r / h))
-    h = r / n_side
-    pin_weight = h / 2.0 if half_line else h
-    if pin_weight * a**2 >= m:
+    inputs = {"m": m, "a": a, "h_max": h_max}
+    if r_cut is not None:
+        inputs["r_cut"] = r_cut
+    for name, value in inputs.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    sides = 1 if half_line else 2
+    ratio = m / (sides * a**2)
+    r = r_cut if r_cut is not None else max(10.0, 24.0 * ratio)
+    n, h = uniform_cells(r, min(h_max, r / 50.0))
+    # Phi falls from n h at omega = 0 (the constant a) to h/2 as omega grows
+    if ratio <= 0.5 * h:
         raise ValueError("infeasible: pinned node already exhausts the mass")
-    # mass each side carries once the pinned node's trapezoid share is paid
-    side_mass = (m - pin_weight * a**2) / (1 if half_line else 2)
-    weights = np.full(n_side, h)
-    weights[-1] = h / 2.0
-    stiff_diag = np.full(n_side, 2.0 / h)
-    stiff_diag[-1] = 1.0 / h  # natural far end
-    band = np.full((3, n_side), -1.0 / h)
-    rhs = np.zeros(n_side)
-    rhs[0] = a / h
-
-    def side(lam: float) -> np.ndarray:
-        band[1] = stiff_diag + lam * weights
-        return solve_banded((1, 1), band, rhs)
-
-    def excess(lam: float) -> float:
-        v = side(lam)
-        return float(np.dot(weights, v * v)) - side_mass
-
-    # at lam = 0 the side is the constant a
-    if excess(0.0) <= 0.0:
+    if ratio >= n * h:
         raise ValueError("truncation too short: the constant a carries no more than mass m")
-    # bisection to floating-point resolution; scipy.optimize would slow imports
-    lo, hi = 0.0, 1.0
-    while excess(hi) > 0.0:
-        lo, hi = hi, 4.0 * hi
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    v = side(hi)
-    # the tridiagonal solve's rounding leaves the mass inexact; rescale
-    v *= math.sqrt(side_mass / float(np.dot(weights, v * v)))
+    v = a * lead_profile(_lead_shift(ratio, n, h), n, h)
+    # the bisection leaves the mass inexact to rounding; rescale the side
+    weights = np.full(n, h)
+    weights[-1] = 0.5 * h
+    v[1:] *= math.sqrt((ratio - 0.5 * h) * a**2 / float(np.dot(weights, v[1:] * v[1:])))
     if half_line:
-        xs = np.linspace(0.0, r, n_side + 1)
-        v = np.concatenate(([a], v))
+        xs = np.linspace(0.0, r, n + 1)
     else:
-        xs = np.linspace(-r, r, 2 * n_side + 1)
-        v = np.concatenate((v[::-1], [a], v))
+        xs = np.linspace(-r, r, 2 * n + 1)
+        v = np.concatenate((v[:0:-1], v))
     d = np.diff(v)
     return float(np.dot(d, d)) / h, (xs, v)
 

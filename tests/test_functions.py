@@ -65,6 +65,22 @@ def test_mesh_h_subdivision():
         assert np.allclose(steps, steps[0])
 
 
+@pytest.mark.parametrize(
+    "h_max, r_cut, name",
+    [
+        (0.05, math.inf, "r_cut"),
+        (math.inf, 5.0, "h_max"),
+        (math.nan, 5.0, "h_max"),
+        (0.05, math.nan, "r_cut"),
+        (0.0, 5.0, "h_max"),
+        (0.05, -1.0, "r_cut"),
+    ],
+)
+def test_mesh_rejects_nonfinite_or_nonpositive_spacing_and_cut(h_max, r_cut, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        Mesh(line_graph(1.0), h_max=h_max, r_cut=r_cut)
+
+
 def test_constant_mass_equals_measure():
     mesh = line_mesh(L=2.0, r=5.0)
     u = GraphFunction.constant(mesh, 1.0)

@@ -468,16 +468,31 @@ def test_dirichlet_scaling_in_m_and_a():
     assert v3 == pytest.approx(1.2**4 * v1, rel=0.03)
 
 
-def test_dirichlet_infeasible_pin():
-    with pytest.raises(ValueError):
-        dirichlet_line_min(1e-9, 1.0)
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        ((1e-9, 1.0), {}, "infeasible"),
+        ((1.0, 1.0), {"r_cut": 0.4}, "truncation too short"),
+        ((math.nan, 1.0), {}, "m must be finite"),
+        ((1.0, math.nan), {}, "a must be finite"),
+        ((1.0, math.inf), {}, "a must be finite"),
+        ((1.0, 1.0), {"r_cut": math.inf}, "r_cut must be finite"),
+        ((1.0, 1.0), {"h_max": math.inf}, "h_max must be finite"),
+        ((1.0, 1.0), {"h_max": math.nan}, "h_max must be finite"),
+    ],
+    ids=["infeasible", "short_cut", "nan_m", "nan_a", "inf_a", "inf_r_cut", "inf_h_max", "nan_h_max"],
+)
+def test_dirichlet_infeasible_pin(args, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        dirichlet_line_min(*args, **kwargs)
 
 
-def test_dirichlet_line_second_order_and_exact_mass():
+@pytest.mark.parametrize("half_line, exact", [(False, 1.0), (True, 0.25)], ids=["line", "half_line"])
+def test_dirichlet_line_second_order_and_exact_mass(half_line, exact):
     errors = []
     for h in (0.04, 0.02, 0.01):
-        val, (xs, vs) = dirichlet_line_min(1.0, 1.0, SolverConfig(h_max=h))
-        errors.append(abs(val - 1.0))
+        val, (xs, vs) = dirichlet_line_min(1.0, 1.0, h_max=h, half_line=half_line)
+        errors.append(abs(val - exact))
         weights = np.full(len(xs), xs[1] - xs[0])
         weights[0] = weights[-1] = weights[0] / 2.0
         assert float(np.dot(weights, vs * vs)) == pytest.approx(1.0, abs=1e-12)
