@@ -10,12 +10,15 @@ value and the stiffness action come from the Mesh's edge runs
 (``Mesh.dirichlet_integral``, ``Mesh.stiffness_action``), the same form
 ``kinetic_energy`` uses; ``energy_value`` is ``EnergyOperator.value``.
 The solver evaluates it on a Mesh of the core subgraph and adds the leads
-in closed form (:mod:`graphnls.solver`).
+in closed form: the lead profile and its forms (``lead_profile``,
+``lead_forms``) live here, and ``energy_report`` and ``el_residual``
+account for such leads (:class:`Leads`) without meshing them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +35,8 @@ from .functions import (
 from .graphs import MetricGraph, has_dead_end
 
 SCHEMA_VERSION = 1
+# float64 machine epsilon: where the lead forms' series stop
+_EPS = float(np.finfo(float).eps)
 
 
 def require_p(p: float) -> None:
@@ -156,19 +161,184 @@ class EnergyOperator:
         return g
 
 
-def energy_report(u: GraphFunction, p: float) -> EnergyReport:
+# ---------------------------------------------------------------------------
+# the leads in closed form
+#
+# On a lead the discrete problem is linear. With anchor value a and shift
+# omega (minus the multiplier), the stage minimizer's lead values solve
+# (S + omega M) u = 0 off the anchor, with the natural far end, so
+# u_i = a cosh((n - i) theta) / cosh(n theta), i = 0..n, where
+# cosh(theta) = 1 + omega h^2 / 2 (cos and phi in place of cosh and theta
+# when omega < 0, which needs n phi < pi/2). Per unit a^2 the lead then has
+# lumped mass Phi (the anchor's half cell included) and Dirichlet integral
+# Psi; stationarity of the profile gives Psi' = -omega Phi'.
+
+
+def _sine_excess(m: int, y: float, sign: float) -> float:
+    """sinh(m y) - m sinh(y) for sign = 1, sin(m y) - m sin(y) for
+    sign = -1, for m y <= 1, by the Taylor series: its terms carry no
+    cancellation, while the direct difference loses a relative (m y)^-2
+    of precision, which ruins the lead forms at small |omega|."""
+    x = m * y
+    total, xk, yk, fact, k = 0.0, x, y, 1.0, 0
+    while True:
+        k += 1
+        xk *= x * x
+        yk *= y * y
+        fact *= 2 * k * (2 * k + 1)
+        term = sign**k * (xk - m * yk) / fact
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            return total
+
+
+def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | None:
+    """(Phi, Psi, dPhi/domega) of a lead of ``n`` cells of width ``h`` at
+    shift ``omega``, per unit squared anchor value, or None when omega is
+    at or below the lead's lowest shift, where n phi reaches pi/2.
+
+    Phi = h [n sech^2(n theta) + tanh(n theta) coth(theta)] / 2 and
+    Psi = tanh(theta/2) / h [tanh(n theta) - n sinh(theta) sech^2(n theta)];
+    the bracket of Psi, like that of dPhi/dtheta, is taken from a sine
+    excess (:func:`_sine_excess`) where n theta is small, and in the form
+    above where cosh(n theta) may overflow. omega < 0 uses the cos
+    analogue.
+    """
+    if omega == 0.0:
+        return n * h, 0.0, -(h**3) * (4.0 * n**3 - n) / 6.0
+    r = 0.5 * h * math.sqrt(abs(omega))
+    if omega > 0.0:
+        th = 2.0 * math.asinh(r)
+        x = n * th
+        t = math.tanh(x)
+        sech2 = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))) ** 2
+        phi = 0.5 * h * (n * sech2 + t / math.tanh(th))
+        if x <= 0.5:
+            b = 0.5 * sech2 * _sine_excess(2 * n, th, 1.0)
+            c = sech2 * _sine_excess(n, 2.0 * th, 1.0)
+        else:
+            b = t - n * math.sinh(th) * sech2
+            c = 2.0 * t - n * math.sinh(2.0 * th) * sech2
+        sh = math.sinh(th)
+        psi = math.tanh(0.5 * th) / h * b
+        dphi = -(h**3) / (2.0 * sh) * (n * n * sech2 * t + c / (4.0 * sh * sh))
+        return phi, psi, dphi
+    if r >= 1.0:
+        return None
+    ph = 2.0 * math.asin(r)
+    x = n * ph
+    if not x < 0.5 * math.pi:
+        return None
+    t = math.tan(x)
+    sec2 = 1.0 / math.cos(x) ** 2
+    phi = 0.5 * h * (n * sec2 + t / math.tan(ph))
+    if x <= 0.5:
+        b = -0.5 * sec2 * _sine_excess(2 * n, ph, -1.0)
+        c = -sec2 * _sine_excess(n, 2.0 * ph, -1.0)
+    else:
+        b = n * math.sin(ph) * sec2 - t
+        c = n * math.sin(2.0 * ph) * sec2 - 2.0 * t
+    sn = math.sin(ph)
+    psi = math.tan(0.5 * ph) / h * b
+    dphi = -(h**3) / (2.0 * sn) * (n * n * sec2 * t + c / (4.0 * sn * sn))
+    return phi, psi, dphi
+
+
+def lead_profile(omega: float, n: int, h: float) -> np.ndarray:
+    """The lead's node values per unit anchor value, from the anchor
+    (i = 0) to the free end (i = n): cosh((n - i) theta) / cosh(n theta),
+    written with exponentials of -theta so that it cannot overflow, or its
+    cos analogue when omega < 0."""
+    i = np.arange(n + 1)
+    r = 0.5 * h * math.sqrt(abs(omega))
+    if omega >= 0.0:
+        th = 2.0 * math.asinh(r)
+        return np.exp(-i * th) * (1.0 + np.exp(-2.0 * (n - i) * th)) / (1.0 + math.exp(-2.0 * n * th))
+    ph = 2.0 * math.asin(r)
+    return np.cos((n - i) * ph) / math.cos(n * ph)
+
+
+@dataclass(frozen=True)
+class Leads:
+    """The half-lines of ``graph`` in closed form, for a function given on
+    a Mesh of its core subgraph (``MetricGraph(graph.vertex_ids,
+    graph.core_edges)``): each lead is cut into ``n`` cells of width ``h``
+    and holds its anchor's value times ``lead_profile(omega, n, h)``, the
+    solver's stage minimizer on it. :func:`energy_report` and
+    :func:`el_residual` take it to account for the leads without a mesh
+    of them."""
+
+    graph: MetricGraph
+    omega: float
+    n: int
+    h: float
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """``lead_profile(omega, n, h)``, computed once."""
+        return lead_profile(self.omega, self.n, self.h)
+
+    @cached_property
+    def forms(self) -> tuple[float, float, float]:
+        """``lead_forms(omega, n, h)``: (Phi, Psi, dPhi/domega)."""
+        forms = lead_forms(self.omega, self.n, self.h)
+        if forms is None:
+            raise ValueError(f"omega={self.omega!r} is at or below the lowest shift of {self.n} cells of {self.h!r}")
+        return forms
+
+
+def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, float]:
+    """The vertex values a of ``u``, the number of leads at each vertex
+    (the diagonal A of the solver's stage energy) and s = A a.a, summed as
+    the stage energy sums it, after checking that ``u`` lives on a mesh of
+    the core of ``leads.graph``."""
+    graph = leads.graph
+    if u.mesh.graph != MetricGraph(graph.vertex_ids, graph.core_edges):
+        raise ValueError("closed-form leads need a function on a mesh of their graph's core")
+    nv = u.mesh.n_vertices
+    a = u.values[:nv]
+    counts = np.bincount([u.mesh.vertex_dof[e.tail] for e in graph.half_lines], minlength=nv).astype(float)
+    return a, counts, float(np.dot(counts, a * a))
+
+
+def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> EnergyReport:
     """Full energy accounting for one function, including GN slacks with
-    the graph's constants (:func:`gn_constants`)."""
+    the graph's constants (:func:`gn_constants`).
+
+    With ``leads``, ``u`` lives on a mesh of the core and the half-lines
+    are those closed-form leads, as at the end of the solver's last stage:
+    with s = sum_j a_j^2 over the leads' anchor values, the Dirichlet
+    integral is S_K u.u + s Psi and the mass M_K u.u + s Phi, the energy
+    is summed in the stage energy's order (so it is that energy), the sup
+    is the larger of the core's and max_j |a_j| times the profile's, and
+    int |u|^p over the whole graph adds sum_j |a_j|^p times one Simpson
+    pass over the profile. No sum runs over lead nodes, and the GN
+    constants are those of ``leads.graph``.
+    """
     require_p(p)
     ksq = kinetic_energy(u)
     pot = lp_integral(u, p, core_only=True) / p
+    energy = 0.5 * ksq - pot
     mass = l2_norm_sq(u)
     sup = linf_norm(u)
-    C, c = gn_constants(p, u.mesh.graph)
-    slack_p, slack_inf = gn_check(u, p, C, c)
+    lp_all = lp_integral(u, p, core_only=False)
+    graph = u.mesh.graph
+    if leads is not None:
+        graph = leads.graph
+        a, counts, s = _lead_anchors(u, leads)
+        phi, psi, _ = leads.forms
+        profile = leads.profile
+        energy += 0.5 * psi * s
+        ksq += psi * s
+        mass += phi * s
+        sup = max(sup, float(np.max(np.abs(a[counts > 0]), initial=0.0)) * float(profile.max()))
+        widths = np.full(leads.n, leads.h)
+        lp_all += float(np.dot(counts, _abs_pow(a, p))) * _simpson_abs_pow(profile[:-1], profile[1:], widths, p)
+    C, c = gn_constants(p, graph)
+    slack_p, slack_inf = _gn_slacks(p, C, c, mass, ksq, lp_all, sup)
     degenerate = ksq <= 1e-13 * max(1.0, mass)
     return EnergyReport(
-        total_energy=0.5 * ksq - pot,
+        total_energy=energy,
         kinetic=0.5 * ksq,
         potential=pot,
         mass=mass,
@@ -191,26 +361,34 @@ def energy_gradient(u: GraphFunction, p: float) -> GraphFunction:
     return u.with_values(op.gradient(u.values))
 
 
+def _gn_slacks(
+    p: float, C: float, c: float, mass: float, ksq: float, lp_all: float, sup: float
+) -> tuple[float, float]:
+    """Interpolation-inequality slacks from the squared L2 norm ``mass``,
+    the Dirichlet integral ``ksq``, the whole-graph ``lp_all`` = ||u||_p^p
+    and the sup ``sup``:
+
+    slack_p   = C ||u||_2^(p/2+1) ||u'||_2^(p/2-1) - ||u||_p^p
+    slack_inf = c ||u||_2^(1/2) ||u'||_2^(1/2)     - ||u||_inf
+    """
+    norm2 = math.sqrt(max(mass, 0.0))
+    dnorm = math.sqrt(max(ksq, 0.0))
+    slack_p = C * norm2 ** (p / 2.0 + 1.0) * dnorm ** (p / 2.0 - 1.0) - lp_all
+    slack_inf = c * math.sqrt(norm2) * math.sqrt(dnorm) - sup
+    return float(slack_p), float(slack_inf)
+
+
 def gn_check(
     u: GraphFunction, p: float, C: float | None = None, c: float | None = None
 ) -> tuple[float, float]:
-    """Interpolation-inequality slacks (nonnegative when the constants are
-    valid for the graph and u decays into the truncation), by default with
-    the graph's :func:`gn_constants`.
-
-    slack_p   = C ||u||_2^(p/2+1) ||u'||_2^(p/2-1) - ||u||_p^p   (whole graph)
-    slack_inf = c ||u||_2^(1/2) ||u'||_2^(1/2)     - ||u||_inf
-    """
+    """Interpolation-inequality slacks (:func:`_gn_slacks`; nonnegative when
+    the constants are valid for the graph and u decays into the
+    truncation), by default with the graph's :func:`gn_constants`."""
     require_p(p)
     C, c = gn_constants(p, u.mesh.graph, C, c)
-    mass = l2_norm_sq(u)
-    ksq = kinetic_energy(u)
-    norm2 = math.sqrt(max(mass, 0.0))
-    dnorm = math.sqrt(max(ksq, 0.0))
-    lp_all = lp_integral(u, p, core_only=False)
-    slack_p = C * norm2 ** (p / 2.0 + 1.0) * dnorm ** (p / 2.0 - 1.0) - lp_all
-    slack_inf = c * math.sqrt(norm2) * math.sqrt(dnorm) - linf_norm(u)
-    return float(slack_p), float(slack_inf)
+    return _gn_slacks(
+        p, C, c, l2_norm_sq(u), kinetic_energy(u), lp_integral(u, p, core_only=False), linf_norm(u)
+    )
 
 
 def _edge_end_derivative(vals: np.ndarray, h: float, start: bool) -> float:
@@ -224,7 +402,7 @@ def _edge_end_derivative(vals: np.ndarray, h: float, start: bool) -> float:
 
 
 def el_residual(
-    u: GraphFunction, p: float, uniform_nonlinearity: bool = False
+    u: GraphFunction, p: float, uniform_nonlinearity: bool = False, leads: Leads | None = None
 ) -> ELReport:
     """Stationarity diagnostics for the constrained problem.
 
@@ -235,49 +413,79 @@ def el_residual(
     derivatives oriented out of each vertex. With ``uniform_nonlinearity``
     the nonlinear term acts on every edge (diagnostic mode for closed-form
     solutions on intervals or the whole line).
+
+    With ``leads`` (see :func:`energy_report`) the core edges are tested
+    on ``u``'s mesh and each lead in closed form: its profile solves the
+    second difference equation d2 = omega v exactly, so a lead with anchor
+    value a has interior residual |omega - lambda| |a| sqrt(h sum_i
+    prof_i^2) over its inner nodes, adds omega a^2 and a^2 times that sum
+    to the least-squares multiplier's numerator and denominator, and
+    leaves its anchor with the one-sided derivative of a times the profile.
     """
     require_p(p)
+    if leads is not None and uniform_nonlinearity:
+        raise ValueError("closed-form leads carry no nonlinearity")
     mesh = u.mesh
     ksq = kinetic_energy(u)
     pot_int = lp_integral(u, p, core_only=not uniform_nonlinearity)
     mass = l2_norm_sq(u)
+    graph = mesh.graph
+    if leads is not None:
+        graph = leads.graph
+        _, _, s = _lead_anchors(u, leads)
+        phi, psi, _ = leads.forms
+        ksq += psi * s
+        mass += phi * s
     if mass <= 0.0:
         raise ValueError("stationarity residuals undefined for the zero function")
     lam = (pot_int - ksq) / mass
 
     interior: dict[str, float] = {}
+    # each edge's outward derivatives at its (tail, head)
+    slopes: dict[str, tuple[float, float]] = {}
     num = 0.0
     den = 0.0
-    by_id = mesh.graph.edges_by_id
+    by_id = graph.edges_by_id
     for eid in sorted(mesh.edge_dofs):
         vals = u.values[mesh.edge_dofs[eid]]
         h = mesh.edge_h[eid]
-        kappa = 1.0 if (uniform_nonlinearity or by_id[eid].in_core) else 0.0
+        slopes[eid] = (_edge_end_derivative(vals, h, start=True), _edge_end_derivative(vals, h, start=False))
         if len(vals) < 3:
             interior[eid] = 0.0
             continue
         mid = vals[1:-1]
-        d2 = (vals[:-2] - 2.0 * mid + vals[2:]) / h**2
-        strong = d2 + kappa * _abs_pow(mid, p - 2) * mid
+        strong = (vals[:-2] - 2.0 * mid + vals[2:]) / h**2
+        if uniform_nonlinearity or by_id[eid].in_core:
+            strong += _abs_pow(mid, p - 2) * mid
         r = strong - lam * mid
         interior[eid] = float(math.sqrt(np.dot(r, r) * h))
         num += float(np.dot(strong, mid) * h)
         den += float(np.dot(mid, mid) * h)
+    if leads is not None:
+        profile = leads.profile
+        inner = leads.h * float(np.dot(profile[1:-1], profile[1:-1]))
+        slope = _edge_end_derivative(profile, leads.h, start=True)
+        for e in graph.half_lines:
+            anchor = float(u.values[mesh.vertex_dof[e.tail]])
+            interior[e.id] = abs(leads.omega - lam) * abs(anchor) * math.sqrt(inner)
+            slopes[e.id] = (anchor * slope, 0.0)
+        num += leads.omega * s * inner
+        den += s * inner
+        interior = dict(sorted(interior.items()))
     lam_lsq = num / den if den > 0 else lam
 
     kirchhoff: dict[str, float] = {}
-    for vid in sorted(mesh.graph.vertex_ids):
+    order = sorted(slopes)
+    for vid in sorted(graph.vertex_ids):
         total = 0.0
         touched = False
-        for eid in sorted(mesh.edge_dofs):
+        for eid in order:
             e = by_id[eid]
-            vals = u.values[mesh.edge_dofs[eid]]
-            h = mesh.edge_h[eid]
             if e.tail == vid:
-                total += _edge_end_derivative(vals, h, start=True)
+                total += slopes[eid][0]
                 touched = True
             if e.head == vid:
-                total += _edge_end_derivative(vals, h, start=False)
+                total += slopes[eid][1]
                 touched = True
         if touched:
             kirchhoff[vid] = abs(total)

@@ -9,7 +9,10 @@ A lead then carries mass s Phi(omega) and Dirichlet integral s Psi(omega),
 where s sums the squared anchor values over the leads, so a stage descends
 on the core dofs and the one shift omega that all leads share; the energy
 and the verdicts are those of the truncated problem on the whole stage
-mesh, which only the last stage's state is lifted onto.
+mesh. Only the last stage's state is lifted onto its mesh, as the result's
+function; the result's report and Euler-Lagrange residuals come from its
+core values and the closed-form leads (:class:`graphnls.energy.Leads`),
+with no sum over lead nodes, so its energy is the last stage's.
 
 The scheme is projected gradient descent on the mass sphere: step along a
 descent direction, rescale back to the constraint, accept via an Armijo
@@ -60,7 +63,17 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .energy import ELReport, EnergyOperator, EnergyReport, el_residual, energy_report, require_p
+from .energy import (
+    ELReport,
+    EnergyOperator,
+    EnergyReport,
+    Leads,
+    el_residual,
+    energy_report,
+    lead_forms,
+    lead_profile,
+    require_p,
+)
 from .functions import GraphFunction, Mesh, l2_norm_sq, neighbor_average, project_mass, uniform_cells
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
@@ -217,106 +230,14 @@ def initializer_random(graph: MetricGraph, mu: float, p: float, mesh: Mesh, seed
 
 
 # ---------------------------------------------------------------------------
-# the leads in closed form
-#
-# On a lead the discrete problem is linear. With anchor value a and shift
-# omega (minus the multiplier), the stage minimizer's lead values solve
-# (S + omega M) u = 0 off the anchor, with the natural far end, so
-# u_i = a cosh((n - i) theta) / cosh(n theta), i = 0..n, where
-# cosh(theta) = 1 + omega h^2 / 2 (cos and phi in place of cosh and theta
-# when omega < 0, which needs n phi < pi/2). Per unit a^2 the lead then has
-# lumped mass Phi (the anchor's half cell included) and Dirichlet integral
-# Psi; stationarity of the profile gives Psi' = -omega Phi'.
-
-
-def _sine_excess(m: int, y: float, sign: float) -> float:
-    """sinh(m y) - m sinh(y) for sign = 1, sin(m y) - m sin(y) for
-    sign = -1, for m y <= 1, by the Taylor series: its terms carry no
-    cancellation, while the direct difference loses a relative (m y)^-2
-    of precision, which ruins the lead forms at small |omega|."""
-    x = m * y
-    total, xk, yk, fact, k = 0.0, x, y, 1.0, 0
-    while True:
-        k += 1
-        xk *= x * x
-        yk *= y * y
-        fact *= 2 * k * (2 * k + 1)
-        term = sign**k * (xk - m * yk) / fact
-        total += term
-        if abs(term) <= _EPS * abs(total):
-            return total
-
-
-def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | None:
-    """(Phi, Psi, dPhi/domega) of a lead of ``n`` cells of width ``h`` at
-    shift ``omega``, per unit squared anchor value, or None when omega is
-    at or below the lead's lowest shift, where n phi reaches pi/2.
-
-    Phi = h [n sech^2(n theta) + tanh(n theta) coth(theta)] / 2 and
-    Psi = tanh(theta/2) / h [tanh(n theta) - n sinh(theta) sech^2(n theta)];
-    the bracket of Psi, like that of dPhi/dtheta, is taken from a sine
-    excess (:func:`_sine_excess`) where n theta is small, and in the form
-    above where cosh(n theta) may overflow. omega < 0 uses the cos
-    analogue.
-    """
-    if omega == 0.0:
-        return n * h, 0.0, -(h**3) * (4.0 * n**3 - n) / 6.0
-    r = 0.5 * h * math.sqrt(abs(omega))
-    if omega > 0.0:
-        th = 2.0 * math.asinh(r)
-        x = n * th
-        t = math.tanh(x)
-        sech2 = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))) ** 2
-        phi = 0.5 * h * (n * sech2 + t / math.tanh(th))
-        if x <= 0.5:
-            b = 0.5 * sech2 * _sine_excess(2 * n, th, 1.0)
-            c = sech2 * _sine_excess(n, 2.0 * th, 1.0)
-        else:
-            b = t - n * math.sinh(th) * sech2
-            c = 2.0 * t - n * math.sinh(2.0 * th) * sech2
-        sh = math.sinh(th)
-        psi = math.tanh(0.5 * th) / h * b
-        dphi = -(h**3) / (2.0 * sh) * (n * n * sech2 * t + c / (4.0 * sh * sh))
-        return phi, psi, dphi
-    if r >= 1.0:
-        return None
-    ph = 2.0 * math.asin(r)
-    x = n * ph
-    if not x < 0.5 * math.pi:
-        return None
-    t = math.tan(x)
-    sec2 = 1.0 / math.cos(x) ** 2
-    phi = 0.5 * h * (n * sec2 + t / math.tan(ph))
-    if x <= 0.5:
-        b = -0.5 * sec2 * _sine_excess(2 * n, ph, -1.0)
-        c = -sec2 * _sine_excess(n, 2.0 * ph, -1.0)
-    else:
-        b = n * math.sin(ph) * sec2 - t
-        c = n * math.sin(2.0 * ph) * sec2 - 2.0 * t
-    sn = math.sin(ph)
-    psi = math.tan(0.5 * ph) / h * b
-    dphi = -(h**3) / (2.0 * sn) * (n * n * sec2 * t + c / (4.0 * sn * sn))
-    return phi, psi, dphi
+# the leads' shift: its closed-form profile and forms are in graphnls.energy
+# (lead_forms, lead_profile)
 
 
 def _lowest_shift(n: int, h: float) -> float:
     """The shift at which n phi reaches pi/2: below it the cos profile
     changes sign, at it Phi is infinite."""
     return -((2.0 * math.sin(0.25 * math.pi / n) / h) ** 2)
-
-
-def lead_profile(omega: float, n: int, h: float) -> np.ndarray:
-    """The lead's node values per unit anchor value, from the anchor
-    (i = 0) to the free end (i = n): cosh((n - i) theta) / cosh(n theta),
-    written with exponentials of -theta so that it cannot overflow, or its
-    cos analogue when omega < 0."""
-    i = np.arange(n + 1)
-    r = 0.5 * h * math.sqrt(abs(omega))
-    if omega >= 0.0:
-        th = 2.0 * math.asinh(r)
-        return np.exp(-i * th) * (1.0 + np.exp(-2.0 * (n - i) * th)) / (1.0 + math.exp(-2.0 * n * th))
-    ph = 2.0 * math.asin(r)
-    return np.cos((n - i) * ph) / math.cos(n * ph)
 
 
 def _lead_shift(ratio: float, n: int, h: float) -> float:
@@ -697,8 +618,13 @@ def minimize(
     plateau competitor on the first stage's mesh; other starts come from
     the ``initializer_*`` functions. Later stages take the core values and
     the shift as they are. The result's ``function`` is the last stage's
-    state on its mesh, the leads filled in with their profile, and
-    ``energy`` is that function's energy.
+    state on its mesh, the leads filled in with their profile (|u| where
+    the state has a negative value). Its ``report`` and ``el`` come from
+    the core values and the leads in closed form (``energy_report`` and
+    ``el_residual`` with :class:`graphnls.energy.Leads`), with no sum over
+    the lead nodes, so ``energy`` is the last stage's energy, the last
+    entry of ``r_cut_table``, whenever that stage's state has one sign
+    (|u| of a state of both signs has an energy no higher).
 
     The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
     strictly negative limit (evidence of existence, up to truncation and
@@ -741,23 +667,26 @@ def minimize(
         # and the shift carry over as they are
         u, omega, lead_mass = stage.values, stage.omega, stage.lead_mass
 
+    # |u| has the same energy or lower, and the mass form only sees |u|
+    values = np.abs(stage.values) if np.any(stage.values < 0.0) else stage.values
+    # the report and the residuals come from the core values and the leads
+    # in closed form, with no sum over lead nodes; the energy is then the
+    # last stage's, bit for bit, when its state has one sign
+    u_core = GraphFunction(core, values)
+    leads = Leads(graph, stage.omega, n, h)
+    report = energy_report(u_core, p, leads)
+    el = el_residual(u_core, p, leads=leads)
     # lift the last stage onto its mesh: the core edges keep their nodes,
     # the leads take their profile
     mesh = Mesh(graph, h_max=config.h_max, r_cut=schedule[-1])
-    values = np.empty(mesh.n_dofs)
+    lifted = np.empty(mesh.n_dofs)
     for eid, dofs in core.edge_dofs.items():
-        values[mesh.edge_dofs[eid]] = stage.values[dofs]
-    profile = lead_profile(stage.omega, n, h)
+        lifted[mesh.edge_dofs[eid]] = values[dofs]
     for e in graph.half_lines:
         dofs = mesh.edge_dofs[e.id]
-        values[dofs] = values[dofs[0]] * profile
-    if np.any(values < 0.0):
-        # same energy or lower, and the mass form only sees |u|
-        values = np.abs(values)
-    u_final = GraphFunction(mesh, values)
-    report = energy_report(u_final, p)
-    el = el_residual(u_final, p)
-    min_node = float(values.min())
+        lifted[dofs] = lifted[dofs[0]] * leads.profile
+    u_final = GraphFunction(mesh, lifted)
+    min_node = float(lifted.min())
     return MinimizationResult(
         function=u_final,
         energy=report.total_energy,

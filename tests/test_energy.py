@@ -5,6 +5,7 @@ import pytest
 
 from graphnls.energy import (
     EnergyOperator,
+    Leads,
     default_gn_constants,
     el_residual,
     energy_gradient,
@@ -12,10 +13,11 @@ from graphnls.energy import (
     energy_value,
     gn_check,
     gn_constants,
+    lead_profile,
     require_p,
 )
-from graphnls.functions import GraphFunction, Mesh, interpolate, kinetic_energy, project_mass
-from graphnls.graphs import double_bridge, line_graph, metric_graph, star_graph
+from graphnls.functions import _abs_pow, GraphFunction, Mesh, interpolate, kinetic_energy, project_mass
+from graphnls.graphs import MetricGraph, double_bridge, line_graph, metric_graph, star_graph
 from graphnls.solver import soliton_profile
 
 
@@ -235,3 +237,72 @@ def test_single_half_line_graph_energy():
     assert rep.mass == pytest.approx(1.0 + 0.5, rel=1e-4)  # 1 + int e^{-2x}
     assert rep.potential == pytest.approx(1.0 / 3.0, rel=1e-6)  # core value 1
     assert rep.kinetic == pytest.approx(0.5 * 0.5, rel=1e-3)  # half of int e^{-2x}
+
+
+def test_report_slacks_are_gn_checks():
+    # one formula behind both
+    mesh = Mesh(star_graph((0.5, 0.7), 2), h_max=0.05, r_cut=6.0)
+    u = GraphFunction(mesh, np.random.default_rng(2).uniform(0.0, 1.0, mesh.n_dofs))
+    rep = energy_report(u, 3.5)
+    assert (rep.gn_slack_p, rep.gn_slack_inf) == gn_check(u, 3.5)
+
+
+def test_el_residual_on_a_lead_skips_only_a_zero_term():
+    mesh = Mesh(line_graph(1.0), h_max=0.05, r_cut=4.0)
+    u = GraphFunction(mesh, np.random.default_rng(9).standard_normal(mesh.n_dofs))
+    p = 3.0
+    el = el_residual(u, p)
+    vals = u.values[mesh.edge_dofs["lead1"]]
+    mid = vals[1:-1]
+    # the residual with the nonlinear term times kappa = 0 spelled out
+    strong = (vals[:-2] - 2.0 * mid + vals[2:]) / 0.05**2 + 0.0 * _abs_pow(mid, p - 2) * mid
+    r = strong - el.lambda_estimate * mid
+    assert el.interior_residuals["lead1"] == float(math.sqrt(np.dot(r, r) * 0.05))
+
+
+def _core_and_lifted(graph, omega, n, h, seed):
+    """A random core function with its leads in closed form, and the same
+    state lifted onto the mesh whose leads are those n cells of width h."""
+    core = Mesh(MetricGraph(graph.vertex_ids, graph.core_edges), h)
+    u = GraphFunction(core, np.random.default_rng(seed).uniform(0.2, 1.0, core.n_dofs))
+    mesh = Mesh(graph, h_max=h, r_cut=n * h)
+    values = np.empty(mesh.n_dofs)
+    for eid, dofs in core.edge_dofs.items():
+        values[mesh.edge_dofs[eid]] = u.values[dofs]
+    for e in graph.half_lines:
+        dofs = mesh.edge_dofs[e.id]
+        values[dofs] = values[dofs[0]] * lead_profile(omega, n, h)
+    return u, Leads(graph, omega, n, h), GraphFunction(mesh, values)
+
+
+@pytest.mark.parametrize("omega", [0.3, -0.55], ids=["decaying", "growing"])
+@pytest.mark.parametrize(
+    "graph", [line_graph(1.0), star_graph((3.0,), 2), star_graph((0.5, 0.7, 0.9), 2)], ids=["line", "broom", "star"]
+)
+def test_closed_form_leads_match_the_lifted_function(graph, omega):
+    # omega = -0.55 is near the lowest shift of 40 cells of 0.05 (-0.617),
+    # where the profile grows to about 12 at the free end and sets the sup
+    p = 3.5
+    u, leads, lifted = _core_and_lifted(graph, omega, 40, 0.05, seed=1)
+    got, want = energy_report(u, p, leads).to_dict(), energy_report(lifted, p).to_dict()
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name] == pytest.approx(want[name], rel=1e-12), name
+    got, want = el_residual(u, p, leads=leads), el_residual(lifted, p)
+    assert got.lambda_estimate == pytest.approx(want.lambda_estimate, rel=1e-12)
+    assert got.lambda_lsq == pytest.approx(want.lambda_lsq, rel=1e-9)
+    for a, b in ((got.interior_residuals, want.interior_residuals), (got.kirchhoff_residuals, want.kirchhoff_residuals)):
+        assert list(a) == list(b)
+        for key in b:
+            assert a[key] == pytest.approx(b[key], abs=1e-10), key
+
+
+def test_closed_form_leads_need_a_function_on_the_core():
+    graph = line_graph(1.0)
+    u, leads, lifted = _core_and_lifted(graph, 0.3, 40, 0.05, seed=1)
+    with pytest.raises(ValueError, match="core"):
+        energy_report(lifted, 3.0, leads)
+    with pytest.raises(ValueError, match="nonlinearity"):
+        el_residual(u, 3.0, uniform_nonlinearity=True, leads=leads)
+    with pytest.raises(ValueError, match="lowest shift"):
+        energy_report(u, 3.0, Leads(graph, -0.7, 40, 0.05))

@@ -8,6 +8,9 @@ mesh descent under test. Agreement is limited by the P1 mesh (h = 0.02),
 measured at roughly 1e-4 relative.
 """
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from scipy.linalg import LinAlgError
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
-from graphnls.energy import EnergyOperator
+from graphnls import solver
+from graphnls.energy import EnergyOperator, el_residual, energy_report
 from graphnls.functions import (
     GraphFunction,
     Mesh,
@@ -383,6 +387,29 @@ def test_stage_tables_are_pinned(factory, p, table, stages):
     res = minimize(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
     assert res.r_cut_table == table
     assert res.stages == stages
+    # the result's energy is the last stage's, not a sum over its lifted mesh
+    assert res.energy == table[-1][1]
+
+
+_BLAS_RUN = """
+from graphnls import SolverConfig, line_graph, minimize
+res = minimize(line_graph(1), 1, 3, SolverConfig(r_cut_schedule=(20, 40, 80, 160), h_max=0.02))
+print(repr(res.energy), repr(res.el.lambda_estimate), repr(res.report.gn_slack_p))
+"""
+
+
+def test_result_does_not_depend_on_the_blas_thread_count():
+    # the threaded ddot sums in an order that depends on the thread count;
+    # the result is computed on core vectors, below its threading threshold
+    src = str(Path(solver.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env, capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr
+        printed.append(out.stdout)
+    assert printed[0] == printed[1]
 
 
 def test_determinism_with_seed():
@@ -859,3 +886,57 @@ def test_no_stage_evaluates_the_energy_on_the_stage_mesh(monkeypatch):
     res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
     assert res.verdict == NEGATIVE_MINIMUM
     assert len(built) == 1 and built[0].graph.n_half_lines == 0
+
+
+def _assert_matches_the_lifted_report(res, p):
+    """Every report field and residual of ``res`` against energy_report and
+    el_residual evaluated on its lifted function."""
+    ref = energy_report(res.function, p).to_dict()
+    for name, value in res.report.to_dict().items():
+        if isinstance(value, bool) or name in ("schema_version", "p"):
+            assert value == ref[name], name
+        else:
+            assert value == pytest.approx(ref[name], rel=1e-12), name
+    ref_el = el_residual(res.function, p)
+    assert res.el.lambda_estimate == pytest.approx(ref_el.lambda_estimate, rel=1e-12)
+    assert res.el.lambda_lsq == pytest.approx(ref_el.lambda_lsq, rel=1e-9)
+    for got, want in ((res.el.interior_residuals, ref_el.interior_residuals),
+                      (res.el.kirchhoff_residuals, ref_el.kirchhoff_residuals)):
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], abs=1e-10), key
+
+
+@pytest.mark.parametrize("factory,p", FULL_PROBLEM_GRAPHS)
+def test_result_report_matches_the_lifted_function(factory, p):
+    # the report is built from the core values and the closed-form leads
+    res = minimize(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    assert res.energy == res.r_cut_table[-1][1]
+    _assert_matches_the_lifted_report(res, p)
+
+
+def test_negated_start_reports_its_absolute_value():
+    graph = star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    start = initializer_competitor(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0))
+    res = minimize(graph, 1.0, 3.0, cfg, initial=-1.0 * start)
+    assert res.strictly_positive
+    assert res.energy == minimize(graph, 1.0, 3.0, cfg, initial=start).energy
+    assert res.energy == res.r_cut_table[-1][1]
+    _assert_matches_the_lifted_report(res, 3.0)
+
+
+def test_minimize_reports_through_the_module_level_functions(monkeypatch):
+    # the benchmark's energy.report span times the result report through
+    # these two names
+    calls = []
+    for name in ("energy_report", "el_residual"):
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    assert sorted(calls) == ["el_residual", "energy_report"]
