@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -81,8 +82,8 @@ def _check_p(p: float) -> None:
 
 
 def _check_mu(mu: float) -> None:
-    if not mu > 0.0:
-        raise _UsageError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise _UsageError(f"mu must be finite and positive, got {mu!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +305,13 @@ class SweepSpec:
             raise _UsageError("grid must be a list of numbers")
         if not grid:
             raise _UsageError("grid must be nonempty")
+        # json reads NaN and Infinity
         for v in grid:
             if axis == "p":
                 if not 2.0 < v < 6.0:
                     raise _UsageError(f"grid value {v!r} outside (2,6) for axis p")
-            elif v <= 0.0:
-                raise _UsageError(f"grid value {v!r} must be positive for axis {axis}")
+            elif not (math.isfinite(v) and v > 0.0):
+                raise _UsageError(f"grid value {v!r} must be finite and positive for axis {axis}")
         graph_file = Path(data["graph"])
         if not graph_file.is_absolute():
             # relative paths resolve next to the sweep file itself
@@ -319,8 +321,8 @@ class SweepSpec:
             out_dir = sweep_path.parent / out_dir
         mu = float(data.get("mu", 1.0))
         p = float(data.get("p", 4.0))
-        if axis != "mu" and mu <= 0:
-            raise _UsageError("mu must be positive")
+        if axis != "mu":
+            _check_mu(mu)
         if axis != "p" and not 2.0 < p < 6.0:
             raise _UsageError("p must be in (2,6)")
         # a "threads" key from older specs is ignored: points run serially
@@ -375,11 +377,7 @@ def _sweep_point(base, spec: SweepSpec, axis_value: float) -> tuple[tuple, dict]
         mu = axis_value
     else:
         p = axis_value
-    try:
-        l1, l2, band = _band(graph, p, mu)
-    except Exception:
-        l1 = l2 = float("nan")
-        band = "GAP"
+    l1, l2, band = _band(graph, p, mu)
     error = None
     try:
         result = existence_dichotomy(graph, mu, p, spec.config, seed=spec.seed)

@@ -294,10 +294,7 @@ class GraphFunction:
 
 
 def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
-    # Guard the p-th power of |u| against spurious under/overflow noise at
-    # denormal magnitudes.
-    a = np.abs(x)
-    return np.where(a < 1e-300, 0.0, a) ** p
+    return np.abs(x) ** p
 
 
 def l2_norm_sq(u: GraphFunction, core_only: bool = False) -> float:

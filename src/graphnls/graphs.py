@@ -84,15 +84,6 @@ class MetricGraph:
         return len(self.half_lines)
 
     @cached_property
-    def core_vertex_ids(self) -> frozenset[str]:
-        out: set[str] = set()
-        for e in self.core_edges:
-            out.add(e.tail)
-            if e.head is not None:
-                out.add(e.head)
-        return frozenset(out)
-
-    @cached_property
     def validation(self) -> ValidationReport:
         return validate(self)
 

@@ -9,10 +9,9 @@ A lead then carries mass s Phi(omega) and Dirichlet integral s Psi(omega),
 where s sums the squared anchor values over the leads, so a stage descends
 on the core dofs and the one shift omega that all leads share; the energy
 and the verdicts are those of the truncated problem on the whole stage
-mesh. Only the last stage's state is lifted onto its mesh, as the result's
-function; the result's report and Euler-Lagrange residuals come from its
-core values and the closed-form leads (:class:`graphnls.energy.Leads`),
-with no sum over lead nodes, so its energy is the last stage's.
+mesh. The result keeps the last stage's state so, as core values and
+closed-form leads (:class:`graphnls.energy.Leads`), and reports from them
+with no sum over lead nodes; its mesh is built only if ``function`` is read.
 
 The scheme is projected gradient descent on the mass sphere: step along a
 descent direction, rescale back to the constraint, accept via an Armijo
@@ -56,6 +55,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -533,7 +533,10 @@ def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:
 
 @dataclass
 class MinimizationResult:
-    function: GraphFunction
+    # the last stage's state: its core values (|u| where it had a negative
+    # value) and its leads, each its anchor's value times ``leads.profile``
+    core: GraphFunction
+    leads: Leads
     energy: float
     verdict: str
     report: EnergyReport
@@ -545,14 +548,39 @@ class MinimizationResult:
     converged: bool
     iterations: int
     grad_norm: float
-    min_node_value: float
-    strictly_positive: bool
     mu: float
     p: float
-    # the last stage's lead shift omega (minus the multiplier the leads
-    # decay with) and the mass the leads carry, anchors' half cells included
-    lead_shift: float
+    # the mass the leads carry, anchors' half cells included
     lead_mass: float
+
+    @property
+    def lead_shift(self) -> float:  # omega, minus the multiplier the leads decay with
+        return self.leads.omega
+
+    @cached_property
+    def function(self) -> GraphFunction:
+        """The state on the last stage's mesh, built on first read."""
+        graph, core = self.leads.graph, self.core
+        mesh = Mesh(graph, h_max=core.mesh.h_max, r_cut=self.r_cut_table[-1][0])
+        values = np.empty(mesh.n_dofs)
+        for eid, dofs in core.mesh.edge_dofs.items():
+            values[mesh.edge_dofs[eid]] = core.values[dofs]
+        for e in graph.half_lines:
+            dofs = mesh.edge_dofs[e.id]
+            values[dofs] = values[dofs[0]] * self.leads.profile
+        return GraphFunction(mesh, values)
+
+    @property
+    def min_node_value(self) -> float:
+        """The least value of :attr:`function`: anchors are >= 0 and rounding
+        monotone, so a lead's is its least anchor times the profile's least."""
+        values, vertex_dof = self.core.values, self.core.mesh.vertex_dof
+        anchors = values[[vertex_dof[e.tail] for e in self.leads.graph.half_lines]]
+        return min(float(values.min()), float(anchors.min() * self.leads.profile.min()))
+
+    @property
+    def strictly_positive(self) -> bool:
+        return self.min_node_value > 0.0
 
     def to_dict(self) -> dict:
         d = self.report.to_dict()
@@ -617,14 +645,12 @@ def minimize(
     ``initial``'s lead mass. Without ``initial`` it starts from the
     plateau competitor on the first stage's mesh; other starts come from
     the ``initializer_*`` functions. Later stages take the core values and
-    the shift as they are. The result's ``function`` is the last stage's
-    state on its mesh, the leads filled in with their profile (|u| where
-    the state has a negative value). Its ``report`` and ``el`` come from
-    the core values and the leads in closed form (``energy_report`` and
-    ``el_residual`` with :class:`graphnls.energy.Leads`), with no sum over
-    the lead nodes, so ``energy`` is the last stage's energy, the last
-    entry of ``r_cut_table``, whenever that stage's state has one sign
-    (|u| of a state of both signs has an energy no higher).
+    the shift as they are. The result holds the last stage's state as
+    ``core`` (|u| where it has a negative value) and ``leads``; its
+    ``report``, ``el`` and ``min_node_value`` come from them with no sum
+    over lead nodes, so ``energy`` is the last entry of ``r_cut_table``
+    whenever that stage's state has one sign (|u| of a state of both signs
+    has an energy no higher). ``function`` lifts it onto the last mesh.
 
     The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
     strictly negative limit (evidence of existence, up to truncation and
@@ -633,8 +659,8 @@ def minimize(
     only), INCONCLUSIVE otherwise.
     """
     require_p(p)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
     graph.require_valid()
     config = config or SolverConfig()
     schedule = config.r_cut_schedule
@@ -675,24 +701,13 @@ def minimize(
     u_core = GraphFunction(core, values)
     leads = Leads(graph, stage.omega, n, h)
     report = energy_report(u_core, p, leads)
-    el = el_residual(u_core, p, leads=leads)
-    # lift the last stage onto its mesh: the core edges keep their nodes,
-    # the leads take their profile
-    mesh = Mesh(graph, h_max=config.h_max, r_cut=schedule[-1])
-    lifted = np.empty(mesh.n_dofs)
-    for eid, dofs in core.edge_dofs.items():
-        lifted[mesh.edge_dofs[eid]] = values[dofs]
-    for e in graph.half_lines:
-        dofs = mesh.edge_dofs[e.id]
-        lifted[dofs] = lifted[dofs[0]] * leads.profile
-    u_final = GraphFunction(mesh, lifted)
-    min_node = float(lifted.min())
     return MinimizationResult(
-        function=u_final,
+        core=u_core,
+        leads=leads,
         energy=report.total_energy,
         verdict=_verdict(table, _ENERGY_TOL),
         report=report,
-        el=el,
+        el=el_residual(u_core, p, leads=leads),
         energy_trace=[row[1] for row in stage.trace],
         trace=stage.trace,
         r_cut_table=table,
@@ -700,11 +715,8 @@ def minimize(
         converged=stage.converged,
         iterations=sum(row[2] for row in table),
         grad_norm=stage.grad_norm,
-        min_node_value=min_node,
-        strictly_positive=min_node > 0.0,
         mu=mu,
         p=p,
-        lead_shift=stage.omega,
         lead_mass=stage.lead_mass,
     )
 

@@ -55,8 +55,8 @@ def const_Cp(p: float) -> float:
 def threshold_exist(p: float, mu: float, n_half_lines: int) -> float:
     """Core measure above which a ground state is guaranteed to exist."""
     _require_p46(p)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
     if n_half_lines < 1:
         raise ValueError("need at least one half-line")
     if p == 4.0:
@@ -81,8 +81,8 @@ def threshold_nonexist(
     as :func:`certify_nonexistence` does.
     """
     _require_p46(p)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
     C, c = gn_constants(p, 2 if n_half_lines is None else n_half_lines, C, c)
     if C <= 0 or c <= 0:
         raise ValueError("constants must be positive")

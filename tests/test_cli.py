@@ -292,6 +292,31 @@ def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
     assert not (tmp_path / "out" / "phase.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,spec,named",
+    [
+        pytest.param(["thresholds", "--p", "4", "--mu", "inf"], None, "inf", id="thresholds-mu-inf"),
+        pytest.param(["certify", "{graph}", "--p", "4", "--mu", "inf"], None, "inf", id="certify-mu-inf"),
+        pytest.param(["minimize", "{graph}", "--p", "3", "--mu", "nan", "--out", "{out}"], None, "nan", id="minimize-mu-nan"),
+        pytest.param(None, {"axis": "mu", "grid": [math.inf]}, "inf", id="sweep-grid-inf"),
+        pytest.param(None, {"axis": "core_scale", "grid": [math.nan]}, "nan", id="sweep-grid-nan"),
+        pytest.param(None, {"axis": "core_scale", "grid": [1.0], "mu": math.inf}, "inf", id="sweep-mu-inf"),
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, spec, named):
+    # json reads NaN and Infinity, argparse reads nan and inf: both are
+    # refused up front instead of giving zero thresholds or nan rows
+    out = tmp_path / "out"
+    if spec is not None:
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(json.dumps({"graph": broom_file, "out_dir": str(out), **spec}))
+        argv = ["sweep", str(sweep_file)]
+    assert cli.main([arg.format(graph=broom_file, out=out) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and named in err
+    assert not out.exists()
+
+
 def test_sweep_log_records_failed_points(tmp_path, broom_file, monkeypatch, capsys):
     real = cli.existence_dichotomy
 

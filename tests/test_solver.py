@@ -50,7 +50,7 @@ from graphnls.solver import (
     minimize,
     soliton_profile,
 )
-from graphnls.thresholds import inductive_bound_check
+from graphnls.thresholds import inductive_bound_check, threshold_exist, threshold_nonexist
 
 # (graph factory, p, truncation schedule, shooting energy, shooting multiplier)
 SHOOTING_CASES = [
@@ -303,6 +303,18 @@ def test_minimize_rejects_bad_parameters():
         minimize(line_graph(1.0), -1.0, 3.0)
     with pytest.raises(ValueError):
         minimize(line_graph(1.0), 1.0, 6.5)
+
+
+@pytest.mark.parametrize("mu", [math.inf, math.nan])
+def test_non_finite_mass_is_rejected(mu):
+    # NaN passes no comparison and infinity passes mu > 0
+    for call in (
+        lambda: minimize(line_graph(1.0), mu, 3.0),
+        lambda: threshold_exist(4.0, mu, 2),
+        lambda: threshold_nonexist(4.0, mu),
+    ):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            call()
 
 
 def test_solver_config_rejects_non_integer_counts():
@@ -637,10 +649,7 @@ def test_minimize_rejects_mismatched_meshes(other):
         minimize(line_graph(1.0), 1.0, 3.0, cfg, initial=start)
 
 
-def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
-    graph = line_graph(1.0)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05)
-    start = initializer_soliton(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0), center_offset=0.3)
+def _count_meshes(monkeypatch) -> list:
     init = Mesh.__init__
     built = []
 
@@ -649,16 +658,36 @@ def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Mesh, "__init__", counted)
+    return built
+
+
+def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
+    graph = line_graph(1.0)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05)
+    start = initializer_soliton(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0), center_offset=0.3)
+    built = _count_meshes(monkeypatch)
     res = minimize(graph, 1.0, 3.0, cfg, initial=start)
-    assert len(built) == 2
-    core, last = built
+    # a run meshes its core alone
+    assert len(built) == 1
+    (core,) = built
     assert core.graph.n_half_lines == 0 and core.n_dofs == 21
-    assert last is res.function.mesh and last.r_cut == 40.0
+    assert res.core.mesh is core
+    # the last stage's mesh is built on the first read of the function
+    function = res.function
+    assert len(built) == 2 and built[1] is function.mesh and function.mesh.r_cut == 40.0
+    assert res.function is function and len(built) == 2
     # the default start is sampled on the first stage's mesh, built for it
     built.clear()
     minimize(graph, 1.0, 3.0, cfg)
-    assert [m.r_cut for m in built if m.graph is graph] == [10.0, 40.0]
-    assert len(built) == 3
+    assert [m.r_cut for m in built if m.graph is graph] == [10.0]
+    assert len(built) == 2
+
+
+def test_dichotomy_builds_one_start_mesh_and_a_core_per_start(monkeypatch):
+    built = _count_meshes(monkeypatch)
+    existence_dichotomy(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
+    assert len(built) == 8
+    assert [m.graph.n_half_lines for m in built] == [2] + [0] * 7
 
 
 # the leads in closed form
@@ -897,6 +926,8 @@ def _assert_matches_the_lifted_report(res, p):
             assert value == ref[name], name
         else:
             assert value == pytest.approx(ref[name], rel=1e-12), name
+    assert res.min_node_value == float(res.function.values.min())
+    assert res.strictly_positive == bool(res.function.values.min() > 0.0)
     ref_el = el_residual(res.function, p)
     assert res.el.lambda_estimate == pytest.approx(ref_el.lambda_estimate, rel=1e-12)
     assert res.el.lambda_lsq == pytest.approx(ref_el.lambda_lsq, rel=1e-9)
