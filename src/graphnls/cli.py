@@ -23,8 +23,6 @@ from .checks import SUITES, run_checks
 from .energy import SCHEMA_VERSION, gn_constants
 from .functions import Mesh, save_function
 from .graphs import (
-    GraphFormatError,
-    InvalidGraphError,
     MetricGraph,
     Partition,
     core_measure,
@@ -547,13 +545,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphFormatError, InvalidGraphError, ValueError) as exc:
+    # GraphFormatError and InvalidGraphError are ValueErrors
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -6,7 +6,7 @@ evaluated on piecewise-linear functions with the quadrature conventions of
 :mod:`graphnls.functions`. The gradient returned here is the exact gradient
 of the discrete energy (stiffness action minus the Simpson-rule core load),
 so directional-derivative checks close to machine precision. The kinetic
-value and the stiffness action come from the Mesh's edge runs
+value and the stiffness action come from the Mesh's cells
 (``Mesh.dirichlet_integral``, ``Mesh.stiffness_action``), the same form
 ``kinetic_energy`` uses; ``energy_value`` is ``EnergyOperator.value``.
 The solver evaluates it on a Mesh of the core subgraph and adds the leads
@@ -66,7 +66,12 @@ def gn_constants(
     the single-lead pair C = 2^((p-2)/2), c = sqrt(2) for a graph with a
     dead end (:func:`graphnls.graphs.has_dead_end`), whose peaked states
     drain to infinity through one edge only, and ``default_gn_constants``
-    for the number of half-lines (at least one) of any other graph or N."""
+    for the number of half-lines (at least one) of any other graph or N.
+    The caller's constants must be finite and positive."""
+    for name, value in (("C", C), ("c", c)):
+        # NaN passes no comparison and infinity passes > 0
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     n = graph_or_n
     if isinstance(graph_or_n, MetricGraph):
         n = 1 if has_dead_end(graph_or_n) else max(1, graph_or_n.n_half_lines)

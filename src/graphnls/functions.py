@@ -11,18 +11,15 @@ for piecewise-linear functions). An exact closed-form integral of |u|^r is
 also provided; the rearrangement checks rely on it because equimeasurability
 is an identity of the interpolant itself, not of any sampling rule.
 
-The kinetic form is built on the Mesh numbering rather than on a sparse
-matrix: every node that is not a vertex lies in one consecutive run of its
-edge's nodes, so the cells split into chain cells, between neighbours in
-one run (one ``np.diff`` over the non-vertex values, with zero weight where
-two runs meet), and at most two link cells per edge, the ones that touch a
-vertex. The Dirichlet integral, the stiffness action (a difference of cell
-fluxes) and the blocks of the solver's preconditioner all come from these
-two pieces; ``Mesh.stiffness_matrix`` assembles the same form as a CSR
-matrix for reference. The solver descends on a Mesh of the core subgraph
-alone, whose numbering does not depend on the truncation, and takes each
-truncation's lead grid from ``uniform_cells``, the rule every edge of a
-Mesh is meshed by.
+Every form is computed on the Mesh's cells, one pass of gathers over the
+endpoint values: the Dirichlet integral, the stiffness action (a
+difference of cell fluxes) and the blocks of the solver's preconditioner
+(split by how many ends of a cell are vertices) as well as the mass and
+|u|^p integrals; ``Mesh.stiffness_matrix`` assembles the kinetic form as
+a CSR matrix for reference. The solver descends on a Mesh of the core
+subgraph alone, whose numbering does not depend on the truncation, and
+takes each truncation's lead grid from ``uniform_cells``, the rule every
+edge of a Mesh is meshed by.
 """
 from __future__ import annotations
 
@@ -70,12 +67,9 @@ class Mesh:
     other node lies inside one edge (a half-line's free end included), and
     each edge's nodes are numbered consecutively, edge after edge. So the
     stiffness block on the non-vertex dofs is tridiagonal, which the
-    solver's preconditioner relies on, and the kinetic forms are computed
-    on these runs (:meth:`dirichlet_integral`, :meth:`stiffness_action`,
-    :meth:`stiffness_blocks`): chain cells join neighbours in one run
-    (infinite width, so zero weight, where two runs meet) and link cells
-    join a vertex to its edge's run, or to the other vertex when the edge
-    is a single cell.
+    solver's preconditioner relies on (:meth:`stiffness_blocks`). The
+    cells are kept once, as endpoint dofs, widths and a core flag, and
+    every form is computed from them.
 
     Parameters
     ----------
@@ -103,8 +97,7 @@ class Mesh:
         edge_dofs: dict[str, np.ndarray] = {}
         edge_coords: dict[str, np.ndarray] = {}
         edge_h: dict[str, float] = {}
-        ia, ib, hh, core, links = [], [], [], [], []
-        runs = []
+        ia, ib, hh, core = [], [], [], []
         for e in sorted(graph.edges, key=lambda e: e.id):
             length = e.length if e.in_core else self.r_cut
             cells, h = uniform_cells(length, self.h_max)
@@ -115,10 +108,8 @@ class Mesh:
             if e.head is None:
                 dofs[-1] = next_dof  # free endpoint of the truncated lead
                 next_dof += 1
-                run = dofs[1:]
             else:
                 dofs[-1] = vertex_dof[e.head]
-                run = dofs[1:-1]
             edge_dofs[e.id] = dofs
             edge_coords[e.id] = np.linspace(0.0, length, cells + 1)
             edge_h[e.id] = h
@@ -126,13 +117,6 @@ class Mesh:
             ib.append(dofs[1:])
             hh.append(np.full(cells, h))
             core.append(np.full(cells, e.in_core))
-            if len(run) == 0:
-                links.append((dofs[0], dofs[-1], h))
-                continue
-            runs.append((run, h))
-            links.append((dofs[0], run[0], h))
-            if e.head is not None:
-                links.append((dofs[-1], run[-1], h))
 
         self.vertex_dof = vertex_dof
         self.edge_dofs = edge_dofs
@@ -140,17 +124,10 @@ class Mesh:
         self.edge_h = edge_h
         self.n_vertices = nv
         self.n_dofs = next_dof
-        chain_h = np.full(max(next_dof - nv - 1, 0), np.inf)
-        for run, h in runs:
-            chain_h[run[0] - nv : run[-1] - nv] = h
         self._cell_a = np.concatenate(ia)
         self._cell_b = np.concatenate(ib)
         self._cell_h = np.concatenate(hh)
         self._cell_core = np.concatenate(core)
-        self._chain_h = chain_h
-        self._link_v = np.array([v for v, _, _ in links], dtype=np.int64)
-        self._link_o = np.array([o for _, o, _ in links], dtype=np.int64)
-        self._link_h = np.array([h for _, _, h in links])
         self._mass = None
         self._stiffness = None
 
@@ -163,25 +140,19 @@ class Mesh:
 
     def dirichlet_integral(self, values: np.ndarray) -> float:
         """Exact Dirichlet integral of the interpolant of nodal ``values``,
-        summed over the chain cells and then the link cells."""
-        d = np.diff(values[self.n_vertices :])
-        e = values[self._link_o] - values[self._link_v]
-        return float(np.dot(d, d / self._chain_h) + np.dot(e, e / self._link_h))
+        summed over the cells."""
+        d = values[self._cell_b] - values[self._cell_a]
+        # divided by the width: a stored 1/h rounds too far off (README)
+        return float(np.dot(d, d / self._cell_h))
 
     def stiffness_action(self, values: np.ndarray) -> np.ndarray:
         """``S @ values`` as a difference of cell fluxes: each cell adds its
         flux (difference over width) to its second end, subtracts it from
         its first."""
-        nv = self.n_vertices
-        flux = np.diff(values[nv:])
-        flux /= self._chain_h
-        out = np.zeros(self.n_dofs)
-        out[nv + 1 :] = flux
-        out[nv : self.n_dofs - 1] -= flux
-        flux = (values[self._link_o] - values[self._link_v]) / self._link_h
-        np.add.at(out, self._link_o, flux)
-        np.subtract.at(out, self._link_v, flux)
-        return out
+        ia, ib = self._cell_a, self._cell_b
+        flux = (values[ib] - values[ia]) / self._cell_h
+        n = self.n_dofs
+        return np.bincount(ib, weights=flux, minlength=n) - np.bincount(ia, weights=flux, minlength=n)
 
     def stiffness_blocks(self):
         """The stiffness matrix split by the numbering, from the same cells
@@ -191,27 +162,30 @@ class Mesh:
         block; the non-vertex nodes coupled to a vertex (as offsets past
         the V vertex dofs, sorted) and their dense rows of the
         non-vertex-by-vertex block; and the diagonal and off-diagonal of
-        the tridiagonal block on the non-vertex nodes.
+        the tridiagonal block on the non-vertex nodes (0 where two edges'
+        nodes meet).
         """
-        nv = self.n_vertices
-        w_chain = 1.0 / self._chain_h
-        w_link = 1.0 / self._link_h
-        lv, lo = self._link_v, self._link_o
-        diag = np.zeros(self.n_dofs - nv)
-        diag[:-1] += w_chain
-        diag[1:] += w_chain
-        s_vv = np.zeros((nv, nv))
-        np.add.at(s_vv, (lv, lv), w_link)
-        vv = lo < nv
-        np.add.at(s_vv, (lo[vv], lo[vv]), w_link[vv])
-        np.add.at(s_vv, (lv[vv], lo[vv]), -w_link[vv])
-        np.add.at(s_vv, (lo[vv], lv[vv]), -w_link[vv])
-        run = ~vv
-        np.add.at(diag, lo[run] - nv, w_link[run])
-        ends, rows = np.unique(lo[run] - nv, return_inverse=True)
+        nv, n = self.n_vertices, self.n_dofs
+        # a vertex is always the lower dof of its cells
+        lo = np.minimum(self._cell_a, self._cell_b)
+        hi = np.maximum(self._cell_a, self._cell_b)
+        w = 1.0 / self._cell_h
+        # every cell adds its weight to the diagonal at both ends
+        d = np.bincount(np.concatenate((lo, hi)), weights=np.concatenate((w, w)), minlength=n)
+        s_vv = np.diag(d[:nv])
+        vv = hi < nv
+        np.add.at(s_vv, (lo[vv], hi[vv]), -w[vv])
+        np.add.at(s_vv, (hi[vv], lo[vv]), -w[vv])
+        # vertex-inner cells: one entry of s_ev each
+        mixed = (lo < nv) & ~vv
+        ends, rows = np.unique(hi[mixed] - nv, return_inverse=True)
         s_ev = np.zeros((len(ends), nv))
-        np.add.at(s_ev, (rows, lv[run]), -w_link[run])
-        return s_vv, ends, s_ev, diag, -w_chain
+        np.add.at(s_ev, (rows, lo[mixed]), -w[mixed])
+        # inner-inner cells join consecutive dofs
+        inner = lo >= nv
+        off = np.zeros(max(n - nv - 1, 0))
+        off[lo[inner] - nv] = -w[inner]
+        return s_vv, ends, s_ev, d[nv:], off
 
     def mass_vector(self) -> np.ndarray:
         """Lumped (trapezoid) mass weights per dof."""
@@ -226,7 +200,7 @@ class Mesh:
     def stiffness_matrix(self) -> sp.csr_matrix:
         """Assembled P1 stiffness matrix: u.S.u equals the exact Dirichlet
         integral of the interpolant. The solver does not use it; it is the
-        reference for the run-based forms above."""
+        reference for the cell forms above."""
         if self._stiffness is None:
             ia, ib, h = self.cells()
             w = 1.0 / h

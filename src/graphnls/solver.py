@@ -28,7 +28,7 @@ consecutively after the vertices, so a tridiagonal Cholesky eliminates
 them and only the small junction system on the vertices goes through a
 sparse LU. A run meshes its core once, as a Mesh of the core subgraph,
 whose numbering does not depend on the truncation; its set-up (the
-blocks, taken from the edge runs with no sparse matrix assembled, and the
+blocks, taken from the mesh's cells with no sparse matrix assembled, and the
 edge-node columns) is made once and shared by every stage, since stages
 differ only by their lead grid. Each refactors only for its own shifts.
 
@@ -107,7 +107,8 @@ class SolverConfig:
     h_max: float = 0.02
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)):
+        # a bool is an int: max_iters=True would run one-iteration stages
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")

@@ -84,8 +84,6 @@ def threshold_nonexist(
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and positive, got {mu!r}")
     C, c = gn_constants(p, 2 if n_half_lines is None else n_half_lines, C, c)
-    if C <= 0 or c <= 0:
-        raise ValueError("constants must be positive")
     return C ** ((4.0 - p) / (6.0 - p)) * mu ** ((2.0 - p) / (6.0 - p)) * c ** (-p)
 
 

@@ -267,6 +267,8 @@ def test_sweep_phase_csv(broom_file, tmp_path):
         pytest.param({"solver": {"max_iter": 50}}, "max_iter", id="solver0-max_iter"),
         pytest.param({"solver": {"r_cut_schedule": None}}, "r_cut_schedule", id="solver1-r_cut_schedule"),
         pytest.param({"solver": {"max_iters": 2.5}}, "max_iters", id="solver2-max_iters"),
+        # a bool is an int: true ran one-iteration stages
+        pytest.param({"solver": {"max_iters": True}}, "max_iters", id="solver3-max_iters-bool"),
         # starting states are not solver settings; the seed is top-level only
         pytest.param({"solver": {"seed": 3}}, "seed", id="solver-seed"),
         pytest.param({"solver": {"initializer": "random"}}, "initializer", id="solver-initializer"),
@@ -301,6 +303,10 @@ def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
         pytest.param(None, {"axis": "mu", "grid": [math.inf]}, "inf", id="sweep-grid-inf"),
         pytest.param(None, {"axis": "core_scale", "grid": [math.nan]}, "nan", id="sweep-grid-nan"),
         pytest.param(None, {"axis": "core_scale", "grid": [1.0], "mu": math.inf}, "inf", id="sweep-mu-inf"),
+        # caller-given GN constants: a nan c gave a nan L2 with exit 0
+        pytest.param(["thresholds", "--p", "4.5", "--c", "nan"], None, "nan", id="thresholds-c-nan"),
+        pytest.param(["thresholds", "--p", "4.5", "--C", "inf"], None, "inf", id="thresholds-C-inf"),
+        pytest.param(["check", "--gn-c", "nan"], None, "nan", id="check-gn-c-nan"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, spec, named):

@@ -235,8 +235,12 @@ RUN_FORM_MESHES = [
     (name, lambda factory=factory: Mesh(factory(), h_max=0.02, r_cut=20.0))
     for name, factory in STRUCTURED_SOLVE_GRAPHS
 ] + [
-    # one edge node in all: no chain cell, the lead's link cell and the core
-    # edge's vertex-to-vertex link cell
+    # the core subgraph's mesh, the only one the solver factors
+    (f"{name}_core", lambda factory=factory: _core_mesh(factory(), 0.02))
+    for name, factory in STRUCTURED_SOLVE_GRAPHS
+] + [
+    # one edge node in all, next to a vertex on both sides: the lead's
+    # cell and the core edge's vertex-to-vertex cell
     (
         "single_node",
         lambda: Mesh(metric_graph(["a", "b"], [("e", "a", "b", 0.01)], [("lead", "a")]), h_max=0.02, r_cut=0.01),
@@ -318,7 +322,7 @@ def test_non_finite_mass_is_rejected(mu):
 
 
 def test_solver_config_rejects_non_integer_counts():
-    for name, bad in (("max_iters", 2.5), ("max_iters", "10")):
+    for name, bad in (("max_iters", 2.5), ("max_iters", "10"), ("max_iters", True)):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: bad})
 

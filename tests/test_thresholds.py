@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from graphnls.energy import energy_value
+from graphnls.energy import energy_value, gn_check
 from graphnls.functions import GraphFunction, Mesh, interpolate, project_mass
 from graphnls.graphs import Partition, double_bridge, line_graph, metric_graph, star_graph
 from graphnls.thresholds import (
@@ -255,6 +255,24 @@ def test_certificate_respects_custom_constants():
     loose = certify_nonexistence(g, 4.0, 1.0, C=4.0, c=2.0)
     # larger constants shrink the threshold: c^{-p} = 1/16 < 0.5
     assert not loose.valid
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["C", "c"])
+def test_gn_constant_overrides_must_be_finite_and_positive(name, bad):
+    # NaN passes no comparison and infinity passes > 0: c = inf gave
+    # mu_nonexist = 0 with consistent=True, c = nan a nan threshold
+    g = line_graph(0.5)
+    u = project_mass(GraphFunction.constant(Mesh(g, h_max=0.1, r_cut=4.0), 1.0), 1.0)
+    for call in (
+        lambda: threshold_nonexist(4.5, 1.0, **{name: bad}),
+        lambda: threshold_report(4.5, 1.0, 2, **{name: bad}),
+        lambda: mass_thresholds(4.5, 1.0, 2, **{name: bad}),
+        lambda: certify_nonexistence(g, 4.5, 1.0, **{name: bad}),
+        lambda: gn_check(u, 4.5, **{name: bad}),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            call()
 
 
 # scaling
