@@ -79,6 +79,13 @@ def _check_p(p: float) -> None:
         raise _UsageError("p must be in (2,6)")
 
 
+def _spec_number(value, key: str) -> float:
+    # float() reads JSON true and false as 1.0 and 0.0
+    if isinstance(value, bool):
+        raise _UsageError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _check_mu(mu: float) -> None:
     if not (math.isfinite(mu) and mu > 0.0):
         raise _UsageError(f"mu must be finite and positive, got {mu!r}")
@@ -298,7 +305,7 @@ class SweepSpec:
         if axis not in ("core_scale", "mu", "p"):
             raise _UsageError("axis must be one of core_scale, mu, p")
         try:
-            grid = tuple(float(v) for v in data["grid"])
+            grid = tuple(_spec_number(v, "grid") for v in data["grid"])
         except (TypeError, ValueError):
             raise _UsageError("grid must be a list of numbers")
         if not grid:
@@ -317,8 +324,8 @@ class SweepSpec:
         out_dir = Path(data.get("out_dir", "sweep_out"))
         if not out_dir.is_absolute():
             out_dir = sweep_path.parent / out_dir
-        mu = float(data.get("mu", 1.0))
-        p = float(data.get("p", 4.0))
+        mu = _spec_number(data.get("mu", 1.0), "mu")
+        p = _spec_number(data.get("p", 4.0), "p")
         if axis != "mu":
             _check_mu(mu)
         if axis != "p" and not 2.0 < p < 6.0:

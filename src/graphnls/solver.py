@@ -113,12 +113,16 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         # NaN and infinity pass a plain > 0 test: NaN tolerances never stop
-        # a stage, infinite spacings or cuts give one-cell meshes or overflow
+        # a stage, infinite spacings or cuts give one-cell meshes or overflow;
+        # a bool passes it as 1.0
         for name in ("grad_tol", "h_max"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        sched = tuple(float(r) for r in self.r_cut_schedule)
+        sched = tuple(self.r_cut_schedule)
+        if any(isinstance(r, bool) for r in sched):
+            raise ValueError(f"r_cut_schedule entries must be numbers, got {sched!r}")
+        sched = tuple(float(r) for r in sched)
         if not all(math.isfinite(r) and r > 0 for r in sched):
             raise ValueError(f"every r_cut must be finite and positive, got {sched!r}")
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
@@ -300,6 +304,14 @@ def _shifted_factorizer(mesh: Mesh):
     diagonal; the ``solve(b)`` it returns is one tridiagonal pass per side
     around a junction solve. Both cost O(n V) rather than a sparse LU of
     all n nodes.
+
+    The junction's sparsity pattern is fixed by the graph: its diagonal
+    and both orientations of each core edge's (tail, head). One CSC
+    matrix with that pattern is built here; each ``factor`` writes the
+    junction's values into its ``data`` and LU-factors it with the
+    module-level ``splu``, whose factor keeps no reference to that array.
+    The pattern is not read off the values, since a long edge's coupling
+    can underflow to 0.0 at a large ``sigma``.
     """
     mass_vec = mesh.mass_vector()
     nv = mesh.n_vertices
@@ -311,6 +323,16 @@ def _shifted_factorizer(mesh: Mesh):
     if len(diag_i) == 1:
         off_i = np.zeros(1)
     mass_v, mass_i = mass_vec[:nv], mass_vec[nv:]
+    vertex_dof = mesh.vertex_dof
+    pairs = {(i, i) for i in range(nv)}
+    for e in mesh.graph.core_edges:
+        tail, head = vertex_dof[e.tail], vertex_dof[e.head]
+        pairs |= {(tail, head), (head, tail)}
+    # column-major with sorted rows: the layout csc_matrix gives a dense array
+    cols, rows = np.array(sorted((c, r) for r, c in pairs), dtype=np.intc).T.copy()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=nv)))).astype(np.intc)
+    pattern = csc_matrix((np.zeros(len(rows)), rows, indptr), shape=(nv, nv))
+    flat = rows.astype(np.intp) * nv + cols
 
     def factor(sigma: float, vertex_shift=0.0):
         if len(diag_i):
@@ -324,9 +346,10 @@ def _shifted_factorizer(mesh: Mesh):
         else:  # every edge is a single cell: there is no edge block
             junction = s_vv.copy()
         junction[np.diag_indices(nv)] += sigma * mass_v + vertex_shift
+        np.take(junction, flat, out=pattern.data)
         # through the module-level splu, so the benchmark's lu_factor and
         # lu_solve spans see one factor per refactor, one solve per step
-        lu = splu(csc_matrix(junction))
+        lu = splu(pattern)
         if not len(diag_i):
             return lu.solve
 

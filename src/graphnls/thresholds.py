@@ -243,6 +243,10 @@ def certify_nonexistence(
     below the threshold. Constants not passed come
     from :func:`graphnls.energy.gn_constants` for the graph, which gives
     the single-lead pair on graphs with a dead end.
+
+    Every candidate is scanned, but each distinct part's core measure is
+    summed (``math.fsum``) once: the enumerated partitions share far fewer
+    parts than they hold.
     """
     _require_p46(p)
     graph.require_valid()
@@ -261,12 +265,17 @@ def certify_nonexistence(
     else:
         cands = [None]
 
+    # far fewer parts than candidates are distinct: sum each one once
+    part_measures = {
+        part: part_core_measure(graph, part)
+        for part in {part for cand in cands if cand is not None for part in cand.parts}
+    }
     best: tuple[float, tuple[float, ...], Partition | None] | None = None
     for cand in cands:
         if cand is None:
             meas = (core_measure(graph),)
         else:
-            meas = tuple(part_core_measure(graph, part) for part in cand.parts)
+            meas = tuple(map(part_measures.__getitem__, cand.parts))
         worst = max(meas)
         if best is None or worst < best[0]:
             best = (worst, meas, cand)

@@ -323,6 +323,41 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        pytest.param({"axis": "core_scale", "grid": [True]}, "grid must be a number", id="grid"),
+        pytest.param({"axis": "core_scale", "grid": [1.0], "mu": True}, "mu must be a number", id="mu"),
+        # on the p axis the top-level p is not range-checked
+        pytest.param({"axis": "p", "grid": [4.0], "p": True}, "p must be a number", id="p"),
+        pytest.param(
+            {"axis": "core_scale", "grid": [1.0], "solver": {"h_max": True}},
+            "h_max must be finite and positive, got True",
+            id="solver-h_max",
+        ),
+        pytest.param(
+            {"axis": "core_scale", "grid": [1.0], "solver": {"grad_tol": True}},
+            "grad_tol must be finite and positive, got True",
+            id="solver-grad_tol",
+        ),
+        pytest.param(
+            {"axis": "core_scale", "grid": [1.0], "solver": {"r_cut_schedule": [True, 10.0]}},
+            "r_cut_schedule entries must be numbers",
+            id="solver-r_cut_schedule",
+        ),
+    ],
+)
+def test_sweep_json_booleans_are_usage_errors(tmp_path, broom_file, capsys, spec, message):
+    # float() reads JSON true as 1.0: each of these ran as 1.0 and exited 0
+    out = tmp_path / "out"
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps({"graph": broom_file, "out_dir": str(out), **spec}))
+    assert cli.main(["sweep", str(sweep_file)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    assert not out.exists()
+
+
 def test_sweep_log_records_failed_points(tmp_path, broom_file, monkeypatch, capsys):
     real = cli.existence_dichotomy
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
-from scipy.sparse import diags
+from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from graphnls import solver
@@ -231,6 +232,99 @@ def test_structured_solve_rejects_an_indefinite_edge_block():
         factor(-1e3)
 
 
+def _dense_junction_factorizer(mesh, sigma, vertex_shift):
+    """Reference for the factorizer: the same elimination of the edge
+    block, with the junction handed to splu as csc_matrix of its dense
+    array. Returns the solve and that dense junction."""
+    nv = mesh.n_vertices
+    mass = mesh.mass_vector()
+    s_vv, ends, s_ev, diag_i, off_i = mesh.stiffness_blocks()
+    if not len(diag_i):
+        junction = s_vv.copy()
+    else:
+        rhs = np.zeros((len(diag_i), nv), order="F")
+        rhs[ends] = s_ev
+        d, e, info = dpttrf(diag_i + sigma * mass[nv:], off_i if len(diag_i) > 1 else np.zeros(1))
+        assert info == 0
+        z = dpttrs(d, e, rhs)[0]
+        junction = s_vv - s_ev.T @ z[ends]
+    junction[np.diag_indices(nv)] += sigma * mass[:nv] + vertex_shift
+    lu = splu(csc_matrix(junction))
+    if not len(diag_i):
+        return lu.solve, junction
+
+    def solve(b):
+        y = dpttrs(d, e, b[nv:])[0]
+        x_v = lu.solve(b[:nv] - s_ev.T @ y[ends])
+        return np.concatenate((x_v, y - z @ x_v))
+
+    return solve, junction
+
+
+def _stage_vertex_shift(graph, core, sigma, r_cut=20.0):
+    """The vertex shift a stage at ``r_cut`` passes with ``sigma``."""
+    counts = np.bincount([core.vertex_dof[e.tail] for e in graph.half_lines], minlength=core.n_vertices)
+    phi, psi, _ = lead_forms(sigma, *uniform_cells(r_cut, 0.02))
+    return counts * (psi + sigma * phi)
+
+
+JUNCTION_GRAPHS = [
+    *STRUCTURED_SOLVE_GRAPHS,
+    # every core edge is one cell: no edge block, the junction is all there is
+    (
+        "single_cell_triangle",
+        lambda: metric_graph(
+            ["a", "b", "c"],
+            [("ab", "a", "b", 0.01), ("bc", "b", "c", 0.015), ("ca", "c", "a", 0.02)],
+            [("l1", "a"), ("l2", "c")],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("sigma", [1.0 / 20.0**2, 0.3, 1.0, 1e3])
+@pytest.mark.parametrize("factory", [f for _, f in JUNCTION_GRAPHS], ids=[n for n, _ in JUNCTION_GRAPHS])
+def test_fixed_junction_pattern_is_bit_identical_to_the_dense_junction(factory, sigma):
+    # the factorizer writes each junction into one CSC pattern made from
+    # the graph; csc_matrix of the dense junction gives the same matrix
+    graph = factory()
+    graph.require_valid()
+    core = _core_mesh(graph, 0.02)
+    shift = _stage_vertex_shift(graph, core, sigma)
+    b = np.random.default_rng(1).standard_normal(core.n_dofs)
+    ref, _ = _dense_junction_factorizer(core, sigma, shift)
+    assert np.array_equal(_shifted_factorizer(core)(sigma, shift)(b), ref(b))
+
+
+def test_junction_pattern_keeps_a_coupling_that_underflows():
+    # across a 10-long edge at sigma = 1e4 the vertex coupling decays like
+    # exp(-sqrt(sigma) * 10) and underflows to 0.0: the dense junction
+    # drops the entry, the fixed pattern stores it as an explicit zero
+    graph = line_graph(10.0)
+    core = _core_mesh(graph, 0.02)
+    sigma = 1e4
+    shift = _stage_vertex_shift(graph, core, sigma)
+    ref, junction = _dense_junction_factorizer(core, sigma, shift)
+    assert junction[0, 1] == 0.0 and junction[1, 0] == 0.0
+    b = np.random.default_rng(2).standard_normal(core.n_dofs)
+    x, want = _shifted_factorizer(core)(sigma, shift)(b), ref(b)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_solve_survives_the_next_factor():
+    # every factor writes into the same CSC data array: a solve taken
+    # before the next factor must not read it
+    graph = star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)
+    core = _core_mesh(graph, 0.02)
+    factor = _shifted_factorizer(core)
+    b = np.random.default_rng(3).standard_normal(core.n_dofs)
+    solve = factor(0.3, _stage_vertex_shift(graph, core, 0.3))
+    first = solve(b)
+    other = factor(40.0, _stage_vertex_shift(graph, core, 40.0))
+    assert not np.array_equal(other(b), first)
+    assert np.array_equal(solve(b), first)
+
+
 RUN_FORM_MESHES = [
     (name, lambda factory=factory: Mesh(factory(), h_max=0.02, r_cut=20.0))
     for name, factory in STRUCTURED_SOLVE_GRAPHS
@@ -325,6 +419,20 @@ def test_solver_config_rejects_non_integer_counts():
     for name, bad in (("max_iters", 2.5), ("max_iters", "10"), ("max_iters", True)):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [
+        pytest.param("h_max", True, id="h_max"),
+        pytest.param("grad_tol", True, id="grad_tol"),
+        pytest.param("r_cut_schedule", (True, 10.0), id="r_cut_schedule"),
+    ],
+)
+def test_solver_config_rejects_booleans(name, bad):
+    # a bool is a number to float() and passes the finite-and-positive test
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: bad})
 
 
 def test_dead_end_minimizer_within_single_lead_constants():

@@ -1,14 +1,29 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from graphnls.energy import energy_value, gn_check
+from graphnls.energy import energy_value, gn_check, gn_constants
 from graphnls.functions import GraphFunction, Mesh, interpolate, project_mass
-from graphnls.graphs import Partition, double_bridge, line_graph, metric_graph, star_graph
+from graphnls.graphs import (
+    Partition,
+    core_measure,
+    double_bridge,
+    line_graph,
+    load_graph,
+    metric_graph,
+    part_core_measure,
+    star_graph,
+)
 from graphnls.thresholds import (
+    NonexistenceCertificate,
     certify_nonexistence,
+    enumerate_partitions,
     competitor_energy,
     competitor_mass_requirement,
     const_Cp,
@@ -273,6 +288,123 @@ def test_gn_constant_overrides_must_be_finite_and_positive(name, bad):
     ):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             call()
+
+
+# the partition search against brute force, on small graphs with tied lengths
+
+TIED_LENGTHS = (0.25, 0.5, 1.0)
+
+
+@st.composite
+def small_graphs(draw):
+    """A star, a broom (a path with two leads or more at its far end) or a
+    bridge of parallel edges: 1 to 4 core edges, 2 to 5 leads."""
+    kind = draw(st.sampled_from(("star", "broom", "bridge")))
+    lengths = draw(st.lists(st.sampled_from(TIED_LENGTHS), min_size=1, max_size=4))
+    if kind == "star":
+        vertices = ["hub", *(f"t{i}" for i in range(len(lengths)))]
+        core = [(f"arm{i}", "hub", f"t{i}", x) for i, x in enumerate(lengths)]
+    elif kind == "broom":
+        vertices = [f"v{i}" for i in range(len(lengths) + 1)]
+        core = [(f"stick{i}", f"v{i}", f"v{i + 1}", x) for i, x in enumerate(lengths)]
+    else:
+        vertices = ["a", "b"]
+        core = [(f"bridge{i}", "a", "b", x) for i, x in enumerate(lengths)]
+    n = draw(st.integers(2, 5))
+    anchors = [draw(st.sampled_from(vertices)) for _ in range(n)]
+    if kind == "broom":
+        anchors[:2] = [vertices[-1]] * 2
+    graph = metric_graph(vertices, core, [(f"lead{k}", a) for k, a in enumerate(anchors)])
+    graph.require_valid()
+    return graph
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for parts in _set_partitions(rest):
+        yield [[first], *parts]
+        for k in range(len(parts)):
+            yield [*parts[:k], [first, *parts[k]], *parts[k + 1:]]
+
+
+def _brute_force_keys(graph, max_parts):
+    """Canonical keys of every split of all edges into 2..max_parts parts,
+    each holding a half-line, in sorted order."""
+    half = {e.id for e in graph.half_lines}
+    keys = {
+        tuple(sorted(tuple(sorted(part)) for part in parts))
+        for parts in _set_partitions(sorted(e.id for e in graph.edges))
+        if 2 <= len(parts) <= max_parts and all(half.intersection(part) for part in parts)
+    }
+    return sorted(keys)
+
+
+def _scanned_certificate(graph, p, mu):
+    """certify_nonexistence as a scan that sums every candidate's parts
+    afresh, over the brute-force partitions."""
+    C, c = gn_constants(p, graph)
+    l2 = threshold_nonexist(p, mu, C=C, c=c)
+    keys = _brute_force_keys(graph, graph.n_half_lines)
+    best = None
+    for cand in [None, *(Partition(tuple(map(frozenset, key))) for key in keys)]:
+        if cand is None:
+            meas = (core_measure(graph),)
+        else:
+            meas = tuple(part_core_measure(graph, part) for part in cand.parts)
+        if best is None or max(meas) < best[0]:
+            best = (max(meas), meas, cand)
+    worst, meas, cand = best
+    return NonexistenceCertificate(
+        valid=worst < l2,
+        threshold=l2,
+        part_core_measures=meas,
+        max_part_measure=worst,
+        partition=cand,
+        whole_graph=cand is None,
+        offending_parts=tuple(i for i, m in enumerate(meas) if m >= l2),
+        p=p,
+        mu=mu,
+        C=C,
+        c=c,
+    ).to_dict()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph=small_graphs(), data=st.data())
+def test_enumerated_partitions_match_brute_force(graph, data):
+    max_parts = data.draw(st.integers(2, graph.n_half_lines))
+    found = enumerate_partitions(graph, max_parts)
+    # each part in canonical order, each partition once, sorted by key
+    assert [tuple(tuple(sorted(part)) for part in q.parts) for q in found] == _brute_force_keys(graph, max_parts)
+    # equal parts are one shared frozenset
+    parts = [part for q in found for part in q.parts]
+    assert len({id(part) for part in parts}) == len(set(parts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    graph=small_graphs(),
+    p=st.sampled_from((4.0, 4.5, 5.0)),
+    mu=st.sampled_from((0.5, 1.0, 2.0)),
+)
+def test_certificate_matches_a_scan_of_every_candidate(graph, p, mu):
+    assert certify_nonexistence(graph, p, mu).to_dict() == _scanned_certificate(graph, p, mu)
+
+
+def test_certificates_of_the_demo_graphs_are_pinned():
+    # pure fsum of edge lengths against closed-form thresholds: the same
+    # on every platform
+    demos = Path(__file__).resolve().parents[1] / "demos" / "graphs"
+    pinned = json.loads((Path(__file__).with_name("certify_demo_graphs.json")).read_text())
+    assert [(row["graph"], row["p"]) for row in pinned] == [
+        (name, p) for name in ("broom", "double_bridge", "line", "star") for p in (4.0, 4.5, 5.0)
+    ]
+    for row in pinned:
+        cert = certify_nonexistence(load_graph(demos / f"{row['graph']}.graph"), row["p"], row["mu"])
+        assert json.loads(json.dumps(cert.to_dict())) == row["certificate"]
 
 
 # scaling
