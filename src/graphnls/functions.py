@@ -13,10 +13,10 @@ is an identity of the interpolant itself, not of any sampling rule.
 
 Every form is computed on the Mesh's cells, one pass of gathers over the
 endpoint values: the Dirichlet integral, the stiffness action (a
-difference of cell fluxes) and the blocks of the solver's preconditioner
-(split by how many ends of a cell are vertices) as well as the mass and
-|u|^p integrals; ``Mesh.stiffness_matrix`` assembles the kinetic form as
-a CSR matrix for reference. The solver descends on a Mesh of the core
+difference of cell fluxes), the mass and the |u|^p integrals;
+``Mesh.stiffness_matrix`` assembles the kinetic form from the same cells
+as the CSC matrix whose shifted copy the solver's preconditioner factors,
+once per mesh. The solver descends on a Mesh of the core
 subgraph alone, whose numbering does not depend on the truncation, and
 takes each truncation's lead grid from ``uniform_cells``, the rule every
 edge of a Mesh is meshed by.
@@ -65,9 +65,7 @@ class Mesh:
 
     Numbering: the vertices take dofs ``0..V-1`` in sorted order; every
     other node lies inside one edge (a half-line's free end included), and
-    each edge's nodes are numbered consecutively, edge after edge. So the
-    stiffness block on the non-vertex dofs is tridiagonal, which the
-    solver's preconditioner relies on (:meth:`stiffness_blocks`). The
+    each edge's nodes are numbered consecutively, edge after edge. The
     cells are kept once, as endpoint dofs, widths and a core flag, and
     every form is computed from them.
 
@@ -154,39 +152,6 @@ class Mesh:
         n = self.n_dofs
         return np.bincount(ib, weights=flux, minlength=n) - np.bincount(ia, weights=flux, minlength=n)
 
-    def stiffness_blocks(self):
-        """The stiffness matrix split by the numbering, from the same cells
-        as :meth:`stiffness_action`.
-
-        Returns ``(s_vv, ends, s_ev, diag, off)``: the dense V x V vertex
-        block; the non-vertex nodes coupled to a vertex (as offsets past
-        the V vertex dofs, sorted) and their dense rows of the
-        non-vertex-by-vertex block; and the diagonal and off-diagonal of
-        the tridiagonal block on the non-vertex nodes (0 where two edges'
-        nodes meet).
-        """
-        nv, n = self.n_vertices, self.n_dofs
-        # a vertex is always the lower dof of its cells
-        lo = np.minimum(self._cell_a, self._cell_b)
-        hi = np.maximum(self._cell_a, self._cell_b)
-        w = 1.0 / self._cell_h
-        # every cell adds its weight to the diagonal at both ends
-        d = np.bincount(np.concatenate((lo, hi)), weights=np.concatenate((w, w)), minlength=n)
-        s_vv = np.diag(d[:nv])
-        vv = hi < nv
-        np.add.at(s_vv, (lo[vv], hi[vv]), -w[vv])
-        np.add.at(s_vv, (hi[vv], lo[vv]), -w[vv])
-        # vertex-inner cells: one entry of s_ev each
-        mixed = (lo < nv) & ~vv
-        ends, rows = np.unique(hi[mixed] - nv, return_inverse=True)
-        s_ev = np.zeros((len(ends), nv))
-        np.add.at(s_ev, (rows, lo[mixed]), -w[mixed])
-        # inner-inner cells join consecutive dofs
-        inner = lo >= nv
-        off = np.zeros(max(n - nv - 1, 0))
-        off[lo[inner] - nv] = -w[inner]
-        return s_vv, ends, s_ev, d[nv:], off
-
     def mass_vector(self) -> np.ndarray:
         """Lumped (trapezoid) mass weights per dof."""
         if self._mass is None:
@@ -197,18 +162,29 @@ class Mesh:
             )
         return self._mass
 
-    def stiffness_matrix(self) -> sp.csr_matrix:
-        """Assembled P1 stiffness matrix: u.S.u equals the exact Dirichlet
-        integral of the interpolant. The solver does not use it; it is the
-        reference for the cell forms above."""
+    def stiffness_matrix(self) -> sp.csc_matrix:
+        """Assembled P1 stiffness matrix S, from the same cells as
+        :meth:`stiffness_action`: u.S.u equals the exact Dirichlet integral
+        of the interpolant. CSC with sorted rows and a stored diagonal entry
+        for every dof, built once per mesh; the solver factors
+        ``S + diag(sigma*M + shift)`` by writing only that diagonal."""
         if self._stiffness is None:
-            ia, ib, h = self.cells()
-            w = 1.0 / h
-            rows = np.concatenate([ia, ib, ia, ib])
-            cols = np.concatenate([ia, ib, ib, ia])
-            vals = np.concatenate([w, w, -w, -w])
-            self._stiffness = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs)
+            n = self.n_dofs
+            # a one-cell self-loop joins a vertex to itself and adds nothing
+            link = self._cell_a != self._cell_b
+            ia, ib = self._cell_a[link], self._cell_b[link]
+            w = 1.0 / self._cell_h[link]
+            dofs = np.arange(n)
+            diag = np.bincount(np.concatenate((ia, ib)), weights=np.concatenate((w, w)), minlength=n)
+            rows = np.concatenate((dofs, ia, ib))
+            cols = np.concatenate((dofs, ib, ia))
+            # column-major keys: sorted, they give CSC order with sorted
+            # rows; parallel one-cell edges share a key and are summed
+            keys, where = np.unique(cols * n + rows, return_inverse=True)
+            data = np.bincount(where, weights=np.concatenate((diag, -w, -w)))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+            self._stiffness = sp.csc_matrix(
+                (data, (keys % n).astype(np.intc), indptr.astype(np.intc)), shape=(n, n)
             )
         return self._stiffness
 

@@ -23,14 +23,13 @@ refactored whenever the estimate leaves [sigma/2, 2*sigma]; omega steps
 toward the same estimate. The preconditioner then matches the linearized
 problem on the half-line tails as well as on the core, which keeps the
 iteration count independent of the mesh and of how weakly the state is
-bound. It is solved in O(n): the core numbers each edge's inner nodes
-consecutively after the vertices, so a tridiagonal Cholesky eliminates
-them and only the small junction system on the vertices goes through a
-sparse LU. A run meshes its core once, as a Mesh of the core subgraph,
-whose numbering does not depend on the truncation; its set-up (the
-blocks, taken from the mesh's cells with no sparse matrix assembled, and the
-edge-node columns) is made once and shared by every stage, since stages
-differ only by their lead grid. Each refactors only for its own shifts.
+bound. It is one sparse LU (SuperLU) of the core matrix S + diag(sigma*M),
+the leads' terms added on the anchors' diagonal. A run meshes its core
+once, as a Mesh of the core subgraph, whose numbering does not depend on
+the truncation; its set-up (the stiffness matrix, assembled once from the
+mesh's cells) is shared by every stage, since stages differ only by their
+lead grid. Each refactors only for its own shifts, writing only the
+matrix's diagonal.
 
 Each line search starts at step 1, or longer: after a search that took its
 first trial, the next starts at the minimizer of the parabola through the
@@ -58,9 +57,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .energy import (
@@ -292,73 +288,35 @@ class _StageResult:
 
 
 def _shifted_factorizer(mesh: Mesh):
-    """Direct solver for S + sigma*diag(M) on ``mesh``, plus an optional
+    """Direct solver for S + diag(sigma*M) on ``mesh``, plus an optional
     diagonal on the vertex dofs.
 
-    The vertices hold dofs 0..V-1 and every other node lies inside one
-    edge, whose nodes are numbered consecutively, so the block on the
-    non-vertex nodes is tridiagonal. Returns ``factor(sigma,
-    vertex_shift=0.0)``, which Cholesky-factors that block (LAPACK pttrf),
-    eliminates it from the V vertex columns and LU-factors the V x V
-    junction system that is left, with ``vertex_shift`` added to its
-    diagonal; the ``solve(b)`` it returns is one tridiagonal pass per side
-    around a junction solve. Both cost O(n V) rather than a sparse LU of
-    all n nodes.
-
-    The junction's sparsity pattern is fixed by the graph: its diagonal
-    and both orientations of each core edge's (tail, head). One CSC
-    matrix with that pattern is built here; each ``factor`` writes the
-    junction's values into its ``data`` and LU-factors it with the
-    module-level ``splu``, whose factor keeps no reference to that array.
-    The pattern is not read off the values, since a long edge's coupling
-    can underflow to 0.0 at a large ``sigma``.
+    Returns ``factor(sigma, vertex_shift=0.0)``, which LU-factors
+    ``S + diag(sigma*M)`` with ``vertex_shift`` added on the vertex dofs
+    and returns the factor's ``solve``. The matrix is a copy of
+    :meth:`Mesh.stiffness_matrix`, made once; every diagonal entry is
+    stored, so each ``factor`` writes only the diagonal values and factors
+    the matrix with the module-level ``splu``, whose factor keeps no
+    reference to them. S alone is singular on constants: ``sigma`` must be
+    positive (ValueError).
     """
-    mass_vec = mesh.mass_vector()
-    nv = mesh.n_vertices
-    # only the end nodes of each edge touch a vertex: s_ev holds their rows
-    s_vv, ends, s_ev, diag_i, off_i = mesh.stiffness_blocks()
-    rhs = np.zeros((len(diag_i), nv), order="F")
-    rhs[ends] = s_ev
-    # the LAPACK wrapper wants a nonempty off-diagonal even for one node
-    if len(diag_i) == 1:
-        off_i = np.zeros(1)
-    mass_v, mass_i = mass_vec[:nv], mass_vec[nv:]
-    vertex_dof = mesh.vertex_dof
-    pairs = {(i, i) for i in range(nv)}
-    for e in mesh.graph.core_edges:
-        tail, head = vertex_dof[e.tail], vertex_dof[e.head]
-        pairs |= {(tail, head), (head, tail)}
-    # column-major with sorted rows: the layout csc_matrix gives a dense array
-    cols, rows = np.array(sorted((c, r) for r, c in pairs), dtype=np.intc).T.copy()
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=nv)))).astype(np.intc)
-    pattern = csc_matrix((np.zeros(len(rows)), rows, indptr), shape=(nv, nv))
-    flat = rows.astype(np.intp) * nv + cols
+    stiffness = mesh.stiffness_matrix()
+    matrix = stiffness.copy()
+    cols = np.repeat(np.arange(mesh.n_dofs), np.diff(matrix.indptr))
+    diag = np.flatnonzero(matrix.indices == cols)
+    s_diag = stiffness.data[diag]
+    mass, nv = mesh.mass_vector(), mesh.n_vertices
 
     def factor(sigma: float, vertex_shift=0.0):
-        if len(diag_i):
-            d, e, info = dpttrf(diag_i + sigma * mass_i, off_i)
-            if info != 0:
-                raise LinAlgError(
-                    f"edge block of S + sigma*M is not positive definite (sigma={sigma!r}, info={info})"
-                )
-            z = dpttrs(d, e, rhs)[0]
-            junction = s_vv - s_ev.T @ z[ends]
-        else:  # every edge is a single cell: there is no edge block
-            junction = s_vv.copy()
-        junction[np.diag_indices(nv)] += sigma * mass_v + vertex_shift
-        np.take(junction, flat, out=pattern.data)
+        if not sigma > 0.0:
+            raise ValueError(f"sigma must be positive: S alone is singular on constants, got {sigma!r}")
+        values = s_diag + sigma * mass
+        values[:nv] += vertex_shift
+        matrix.data[diag] = values
         # through the module-level splu, so the benchmark's lu_factor and
-        # lu_solve spans see one factor per refactor, one solve per step
-        lu = splu(pattern)
-        if not len(diag_i):
-            return lu.solve
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            y = dpttrs(d, e, b[nv:])[0]
-            x_v = lu.solve(b[:nv] - s_ev.T @ y[ends])
-            return np.concatenate((x_v, y - z @ x_v))
-
-        return solve
+        # lu_solve spans see the whole preconditioner: one factor per
+        # refactor, one solve per step
+        return splu(matrix).solve
 
     return factor
 
@@ -391,9 +349,8 @@ def _descend(
     # is small (weakly bound states). 1/r_cut^2 floors the shift so the
     # operator stays positive definite while lam_hat >= 0 (random starts,
     # zero-infimum runs); there is no cap. It is refactored only when the
-    # estimate leaves [sigma/2, 2*sigma]. Each factorization eliminates the
-    # edge nodes by a tridiagonal Cholesky and factors only the small
-    # junction system on the vertices (_shifted_factorizer).
+    # estimate leaves [sigma/2, 2*sigma], by one sparse LU of the core
+    # matrix (_shifted_factorizer).
     shift_floor = 1.0 / r_cut**2
     omega_floor = 0.5 * _lowest_shift(n, h)
     sigma = 0.0

@@ -37,8 +37,9 @@ def test_mesh_dof_sharing():
 
 
 def test_mesh_numbers_vertices_first_and_edge_nodes_in_runs():
-    # the solver's preconditioner eliminates the non-vertex dofs with a
-    # tridiagonal factorization, which needs exactly this numbering
+    # the solver reads a state's vertex values as its first V dofs on any
+    # mesh of the graph; each edge's other nodes form one run, so the
+    # stiffness off the vertices is tridiagonal
     graphs = [
         line_graph(1.0),
         double_bridge(0.5, 0.5),

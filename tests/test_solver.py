@@ -15,9 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import csc_matrix, diags
+from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from graphnls import solver
@@ -225,40 +223,12 @@ def test_structured_solve_with_a_single_edge_node():
     _assert_structured_solve_matches_sparse_lu(mesh, 1.0)
 
 
-def test_structured_solve_rejects_an_indefinite_edge_block():
-    mesh = Mesh(line_graph(1.0), h_max=0.1, r_cut=5.0)
-    factor = _shifted_factorizer(mesh)
-    with pytest.raises(LinAlgError, match="not positive definite"):
-        factor(-1e3)
-
-
-def _dense_junction_factorizer(mesh, sigma, vertex_shift):
-    """Reference for the factorizer: the same elimination of the edge
-    block, with the junction handed to splu as csc_matrix of its dense
-    array. Returns the solve and that dense junction."""
-    nv = mesh.n_vertices
-    mass = mesh.mass_vector()
-    s_vv, ends, s_ev, diag_i, off_i = mesh.stiffness_blocks()
-    if not len(diag_i):
-        junction = s_vv.copy()
-    else:
-        rhs = np.zeros((len(diag_i), nv), order="F")
-        rhs[ends] = s_ev
-        d, e, info = dpttrf(diag_i + sigma * mass[nv:], off_i if len(diag_i) > 1 else np.zeros(1))
-        assert info == 0
-        z = dpttrs(d, e, rhs)[0]
-        junction = s_vv - s_ev.T @ z[ends]
-    junction[np.diag_indices(nv)] += sigma * mass[:nv] + vertex_shift
-    lu = splu(csc_matrix(junction))
-    if not len(diag_i):
-        return lu.solve, junction
-
-    def solve(b):
-        y = dpttrs(d, e, b[nv:])[0]
-        x_v = lu.solve(b[:nv] - s_ev.T @ y[ends])
-        return np.concatenate((x_v, y - z @ x_v))
-
-    return solve, junction
+def test_factor_rejects_a_non_positive_shift():
+    # S alone is singular on constants
+    factor = _shifted_factorizer(Mesh(line_graph(1.0), h_max=0.1, r_cut=5.0))
+    for sigma in (0.0, -1e3, math.nan):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            factor(sigma)
 
 
 def _stage_vertex_shift(graph, core, sigma, r_cut=20.0):
@@ -282,33 +252,40 @@ JUNCTION_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("sigma", [1.0 / 20.0**2, 0.3, 1.0, 1e3])
-@pytest.mark.parametrize("factory", [f for _, f in JUNCTION_GRAPHS], ids=[n for n, _ in JUNCTION_GRAPHS])
-def test_fixed_junction_pattern_is_bit_identical_to_the_dense_junction(factory, sigma):
-    # the factorizer writes each junction into one CSC pattern made from
-    # the graph; csc_matrix of the dense junction gives the same matrix
+FACTOR_CASES = [
+    pytest.param(factory, sigma, id=f"{name}-{sigma:g}")
+    for name, factory in JUNCTION_GRAPHS
+    for sigma in (1.0 / 20.0**2, 0.3, 1.0, 1e3)
+] + [
+    # across a 10-long edge at sigma = 1e4 the coupling of its two vertices
+    # decays like exp(-sqrt(sigma) * 10), far below rounding
+    pytest.param(lambda: line_graph(10.0), 1e4, id="long_edge-10000"),
+]
+
+
+def _dense_solve(a, b):
+    """``np.linalg.solve(a, b)`` refined twice on long-double residuals:
+    at the floor shift the plain dense solve is itself about 1e-12 off
+    (the self-loop core), the refined one is exact to rounding."""
+    x = np.linalg.solve(a, b)
+    a_ext, b_ext = a.astype(np.longdouble), b.astype(np.longdouble)
+    for _ in range(2):
+        x = x + np.linalg.solve(a, (b_ext - a_ext @ x).astype(float))
+    return x
+
+
+@pytest.mark.parametrize("factory,sigma", FACTOR_CASES)
+def test_factor_solves_the_shifted_core_matrix(factory, sigma):
     graph = factory()
     graph.require_valid()
     core = _core_mesh(graph, 0.02)
     shift = _stage_vertex_shift(graph, core, sigma)
+    diagonal = sigma * core.mass_vector()
+    diagonal[: core.n_vertices] += shift
     b = np.random.default_rng(1).standard_normal(core.n_dofs)
-    ref, _ = _dense_junction_factorizer(core, sigma, shift)
-    assert np.array_equal(_shifted_factorizer(core)(sigma, shift)(b), ref(b))
-
-
-def test_junction_pattern_keeps_a_coupling_that_underflows():
-    # across a 10-long edge at sigma = 1e4 the vertex coupling decays like
-    # exp(-sqrt(sigma) * 10) and underflows to 0.0: the dense junction
-    # drops the entry, the fixed pattern stores it as an explicit zero
-    graph = line_graph(10.0)
-    core = _core_mesh(graph, 0.02)
-    sigma = 1e4
-    shift = _stage_vertex_shift(graph, core, sigma)
-    ref, junction = _dense_junction_factorizer(core, sigma, shift)
-    assert junction[0, 1] == 0.0 and junction[1, 0] == 0.0
-    b = np.random.default_rng(2).standard_normal(core.n_dofs)
-    x, want = _shifted_factorizer(core)(sigma, shift)(b), ref(b)
-    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+    ref = _dense_solve(core.stiffness_matrix().toarray() + np.diag(diagonal), b)
+    x = _shifted_factorizer(core)(sigma, shift)(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_a_solve_survives_the_next_factor():
@@ -355,30 +332,37 @@ def test_run_forms_match_the_assembled_stiffness(make_mesh):
     assert mesh.dirichlet_integral(v) == pytest.approx(float(v @ (stiffness @ v)), rel=1e-12)
     ref = stiffness @ v
     assert np.linalg.norm(mesh.stiffness_action(v) - ref) <= 1e-12 * np.linalg.norm(ref)
-    # the blocks the preconditioner factors are the matrix's own
-    nv = len(mesh.vertex_dof)
-    s_vv, ends, s_ev, diag, off = mesh.stiffness_blocks()
-    dense = stiffness.toarray()
-    s_iv = np.zeros((mesh.n_dofs - nv, nv))
-    s_iv[ends] = s_ev
-    assert np.allclose(s_vv, dense[:nv, :nv], rtol=1e-12, atol=0.0)
-    assert np.allclose(s_iv, dense[nv:, :nv], rtol=1e-12, atol=0.0)
-    assert np.allclose(diag, np.diag(dense)[nv:], rtol=1e-12, atol=0.0)
-    assert np.allclose(off, np.diag(dense, 1)[nv:], rtol=1e-12, atol=0.0)
+    # the layout the preconditioner writes its diagonal into
+    assert stiffness.format == "csc" and stiffness.has_sorted_indices
+    cols = np.repeat(np.arange(mesh.n_dofs), np.diff(stiffness.indptr))
+    assert np.array_equal(np.sort(cols[stiffness.indices == cols]), np.arange(mesh.n_dofs))
     # differences of equal values: exactly 0 on constants
     constant = np.full(mesh.n_dofs, 0.7)
     assert mesh.dirichlet_integral(constant) == 0.0
     assert not np.any(mesh.stiffness_action(constant))
 
 
-def test_solver_path_never_assembles_the_stiffness_matrix(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the solver path assembled a CSR stiffness matrix")
+def test_a_run_assembles_the_stiffness_once_and_leaves_it(monkeypatch):
+    # one core mesh per run, so one assembly; the factors write their
+    # diagonals into a copy
+    built = []
+    assemble = Mesh.stiffness_matrix
 
-    monkeypatch.setattr(Mesh, "stiffness_matrix", refuse)
+    def record(self):
+        if self._stiffness is None:
+            built.append(self)
+        return assemble(self)
+
+    monkeypatch.setattr(Mesh, "stiffness_matrix", record)
     cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
     assert minimize(line_graph(1.0), 1.0, 2.5, cfg).verdict == NEGATIVE_MINIMUM
-    assert existence_dichotomy(line_graph(1.0), 1.0, 2.5, cfg).verdict == NEGATIVE_MINIMUM
+    assert len(built) == 1
+    (core,) = built
+    stiffness = core.stiffness_matrix()  # the cached matrix: no second assembly
+    assert len(built) == 1
+    fresh = assemble(Mesh(core.graph, core.h_max, core.r_cut))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(stiffness, name), getattr(fresh, name))
 
 
 def test_zero_infimum_below_threshold():
@@ -485,7 +469,7 @@ PINNED_STAGES = [
     pytest.param(
         lambda: line_graph(1.0),
         3.0,
-        [(10.0, -0.00826461777908636, 12, True), (20.0, -0.007072884756353197, 7, True)],
+        [(10.0, -0.008264617779086365, 12, True), (20.0, -0.007072884756353199, 7, True)],
         [(10.0, 12, 0, "line_search"), (20.0, 7, 0, "line_search")],
         id="line",
     ),
@@ -499,7 +483,7 @@ PINNED_STAGES = [
     pytest.param(
         lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2),
         3.0,
-        [(10.0, -0.0019098137117035687, 11, True), (20.0, -0.0008086105552482245, 9, True)],
+        [(10.0, -0.0019098137117035674, 11, True), (20.0, -0.000808610555248225, 9, True)],
         [(10.0, 11, 0, "line_search"), (20.0, 9, 0, "line_search")],
         id="star",
     ),
