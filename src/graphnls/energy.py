@@ -5,20 +5,21 @@ E(u) = 1/2 * int_G |u'|^2  -  1/p * int_K |u|^p,   2 < p < 6,
 evaluated on piecewise-linear functions with the quadrature conventions of
 :mod:`graphnls.functions`. The gradient returned here is the exact gradient
 of the discrete energy (stiffness action minus the Simpson-rule core load),
-so directional-derivative checks close to machine precision. The kinetic
-value and the stiffness action come from the Mesh's cells
-(``Mesh.dirichlet_integral``, ``Mesh.stiffness_action``), the same form
-``kinetic_energy`` uses; ``energy_value`` is ``EnergyOperator.value``.
-The solver evaluates it on a Mesh of the core subgraph and adds the leads
-in closed form: the lead profile and its forms (``lead_profile``,
-``lead_forms``) live here, and ``energy_report`` and ``el_residual``
-account for such leads (:class:`Leads`) without meshing them.
+so directional-derivative checks close to machine precision. Both come
+from one pass over the Mesh's cells (:class:`CellPass`), which the solver
+takes once per trial point; on a mesh without half-lines the value sums
+it bit for bit as ``kinetic_energy`` and ``lp_integral`` do. The solver
+evaluates it on a Mesh of the core subgraph and adds the leads in closed
+form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
+live here, and ``energy_report`` and ``el_residual`` account for such
+leads (:class:`Leads`) without meshing them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .functions import (
     GraphFunction,
     Mesh,
     _abs_pow,
-    _simpson_abs_pow,
+    _simpson,
     kinetic_energy,
     l2_norm_sq,
     linf_norm,
@@ -37,6 +38,7 @@ from .graphs import MetricGraph, has_dead_end
 SCHEMA_VERSION = 1
 # float64 machine epsilon: where the lead forms' series stop
 _EPS = float(np.finfo(float).eps)
+_END_SIGNS = np.array([[-1.0], [1.0]])  # of a cell's flux at its first and second end
 
 
 def require_p(p: float) -> None:
@@ -127,6 +129,18 @@ class ELReport:
         }
 
 
+class CellPass(NamedTuple):
+    """One pass of an :class:`EnergyOperator` over its cells at the nodal
+    ``values``, for them alone: each cell's difference ``d``, flux ``d / h``,
+    ``x = [first ends | second ends | midpoints]`` and ``pw = |x|^p``."""
+
+    values: np.ndarray
+    d: np.ndarray
+    flux: np.ndarray
+    x: np.ndarray
+    pw: np.ndarray
+
+
 class EnergyOperator:
     """Cached discrete forms for one (mesh, p) pair.
 
@@ -140,30 +154,41 @@ class EnergyOperator:
         self.mesh = mesh
         self.p = float(p)
         self.mass_vec = mesh.mass_vector()
-        self._ia, self._ib, self._h = mesh.cells(core_only=True)
+        ia, ib, self._h = mesh.cells()
+        self._ends = np.concatenate((ia, ib))
+        self._w = np.where(mesh.cell_core, self._h / 6.0, 0.0)  # no nonlinearity off the core
 
-    def potential_integral(self, v: np.ndarray) -> float:
-        return _simpson_abs_pow(v[self._ia], v[self._ib], self._h, self.p)
+    def cell_pass(self, v: np.ndarray, cells: CellPass | None = None) -> CellPass:
+        """The gathers, midpoints, fluxes and powers of ``v``: ``cells`` if
+        given (it must be ``v``'s), else computed."""
+        if cells is not None:
+            if cells.values is not v:
+                raise ValueError("the cell pass was computed for another array")
+            return cells
+        n = len(self._h)
+        ends = v[self._ends]
+        d = ends[n:] - ends[:n]
+        x = np.concatenate((ends, 0.5 * (ends[:n] + ends[n:])))
+        # divided by the width: a stored 1/h rounds too far off (README)
+        return CellPass(v, d, d / self._h, x, _abs_pow(x, self.p))
 
-    def value(self, v: np.ndarray) -> float:
-        # kinetic_energy's form, which is exactly 0 on constants
-        kinetic_sq = self.mesh.dirichlet_integral(v)
-        return 0.5 * kinetic_sq - self.potential_integral(v) / self.p
+    def value(self, v: np.ndarray, cells: CellPass | None = None) -> float:
+        """The energy at ``v``, from its pass ``cells`` if given: the sums
+        of ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``."""
+        c = self.cell_pass(v, cells)
+        n = len(self._h)
+        lp = _simpson(c.pw[:n], c.pw[2 * n :], c.pw[n : 2 * n], self._w)
+        return 0.5 * float(c.d.dot(c.flux)) - lp / self.p
 
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        """Exact gradient of the discrete energy w.r.t. nodal values."""
-        a, b = v[self._ia], v[self._ib]
-        mid = 0.5 * (a + b)
-        p = self.p
-        ga = _abs_pow(a, p - 2) * a
-        gm = _abs_pow(mid, p - 2) * mid
-        gb = _abs_pow(b, p - 2) * b
-        w = self._h / 6.0
-        g = self.mesh.stiffness_action(v)
-        # minus the Simpson load, subtracted in place at its cells' nodes
-        np.subtract.at(g, self._ia, w * (ga + 2.0 * gm))
-        np.subtract.at(g, self._ib, w * (gb + 2.0 * gm))
-        return g
+    def gradient(self, v: np.ndarray, cells: CellPass | None = None) -> np.ndarray:
+        """Exact gradient of the discrete energy w.r.t. nodal values, from
+        ``v``'s pass ``cells`` if given: at each cell end its signed flux less
+        its load w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount."""
+        c = self.cell_pass(v, cells)
+        n = len(self._h)
+        g = _abs_pow(c.x, self.p - 2.0) * c.x
+        load = (g[: 2 * n].reshape(2, n) + 2.0 * g[2 * n :]) * self._w
+        return np.bincount(self._ends, weights=(_END_SIGNS * c.flux - load).ravel(), minlength=self.mesh.n_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,40 +237,30 @@ def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | N
     if omega == 0.0:
         return n * h, 0.0, -(h**3) * (4.0 * n**3 - n) / 6.0
     r = 0.5 * h * math.sqrt(abs(omega))
+    # z = theta and s2 = sech^2(n theta), or z = phi and s2 = sec^2(n phi)
     if omega > 0.0:
-        th = 2.0 * math.asinh(r)
-        x = n * th
-        t = math.tanh(x)
-        sech2 = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))) ** 2
-        phi = 0.5 * h * (n * sech2 + t / math.tanh(th))
-        if x <= 0.5:
-            b = 0.5 * sech2 * _sine_excess(2 * n, th, 1.0)
-            c = sech2 * _sine_excess(n, 2.0 * th, 1.0)
-        else:
-            b = t - n * math.sinh(th) * sech2
-            c = 2.0 * t - n * math.sinh(2.0 * th) * sech2
-        sh = math.sinh(th)
-        psi = math.tanh(0.5 * th) / h * b
-        dphi = -(h**3) / (2.0 * sh) * (n * n * sech2 * t + c / (4.0 * sh * sh))
-        return phi, psi, dphi
-    if r >= 1.0:
-        return None
-    ph = 2.0 * math.asin(r)
-    x = n * ph
-    if not x < 0.5 * math.pi:
-        return None
-    t = math.tan(x)
-    sec2 = 1.0 / math.cos(x) ** 2
-    phi = 0.5 * h * (n * sec2 + t / math.tan(ph))
-    if x <= 0.5:
-        b = -0.5 * sec2 * _sine_excess(2 * n, ph, -1.0)
-        c = -sec2 * _sine_excess(n, 2.0 * ph, -1.0)
+        sign, tan_, sin_ = 1.0, math.tanh, math.sinh
+        z = 2.0 * math.asinh(r)
+        x = n * z
+        s2 = (2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))) ** 2
     else:
-        b = n * math.sin(ph) * sec2 - t
-        c = n * math.sin(2.0 * ph) * sec2 - 2.0 * t
-    sn = math.sin(ph)
-    psi = math.tan(0.5 * ph) / h * b
-    dphi = -(h**3) / (2.0 * sn) * (n * n * sec2 * t + c / (4.0 * sn * sn))
+        sign, tan_, sin_ = -1.0, math.tan, math.sin
+        z = 2.0 * math.asin(min(r, 1.0))
+        x = n * z
+        if r >= 1.0 or not x < 0.5 * math.pi:
+            return None
+        s2 = 1.0 / math.cos(x) ** 2
+    t = tan_(x)
+    phi = 0.5 * h * (n * s2 + t / tan_(z))
+    if x <= 0.5:
+        b = sign * 0.5 * s2 * _sine_excess(2 * n, z, sign)
+        c = sign * s2 * _sine_excess(n, 2.0 * z, sign)
+    else:
+        b = sign * (t - n * sin_(z) * s2)
+        c = sign * (2.0 * t - n * sin_(2.0 * z) * s2)
+    sn = sin_(z)
+    psi = tan_(0.5 * z) / h * b
+    dphi = -(h**3) / (2.0 * sn) * (n * n * s2 * t + c / (4.0 * sn * sn))
     return phi, psi, dphi
 
 
@@ -283,6 +298,13 @@ class Leads:
         """``lead_profile(omega, n, h)``, computed once."""
         return lead_profile(self.omega, self.n, self.h)
 
+    def lp_integral(self, p: float) -> float:
+        """Simpson int |profile|^p over the lead, each node's power raised
+        once for both of its cells."""
+        nodes = _abs_pow(self.profile, p)
+        mids = _abs_pow(0.5 * (self.profile[:-1] + self.profile[1:]), p)
+        return _simpson(nodes[:-1], mids, nodes[1:], np.full(self.n, self.h) / 6.0)
+
     @cached_property
     def forms(self) -> tuple[float, float, float]:
         """``lead_forms(omega, n, h)``: (Phi, Psi, dPhi/domega)."""
@@ -316,8 +338,8 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
     integral is S_K u.u + s Psi and the mass M_K u.u + s Phi, the energy
     is summed in the stage energy's order (so it is that energy), the sup
     is the larger of the core's and max_j |a_j| times the profile's, and
-    int |u|^p over the whole graph adds sum_j |a_j|^p times one Simpson
-    pass over the profile. No sum runs over lead nodes, and the GN
+    int |u|^p over the whole graph adds sum_j |a_j|^p times
+    ``leads.lp_integral(p)``. No sum runs over lead nodes, and the GN
     constants are those of ``leads.graph``.
     """
     require_p(p)
@@ -332,13 +354,11 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
         graph = leads.graph
         a, counts, s = _lead_anchors(u, leads)
         phi, psi, _ = leads.forms
-        profile = leads.profile
         energy += 0.5 * psi * s
         ksq += psi * s
         mass += phi * s
-        sup = max(sup, float(np.max(np.abs(a[counts > 0]), initial=0.0)) * float(profile.max()))
-        widths = np.full(leads.n, leads.h)
-        lp_all += float(np.dot(counts, _abs_pow(a, p))) * _simpson_abs_pow(profile[:-1], profile[1:], widths, p)
+        sup = max(sup, float(np.max(np.abs(a[counts > 0]), initial=0.0)) * float(leads.profile.max()))
+        lp_all += float(np.dot(counts, _abs_pow(a, p))) * leads.lp_integral(p)
     C, c = gn_constants(p, graph)
     slack_p, slack_inf = _gn_slacks(p, C, c, mass, ksq, lp_all, sup)
     degenerate = ksq <= 1e-13 * max(1.0, mass)

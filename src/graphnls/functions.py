@@ -12,8 +12,7 @@ also provided; the rearrangement checks rely on it because equimeasurability
 is an identity of the interpolant itself, not of any sampling rule.
 
 Every form is computed on the Mesh's cells, one pass of gathers over the
-endpoint values: the Dirichlet integral, the stiffness action (a
-difference of cell fluxes), the mass and the |u|^p integrals;
+endpoint values: the Dirichlet integral, the mass and the |u|^p integrals;
 ``Mesh.stiffness_matrix`` assembles the kinetic form from the same cells
 as the CSC matrix whose shifted copy the solver's preconditioner factors,
 once per mesh. The solver descends on a Mesh of the core
@@ -125,14 +124,14 @@ class Mesh:
         self._cell_a = np.concatenate(ia)
         self._cell_b = np.concatenate(ib)
         self._cell_h = np.concatenate(hh)
-        self._cell_core = np.concatenate(core)
+        self.cell_core = np.concatenate(core)  # whether each cell lies on a core edge
         self._mass = None
         self._stiffness = None
 
     def cells(self, core_only: bool = False):
         """Cell endpoint dof indices and widths ``(ia, ib, h)``."""
         if core_only:
-            m = self._cell_core
+            m = self.cell_core
             return self._cell_a[m], self._cell_b[m], self._cell_h[m]
         return self._cell_a, self._cell_b, self._cell_h
 
@@ -142,15 +141,6 @@ class Mesh:
         d = values[self._cell_b] - values[self._cell_a]
         # divided by the width: a stored 1/h rounds too far off (README)
         return float(np.dot(d, d / self._cell_h))
-
-    def stiffness_action(self, values: np.ndarray) -> np.ndarray:
-        """``S @ values`` as a difference of cell fluxes: each cell adds its
-        flux (difference over width) to its second end, subtracts it from
-        its first."""
-        ia, ib = self._cell_a, self._cell_b
-        flux = (values[ib] - values[ia]) / self._cell_h
-        n = self.n_dofs
-        return np.bincount(ib, weights=flux, minlength=n) - np.bincount(ia, weights=flux, minlength=n)
 
     def mass_vector(self) -> np.ndarray:
         """Lumped (trapezoid) mass weights per dof."""
@@ -164,7 +154,7 @@ class Mesh:
 
     def stiffness_matrix(self) -> sp.csc_matrix:
         """Assembled P1 stiffness matrix S, from the same cells as
-        :meth:`stiffness_action`: u.S.u equals the exact Dirichlet integral
+        :meth:`dirichlet_integral`: u.S.u equals the exact Dirichlet integral
         of the interpolant. CSC with sorted rows and a stored diagonal entry
         for every dof, built once per mesh; the solver factors
         ``S + diag(sigma*M + shift)`` by writing only that diagonal."""
@@ -272,10 +262,14 @@ def kinetic_energy(u: GraphFunction) -> float:
     return u.mesh.dirichlet_integral(u.values)
 
 
+def _simpson(fa: np.ndarray, fm: np.ndarray, fb: np.ndarray, w: np.ndarray) -> float:
+    """Simpson sum of an integrand at each cell's ends (fa, fb) and midpoint (fm), w = h/6."""
+    return float(w.dot(fa + 4.0 * fm + fb))
+
+
 def _simpson_abs_pow(a: np.ndarray, b: np.ndarray, h: np.ndarray, p: float) -> float:
     """Per-cell Simpson integral of |u|^p over cells with endpoint values a, b."""
-    mid = 0.5 * (a + b)
-    return float(np.dot(h / 6.0, _abs_pow(a, p) + 4.0 * _abs_pow(mid, p) + _abs_pow(b, p)))
+    return _simpson(_abs_pow(a, p), _abs_pow(0.5 * (a + b), p), _abs_pow(b, p), h / 6.0)
 
 
 def lp_integral(u: GraphFunction, p: float, core_only: bool = True) -> float:

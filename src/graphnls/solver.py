@@ -1,53 +1,35 @@
 """Mass-constrained energy minimization on truncated metric graphs.
 
-Every truncation stage is solved on the compact core alone. The
-nonlinearity lives on the core, so on a lead the discrete problem is
-linear and the stage minimizer's lead values are a closed-form profile of
-the anchor value a and the shift omega (minus the multiplier),
-a cosh((n - i) theta) / cosh(n theta) with cosh(theta) = 1 + omega h^2/2.
-A lead then carries mass s Phi(omega) and Dirichlet integral s Psi(omega),
-where s sums the squared anchor values over the leads, so a stage descends
-on the core dofs and the one shift omega that all leads share; the energy
-and the verdicts are those of the truncated problem on the whole stage
-mesh. The result keeps the last stage's state so, as core values and
-closed-form leads (:class:`graphnls.energy.Leads`), and reports from them
-with no sum over lead nodes; its mesh is built only if ``function`` is read.
+Every truncation stage is solved on the compact core alone. On a lead the
+discrete problem is linear, so the stage minimizer's lead values are the
+closed-form profile a cosh((n - i) theta) / cosh(n theta) of the anchor
+value a and the shift omega (minus the multiplier), cosh(theta) = 1 +
+omega h^2/2; a lead carries mass s Phi(omega) and Dirichlet integral
+s Psi(omega), s summing the squared anchor values over the leads. A stage
+descends on the core dofs and the one shift omega that all leads share;
+its energy and verdict are those of the truncated problem on the whole
+stage mesh. The result keeps the last stage's state as core values and
+closed-form leads (:class:`graphnls.energy.Leads`).
 
-The scheme is projected gradient descent on the mass sphere: step along a
-descent direction, rescale back to the constraint, accept via an Armijo
-test that also demands a strict decrease. Directions are Sobolev
-gradients preconditioned by S + sigma*M (Henning & Peterseim), eliminated
-onto the core (the leads add Psi + sigma*Phi at their anchors), with the
-shift sigma the current multiplier estimate, floored at 1/r_cut^2 and
-refactored whenever the estimate leaves [sigma/2, 2*sigma]; omega steps
-toward the same estimate. The preconditioner then matches the linearized
-problem on the half-line tails as well as on the core, which keeps the
-iteration count independent of the mesh and of how weakly the state is
-bound. It is one sparse LU (SuperLU) of the core matrix S + diag(sigma*M),
-the leads' terms added on the anchors' diagonal. A run meshes its core
-once, as a Mesh of the core subgraph, whose numbering does not depend on
-the truncation; its set-up (the stiffness matrix, assembled once from the
-mesh's cells) is shared by every stage, since stages differ only by their
-lead grid. Each refactors only for its own shifts, writing only the
-matrix's diagonal.
+The scheme is projected gradient descent on the mass sphere with an
+Armijo test that also demands a strict decrease. Each trial point takes
+one pass over the core's cells (:meth:`EnergyOperator.cell_pass`): its
+energy sums it, and the accepted point's gradient finishes it. Directions
+are Sobolev gradients preconditioned by S + sigma*M (Henning &
+Peterseim), eliminated onto the core (the leads add Psi + sigma*Phi at
+their anchors), with sigma the current multiplier estimate floored at
+1/r_cut^2. One sparse LU (SuperLU) of the core matrix is refactored only
+when the estimate leaves [sigma/2, 2*sigma], a rule that also decides
+whether a stage keeps the previous stage's factor. A run meshes and
+assembles its core once; a start's shift comes from its lead mass by a
+safeguarded Newton iteration (:func:`_lead_shift`).
 
-Each line search starts at step 1, or longer: after a search that took its
-first trial, the next starts at the minimizer of the parabola through the
-energy at 0, the slope and the energy at that step, when the parabola
-curves upward and its minimizer lies beyond 1. Every stage starts at 1.
-The search halves the step while the predicted first-order decrease
-t*|slope| is above one ulp of the energy, and no further: below that level
-a trial can pass the Armijo test only on rounding noise, so a stage that
-has reached its minimum ends after a few trials instead of halving t
-down to 1e-16. Each stage records why it stopped and how many trials its
-searches rejected (``MinimizationResult.stages``).
-
-Because the half-lines are truncated, every stage solves a compact surrogate
-problem. The truncation length is therefore swept over an increasing
-schedule and the trend of the minimal energy is the computable evidence
-for the attained / not-attained dichotomy: a stable negative limit
-certifies a true minimizer, energies creeping up to zero indicate mass
-escaping to infinity.
+Each line search starts at step 1, or at the minimizer of the parabola
+through the last accepted search when that lies beyond 1, and halves the
+step only while the predicted decrease is above one ulp of the energy.
+Each stage records why it stopped and how many trials its searches
+rejected (``MinimizationResult.stages``); a run counts its factors
+(``MinimizationResult.factorizations``).
 """
 from __future__ import annotations
 
@@ -243,27 +225,40 @@ def _lowest_shift(n: int, h: float) -> float:
 
 def _lead_shift(ratio: float, n: int, h: float) -> float:
     """The shift at which a lead carries mass ``ratio`` per unit squared
-    anchor value (Phi(omega) = ratio), by bisection: Phi falls from
-    infinity at the lowest shift to h/2 as omega grows. A ratio at or
+    anchor value (Phi(omega) = ratio), by Newton's method on
+    g = (Phi - h/2)^(-1/2), concave and increasing in omega (README), from
+    the untruncated lead's root theta = atanh(h / (2 ratio)), or from 0
+    when the flat lead's mass n h is short of the ratio. A step out of the
+    bracket of shifts evaluated takes the chord through the bracket's lower
+    end instead (its midpoint when only rounding sent it up). A ratio at or
     below the anchor's half cell gets a shift whose lead is empty to
     rounding."""
-
-    def shift(z: float) -> float:
-        # z = theta for omega >= 0, -phi below
-        return (2.0 * math.sinh(0.5 * z) / h) ** 2 if z >= 0.0 else -((2.0 * math.sin(0.5 * z) / h) ** 2)
-
-    lo, hi = -0.5 * math.pi / n, 1.0
-    while lead_forms(shift(hi), n, h)[0] > ratio:
-        lo, hi = hi, 2.0 * hi
-        if hi > 64.0:
-            return shift(hi)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        forms = lead_forms(shift(mid), n, h)
-        if forms is None or forms[0] > ratio:
-            lo = mid
+    if not ratio > 0.5 * h:
+        return (2.0 * math.sinh(64.0) / h) ** 2
+    target = (ratio - 0.5 * h) ** -0.5
+    # Phi > ratio at lo, where g is g_lo (0 at the lowest shift), Phi <= ratio at hi
+    lo, g_lo, hi = _lowest_shift(n, h), 0.0, math.inf
+    omega = (2.0 * math.sinh(0.5 * math.atanh(0.5 * h / ratio)) / h) ** 2 if ratio < n * h else 0.0
+    best = (math.inf, omega)
+    for _ in range(64):
+        # no state at the lowest shift, to rounding: Phi is infinite there
+        phi, _, dphi = lead_forms(omega, n, h) or (math.inf, 0.0, 0.0)
+        best = min(best, (abs(phi - ratio), omega))
+        if best[0] <= _EPS * ratio:
+            break
+        g = (phi - 0.5 * h) ** -0.5 if phi > 0.5 * h else math.inf
+        if phi > ratio:
+            lo, g_lo = omega, g
         else:
-            hi = mid
-    return shift(hi)
+            hi = omega
+        slope = -0.5 * g**3 * dphi  # dg/domega
+        new = omega + (target - g) / slope if 0.0 < slope < math.inf else math.nan
+        if not lo < new < hi:
+            new = lo + (omega - lo) * (target - g_lo) / (g - g_lo) if omega == hi else 0.5 * (lo + hi)
+        if not lo < new < hi or new == omega:
+            break
+        omega = new
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +280,17 @@ class _StageResult:
     # acceptable step) or "max_iters"
     stop: str
     backtracks: int  # rejected line-search trials over the stage
+    precond: tuple  # (sigma, solve) of the last factor, for the next stage
+    factorizations: int  # LU factors the stage made
 
 
 def _shifted_factorizer(mesh: Mesh):
-    """Direct solver for S + diag(sigma*M) on ``mesh``, plus an optional
-    diagonal on the vertex dofs.
-
-    Returns ``factor(sigma, vertex_shift=0.0)``, which LU-factors
-    ``S + diag(sigma*M)`` with ``vertex_shift`` added on the vertex dofs
-    and returns the factor's ``solve``. The matrix is a copy of
-    :meth:`Mesh.stiffness_matrix`, made once; every diagonal entry is
-    stored, so each ``factor`` writes only the diagonal values and factors
-    the matrix with the module-level ``splu``, whose factor keeps no
-    reference to them. S alone is singular on constants: ``sigma`` must be
-    positive (ValueError).
-    """
+    """``factor(sigma, vertex_shift=0.0)``, which LU-factors
+    ``S + diag(sigma*M)`` on ``mesh`` with ``vertex_shift`` added on the
+    vertex dofs and returns the factor's ``solve``. It writes only the
+    diagonal of one copy of :meth:`Mesh.stiffness_matrix` and factors it
+    with the module-level ``splu``, whose factor keeps no reference to it.
+    S alone is singular on constants: ``sigma`` must be positive."""
     stiffness = mesh.stiffness_matrix()
     matrix = stiffness.copy()
     cols = np.repeat(np.arange(mesh.n_dofs), np.diff(matrix.indptr))
@@ -323,7 +314,7 @@ def _shifted_factorizer(mesh: Mesh):
 
 def _descend(
     op: EnergyOperator, factor, counts: np.ndarray, r_cut: float, v0: np.ndarray, omega: float, mu: float,
-    config: SolverConfig,
+    config: SolverConfig, precond: tuple | None = None,
 ) -> _StageResult:
     """One truncation stage, descended on the core dofs and the lead shift
     omega: the leads are eliminated by their closed-form profile, so the
@@ -335,33 +326,32 @@ def _descend(
 
     ``op`` evaluates the core terms on the core mesh and ``factor`` is
     that mesh's :func:`_shifted_factorizer`; each lead is cut at ``r_cut``
-    and meshed by :func:`uniform_cells`."""
+    and meshed by :func:`uniform_cells`. ``precond`` is the previous
+    stage's ``(sigma, solve)``, kept while the shift rule allows."""
     mass_k = op.mass_vec
     nv = op.mesh.n_vertices
     n, h = uniform_cells(r_cut, config.h_max)
     # full-mesh mass weights of the vertex dofs: the anchor's half cells
     mass_full_v = mass_k[:nv] + 0.5 * h * counts
-    # the preconditioner is the exact Schur complement of S + sigma*M on
-    # the stage mesh: S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per
-    # lead at its anchor, shifted by the current multiplier estimate
-    # sigma ~ -lam_hat: with a fixed S + M the slow tail modes contract only
-    # by about lam/(k^2 + 1), which costs thousands of iterations when lam
-    # is small (weakly bound states). 1/r_cut^2 floors the shift so the
-    # operator stays positive definite while lam_hat >= 0 (random starts,
-    # zero-infimum runs); there is no cap. It is refactored only when the
-    # estimate leaves [sigma/2, 2*sigma], by one sparse LU of the core
-    # matrix (_shifted_factorizer).
+    # the preconditioner is the Schur complement of S + sigma*M on the stage
+    # mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead at its
+    # anchor, at sigma ~ -lam_hat: with a fixed S + M the slow tail modes
+    # contract only by about lam/(k^2 + 1) per step. 1/r_cut^2 floors the
+    # shift so the operator stays positive definite while lam_hat >= 0.
+    # One sparse LU is refactored only when the estimate leaves
+    # [sigma/2, 2*sigma]; a stage starts with the previous stage's factor,
+    # whose leads' terms are the shorter cut's, and the rule decides there too.
     shift_floor = 1.0 / r_cut**2
     omega_floor = 0.5 * _lowest_shift(n, h)
-    sigma = 0.0
-    solve = None
+    sigma, solve = precond or (0.0, None)
+    factorizations = 0
 
     def anchors(v: np.ndarray) -> float:
         a = v[:nv]
-        return float(np.dot(counts, a * a))
+        return float(counts.dot(a * a))
 
     def project(v: np.ndarray, phi: float) -> np.ndarray:
-        m = float(np.dot(mass_k, v * v)) + phi * anchors(v)
+        m = float(mass_k.dot(v * v)) + phi * anchors(v)
         if m <= 0:
             raise ValueError("cannot project the zero function onto the mass sphere")
         return v * math.sqrt(mu / m)
@@ -369,7 +359,9 @@ def _descend(
     phi, psi, dphi = lead_forms(omega, n, h)
     u = project(np.asarray(v0, dtype=float), phi)
     s = anchors(u)
-    energy = op.value(u) + 0.5 * psi * s
+    # a state's one cell pass gives its energy and, once accepted, its gradient
+    cells = op.cell_pass(u)
+    energy = op.value(u, cells) + 0.5 * psi * s
     weights = mass_k.copy()
     trace: list[tuple[int, float, float, float]] = []
     window = deque([energy], maxlen=_STALL_WINDOW + 1)
@@ -381,12 +373,12 @@ def _descend(
     it = 0
     for it in range(1, config.max_iters + 1):
         weights[:nv] = mass_k[:nv] + phi * counts
-        g = op.gradient(u)
+        g = op.gradient(u, cells)
         g[:nv] += psi * counts * u[:nv]
         # strip the multiplier component before preconditioning: near a
         # constrained minimum g is dominated by lam*M*u, and preconditioning
         # that part yields directions with vanishing slope
-        lam_hat = float(np.dot(g, u)) / mu
+        lam_hat = float(g.dot(u)) / mu
         residual = g - lam_hat * (weights * u)
         tangent = residual / weights
         # the gradient test reads the lifted state on the whole stage mesh,
@@ -396,8 +388,8 @@ def _descend(
         tail = phi - 0.5 * h
         full_v = residual[:nv] + drift * tail * counts * u[:nv]
         grad_sq = (
-            float(np.dot(mass_k[nv:], tangent[nv:] * tangent[nv:]))
-            + float(np.dot(full_v, full_v / mass_full_v))
+            float(mass_k[nv:].dot(tangent[nv:] * tangent[nv:]))
+            + float(full_v.dot(full_v / mass_full_v))
             + drift * drift * s * tail
         )
         grad_norm = math.sqrt(max(grad_sq, 0.0))
@@ -406,10 +398,7 @@ def _descend(
         # of that term, so an absolute grad_tol would never be met there
         tol = config.grad_tol * max(1.0, abs(lam_hat) * math.sqrt(mu))
 
-        stagnant = (
-            len(window) > _STALL_WINDOW
-            and window[0] - energy < _ENERGY_TOL
-        )
+        stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
         if grad_norm < tol and stagnant:
             converged = True
             stop = "gradient"
@@ -420,23 +409,22 @@ def _descend(
             sigma = shift
             phi_s, psi_s, _ = lead_forms(sigma, n, h)
             solve = factor(sigma, counts * (psi_s + sigma * phi_s))
+            factorizations += 1
         d = -solve(residual)
-        d -= (float(np.dot(weights, d * u)) / mu) * u
-        # omega steps toward -lam_hat, which along the projected path adds
-        # -1/2 s Phi'(omega) (omega + lam_hat) d_omega < 0 to the slope. The
-        # target stays above omega_floor, so that at lam_hat > 0 (random
-        # starts) the trials do not leave the admissible shifts and throttle
-        # the core step; where that floor would turn the step uphill, omega
-        # stays.
+        d -= (float(weights.dot(d * u)) / mu) * u
+        # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega +
+        # lam_hat) d_omega < 0 to the slope, its target kept above
+        # omega_floor so that trials stay admissible; where that floor would
+        # turn the step uphill, omega stays
         d_omega = max(-lam_hat, omega_floor) - omega
         lead_slope = -0.5 * s * dphi * drift * d_omega
         if lead_slope > 0.0:
             d_omega = lead_slope = 0.0
-        slope = float(np.dot(g, d)) + lead_slope
+        slope = float(g.dot(d)) + lead_slope
         if slope >= 0.0:
             # safeguard: fall back to the plain mass-weighted gradient
             d = -tangent
-            slope = float(np.dot(g, d)) + lead_slope
+            slope = float(g.dot(d)) + lead_slope
         if slope >= 0.0:
             converged = grad_norm < tol
             stop = "no_descent"
@@ -445,9 +433,7 @@ def _descend(
         t = t0
         accepted = False
         # halve t only while the predicted decrease t*|slope| is above one
-        # ulp of the energy: below it a trial passes only on rounding noise,
-        # and a stage at its minimum would otherwise spend about 54 failing
-        # trials halving t down to the 1e-16 backstop
+        # ulp of the energy: below it a trial passes only on rounding noise
         rounding = _EPS * abs(energy)
         while t > 1e-16 and t * -slope > rounding:
             w_omega = omega + t * d_omega
@@ -455,10 +441,10 @@ def _descend(
             # a shift at or below the lead's lowest is no state: reject it
             if forms is not None:
                 w = project(u + t * d, forms[0])
-                e_new = op.value(w) + 0.5 * forms[1] * anchors(w)
-                # strict decrease too: once the Armijo margin drops below
-                # the energy's ulp, an equal energy would pass and the stage
-                # would creep on with vanishing steps until max_iters
+                w_cells, s_w = op.cell_pass(w), anchors(w)
+                e_new = op.value(w, w_cells) + 0.5 * forms[1] * s_w
+                # strict decrease too: an equal energy would let the stage
+                # creep on with vanishing steps until max_iters
                 if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
                     accepted = True
                     break
@@ -471,18 +457,15 @@ def _descend(
             stop = "line_search"
             break
         # the next search starts at the minimizer of the parabola through
-        # E(0), the slope and E(t), never below _STEP0, when this search
-        # took its first trial and the parabola curves upward; with step 1
-        # alone, weakly bound stages shrink the gradient by only about 0.7
-        # per iteration. Otherwise it starts at _STEP0.
+        # E(0), the slope and E(t), never below _STEP0, when this search took
+        # its first trial and the parabola curves upward; else at _STEP0
         curvature = e_new - energy - t * slope
         if t == t0 and curvature > 0.0:
             t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
         else:
             t0 = _STEP0
-        u, omega = w, w_omega
+        u, omega, cells, s = w, w_omega, w_cells, s_w
         phi, psi, dphi = forms
-        s = anchors(u)
         energy = e_new
         trace.append((it, energy, grad_norm, t))
         window.append(energy)
@@ -497,6 +480,8 @@ def _descend(
         trace=trace,
         stop=stop,
         backtracks=backtracks,
+        precond=(sigma, solve),
+        factorizations=factorizations,
     )
 
 
@@ -533,6 +518,8 @@ class MinimizationResult:
     p: float
     # the mass the leads carry, anchors' half cells included
     lead_mass: float
+    # LU factors of the preconditioner over the run (not in to_dict)
+    factorizations: int
 
     @property
     def lead_shift(self) -> float:  # omega, minus the multiplier the leads decay with
@@ -615,29 +602,25 @@ def minimize(
     """Projected-gradient minimization over an increasing truncation
     schedule, warm starting each stage from the previous one.
 
-    Each stage descends on the core dofs and one lead shift, with the
-    leads eliminated by their closed-form profile (:func:`_descend`). The
-    run meshes the core once, as a Mesh of the core subgraph, and every
-    stage shares it and its preconditioner set-up; a stage differs only
-    by its leads' grid. The first stage starts from the core of
-    ``initial``, a state on any mesh of ``graph`` (ValueError for another
-    graph), interpolated onto the core mesh (exactly, when ``initial``
-    lives on an equal spacing), and the shift at which the leads carry
-    ``initial``'s lead mass. Without ``initial`` it starts from the
-    plateau competitor on the first stage's mesh; other starts come from
-    the ``initializer_*`` functions. Later stages take the core values and
-    the shift as they are. The result holds the last stage's state as
+    Each stage descends on the core dofs and one lead shift
+    (:func:`_descend`), on one core mesh per run; later stages take the
+    core values, the shift and the preconditioner's factor as they are.
+    The first stage starts from ``initial``, a state on any mesh of
+    ``graph`` (ValueError for another graph), its core interpolated onto
+    the core mesh and its lead mass giving the shift; without it, from the
+    plateau competitor. The result holds the last stage's state as
     ``core`` (|u| where it has a negative value) and ``leads``; its
     ``report``, ``el`` and ``min_node_value`` come from them with no sum
     over lead nodes, so ``energy`` is the last entry of ``r_cut_table``
     whenever that stage's state has one sign (|u| of a state of both signs
     has an energy no higher). ``function`` lifts it onto the last mesh.
 
-    The verdict encodes the truncation trend: NEGATIVE_MINIMUM for a stable
-    strictly negative limit (evidence of existence, up to truncation and
-    discretization error), ZERO_INFIMUM_SUSPECTED when energies rise
-    monotonically to zero (mass escaping along the half-lines; evidence
-    only), INCONCLUSIVE otherwise.
+    Every stage solves a compact surrogate problem, so the verdict encodes
+    the truncation trend: NEGATIVE_MINIMUM for a stable strictly negative
+    limit (evidence of existence, up to truncation and discretization
+    error), ZERO_INFIMUM_SUSPECTED when energies rise monotonically to zero
+    (mass escaping along the half-lines; evidence only), INCONCLUSIVE
+    otherwise.
     """
     require_p(p)
     if not (math.isfinite(mu) and mu > 0):
@@ -657,7 +640,8 @@ def minimize(
         [core.vertex_dof[e.tail] for e in graph.half_lines], minlength=core.n_vertices
     ).astype(float)
     u, lead_mass = _start(initial, core)
-    omega = None
+    omega = precond = None
+    factorizations = 0
     table: list[tuple[float, float, int, bool]] = []
     stages: list[tuple[float, int, int, str]] = []
     for r_cut in schedule:
@@ -667,12 +651,13 @@ def minimize(
             # every anchor at zero they carry nothing and start flat
             s = float(np.dot(counts, u[: core.n_vertices] ** 2))
             omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
-        stage = _descend(op, factor, counts, r_cut, u, omega, mu, config)
+        stage = _descend(op, factor, counts, r_cut, u, omega, mu, config, precond)
         table.append((r_cut, stage.energy, stage.iterations, stage.converged))
         stages.append((r_cut, stage.iterations, stage.backtracks, stage.stop))
-        # the core numbering does not depend on r_cut, so the core values
-        # and the shift carry over as they are
-        u, omega, lead_mass = stage.values, stage.omega, stage.lead_mass
+        factorizations += stage.factorizations
+        # the core numbering does not depend on r_cut, so the core values,
+        # the shift and the preconditioner carry over as they are
+        u, omega, lead_mass, precond = stage.values, stage.omega, stage.lead_mass, stage.precond
 
     # |u| has the same energy or lower, and the mass form only sees |u|
     values = np.abs(stage.values) if np.any(stage.values < 0.0) else stage.values
@@ -699,6 +684,7 @@ def minimize(
         mu=mu,
         p=p,
         lead_mass=stage.lead_mass,
+        factorizations=factorizations,
     )
 
 
@@ -743,7 +729,7 @@ def dirichlet_line_min(
     if ratio >= n * h:
         raise ValueError("truncation too short: the constant a carries no more than mass m")
     v = a * lead_profile(_lead_shift(ratio, n, h), n, h)
-    # the bisection leaves the mass inexact to rounding; rescale the side
+    # the shift meets the mass only to rounding; rescale the side
     weights = np.full(n, h)
     weights[-1] = 0.5 * h
     v[1:] *= math.sqrt((ratio - 0.5 * h) * a**2 / float(np.dot(weights, v[1:] * v[1:])))

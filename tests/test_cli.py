@@ -261,6 +261,34 @@ def test_sweep_phase_csv(broom_file, tmp_path):
     assert (tmp_path / "out" / "phase.csv").read_bytes() == first
 
 
+# demos/sweep.json's phase.csv rows as (axis_value, E_min, verdict, L1, L2,
+# band); CI reruns the demo and compares the reruns, this pins the rows
+DEMO_SWEEP_ROWS = [
+    ("0.25", -2.5411980706351408e-06, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "NONEXIST_BAND"),
+    ("0.5", -5.3083507474531e-06, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "NONEXIST_BAND"),
+    ("1.5", -2.003500966833057e-05, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "GAP"),
+    ("3.0", -0.001298210086699744, "NEGATIVE_MINIMUM", "2.0", "1.0", "EXIST_BAND"),
+    ("4.0", -0.0038299665192026936, "NEGATIVE_MINIMUM", "2.0", "1.0", "EXIST_BAND"),
+]
+
+
+def test_demo_sweep_keeps_its_rows(tmp_path):
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    spec = json.loads((demos / "sweep.json").read_text())
+    spec["graph"] = str(demos / spec["graph"])
+    spec["out_dir"] = str(tmp_path / "out")
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(spec))
+    assert cli.main(["sweep", str(sweep_file)]) == 0
+    lines = (tmp_path / "out" / "phase.csv").read_text().splitlines()
+    assert lines[1] == "axis_value,E_min,verdict,L1,L2,band"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == len(DEMO_SWEEP_ROWS)
+    for row, (axis_value, e_min, *rest) in zip(rows, DEMO_SWEEP_ROWS):
+        assert [row[0], *row[2:]] == [axis_value, *rest]
+        assert float(row[1]) == pytest.approx(e_min, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "keys,named",
     [
