@@ -17,7 +17,7 @@ leads (:class:`Leads`) without meshing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -96,20 +96,8 @@ class EnergyReport:
     gn_c: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "energy": self.total_energy,
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "mass": self.mass,
-            "linf": self.linf,
-            "gn_slack_p": self.gn_slack_p,
-            "gn_slack_inf": self.gn_slack_inf,
-            "gn_degenerate": self.gn_degenerate,
-            "p": self.p,
-            "gn_C": self.gn_C,
-            "gn_c": self.gn_c,
-        }
+        d = asdict(self)
+        return {"schema_version": SCHEMA_VERSION, "energy": d.pop("total_energy"), **d}
 
 
 @dataclass
@@ -120,13 +108,8 @@ class ELReport:
     kirchhoff_residuals: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "lambda": self.lambda_estimate,
-            "lambda_lsq": self.lambda_lsq,
-            "interior_residuals": dict(self.interior_residuals),
-            "kirchhoff_residuals": dict(self.kirchhoff_residuals),
-        }
+        d = asdict(self)
+        return {"schema_version": SCHEMA_VERSION, "lambda": d.pop("lambda_estimate"), **d}
 
 
 class CellPass(NamedTuple):
@@ -204,22 +187,33 @@ class EnergyOperator:
 # Psi; stationarity of the profile gives Psi' = -omega Phi'.
 
 
-def _sine_excess(m: int, y: float, sign: float) -> float:
-    """sinh(m y) - m sinh(y) for sign = 1, sin(m y) - m sin(y) for
-    sign = -1, for m y <= 1, by the Taylor series: its terms carry no
-    cancellation, while the direct difference loses a relative (m y)^-2
-    of precision, which ruins the lead forms at small |omega|."""
-    x = m * y
-    total, xk, yk, fact, k = 0.0, x, y, 1.0, 0
-    while True:
+def _sine_excesses(n: int, z: float, sign: float) -> tuple[float, float]:
+    """The excesses f(m y) - m f(y) at (m, y) = (2n, z) and (n, 2z), with
+    f = sinh for sign = 1 and sin for sign = -1, for x = 2 n z <= 1, by
+    the Taylor series: its terms carry no cancellation, while the direct
+    difference loses a relative x^-2 of precision, which ruins the lead
+    forms at small |omega|. One loop raises the powers of x both share;
+    each sum stops once its own term falls below eps of it."""
+    m, x, y2 = 2 * n, 2 * n * z, 2.0 * z
+    xx, yy, yy2 = x * x, z * z, y2 * y2
+    xk, yk, y2k, fact, sk, k = x, z, y2, 1.0, 1.0, 0
+    b, c, open_b, open_c = 0.0, 0.0, True, True
+    while open_b or open_c:
         k += 1
-        xk *= x * x
-        yk *= y * y
+        xk *= xx
         fact *= 2 * k * (2 * k + 1)
-        term = sign**k * (xk - m * yk) / fact
-        total += term
-        if abs(term) <= _EPS * abs(total):
-            return total
+        sk *= sign
+        if open_b:
+            yk *= yy
+            term = sk * (xk - m * yk) / fact
+            b += term
+            open_b = not abs(term) <= _EPS * abs(b)
+        if open_c:
+            y2k *= yy2
+            term = sk * (xk - n * y2k) / fact
+            c += term
+            open_c = not abs(term) <= _EPS * abs(c)
+    return b, c
 
 
 def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | None:
@@ -230,7 +224,7 @@ def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | N
     Phi = h [n sech^2(n theta) + tanh(n theta) coth(theta)] / 2 and
     Psi = tanh(theta/2) / h [tanh(n theta) - n sinh(theta) sech^2(n theta)];
     the bracket of Psi, like that of dPhi/dtheta, is taken from a sine
-    excess (:func:`_sine_excess`) where n theta is small, and in the form
+    excess (:func:`_sine_excesses`) where n theta is small, and in the form
     above where cosh(n theta) may overflow. omega < 0 uses the cos
     analogue.
     """
@@ -253,8 +247,8 @@ def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | N
     t = tan_(x)
     phi = 0.5 * h * (n * s2 + t / tan_(z))
     if x <= 0.5:
-        b = sign * 0.5 * s2 * _sine_excess(2 * n, z, sign)
-        c = sign * s2 * _sine_excess(n, 2.0 * z, sign)
+        b, c = _sine_excesses(n, z, sign)
+        b, c = sign * 0.5 * s2 * b, sign * s2 * c
     else:
         b = sign * (t - n * sin_(z) * s2)
         c = sign * (2.0 * t - n * sin_(2.0 * z) * s2)
@@ -281,8 +275,9 @@ def lead_profile(omega: float, n: int, h: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Leads:
     """The half-lines of ``graph`` in closed form, for a function given on
-    a Mesh of its core subgraph (``MetricGraph(graph.vertex_ids,
-    graph.core_edges)``): each lead is cut into ``n`` cells of width ``h``
+    a Mesh of its core subgraph (``graph.core``), whose
+    :meth:`~graphnls.functions.Mesh.lead_anchors` are their anchors: each
+    lead is cut into ``n`` cells of width ``h``
     and holds its anchor's value times ``lead_profile(omega, n, h)``, the
     solver's stage minimizer on it. :func:`energy_report` and
     :func:`el_residual` take it to account for the leads without a mesh
@@ -314,18 +309,12 @@ class Leads:
         return forms
 
 
-def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, float]:
-    """The vertex values a of ``u``, the number of leads at each vertex
-    (the diagonal A of the solver's stage energy) and s = A a.a, summed as
-    the stage energy sums it, after checking that ``u`` lives on a mesh of
-    the core of ``leads.graph``."""
-    graph = leads.graph
-    if u.mesh.graph != MetricGraph(graph.vertex_ids, graph.core_edges):
-        raise ValueError("closed-form leads need a function on a mesh of their graph's core")
-    nv = u.mesh.n_vertices
-    a = u.values[:nv]
-    counts = np.bincount([u.mesh.vertex_dof[e.tail] for e in graph.half_lines], minlength=nv).astype(float)
-    return a, counts, float(np.dot(counts, a * a))
+def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The leads' anchor dofs and counts A on ``u``'s mesh, ``u``'s vertex
+    values a and s = A a.a, summed as the solver's stage energy sums it."""
+    dofs, counts = u.mesh.lead_anchors(leads.graph)
+    a = u.values[: u.mesh.n_vertices]
+    return dofs, counts, a, float(np.dot(counts, a * a))
 
 
 def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> EnergyReport:
@@ -344,15 +333,17 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
     """
     require_p(p)
     ksq = kinetic_energy(u)
-    pot = lp_integral(u, p, core_only=True) / p
+    lp_core = lp_integral(u, p, core_only=True)
+    pot = lp_core / p
     energy = 0.5 * ksq - pot
     mass = l2_norm_sq(u)
     sup = linf_norm(u)
-    lp_all = lp_integral(u, p, core_only=False)
+    # on a mesh without lead cells both sums run over the same cells
+    lp_all = lp_core if u.mesh.cell_core.all() else lp_integral(u, p, core_only=False)
     graph = u.mesh.graph
     if leads is not None:
         graph = leads.graph
-        a, counts, s = _lead_anchors(u, leads)
+        _, counts, a, s = _lead_anchors(u, leads)
         phi, psi, _ = leads.forms
         energy += 0.5 * psi * s
         ksq += psi * s
@@ -457,7 +448,7 @@ def el_residual(
     graph = mesh.graph
     if leads is not None:
         graph = leads.graph
-        _, _, s = _lead_anchors(u, leads)
+        dofs, _, _, s = _lead_anchors(u, leads)
         phi, psi, _ = leads.forms
         ksq += psi * s
         mass += phi * s
@@ -490,8 +481,8 @@ def el_residual(
         profile = leads.profile
         inner = leads.h * float(np.dot(profile[1:-1], profile[1:-1]))
         slope = _edge_end_derivative(profile, leads.h, start=True)
-        for e in graph.half_lines:
-            anchor = float(u.values[mesh.vertex_dof[e.tail]])
+        for e, dof in zip(graph.half_lines, dofs):
+            anchor = float(u.values[dof])
             interior[e.id] = abs(leads.omega - lam) * abs(anchor) * math.sqrt(inner)
             slopes[e.id] = (anchor * slope, 0.0)
         num += leads.omega * s * inner
@@ -499,21 +490,15 @@ def el_residual(
         interior = dict(sorted(interior.items()))
     lam_lsq = num / den if den > 0 else lam
 
-    kirchhoff: dict[str, float] = {}
-    order = sorted(slopes)
-    for vid in sorted(graph.vertex_ids):
-        total = 0.0
-        touched = False
-        for eid in order:
-            e = by_id[eid]
-            if e.tail == vid:
-                total += slopes[eid][0]
-                touched = True
-            if e.head == vid:
-                total += slopes[eid][1]
-                touched = True
-        if touched:
-            kirchhoff[vid] = abs(total)
+    # one pass over the edges in id order: each vertex sums its outward
+    # derivatives in that order, its tail's before its head's
+    totals: dict[str, float] = {}
+    for eid in sorted(slopes):
+        e = by_id[eid]
+        for vid, slope in zip((e.tail, e.head), slopes[eid]):
+            if vid is not None:
+                totals[vid] = totals.get(vid, 0.0) + slope
+    kirchhoff = {vid: abs(totals[vid]) for vid in sorted(graph.vertex_ids) if vid in totals}
     return ELReport(
         lambda_estimate=float(lam),
         lambda_lsq=float(lam_lsq),

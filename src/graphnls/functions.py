@@ -15,10 +15,12 @@ Every form is computed on the Mesh's cells, one pass of gathers over the
 endpoint values: the Dirichlet integral, the mass and the |u|^p integrals;
 ``Mesh.stiffness_matrix`` assembles the kinetic form from the same cells
 as the CSC matrix whose shifted copy the solver's preconditioner factors,
-once per mesh. The solver descends on a Mesh of the core
-subgraph alone, whose numbering does not depend on the truncation, and
-takes each truncation's lead grid from ``uniform_cells``, the rule every
-edge of a Mesh is meshed by.
+once per mesh. The solver descends on a Mesh of the core subgraph alone,
+whose numbering does not depend on the truncation: ``Mesh.core_mesh`` of
+its start's mesh, built once and kept, so that runs from starts on one
+mesh share it and its forms. ``Mesh.lead_anchors`` gives the core dofs
+that anchor the leads, and ``uniform_cells`` each truncation's lead grid,
+the rule every edge of a Mesh is meshed by.
 """
 from __future__ import annotations
 
@@ -127,6 +129,7 @@ class Mesh:
         self.cell_core = np.concatenate(core)  # whether each cell lies on a core edge
         self._mass = None
         self._stiffness = None
+        self._cores: dict[float, Mesh] = {}
 
     def cells(self, core_only: bool = False):
         """Cell endpoint dof indices and widths ``(ia, ib, h)``."""
@@ -134,6 +137,24 @@ class Mesh:
             m = self.cell_core
             return self._cell_a[m], self._cell_b[m], self._cell_h[m]
         return self._cell_a, self._cell_b, self._cell_h
+
+    def core_mesh(self, h_max: float) -> Mesh:
+        """The Mesh of the graph's core (:attr:`MetricGraph.core`) at
+        spacing ``h_max``, built on first use and kept, so that the solver
+        runs from starts on this Mesh share it and its assembled forms."""
+        core = self._cores.get(h_max)
+        if core is None:
+            core = self._cores[h_max] = Mesh(self.graph.core, h_max)
+        return core
+
+    def lead_anchors(self, graph: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
+        """On this Mesh of the core of ``graph`` (ValueError for a mesh of
+        another graph), the anchor dof of each half-line of ``graph``, in
+        its order, and the number of half-lines at each vertex dof."""
+        if self.graph != graph.core:
+            raise ValueError("closed-form leads need a function on a mesh of their graph's core")
+        dofs = np.array([self.vertex_dof[e.tail] for e in graph.half_lines], dtype=np.intp)
+        return dofs, np.bincount(dofs, minlength=self.n_vertices).astype(float)
 
     def dirichlet_integral(self, values: np.ndarray) -> float:
         """Exact Dirichlet integral of the interpolant of nodal ``values``,
@@ -150,6 +171,7 @@ class Mesh:
             self._mass = np.bincount(
                 np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=self.n_dofs
             )
+            self._mass.flags.writeable = False  # shared by every form and run on this mesh
         return self._mass
 
     def stiffness_matrix(self) -> sp.csc_matrix:

@@ -79,6 +79,11 @@ class MetricGraph:
     def half_lines(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if not e.in_core)
 
+    @cached_property
+    def core(self) -> MetricGraph:
+        """The compact core subgraph: every vertex, the core edges alone."""
+        return MetricGraph(self.vertex_ids, self.core_edges)
+
     @property
     def n_half_lines(self) -> int:
         return len(self.half_lines)

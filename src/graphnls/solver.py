@@ -20,9 +20,11 @@ Peterseim), eliminated onto the core (the leads add Psi + sigma*Phi at
 their anchors), with sigma the current multiplier estimate floored at
 1/r_cut^2. One sparse LU (SuperLU) of the core matrix is refactored only
 when the estimate leaves [sigma/2, 2*sigma], a rule that also decides
-whether a stage keeps the previous stage's factor. A run meshes and
-assembles its core once; a start's shift comes from its lead mass by a
-safeguarded Newton iteration (:func:`_lead_shift`).
+whether a stage keeps the previous stage's factor. A run takes its core
+Mesh from its start's mesh (``Mesh.core_mesh``), which builds and assembles
+it once for all the runs from starts on that mesh, and factors its own
+copy of the stiffness matrix; a start's shift comes from its lead mass by
+a safeguarded Newton iteration (:func:`_lead_shift`).
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
@@ -542,8 +544,8 @@ class MinimizationResult:
     def min_node_value(self) -> float:
         """The least value of :attr:`function`: anchors are >= 0 and rounding
         monotone, so a lead's is its least anchor times the profile's least."""
-        values, vertex_dof = self.core.values, self.core.mesh.vertex_dof
-        anchors = values[[vertex_dof[e.tail] for e in self.leads.graph.half_lines]]
+        values = self.core.values
+        anchors = values[self.core.mesh.lead_anchors(self.leads.graph)[0]]
         return min(float(values.min()), float(anchors.min() * self.leads.profile.min()))
 
     @property
@@ -603,8 +605,9 @@ def minimize(
     schedule, warm starting each stage from the previous one.
 
     Each stage descends on the core dofs and one lead shift
-    (:func:`_descend`), on one core mesh per run; later stages take the
-    core values, the shift and the preconditioner's factor as they are.
+    (:func:`_descend`), on the core mesh that ``initial``'s mesh keeps
+    (:meth:`Mesh.core_mesh`); later stages take the core values, the shift
+    and the preconditioner's factor as they are.
     The first stage starts from ``initial``, a state on any mesh of
     ``graph`` (ValueError for another graph), its core interpolated onto
     the core mesh and its lead mass giving the shift; without it, from the
@@ -633,12 +636,12 @@ def minimize(
     elif initial.mesh.graph != graph:
         raise ValueError("the initial state lives on a mesh of another graph")
 
-    core = Mesh(MetricGraph(graph.vertex_ids, graph.core_edges), config.h_max)
+    # the start's mesh keeps its core: runs from starts on one mesh share it,
+    # and each run keeps its own operator and factorizer
+    core = initial.mesh.core_mesh(config.h_max)
     op = EnergyOperator(core, p)
     factor = _shifted_factorizer(core)
-    counts = np.bincount(
-        [core.vertex_dof[e.tail] for e in graph.half_lines], minlength=core.n_vertices
-    ).astype(float)
+    _, counts = core.lead_anchors(graph)
     u, lead_mass = _start(initial, core)
     omega = precond = None
     factorizations = 0
@@ -772,7 +775,9 @@ def existence_dichotomy(
 ) -> DichotomyResult:
     """Run the minimizer from a spread of starting points, all sampled on
     the first stage's mesh: the plateau competitor, bump profiles centered
-    at three core positions, and random starts seeded seed+1..seed+3. Any
+    at three core positions, and random starts seeded seed+1..seed+3. The
+    seven runs share that mesh's core Mesh and its assembly, each with its
+    own operator and factor (:func:`minimize`). Any
     stably negative run settles the question in favor of existence;
     unanimous zero-trending runs are reported as suspicion of an
     unattained zero infimum."""

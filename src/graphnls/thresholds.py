@@ -14,7 +14,7 @@ combinations mu^((p-2)/(6-p)) * L unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,20 +102,7 @@ class ThresholdReport:
     consistent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "p": self.p,
-            "mu": self.mu,
-            "n_half_lines": self.n_half_lines,
-            "c": self.c,
-            "C": self.C,
-            "l1_exist": self.l1_exist,
-            "l2_nonexist": self.l2_nonexist,
-            "c_p": self.c_p,
-            "scaling_invariant_l1": self.scaling_invariant_l1,
-            "scaling_invariant_l2": self.scaling_invariant_l2,
-            "consistent": self.consistent,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def threshold_report(
@@ -349,12 +336,7 @@ class MassThresholds:
     consistent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mu_exist": self.mu_exist,
-            "mu_nonexist": self.mu_nonexist,
-            "consistent": self.consistent,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def mass_thresholds(

@@ -871,11 +871,87 @@ def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
     assert len(built) == 2
 
 
-def test_dichotomy_builds_one_start_mesh_and_a_core_per_start(monkeypatch):
+def _count_assemblies(monkeypatch) -> list:
+    assemble = Mesh.stiffness_matrix
+    built = []
+
+    def counted(self):
+        if self._stiffness is None:
+            built.append(self)
+        return assemble(self)
+
+    monkeypatch.setattr(Mesh, "stiffness_matrix", counted)
+    return built
+
+
+def test_dichotomy_builds_one_start_mesh_one_core_and_one_assembly(monkeypatch):
+    # the seven starts live on one mesh, which keeps one core for them all
+    built, assembled = _count_meshes(monkeypatch), _count_assemblies(monkeypatch)
+    d = existence_dichotomy(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
+    assert len(built) == 2
+    assert [m.graph.n_half_lines for m in built] == [2, 0]
+    assert assembled == built[1:]
+    assert all(r.core.mesh is built[1] for r in d.runs.values())
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        pytest.param(lambda: line_graph(1.0), id="line"),
+        pytest.param(lambda: double_bridge(0.5, 0.5), id="double_bridge"),
+        pytest.param(lambda: star_graph((0.5, 0.7, 0.9)), id="star"),
+    ],
+)
+@pytest.mark.parametrize("p", [3.5, 4.5])
+def test_shared_core_runs_equal_standalone_runs(monkeypatch, factory, p):
+    # the dichotomy's runs share one core Mesh, its mass vector and its
+    # stiffness matrix; each must be the run of an equal start on a fresh
+    # mesh, bit for bit, whatever the runs before it did
+    graph = factory()
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=3000)
+    calls, run = [], solver.minimize
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize", recorded)
+    d = existence_dichotomy(graph, 1.0, p, cfg)
+    assert len(calls) == len(d.runs) == 7
+    for (_, kwargs), shared in zip(calls, d.runs.values()):
+        start = kwargs["initial"]
+        fresh = Mesh(graph, h_max=start.mesh.h_max, r_cut=start.mesh.r_cut)
+        alone = run(graph, 1.0, p, cfg, initial=GraphFunction(fresh, start.values.copy()))
+        assert alone.core.mesh is not shared.core.mesh
+        assert alone.to_dict() == shared.to_dict()
+        assert alone.stages == shared.stages
+        assert alone.factorizations == shared.factorizations
+        assert np.array_equal(alone.core.values, shared.core.values)
+
+
+def test_runs_from_starts_on_one_mesh_build_one_core(monkeypatch):
+    graph = double_bridge(0.5, 0.5)
+    mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
+    starts = [initializer_competitor(graph, 1.0, 3.0, mesh), initializer_random(graph, 1.0, 3.0, mesh, seed=1)]
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    built, assembled = _count_meshes(monkeypatch), _count_assemblies(monkeypatch)
+    runs = [minimize(graph, 1.0, 3.0, cfg, initial=u0) for u0 in starts]
+    assert len(built) == 1 and assembled == built
+    assert runs[0].core.mesh is runs[1].core.mesh is mesh.core_mesh(0.05) is built[0]
+    assert built[0].graph == graph.core and len(built) == 1
+    # the shared forms are read, never written
+    assert not built[0].mass_vector().flags.writeable
+
+
+def test_a_start_on_another_spacing_gets_a_core_at_the_configs(monkeypatch):
+    graph = line_graph(1.0)
+    start = initializer_competitor(graph, 1.0, 3.0, Mesh(graph, h_max=0.1, r_cut=10.0))
     built = _count_meshes(monkeypatch)
-    existence_dichotomy(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
-    assert len(built) == 8
-    assert [m.graph.n_half_lines for m in built] == [2] + [0] * 7
+    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05), initial=start)
+    assert built == [res.core.mesh] and res.core.mesh.h_max == 0.05 and res.core.mesh.n_dofs == 21
+    # the start's mesh keeps a core per spacing
+    assert start.mesh.core_mesh(0.05) is res.core.mesh
+    assert start.mesh.core_mesh(0.1) is not res.core.mesh and start.mesh.core_mesh(0.1).n_dofs == 11
 
 
 # the leads in closed form
