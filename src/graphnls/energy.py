@@ -7,8 +7,9 @@ evaluated on piecewise-linear functions with the quadrature conventions of
 of the discrete energy (stiffness action minus the Simpson-rule core load),
 so directional-derivative checks close to machine precision. Both come
 from one pass over the Mesh's cells (:class:`CellPass`), which the solver
-takes once per trial point; on a mesh without half-lines the value sums
-it bit for bit as ``kinetic_energy`` and ``lp_integral`` do. The solver
+takes once per trial point, for one vector of nodal values or a block of
+them; on a mesh without half-lines the value sums it bit for bit as
+``kinetic_energy`` and ``lp_integral`` do. The solver
 evaluates it on a Mesh of the core subgraph and adds the leads in closed
 form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
 live here, and ``energy_report`` and ``el_residual`` account for such
@@ -27,6 +28,7 @@ from .functions import (
     GraphFunction,
     Mesh,
     _abs_pow,
+    _dots,
     _simpson,
     kinetic_energy,
     l2_norm_sq,
@@ -115,12 +117,15 @@ class ELReport:
 class CellPass(NamedTuple):
     """One pass of an :class:`EnergyOperator` over its cells at the nodal
     ``values``, for them alone: each cell's difference ``d``, flux ``d / h``,
-    ``x = [first ends | second ends | midpoints]`` and ``pw = |x|^p``."""
+    ``x = [first ends | second ends | midpoints]``, ``ax = |x|`` and
+    ``pw = |x|^p``, with one row per row of ``values`` when they are a
+    block."""
 
     values: np.ndarray
     d: np.ndarray
     flux: np.ndarray
     x: np.ndarray
+    ax: np.ndarray
     pw: np.ndarray
 
 
@@ -130,6 +135,11 @@ class EnergyOperator:
     The solver builds it on a Mesh of the core subgraph, which has no
     half-lines, and adds the leads' closed-form terms; the public functions
     below wrap it for one-off evaluations.
+
+    Each form takes one vector of nodal values or a (k, m) block of k of
+    them, one per row, and gives each row exactly what the row alone gives:
+    the block's elementwise work runs once, and every row is reduced in the
+    1-D order (:func:`graphnls.functions._dots`).
     """
 
     def __init__(self, mesh: Mesh, p: float):
@@ -140,38 +150,59 @@ class EnergyOperator:
         ia, ib, self._h = mesh.cells()
         self._ends = np.concatenate((ia, ib))
         self._w = np.where(mesh.cell_core, self._h / 6.0, 0.0)  # no nonlinearity off the core
+        # per block shape ((k,) or () for a vector): the gradient's bincount
+        # targets, row r's cell ends offset by r * n_dofs, and the shape of
+        # its two halves of cell ends
+        self._blocks = {(): (self._ends, (2, len(self._h)))}
 
     def cell_pass(self, v: np.ndarray, cells: CellPass | None = None) -> CellPass:
-        """The gathers, midpoints, fluxes and powers of ``v``: ``cells`` if
-        given (it must be ``v``'s), else computed."""
+        """The gathers, midpoints, fluxes and powers of ``v``, a vector or a
+        block: ``cells`` if given (it must be ``v``'s), else computed."""
         if cells is not None:
             if cells.values is not v:
                 raise ValueError("the cell pass was computed for another array")
             return cells
         n = len(self._h)
-        ends = v[self._ends]
-        d = ends[n:] - ends[:n]
-        x = np.concatenate((ends, 0.5 * (ends[:n] + ends[n:])))
+        # take keeps a block's rows contiguous, where v[:, idx] is F-ordered
+        ends = v.take(self._ends, -1)
+        first, second = ends[..., :n], ends[..., n:]
+        d = second - first
+        x = np.concatenate((ends, 0.5 * (first + second)), -1)
+        ax = np.abs(x)
         # divided by the width: a stored 1/h rounds too far off (README)
-        return CellPass(v, d, d / self._h, x, _abs_pow(x, self.p))
+        return CellPass(v, d, d / self._h, x, ax, ax**self.p)
 
-    def value(self, v: np.ndarray, cells: CellPass | None = None) -> float:
+    def value(self, v: np.ndarray, cells: CellPass | None = None):
         """The energy at ``v``, from its pass ``cells`` if given: the sums
-        of ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``."""
+        of ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``;
+        a float, or a (k, 1) column of one per row of a block."""
         c = self.cell_pass(v, cells)
         n = len(self._h)
-        lp = _simpson(c.pw[:n], c.pw[2 * n :], c.pw[n : 2 * n], self._w)
-        return 0.5 * float(c.d.dot(c.flux)) - lp / self.p
+        lp = _simpson(c.pw[..., :n], c.pw[..., 2 * n :], c.pw[..., n : 2 * n], self._w)
+        return 0.5 * _dots(c.d, c.flux) - lp / self.p
 
     def gradient(self, v: np.ndarray, cells: CellPass | None = None) -> np.ndarray:
         """Exact gradient of the discrete energy w.r.t. nodal values, from
         ``v``'s pass ``cells`` if given: at each cell end its signed flux less
-        its load w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount."""
+        its load w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount
+        over the whole block, each row's ends in the order of a vector's."""
         c = self.cell_pass(v, cells)
         n = len(self._h)
-        g = _abs_pow(c.x, self.p - 2.0) * c.x
-        load = (g[: 2 * n].reshape(2, n) + 2.0 * g[2 * n :]) * self._w
-        return np.bincount(self._ends, weights=(_END_SIGNS * c.flux - load).ravel(), minlength=self.mesh.n_dofs)
+        rows = v.shape[:-1]
+        block = self._blocks.get(rows)
+        if block is None:
+            offsets = np.arange(rows[0])[:, None] * self.mesh.n_dofs
+            block = self._blocks[rows] = ((offsets + self._ends).ravel(), (*rows, 2, n))
+        targets, halves = block
+        g = c.ax ** (self.p - 2.0) * c.x
+        mid, flux = 2.0 * g[..., 2 * n :], c.flux
+        if rows:
+            # each row's midpoints and fluxes broadcast over its two halves
+            mid, flux = mid[:, None, :], flux[:, None, :]
+        load = (g[..., : 2 * n].reshape(halves) + mid) * self._w
+        signed = _END_SIGNS * flux - load
+        grad = np.bincount(targets, weights=signed.ravel(), minlength=v.size)
+        return grad.reshape(v.shape) if rows else grad
 
 
 # ---------------------------------------------------------------------------

@@ -284,9 +284,24 @@ def kinetic_energy(u: GraphFunction) -> float:
     return u.mesh.dirichlet_integral(u.values)
 
 
-def _simpson(fa: np.ndarray, fm: np.ndarray, fb: np.ndarray, w: np.ndarray) -> float:
-    """Simpson sum of an integrand at each cell's ends (fa, fb) and midpoint (fm), w = h/6."""
-    return float(w.dot(fa + 4.0 * fm + fb))
+def _dots(a: np.ndarray, b: np.ndarray):
+    """``a.dot(b)`` over the last axis: a float for two vectors, else one dot
+    per row of the broadcast (k, m) block, as a (k, 1) column. Each row is
+    summed by the vector dot (BLAS ddot) of that row alone, which matmul
+    calls for a row times a column: every row equals its own 1-D dot bit
+    for bit, at any thread count, where a (k, m) gemv or einsum would sum
+    in another order. Rows must have unit stride (``V.take(idx, axis=1)``,
+    not ``V[:, idx]``, which is F-ordered)."""
+    if a.ndim == b.ndim == 1:
+        return float(a.dot(b))
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
+def _simpson(fa: np.ndarray, fm: np.ndarray, fb: np.ndarray, w: np.ndarray):
+    """Simpson sum of an integrand at each cell's ends (fa, fb) and midpoint
+    (fm), w = h/6: a float, or a column of one per row of a block
+    (:func:`_dots`)."""
+    return _dots(w, fa + 4.0 * fm + fb)
 
 
 def _simpson_abs_pow(a: np.ndarray, b: np.ndarray, h: np.ndarray, p: float) -> float:

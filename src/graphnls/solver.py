@@ -20,11 +20,19 @@ Peterseim), eliminated onto the core (the leads add Psi + sigma*Phi at
 their anchors), with sigma the current multiplier estimate floored at
 1/r_cut^2. One sparse LU (SuperLU) of the core matrix is refactored only
 when the estimate leaves [sigma/2, 2*sigma], a rule that also decides
-whether a stage keeps the previous stage's factor. A run takes its core
-Mesh from its start's mesh (``Mesh.core_mesh``), which builds and assembles
-it once for all the runs from starts on that mesh, and factors its own
-copy of the stiffness matrix; a start's shift comes from its lead mass by
-a safeguarded Newton iteration (:func:`_lead_shift`).
+whether a stage keeps the previous stage's factor. A start's shift comes
+from its lead mass by a safeguarded Newton iteration (:func:`_lead_shift`).
+
+Runs from starts on one mesh descend together (:func:`_minimize_starts`;
+``minimize`` is its one-start case): on the core Mesh that mesh keeps
+(``Mesh.core_mesh``), with one operator and one factorizer, each run
+factoring its own preconditioner. A stage advances them in lockstep
+(:func:`_descend`): each run's scalars and decisions are a coroutine with
+the loop of a lone descent, and the vector work of every run still going
+is done once per step on the block of their core values. Every
+reduction is its own row's 1-D dot, so each run is, bit for bit, the run
+of its start alone. One start runs the same coroutine and vector steps on
+vectors, its requests served as they come.
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
@@ -44,6 +52,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .energy import (
+    CellPass,
     ELReport,
     EnergyOperator,
     EnergyReport,
@@ -54,7 +63,7 @@ from .energy import (
     lead_profile,
     require_p,
 )
-from .functions import GraphFunction, Mesh, l2_norm_sq, neighbor_average, project_mass, uniform_cells
+from .functions import GraphFunction, Mesh, _dots, l2_norm_sq, neighbor_average, project_mass, uniform_cells
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
 
@@ -267,23 +276,27 @@ def _lead_shift(ratio: float, n: int, h: float) -> float:
 # descent core
 
 
-@dataclass
-class _StageResult:
-    values: np.ndarray  # on the core mesh's numbering
-    omega: float  # the lead shift
-    lead_mass: float  # s * Phi(omega)
-    energy: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    trace: list[tuple[int, float, float, float]]
-    # why the stage ended: "gradient" (the gradient test passed),
-    # "no_descent" (no descent direction left), "line_search" (no
-    # acceptable step) or "max_iters"
-    stop: str
-    backtracks: int  # rejected line-search trials over the stage
-    precond: tuple  # (sigma, solve) of the last factor, for the next stage
-    factorizations: int  # LU factors the stage made
+class _Run:
+    """One start's descent: the state it carries from stage to stage (its
+    core values, lead mass and shift, and its preconditioner's sigma and
+    solve), its record, and how its last stage ended: its energy, gradient
+    norm, iterations, trace, rejected trials and why it stopped,
+    "gradient" (the gradient test passed), "no_descent" (no descent
+    direction left), "line_search" (no acceptable step) or "max_iters"."""
+
+    __slots__ = (
+        "u", "lead_mass", "omega", "sigma", "solve", "factorizations", "table", "stages",
+        "energy", "grad_norm", "iterations", "converged", "stop", "backtracks", "trace",
+        # the search direction of the iteration it is in
+        "d",
+    )
+
+    def __init__(self, u: np.ndarray, lead_mass: float):
+        self.u, self.lead_mass = u, lead_mass
+        self.omega, self.sigma, self.solve = None, 0.0, None
+        self.factorizations = 0
+        self.table: list[tuple[float, float, int, bool]] = []
+        self.stages: list[tuple[float, int, int, str]] = []
 
 
 def _shifted_factorizer(mesh: Mesh):
@@ -314,27 +327,55 @@ def _shifted_factorizer(mesh: Mesh):
     return factor
 
 
+# A block of runs keeps its core values as the rows of a (k, m) array and
+# its per-run scalars as (k, 1) columns that broadcast against them.
+
+
+def _columns(rows: list[tuple]) -> tuple:
+    """Per-run tuples of scalars as one column per place in them."""
+    a = np.array(rows)
+    return tuple(a[:, j, None] for j in range(a.shape[1]))
+
+
+def _send(coros: list, cols: tuple, blocks: tuple = ()) -> list:
+    """Send each run's coroutine its value of every column and its row of
+    every block, and return their replies."""
+    return [c.send(m) for c, m in zip(coros, zip(*(x.ravel().tolist() for x in cols), *blocks))]
+
+
 def _descend(
-    op: EnergyOperator, factor, counts: np.ndarray, r_cut: float, v0: np.ndarray, omega: float, mu: float,
-    config: SolverConfig, precond: tuple | None = None,
-) -> _StageResult:
-    """One truncation stage, descended on the core dofs and the lead shift
-    omega: the leads are eliminated by their closed-form profile, so the
-    stage energy is E(u, omega) = 1/2 (u.S_K u + s Psi(omega)) - 1/p
-    int_K |u|^p on the sphere M_K.u^2 + s Phi(omega) = mu, where
-    s = sum_j a_j^2 over the leads' anchor values (A u.u, A = ``counts``
-    the diagonal of lead counts on the vertex dofs). Its minimum is that
-    of the truncated problem on the whole stage mesh.
+    op: EnergyOperator, factor, counts: np.ndarray, r_cut: float, runs: list[_Run], mu: float, config: SolverConfig
+) -> None:
+    """One truncation stage of every run, descended on the core dofs and
+    its lead shift omega: the leads are eliminated by their closed-form
+    profile, so the stage energy is E(u, omega) = 1/2 (u.S_K u +
+    s Psi(omega)) - 1/p int_K |u|^p on the sphere M_K.u^2 + s Phi(omega) =
+    mu, where s = sum_j a_j^2 over the leads' anchor values (A u.u, A =
+    ``counts`` the diagonal of lead counts on the vertex dofs). Its minimum
+    is that of the truncated problem on the whole stage mesh.
 
     ``op`` evaluates the core terms on the core mesh and ``factor`` is
     that mesh's :func:`_shifted_factorizer`; each lead is cut at ``r_cut``
-    and meshed by :func:`uniform_cells`. ``precond`` is the previous
-    stage's ``(sigma, solve)``, kept while the shift rule allows."""
+    and meshed by :func:`uniform_cells`. Each run starts from its ``u``
+    and ``omega``, keeps the previous stage's factor while the shift rule
+    allows, and leaves its state and its record of the stage on itself.
+
+    The runs descend in lockstep. Each run's scalars and decisions are a
+    coroutine (``stage`` below) with the loop of a lone descent; between its
+    yields, the vector work of every run still going (``gradient_step``,
+    ``trial_step``) is done here, once, on the block of their core values.
+    A run leaves the block when its coroutine ends. Every reduction is its
+    own row's 1-D dot (:func:`graphnls.functions._dots`), so each run is,
+    bit for bit, the run it would be alone. A run alone has no block to
+    wait for: its requests are served as they come, by the same steps on
+    its vectors, which spares it the block's bookkeeping (about half its
+    cost over a lone loop)."""
     mass_k = op.mass_vec
     nv = op.mesh.n_vertices
+    mass_v, mass_e = mass_k[:nv], mass_k[nv:]
     n, h = uniform_cells(r_cut, config.h_max)
     # full-mesh mass weights of the vertex dofs: the anchor's half cells
-    mass_full_v = mass_k[:nv] + 0.5 * h * counts
+    mass_full_v = mass_v + 0.5 * h * counts
     # the preconditioner is the Schur complement of S + sigma*M on the stage
     # mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead at its
     # anchor, at sigma ~ -lam_hat: with a fixed S + M the slow tail modes
@@ -345,146 +386,233 @@ def _descend(
     # whose leads' terms are the shorter cut's, and the rule decides there too.
     shift_floor = 1.0 / r_cut**2
     omega_floor = 0.5 * _lowest_shift(n, h)
-    sigma, solve = precond or (0.0, None)
-    factorizations = 0
 
-    def anchors(v: np.ndarray) -> float:
-        a = v[:nv]
-        return float(counts.dot(a * a))
+    def stage(r: _Run):
+        # One run's stage, the loop of a lone descent. It yields its Phi at
+        # the start and is sent (value, s) of its projected start. Each
+        # iteration it yields (omega, Phi, Psi) and is sent lam_hat, the
+        # block's part of the gradient test and its rows of the residual,
+        # weights, u and g; each trial it yields (t, Phi) with its
+        # direction in r.d, and is sent the trial's (value, s). It leaves
+        # its state and record on r and yields None when it stops.
+        omega, sigma, solve = r.omega, r.sigma, r.solve
+        phi, psi, dphi = lead_forms(omega, n, h)
+        e, s = yield phi
+        energy = e + 0.5 * psi * s
+        trace: list[tuple[int, float, float, float]] = []
+        window = deque([energy], maxlen=_STALL_WINDOW + 1)
+        grad_norm = math.inf
+        converged = False
+        stop = "max_iters"
+        backtracks = factorizations = 0
+        t0 = _STEP0
+        it = 0
+        for it in range(1, config.max_iters + 1):
+            lam_hat, core_sq, residual, weights, u, g = yield omega, phi, psi
+            # the gradient test reads the lifted state on the whole stage mesh,
+            # where the leads' nodes carry -(omega + lam_hat) M u and each
+            # anchor the lead's share of it beyond its half cell
+            drift = omega + lam_hat
+            tail = phi - 0.5 * h
+            grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
+            # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)): a
+            # strongly bound state cannot resolve its gradient below rounding
+            # of that term, so an absolute grad_tol would never be met there
+            tol = config.grad_tol * max(1.0, abs(lam_hat) * math.sqrt(mu))
+            stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
+            if grad_norm < tol and stagnant:
+                converged = True
+                stop = "gradient"
+                break
 
-    def project(v: np.ndarray, phi: float) -> np.ndarray:
-        m = float(mass_k.dot(v * v)) + phi * anchors(v)
-        if m <= 0:
+            shift = max(-lam_hat, shift_floor)
+            if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
+                sigma = shift
+                phi_s, psi_s, _ = lead_forms(sigma, n, h)
+                solve = factor(sigma, counts * (psi_s + sigma * phi_s))
+                factorizations += 1
+            d = -solve(residual)
+            d -= (float(weights.dot(d * u)) / mu) * u
+            # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega +
+            # lam_hat) d_omega < 0 to the slope, its target kept above
+            # omega_floor so that trials stay admissible; where that floor would
+            # turn the step uphill, omega stays
+            d_omega = max(-lam_hat, omega_floor) - omega
+            lead_slope = -0.5 * s * dphi * drift * d_omega
+            if lead_slope > 0.0:
+                d_omega = lead_slope = 0.0
+            slope = float(g.dot(d)) + lead_slope
+            if slope >= 0.0:
+                # safeguard: fall back to the plain mass-weighted gradient
+                d = -(residual / weights)
+                slope = float(g.dot(d)) + lead_slope
+            if slope >= 0.0:
+                converged = grad_norm < tol
+                stop = "no_descent"
+                break
+
+            r.d = d
+            t = t0
+            accepted = False
+            # halve t only while the predicted decrease t*|slope| is above one
+            # ulp of the energy: below it a trial passes only on rounding noise
+            rounding = _EPS * abs(energy)
+            while t > 1e-16 and t * -slope > rounding:
+                w_omega = omega + t * d_omega
+                forms = lead_forms(w_omega, n, h)
+                # a shift at or below the lead's lowest is no state: reject it
+                if forms is not None:
+                    e, s_w = yield t, forms[0]
+                    e_new = e + 0.5 * forms[1] * s_w
+                    # strict decrease too: an equal energy would let the stage
+                    # creep on with vanishing steps until max_iters
+                    if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
+                        accepted = True
+                        break
+                t *= _BACKTRACK
+                backtracks += 1
+            if not accepted:
+                # line search exhausted: descent direction no longer useful at
+                # this precision, treat as converged only if the gradient agrees
+                converged = grad_norm < 10.0 * tol
+                stop = "line_search"
+                break
+            # the next search starts at the minimizer of the parabola through
+            # E(0), the slope and E(t), never below _STEP0, when this search took
+            # its first trial and the parabola curves upward; else at _STEP0
+            curvature = e_new - energy - t * slope
+            if t == t0 and curvature > 0.0:
+                t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
+            else:
+                t0 = _STEP0
+            omega, s = w_omega, s_w
+            phi, psi, dphi = forms
+            energy = e_new
+            trace.append((it, energy, grad_norm, t))
+            window.append(energy)
+        r.omega, r.lead_mass, r.energy, r.grad_norm = omega, s * phi, energy, grad_norm
+        r.iterations, r.converged, r.stop, r.backtracks, r.trace = it, converged, stop, backtracks, trace
+        r.sigma, r.solve, r.d = sigma, solve, None
+        r.factorizations += factorizations
+        yield None
+
+    def project(v: np.ndarray, phi) -> tuple:
+        # each row onto its sphere at its Phi, and its s = A w.w there
+        vv = v * v
+        m = _dots(mass_k, vv) + phi * _dots(counts, vv[..., :nv])
+        block = isinstance(m, np.ndarray)
+        if (m <= 0).any() if block else m <= 0:
             raise ValueError("cannot project the zero function onto the mass sphere")
-        return v * math.sqrt(mu / m)
+        w = v * (np.sqrt(mu / m) if block else math.sqrt(mu / m))
+        a = w[..., :nv]
+        return w, _dots(counts, a * a)
 
-    phi, psi, dphi = lead_forms(omega, n, h)
-    u = project(np.asarray(v0, dtype=float), phi)
-    s = anchors(u)
-    # a state's one cell pass gives its energy and, once accepted, its gradient
-    cells = op.cell_pass(u)
-    energy = op.value(u, cells) + 0.5 * psi * s
-    weights = mass_k.copy()
-    trace: list[tuple[int, float, float, float]] = []
-    window = deque([energy], maxlen=_STALL_WINDOW + 1)
-    grad_norm = math.inf
-    converged = False
-    stop = "max_iters"
-    backtracks = 0
-    t0 = _STEP0
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        weights[:nv] = mass_k[:nv] + phi * counts
+    def gradient_step(u, cells, weights, omega, phi, psi) -> tuple:
+        # lam_hat, the block's part of the gradient test, the residual and g
+        u_v = u[..., :nv]
+        weights[..., :nv] = mass_v + phi * counts
         g = op.gradient(u, cells)
-        g[:nv] += psi * counts * u[:nv]
+        g[..., :nv] += psi * counts * u_v
         # strip the multiplier component before preconditioning: near a
         # constrained minimum g is dominated by lam*M*u, and preconditioning
         # that part yields directions with vanishing slope
-        lam_hat = float(g.dot(u)) / mu
-        residual = g - lam_hat * (weights * u)
-        tangent = residual / weights
-        # the gradient test reads the lifted state on the whole stage mesh,
-        # where the leads' nodes carry -(omega + lam_hat) M u and each
-        # anchor the lead's share of it beyond its half cell
-        drift = omega + lam_hat
-        tail = phi - 0.5 * h
-        full_v = residual[:nv] + drift * tail * counts * u[:nv]
-        grad_sq = (
-            float(mass_k[nv:].dot(tangent[nv:] * tangent[nv:]))
-            + float(full_v.dot(full_v / mass_full_v))
-            + drift * drift * s * tail
-        )
-        grad_norm = math.sqrt(max(grad_sq, 0.0))
-        # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)): a
-        # strongly bound state cannot resolve its gradient below rounding
-        # of that term, so an absolute grad_tol would never be met there
-        tol = config.grad_tol * max(1.0, abs(lam_hat) * math.sqrt(mu))
+        lam = _dots(g, u) / mu
+        residual = g - lam * (weights * u)
+        full_v = residual[..., :nv] + (omega + lam) * (phi - 0.5 * h) * counts * u_v
+        # the mass-weighted gradient off the vertices
+        tangent_e = residual[..., nv:] / mass_e
+        return lam, _dots(mass_e, tangent_e * tangent_e) + _dots(full_v, full_v / mass_full_v), residual, g
 
-        stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
-        if grad_norm < tol and stagnant:
-            converged = True
-            stop = "gradient"
-            break
+    def trial_step(base, direction, step, phi_w) -> tuple:
+        # the trial state's cell pass, energy value and s
+        w, s_w = project(base + step * direction, phi_w)
+        w_cells = op.cell_pass(w)
+        return w_cells, op.value(w, w_cells), s_w
 
-        shift = max(-lam_hat, shift_floor)
-        if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
-            sigma = shift
-            phi_s, psi_s, _ = lead_forms(sigma, n, h)
-            solve = factor(sigma, counts * (psi_s + sigma * phi_s))
-            factorizations += 1
-        d = -solve(residual)
-        d -= (float(weights.dot(d * u)) / mu) * u
-        # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega +
-        # lam_hat) d_omega < 0 to the slope, its target kept above
-        # omega_floor so that trials stay admissible; where that floor would
-        # turn the step uphill, omega stays
-        d_omega = max(-lam_hat, omega_floor) - omega
-        lead_slope = -0.5 * s * dphi * drift * d_omega
-        if lead_slope > 0.0:
-            d_omega = lead_slope = 0.0
-        slope = float(g.dot(d)) + lead_slope
-        if slope >= 0.0:
-            # safeguard: fall back to the plain mass-weighted gradient
-            d = -tangent
-            slope = float(g.dot(d)) + lead_slope
-        if slope >= 0.0:
-            converged = grad_norm < tol
-            stop = "no_descent"
-            break
+    if len(runs) == 1:
+        # a run alone has no block to wait for: its requests are served as
+        # they come, on its vectors
+        (r,) = runs
+        c = stage(r)
+        u, s = project(r.u, next(c))
+        cells = op.cell_pass(u)
+        weights = mass_k.copy()
+        reply = c.send((op.value(u, cells), s))
+        while reply is not None:
+            if len(reply) == 3:  # the state it took: the next iteration
+                u = cells.values
+                lam, core_sq, residual, g = gradient_step(u, cells, weights, *reply)
+                reply = c.send((lam, core_sq, residual, weights, u, g))
+            else:  # a trial
+                w_cells, e, s_w = trial_step(u, r.d, *reply)
+                reply = c.send((e, s_w))
+                if reply is None or len(reply) == 3:
+                    cells = w_cells
+        # out of steps, or at max_iters with its last step taken
+        r.u = cells.values if r.stop == "max_iters" else u
+        return
 
-        t = t0
-        accepted = False
-        # halve t only while the predicted decrease t*|slope| is above one
-        # ulp of the energy: below it a trial passes only on rounding noise
-        rounding = _EPS * abs(energy)
-        while t > 1e-16 and t * -slope > rounding:
-            w_omega = omega + t * d_omega
-            forms = lead_forms(w_omega, n, h)
-            # a shift at or below the lead's lowest is no state: reject it
-            if forms is not None:
-                w = project(u + t * d, forms[0])
-                w_cells, s_w = op.cell_pass(w), anchors(w)
-                e_new = op.value(w, w_cells) + 0.5 * forms[1] * s_w
-                # strict decrease too: an equal energy would let the stage
-                # creep on with vanishing steps until max_iters
-                if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
-                    accepted = True
-                    break
-            t *= _BACKTRACK
-            backtracks += 1
-        if not accepted:
-            # line search exhausted: descent direction no longer useful at
-            # this precision, treat as converged only if the gradient agrees
-            converged = grad_norm < 10.0 * tol
-            stop = "line_search"
-            break
-        # the next search starts at the minimizer of the parabola through
-        # E(0), the slope and E(t), never below _STEP0, when this search took
-        # its first trial and the parabola curves upward; else at _STEP0
-        curvature = e_new - energy - t * slope
-        if t == t0 and curvature > 0.0:
-            t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
+    runs = list(runs)  # the runs still going, in block order
+    coros = [stage(r) for r in runs]
+    u, s = project(np.stack([r.u for r in runs]), np.array([next(c) for c in coros])[:, None])
+    # a state's one cell pass gives its energy and, once accepted, its gradient
+    cells = op.cell_pass(u)
+    states = _send(coros, (op.value(u, cells), s))
+    weights = np.empty_like(u)
+    weights[...] = mass_k
+    while True:
+        u = cells.values
+        lam, core_sq, residual, g = gradient_step(u, cells, weights, *_columns(states))
+        # each run tests its gradient and, going on, asks for its first trial
+        trials = _send(coros, (lam, core_sq), (residual, weights, u, g))
+        if None in trials:
+            # the runs that stopped leave the block
+            keep = []
+            for i, trial in enumerate(trials):
+                if trial is None:
+                    runs[i].u = u[i].copy()
+                else:
+                    keep.append(i)
+            if not keep:
+                return
+            runs, coros, trials = ([a[i] for i in keep] for a in (runs, coros, trials))
+            u, weights = u.take(keep, 0), weights.take(keep, 0)
+
+        # the line searches, in rounds: each round tries the next step of
+        # every run still searching, as one block
+        found, states = [], []  # (row, trial block's pass, row there) and the state it took
+        rows, trying = range(len(runs)), coros
+        base, direction = u, np.stack([r.d for r in runs])
+        while True:
+            w_cells, e, s_w = trial_step(base, direction, *_columns(trials))
+            replies = _send(trying, (e, s_w))
+            retry = []
+            for j, (i, reply) in enumerate(zip(rows, replies)):
+                if reply is None:
+                    # out of steps, or at max_iters with this step taken
+                    runs[i].u = (w_cells.values[j] if runs[i].stop == "max_iters" else u[i]).copy()
+                elif len(reply) == 2:  # the next trial
+                    retry.append(j)
+                else:  # the state it took
+                    found.append((i, w_cells, j))
+                    states.append(reply)
+            if not retry:
+                break
+            rows, trials = [rows[j] for j in retry], [replies[j] for j in retry]
+            trying = [coros[i] for i in rows]
+            base, direction = base.take(retry, 0), direction.take(retry, 0)
+        if not found:
+            return
+        if len(found) == len(runs) and found[0][1] is found[-1][1]:
+            # every run took its step from one trial block: the next block
+            cells = found[0][1]
         else:
-            t0 = _STEP0
-        u, omega, cells, s = w, w_omega, w_cells, s_w
-        phi, psi, dphi = forms
-        energy = e_new
-        trace.append((it, energy, grad_norm, t))
-        window.append(energy)
-    return _StageResult(
-        values=u,
-        omega=omega,
-        lead_mass=s * phi,
-        energy=energy,
-        grad_norm=grad_norm,
-        iterations=it,
-        converged=converged,
-        trace=trace,
-        stop=stop,
-        backtracks=backtracks,
-        precond=(sigma, solve),
-        factorizations=factorizations,
-    )
+            # the runs that took a step, their rows gathered from their
+            # trial blocks in the order they took it
+            keep = [f[0] for f in found]
+            runs, coros = [runs[i] for i in keep], [coros[i] for i in keep]
+            weights = weights.take(keep, 0)
+            cells = CellPass(*(np.stack([f[1][k][f[2]] for f in found]) for k in range(len(CellPass._fields))))
 
 
 def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:
@@ -594,6 +722,74 @@ def _verdict(table: list[tuple[float, float, int, bool]], energy_tol: float) -> 
     return INCONCLUSIVE
 
 
+def _require_mu(mu: float) -> None:
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+
+
+def _minimize_starts(
+    graph: MetricGraph, mu: float, p: float, config: SolverConfig, starts: list[GraphFunction]
+) -> list[MinimizationResult]:
+    """The run from each of ``starts``, states on one mesh of ``graph``,
+    descended together stage by stage (:func:`_descend`) on the core Mesh
+    that mesh keeps (:meth:`Mesh.core_mesh`), with one operator and one
+    factorizer for them all: the module-level ``splu`` keeps no reference
+    to the matrix it factors, so each run's factor stays its own. Each
+    result is, bit for bit, that of its start alone."""
+    core = starts[0].mesh.core_mesh(config.h_max)
+    op = EnergyOperator(core, p)
+    factor = _shifted_factorizer(core)
+    _, counts = core.lead_anchors(graph)
+    runs = [_Run(*_start(u0, core)) for u0 in starts]
+    for r_cut in config.r_cut_schedule:
+        n, h = uniform_cells(r_cut, config.h_max)
+        for run in runs:
+            if run.omega is None or lead_forms(run.omega, n, h) is None:
+                # the shift at which this stage's leads carry the lead mass;
+                # with every anchor at zero they carry nothing and start flat
+                s = float(np.dot(counts, run.u[: core.n_vertices] ** 2))
+                run.omega = _lead_shift(run.lead_mass / s, n, h) if s > 0.0 else 0.0
+        # the core numbering does not depend on r_cut, so the core values,
+        # the shift and the preconditioner carry over as they are
+        _descend(op, factor, counts, r_cut, runs, mu, config)
+        for run in runs:
+            run.table.append((r_cut, run.energy, run.iterations, run.converged))
+            run.stages.append((r_cut, run.iterations, run.backtracks, run.stop))
+
+    results = []
+    for run in runs:
+        # |u| has the same energy or lower, and the mass form only sees |u|
+        values = np.abs(run.u) if np.any(run.u < 0.0) else run.u
+        # the report and the residuals come from the core values and the
+        # leads in closed form, with no sum over lead nodes; the energy is
+        # then the last stage's, bit for bit, when its state has one sign
+        u_core = GraphFunction(core, values)
+        leads = Leads(graph, run.omega, n, h)
+        report = energy_report(u_core, p, leads)
+        results.append(
+            MinimizationResult(
+                core=u_core,
+                leads=leads,
+                energy=report.total_energy,
+                verdict=_verdict(run.table, _ENERGY_TOL),
+                report=report,
+                el=el_residual(u_core, p, leads=leads),
+                energy_trace=[row[1] for row in run.trace],
+                trace=run.trace,
+                r_cut_table=run.table,
+                stages=run.stages,
+                converged=run.converged,
+                iterations=sum(row[2] for row in run.table),
+                grad_norm=run.grad_norm,
+                mu=mu,
+                p=p,
+                lead_mass=run.lead_mass,
+                factorizations=run.factorizations,
+            )
+        )
+    return results
+
+
 def minimize(
     graph: MetricGraph,
     mu: float,
@@ -604,10 +800,11 @@ def minimize(
     """Projected-gradient minimization over an increasing truncation
     schedule, warm starting each stage from the previous one.
 
-    Each stage descends on the core dofs and one lead shift
-    (:func:`_descend`), on the core mesh that ``initial``'s mesh keeps
-    (:meth:`Mesh.core_mesh`); later stages take the core values, the shift
-    and the preconditioner's factor as they are.
+    It is the one-start case of :func:`_minimize_starts`. Each stage
+    descends on the core dofs and one lead shift (:func:`_descend`), on
+    the core mesh that ``initial``'s mesh keeps (:meth:`Mesh.core_mesh`);
+    later stages take the core values, the shift and the preconditioner's
+    factor as they are.
     The first stage starts from ``initial``, a state on any mesh of
     ``graph`` (ValueError for another graph), its core interpolated onto
     the core mesh and its lead mass giving the shift; without it, from the
@@ -626,69 +823,15 @@ def minimize(
     otherwise.
     """
     require_p(p)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    _require_mu(mu)
     graph.require_valid()
     config = config or SolverConfig()
-    schedule = config.r_cut_schedule
     if initial is None:
-        initial = initializer_competitor(graph, mu, p, Mesh(graph, h_max=config.h_max, r_cut=schedule[0]))
+        initial = initializer_competitor(graph, mu, p, Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0]))
     elif initial.mesh.graph != graph:
         raise ValueError("the initial state lives on a mesh of another graph")
 
-    # the start's mesh keeps its core: runs from starts on one mesh share it,
-    # and each run keeps its own operator and factorizer
-    core = initial.mesh.core_mesh(config.h_max)
-    op = EnergyOperator(core, p)
-    factor = _shifted_factorizer(core)
-    _, counts = core.lead_anchors(graph)
-    u, lead_mass = _start(initial, core)
-    omega = precond = None
-    factorizations = 0
-    table: list[tuple[float, float, int, bool]] = []
-    stages: list[tuple[float, int, int, str]] = []
-    for r_cut in schedule:
-        n, h = uniform_cells(r_cut, config.h_max)
-        if omega is None or lead_forms(omega, n, h) is None:
-            # the shift at which this stage's leads carry the lead mass; with
-            # every anchor at zero they carry nothing and start flat
-            s = float(np.dot(counts, u[: core.n_vertices] ** 2))
-            omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
-        stage = _descend(op, factor, counts, r_cut, u, omega, mu, config, precond)
-        table.append((r_cut, stage.energy, stage.iterations, stage.converged))
-        stages.append((r_cut, stage.iterations, stage.backtracks, stage.stop))
-        factorizations += stage.factorizations
-        # the core numbering does not depend on r_cut, so the core values,
-        # the shift and the preconditioner carry over as they are
-        u, omega, lead_mass, precond = stage.values, stage.omega, stage.lead_mass, stage.precond
-
-    # |u| has the same energy or lower, and the mass form only sees |u|
-    values = np.abs(stage.values) if np.any(stage.values < 0.0) else stage.values
-    # the report and the residuals come from the core values and the leads
-    # in closed form, with no sum over lead nodes; the energy is then the
-    # last stage's, bit for bit, when its state has one sign
-    u_core = GraphFunction(core, values)
-    leads = Leads(graph, stage.omega, n, h)
-    report = energy_report(u_core, p, leads)
-    return MinimizationResult(
-        core=u_core,
-        leads=leads,
-        energy=report.total_energy,
-        verdict=_verdict(table, _ENERGY_TOL),
-        report=report,
-        el=el_residual(u_core, p, leads=leads),
-        energy_trace=[row[1] for row in stage.trace],
-        trace=stage.trace,
-        r_cut_table=table,
-        stages=stages,
-        converged=stage.converged,
-        iterations=sum(row[2] for row in table),
-        grad_norm=stage.grad_norm,
-        mu=mu,
-        p=p,
-        lead_mass=stage.lead_mass,
-        factorizations=factorizations,
-    )
+    return _minimize_starts(graph, mu, p, config, [initial])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +919,14 @@ def existence_dichotomy(
     """Run the minimizer from a spread of starting points, all sampled on
     the first stage's mesh: the plateau competitor, bump profiles centered
     at three core positions, and random starts seeded seed+1..seed+3. The
-    seven runs share that mesh's core Mesh and its assembly, each with its
-    own operator and factor (:func:`minimize`). Any
+    seven runs descend as one block on that mesh's core Mesh, with one
+    operator and one factorizer (:func:`_minimize_starts`), and each is,
+    bit for bit, the :func:`minimize` of its start. Any
     stably negative run settles the question in favor of existence;
     unanimous zero-trending runs are reported as suspicion of an
     unattained zero infimum."""
     require_p(p)
+    _require_mu(mu)
     graph.require_valid()
     config = config or SolverConfig()
     mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])
@@ -791,7 +936,7 @@ def existence_dichotomy(
         starts[f"soliton@{frac}"] = initializer_soliton(graph, mu, p, mesh0, center_edge=eid, center_offset=off)
     for k in range(1, 4):
         starts[f"random{k}"] = initializer_random(graph, mu, p, mesh0, seed=seed + k)
-    runs = {label: minimize(graph, mu, p, config, initial=u0) for label, u0 in starts.items()}
+    runs = dict(zip(starts, _minimize_starts(graph, mu, p, config, list(starts.values()))))
 
     # the first start, in order, whose energy ties with the lowest
     e_min = min(r.energy for r in runs.values())

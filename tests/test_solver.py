@@ -407,6 +407,37 @@ def test_cell_pass_is_never_applied_to_another_array(factory):
             op.gradient(other, cells)
 
 
+@pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
+@pytest.mark.parametrize("factory", [f for _, f in CELL_PASS_GRAPHS], ids=[n for n, _ in CELL_PASS_GRAPHS])
+def test_cell_pass_on_a_block_equals_its_rows(factory, p):
+    # a (k, m) block's pass, value and gradient are its rows' own, bit for
+    # bit: each row reduced in the order of a lone vector
+    core = _core_mesh(factory(), 0.02)
+    op = EnergyOperator(core, p)
+    rng = np.random.default_rng(6)
+    wide = rng.standard_normal((3, core.n_dofs + 5))
+    picked = wide[:, rng.permutation(core.n_dofs + 5)[: core.n_dofs]]
+    # V[:, idx] is F-ordered: its rows are strided
+    assert not picked.flags.c_contiguous
+    blocks = [rng.standard_normal((4, core.n_dofs)), rng.standard_normal((1, core.n_dofs)), picked]
+    for block in blocks:
+        cells = op.cell_pass(block)
+        value, gradient = op.value(block, cells), op.gradient(block, cells)
+        assert value.shape == (len(block), 1) and gradient.shape == block.shape
+        for i, row in enumerate(block):
+            alone = op.cell_pass(np.ascontiguousarray(row))
+            for name in ("d", "flux", "x", "ax", "pw"):
+                assert np.array_equal(getattr(cells, name)[i], getattr(alone, name)), name
+            assert value[i, 0] == op.value(alone.values, alone)
+            assert np.array_equal(gradient[i], op.gradient(alone.values, alone))
+        # a block's pass is tied to its array too
+        for other in (block.copy(), 2.0 * block):
+            with pytest.raises(ValueError, match="another array"):
+                op.value(other, cells)
+            with pytest.raises(ValueError, match="another array"):
+                op.gradient(other, cells)
+
+
 @pytest.mark.parametrize("omega,n,h", [(0.3, 40, 0.05), (1e-4, 8000, 0.02), (-1e-3, 500, 0.02)])
 @pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
 def test_leads_lp_integral_raises_each_node_once(omega, n, h, p):
@@ -904,29 +935,69 @@ def test_dichotomy_builds_one_start_mesh_one_core_and_one_assembly(monkeypatch):
 )
 @pytest.mark.parametrize("p", [3.5, 4.5])
 def test_shared_core_runs_equal_standalone_runs(monkeypatch, factory, p):
-    # the dichotomy's runs share one core Mesh, its mass vector and its
-    # stiffness matrix; each must be the run of an equal start on a fresh
-    # mesh, bit for bit, whatever the runs before it did
+    # the dichotomy's runs descend as one block on one core Mesh, its mass
+    # vector and its stiffness matrix; each must be the one-start minimize
+    # of an equal start on a fresh mesh, bit for bit
     graph = factory()
     cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=3000)
-    calls, run = [], solver.minimize
+    calls, run = [], solver._minimize_starts
 
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return run(*args, **kwargs)
+    def recorded(*args):
+        calls.append(args[-1])
+        return run(*args)
 
-    monkeypatch.setattr(solver, "minimize", recorded)
+    monkeypatch.setattr(solver, "_minimize_starts", recorded)
     d = existence_dichotomy(graph, 1.0, p, cfg)
-    assert len(calls) == len(d.runs) == 7
-    for (_, kwargs), shared in zip(calls, d.runs.values()):
-        start = kwargs["initial"]
+    (starts,) = calls
+    assert len(starts) == len(d.runs) == 7
+    for start, shared in zip(starts, d.runs.values()):
         fresh = Mesh(graph, h_max=start.mesh.h_max, r_cut=start.mesh.r_cut)
-        alone = run(graph, 1.0, p, cfg, initial=GraphFunction(fresh, start.values.copy()))
+        alone = minimize(graph, 1.0, p, cfg, initial=GraphFunction(fresh, start.values.copy()))
         assert alone.core.mesh is not shared.core.mesh
-        assert alone.to_dict() == shared.to_dict()
-        assert alone.stages == shared.stages
-        assert alone.factorizations == shared.factorizations
-        assert np.array_equal(alone.core.values, shared.core.values)
+        _assert_same_run(alone, shared)
+
+
+def _assert_same_run(a, b):
+    """Two results equal in everything a run records, bit for bit."""
+    assert a.to_dict() == b.to_dict()
+    assert a.stages == b.stages
+    assert a.factorizations == b.factorizations
+    assert a.trace == b.trace
+    assert np.array_equal(a.core.values, b.core.values)
+    assert a.lead_shift == b.lead_shift
+
+
+@pytest.mark.parametrize(
+    "factory,p",
+    [
+        pytest.param(lambda: double_bridge(0.5, 0.5), 3.5, id="double_bridge"),
+        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, id="star"),
+    ],
+)
+def test_block_runs_do_not_depend_on_their_neighbours(factory, p):
+    # random starts leave their stages at different iterations, by different
+    # stops (max_iters cuts the longer first stages short, with the step of
+    # the last iteration taken); a run's result may not depend on which runs
+    # share its block, nor on its place there, nor on a twin in it
+    graph = factory()
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=11)
+    mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
+    starts = [initializer_random(graph, 1.0, p, mesh, seed=seed) for seed in range(7)]
+    alone = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
+    stages = [res.stages for res in alone]
+    assert len({row[0][1] for row in stages}) > 1  # first stages of several lengths
+    assert {stop for row in stages for *_, stop in row} == {"line_search", "max_iters"}
+    for order in ([6, 5, 4, 3, 2, 1, 0], [0, 1, 2, 3, 4, 5, 6, 3], [5, 5, 0]):
+        block = solver._minimize_starts(graph, 1.0, p, cfg, [starts[k] for k in order])
+        for k, res in zip(order, block):
+            _assert_same_run(alone[k], res)
+    # a stage cut by max_iters ends at the state of its last step, whose
+    # energy the result reports
+    cut = SolverConfig(r_cut_schedule=(10.0,), h_max=0.05, max_iters=5)
+    for u0, res in zip(starts, solver._minimize_starts(graph, 1.0, p, cut, starts)):
+        assert res.stages[0][1:] == (5, res.stages[0][2], "max_iters")
+        assert res.energy == res.r_cut_table[-1][1] == res.trace[-1][1]
+        _assert_same_run(minimize(graph, 1.0, p, cut, initial=u0), res)
 
 
 def test_runs_from_starts_on_one_mesh_build_one_core(monkeypatch):
@@ -1271,3 +1342,20 @@ def test_minimize_reports_through_the_module_level_functions(monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
     assert sorted(calls) == ["el_residual", "energy_report"]
+
+
+def test_dichotomy_reports_and_factors_through_the_module_level_functions(monkeypatch):
+    # the benchmark's energy.report and solver.lu_factor spans time the
+    # dichotomy's runs through these names, as they time minimize's
+    calls = []
+    for name in ("energy_report", "el_residual", "splu"):
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    d = existence_dichotomy(double_bridge(0.5, 0.5), 1.0, 3.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    assert calls.count("energy_report") == calls.count("el_residual") == len(d.runs) == 7
+    assert calls.count("splu") == sum(r.factorizations for r in d.runs.values()) >= 7
