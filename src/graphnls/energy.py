@@ -148,7 +148,11 @@ class EnergyOperator:
         self.p = float(p)
         self.mass_vec = mesh.mass_vector()
         ia, ib, self._h = mesh.cells()
+        self._n = len(self._h)
         self._ends = np.concatenate((ia, ib))
+        # each cell's first and second ends, and its first again, where
+        # the pass makes its midpoint
+        self._gather = np.concatenate((ia, ib, ia))
         self._w = np.where(mesh.cell_core, self._h / 6.0, 0.0)  # no nonlinearity off the core
         # per block shape ((k,) or () for a vector): the gradient's bincount
         # targets, row r's cell ends offset by r * n_dofs, and the shape of
@@ -162,12 +166,14 @@ class EnergyOperator:
             if cells.values is not v:
                 raise ValueError("the cell pass was computed for another array")
             return cells
-        n = len(self._h)
-        # take keeps a block's rows contiguous, where v[:, idx] is F-ordered
-        ends = v.take(self._ends, -1)
-        first, second = ends[..., :n], ends[..., n:]
+        n = self._n
+        # one gather: take keeps a block's rows contiguous, where v[:, idx]
+        # is F-ordered; a vector's index is the faster
+        x = v[self._gather] if v.ndim == 1 else v.take(self._gather, -1)
+        first, second, mid = x[..., :n], x[..., n : 2 * n], x[..., 2 * n :]
+        mid += second
+        mid *= 0.5
         d = second - first
-        x = np.concatenate((ends, 0.5 * (first + second)), -1)
         ax = np.abs(x)
         # divided by the width: a stored 1/h rounds too far off (README)
         return CellPass(v, d, d / self._h, x, ax, ax**self.p)
@@ -176,8 +182,8 @@ class EnergyOperator:
         """The energy at ``v``, from its pass ``cells`` if given: the sums
         of ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``;
         a float, or a (k, 1) column of one per row of a block."""
-        c = self.cell_pass(v, cells)
-        n = len(self._h)
+        c = cells if cells is not None and cells.values is v else self.cell_pass(v, cells)
+        n = self._n
         lp = _simpson(c.pw[..., :n], c.pw[..., 2 * n :], c.pw[..., n : 2 * n], self._w)
         return 0.5 * _dots(c.d, c.flux) - lp / self.p
 
@@ -186,8 +192,8 @@ class EnergyOperator:
         ``v``'s pass ``cells`` if given: at each cell end its signed flux less
         its load w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount
         over the whole block, each row's ends in the order of a vector's."""
-        c = self.cell_pass(v, cells)
-        n = len(self._h)
+        c = cells if cells is not None and cells.values is v else self.cell_pass(v, cells)
+        n = self._n
         rows = v.shape[:-1]
         block = self._blocks.get(rows)
         if block is None:
@@ -277,13 +283,13 @@ def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | N
         s2 = 1.0 / math.cos(x) ** 2
     t = tan_(x)
     phi = 0.5 * h * (n * s2 + t / tan_(z))
+    sn = sin_(z)
     if x <= 0.5:
         b, c = _sine_excesses(n, z, sign)
         b, c = sign * 0.5 * s2 * b, sign * s2 * c
     else:
-        b = sign * (t - n * sin_(z) * s2)
+        b = sign * (t - n * sn * s2)
         c = sign * (2.0 * t - n * sin_(2.0 * z) * s2)
-    sn = sin_(z)
     psi = tan_(0.5 * z) / h * b
     dphi = -(h**3) / (2.0 * sn) * (n * n * s2 * t + c / (4.0 * sn * sn))
     return phi, psi, dphi

@@ -291,8 +291,9 @@ def _dots(a: np.ndarray, b: np.ndarray):
     calls for a row times a column: every row equals its own 1-D dot bit
     for bit, at any thread count, where a (k, m) gemv or einsum would sum
     in another order. Rows must have unit stride (``V.take(idx, axis=1)``,
-    not ``V[:, idx]``, which is F-ordered)."""
-    if a.ndim == b.ndim == 1:
+    not ``V[:, idx]``, which is F-ordered). With ``b`` a vector, ``a`` must
+    be one too."""
+    if b.ndim == 1:
         return float(a.dot(b))
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 

@@ -31,8 +31,8 @@ factoring its own preconditioner. A stage advances them in lockstep
 the loop of a lone descent, and the vector work of every run still going
 is done once per step on the block of their core values. Every
 reduction is its own row's 1-D dot, so each run is, bit for bit, the run
-of its start alone. One start runs the same coroutine and vector steps on
-vectors, its requests served as they come.
+of its start alone. One start's block is its vector, and its columns of
+scalars are plain floats.
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
@@ -287,8 +287,6 @@ class _Run:
     __slots__ = (
         "u", "lead_mass", "omega", "sigma", "solve", "factorizations", "table", "stages",
         "energy", "grad_norm", "iterations", "converged", "stop", "backtracks", "trace",
-        # the search direction of the iteration it is in
-        "d",
     )
 
     def __init__(self, u: np.ndarray, lead_mass: float):
@@ -328,19 +326,56 @@ def _shifted_factorizer(mesh: Mesh):
 
 
 # A block of runs keeps its core values as the rows of a (k, m) array and
-# its per-run scalars as (k, 1) columns that broadcast against them.
+# its per-run scalars as (k, 1) columns that broadcast against them; a block
+# of one run is its vector, and its columns are plain floats.
+#
+# A run's stage coroutine and the driver pass tagged tuples. The run yields
+# (_START, Phi), (_ITERATE, omega, Phi, Psi) when it has taken a state and
+# wants its gradient, (_TRIAL, t, Phi, pg) for the next trial of its line
+# search, whose direction is -pg, and _STOPPED when the stage is over for it.
+_START, _ITERATE, _TRIAL = "start", "iterate", "trial"
+_STOPPED = ("stop",)
 
 
-def _columns(rows: list[tuple]) -> tuple:
-    """Per-run tuples of scalars as one column per place in them."""
-    a = np.array(rows)
-    return tuple(a[:, j, None] for j in range(a.shape[1]))
+def _block(vectors: list[np.ndarray]) -> np.ndarray:
+    """Per-run vectors as a block, or the one run's vector itself."""
+    return vectors[0] if len(vectors) == 1 else np.stack(vectors)
 
 
-def _send(coros: list, cols: tuple, blocks: tuple = ()) -> list:
+def _row(block: np.ndarray, i: int) -> np.ndarray:
+    """Row ``i`` of a block, or the one run's vector itself."""
+    return block if block.ndim == 1 else block[i]
+
+
+def _take(block: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The block of ``rows`` of a block, a vector for one row (``take``
+    keeps them contiguous), or the one run's vector itself."""
+    if block.ndim == 1:
+        return block
+    return block[rows[0]] if len(rows) == 1 else block.take(rows, 0)
+
+
+def _columns(messages: list[tuple]) -> tuple:
+    """The runs' messages, tags dropped, as a column for each scalar and a
+    block for each vector in them, or the one run's message itself."""
+    if len(messages) == 1:
+        return messages[0][1:]
+    places = list(zip(*messages))[1:]
+    return tuple(np.stack(x) if isinstance(x[0], np.ndarray) else np.array(x)[:, None] for x in places)
+
+
+def _send(coros: list, cols: tuple, blocks: tuple = ()) -> tuple[str | None, list[tuple], tuple]:
     """Send each run's coroutine its value of every column and its row of
-    every block, and return their replies."""
-    return [c.send(m) for c, m in zip(coros, zip(*(x.ravel().tolist() for x in cols), *blocks))]
+    every block. Return the tag that all their replies carry (None if they
+    differ), the replies, and, under a common tag, :func:`_columns` of them."""
+    if len(coros) == 1:
+        reply = coros[0].send(cols + blocks)
+        return reply[0], [reply], reply[1:]
+    replies = [c.send(m) for c, m in zip(coros, zip(*(x.ravel().tolist() for x in cols), *blocks))]
+    tag = replies[0][0]
+    if any(m[0] is not tag for m in replies):
+        return None, replies, ()
+    return tag, replies, _columns(replies)
 
 
 def _descend(
@@ -362,14 +397,12 @@ def _descend(
 
     The runs descend in lockstep. Each run's scalars and decisions are a
     coroutine (``stage`` below) with the loop of a lone descent; between its
-    yields, the vector work of every run still going (``gradient_step``,
-    ``trial_step``) is done here, once, on the block of their core values.
-    A run leaves the block when its coroutine ends. Every reduction is its
-    own row's 1-D dot (:func:`graphnls.functions._dots`), so each run is,
-    bit for bit, the run it would be alone. A run alone has no block to
-    wait for: its requests are served as they come, by the same steps on
-    its vectors, which spares it the block's bookkeeping (about half its
-    cost over a lone loop)."""
+    yields, the vector work of every run still going (the gradient, and each
+    round of trials of the line searches) is done here, once, on the block
+    of their core values. A run leaves the block when its stage is over.
+    Every reduction is its own row's 1-D dot
+    (:func:`graphnls.functions._dots`), so each run is, bit for bit, the run
+    it would be alone; one run's block is its vector."""
     mass_k = op.mass_vec
     nv = op.mesh.n_vertices
     mass_v, mass_e = mass_k[:nv], mass_k[nv:]
@@ -388,16 +421,14 @@ def _descend(
     omega_floor = 0.5 * _lowest_shift(n, h)
 
     def stage(r: _Run):
-        # One run's stage, the loop of a lone descent. It yields its Phi at
-        # the start and is sent (value, s) of its projected start. Each
-        # iteration it yields (omega, Phi, Psi) and is sent lam_hat, the
+        # One run's stage, the loop of a lone descent. At _START it is sent
+        # (value, s) of its projected start; at _ITERATE, lam_hat, the
         # block's part of the gradient test and its rows of the residual,
-        # weights, u and g; each trial it yields (t, Phi) with its
-        # direction in r.d, and is sent the trial's (value, s). It leaves
-        # its state and record on r and yields None when it stops.
+        # weights, u and g; at _TRIAL, the trial's (value, s). It leaves its
+        # state and record on r before _STOPPED.
         omega, sigma, solve = r.omega, r.sigma, r.solve
         phi, psi, dphi = lead_forms(omega, n, h)
-        e, s = yield phi
+        e, s = yield _START, phi
         energy = e + 0.5 * psi * s
         trace: list[tuple[int, float, float, float]] = []
         window = deque([energy], maxlen=_STALL_WINDOW + 1)
@@ -408,7 +439,7 @@ def _descend(
         t0 = _STEP0
         it = 0
         for it in range(1, config.max_iters + 1):
-            lam_hat, core_sq, residual, weights, u, g = yield omega, phi, psi
+            lam_hat, core_sq, residual, weights, u, g = yield _ITERATE, omega, phi, psi
             # the gradient test reads the lifted state on the whole stage mesh,
             # where the leads' nodes carry -(omega + lam_hat) M u and each
             # anchor the lead's share of it beyond its half cell
@@ -431,8 +462,10 @@ def _descend(
                 phi_s, psi_s, _ = lead_forms(sigma, n, h)
                 solve = factor(sigma, counts * (psi_s + sigma * phi_s))
                 factorizations += 1
-            d = -solve(residual)
-            d -= (float(weights.dot(d * u)) / mu) * u
+            # the preconditioned gradient, made tangent to the sphere; the
+            # search direction -pg is never formed (negation is exact)
+            pg = solve(residual)
+            pg -= (float(weights.dot(pg * u)) / mu) * u
             # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega +
             # lam_hat) d_omega < 0 to the slope, its target kept above
             # omega_floor so that trials stay admissible; where that floor would
@@ -441,17 +474,16 @@ def _descend(
             lead_slope = -0.5 * s * dphi * drift * d_omega
             if lead_slope > 0.0:
                 d_omega = lead_slope = 0.0
-            slope = float(g.dot(d)) + lead_slope
+            slope = lead_slope - float(g.dot(pg))
             if slope >= 0.0:
                 # safeguard: fall back to the plain mass-weighted gradient
-                d = -(residual / weights)
-                slope = float(g.dot(d)) + lead_slope
+                pg = residual / weights
+                slope = lead_slope - float(g.dot(pg))
             if slope >= 0.0:
                 converged = grad_norm < tol
                 stop = "no_descent"
                 break
 
-            r.d = d
             t = t0
             accepted = False
             # halve t only while the predicted decrease t*|slope| is above one
@@ -462,7 +494,7 @@ def _descend(
                 forms = lead_forms(w_omega, n, h)
                 # a shift at or below the lead's lowest is no state: reject it
                 if forms is not None:
-                    e, s_w = yield t, forms[0]
+                    e, s_w = yield _TRIAL, t, forms[0], pg
                     e_new = e + 0.5 * forms[1] * s_w
                     # strict decrease too: an equal energy would let the stage
                     # creep on with vanishing steps until max_iters
@@ -492,9 +524,9 @@ def _descend(
             window.append(energy)
         r.omega, r.lead_mass, r.energy, r.grad_norm = omega, s * phi, energy, grad_norm
         r.iterations, r.converged, r.stop, r.backtracks, r.trace = it, converged, stop, backtracks, trace
-        r.sigma, r.solve, r.d = sigma, solve, None
+        r.sigma, r.solve = sigma, solve
         r.factorizations += factorizations
-        yield None
+        yield _STOPPED
 
     def project(v: np.ndarray, phi) -> tuple:
         # each row onto its sphere at its Phi, and its s = A w.w there
@@ -507,112 +539,89 @@ def _descend(
         a = w[..., :nv]
         return w, _dots(counts, a * a)
 
-    def gradient_step(u, cells, weights, omega, phi, psi) -> tuple:
-        # lam_hat, the block's part of the gradient test, the residual and g
+    runs = list(runs)  # the runs still going, in block order
+    coros = [stage(r) for r in runs]
+    (phi,) = _columns([next(c) for c in coros])
+    u, s = project(_block([r.u for r in runs]), phi)
+    # a state's one cell pass gives its energy and, once accepted, its gradient
+    cells = op.cell_pass(u)
+    _, _, cols = _send(coros, (op.value(u, cells), s))
+    weights = np.empty_like(u)
+    weights[...] = mass_k
+    while True:
+        # the block's gradient at the runs' (omega, Phi, Psi) = cols
+        omega, phi, psi = cols
+        u = cells.values
         u_v = u[..., :nv]
-        weights[..., :nv] = mass_v + phi * counts
+        np.add(mass_v, phi * counts, out=weights[..., :nv])
         g = op.gradient(u, cells)
-        g[..., :nv] += psi * counts * u_v
+        g_v = g[..., :nv]
+        g_v += psi * counts * u_v
         # strip the multiplier component before preconditioning: near a
         # constrained minimum g is dominated by lam*M*u, and preconditioning
         # that part yields directions with vanishing slope
         lam = _dots(g, u) / mu
         residual = g - lam * (weights * u)
+        # the gradient test's part on the block: the lifted residual on the
+        # vertices and the mass-weighted gradient off them
         full_v = residual[..., :nv] + (omega + lam) * (phi - 0.5 * h) * counts * u_v
-        # the mass-weighted gradient off the vertices
         tangent_e = residual[..., nv:] / mass_e
-        return lam, _dots(mass_e, tangent_e * tangent_e) + _dots(full_v, full_v / mass_full_v), residual, g
-
-    def trial_step(base, direction, step, phi_w) -> tuple:
-        # the trial state's cell pass, energy value and s
-        w, s_w = project(base + step * direction, phi_w)
-        w_cells = op.cell_pass(w)
-        return w_cells, op.value(w, w_cells), s_w
-
-    if len(runs) == 1:
-        # a run alone has no block to wait for: its requests are served as
-        # they come, on its vectors
-        (r,) = runs
-        c = stage(r)
-        u, s = project(r.u, next(c))
-        cells = op.cell_pass(u)
-        weights = mass_k.copy()
-        reply = c.send((op.value(u, cells), s))
-        while reply is not None:
-            if len(reply) == 3:  # the state it took: the next iteration
-                u = cells.values
-                lam, core_sq, residual, g = gradient_step(u, cells, weights, *reply)
-                reply = c.send((lam, core_sq, residual, weights, u, g))
-            else:  # a trial
-                w_cells, e, s_w = trial_step(u, r.d, *reply)
-                reply = c.send((e, s_w))
-                if reply is None or len(reply) == 3:
-                    cells = w_cells
-        # out of steps, or at max_iters with its last step taken
-        r.u = cells.values if r.stop == "max_iters" else u
-        return
-
-    runs = list(runs)  # the runs still going, in block order
-    coros = [stage(r) for r in runs]
-    u, s = project(np.stack([r.u for r in runs]), np.array([next(c) for c in coros])[:, None])
-    # a state's one cell pass gives its energy and, once accepted, its gradient
-    cells = op.cell_pass(u)
-    states = _send(coros, (op.value(u, cells), s))
-    weights = np.empty_like(u)
-    weights[...] = mass_k
-    while True:
-        u = cells.values
-        lam, core_sq, residual, g = gradient_step(u, cells, weights, *_columns(states))
+        core_sq = _dots(mass_e, tangent_e * tangent_e) + _dots(full_v, full_v / mass_full_v)
         # each run tests its gradient and, going on, asks for its first trial
-        trials = _send(coros, (lam, core_sq), (residual, weights, u, g))
-        if None in trials:
+        tag, trials, cols = _send(coros, (lam, core_sq), (residual, weights, u, g))
+        if tag is not _TRIAL:
             # the runs that stopped leave the block
             keep = []
-            for i, trial in enumerate(trials):
-                if trial is None:
-                    runs[i].u = u[i].copy()
+            for i, m in enumerate(trials):
+                if m is _STOPPED:
+                    runs[i].u = _row(u, i).copy()
                 else:
                     keep.append(i)
             if not keep:
                 return
             runs, coros, trials = ([a[i] for i in keep] for a in (runs, coros, trials))
-            u, weights = u.take(keep, 0), weights.take(keep, 0)
+            u, weights, cols = _take(u, keep), _take(weights, keep), _columns(trials)
 
         # the line searches, in rounds: each round tries the next step of
         # every run still searching, as one block
-        found, states = [], []  # (row, trial block's pass, row there) and the state it took
         rows, trying = range(len(runs)), coros
-        base, direction = u, np.stack([r.d for r in runs])
+        base = u
+        found, states = [], []  # (row, trial block's pass, row there) and the state it took
         while True:
-            w_cells, e, s_w = trial_step(base, direction, *_columns(trials))
-            replies = _send(trying, (e, s_w))
+            # the trial states at the runs' (t, Phi, pg) = cols: their pass,
+            # energy value and s
+            step, phi_w, pg = cols
+            w, s_w = project(base - step * pg, phi_w)
+            w_cells = op.cell_pass(w)
+            tag, replies, cols = _send(trying, (op.value(w, w_cells), s_w))
+            if tag is _TRIAL:  # every run searching tries again
+                continue
+            if tag is _ITERATE and len(replies) == len(runs):
+                # every run took its step from this trial block: the next block
+                cells = w_cells
+                break
             retry = []
             for j, (i, reply) in enumerate(zip(rows, replies)):
-                if reply is None:
-                    # out of steps, or at max_iters with this step taken
-                    runs[i].u = (w_cells.values[j] if runs[i].stop == "max_iters" else u[i]).copy()
-                elif len(reply) == 2:  # the next trial
+                if reply[0] is _TRIAL:
                     retry.append(j)
-                else:  # the state it took
+                elif reply is _STOPPED:  # out of steps, or at max_iters with this step taken
+                    runs[i].u = (_row(w_cells.values, j) if runs[i].stop == "max_iters" else _row(u, i)).copy()
+                else:  # it took this trial's state
                     found.append((i, w_cells, j))
                     states.append(reply)
-            if not retry:
-                break
-            rows, trials = [rows[j] for j in retry], [replies[j] for j in retry]
-            trying = [coros[i] for i in rows]
-            base, direction = base.take(retry, 0), direction.take(retry, 0)
-        if not found:
-            return
-        if len(found) == len(runs) and found[0][1] is found[-1][1]:
-            # every run took its step from one trial block: the next block
-            cells = found[0][1]
-        else:
+            if retry:
+                rows, cols = [rows[j] for j in retry], _columns([replies[j] for j in retry])
+                trying, base = [coros[i] for i in rows], _take(base, retry)
+                continue
+            if not found:
+                return
             # the runs that took a step, their rows gathered from their
             # trial blocks in the order they took it
             keep = [f[0] for f in found]
-            runs, coros = [runs[i] for i in keep], [coros[i] for i in keep]
-            weights = weights.take(keep, 0)
-            cells = CellPass(*(np.stack([f[1][k][f[2]] for f in found]) for k in range(len(CellPass._fields))))
+            runs, coros, cols = [runs[i] for i in keep], [coros[i] for i in keep], _columns(states)
+            weights = _take(weights, keep)
+            cells = CellPass(*(_block([_row(f[1][k], f[2]) for f in found]) for k in range(len(CellPass._fields))))
+            break
 
 
 def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:

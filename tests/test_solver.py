@@ -1000,6 +1000,64 @@ def test_block_runs_do_not_depend_on_their_neighbours(factory, p):
         _assert_same_run(minimize(graph, 1.0, p, cut, initial=u0), res)
 
 
+
+def test_an_uphill_preconditioner_falls_back_to_the_mass_weighted_gradient(monkeypatch):
+    # a preconditioner whose solves point uphill: the slope safeguard gives
+    # each run the mass-weighted gradient instead, so the runs descend on
+    # (an uphill search would stop at the first iteration), and a run in a
+    # block is still its run alone
+    factorizer = solver._shifted_factorizer
+
+    def uphill(mesh):
+        factor = factorizer(mesh)
+
+        def flipped(sigma, vertex_shift=0.0):
+            solve = factor(sigma, vertex_shift)
+            return lambda r: -solve(r)
+
+        return flipped
+
+    graph, p = double_bridge(0.5, 0.5), 3.5
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=40)
+    mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
+    starts = [initializer_random(graph, 1.0, p, mesh, seed=seed) for seed in range(3)]
+    preconditioned = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
+    monkeypatch.setattr(solver, "_shifted_factorizer", uphill)
+    alone = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
+    for res, other in zip(alone, preconditioned):
+        assert all(iterations > 1 for _, iterations, _, _ in res.stages)
+        assert res.trace != other.trace
+    for k, res in enumerate(solver._minimize_starts(graph, 1.0, p, cfg, starts[::-1])):
+        _assert_same_run(alone[2 - k], res)
+
+
+def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
+    # with a zero gradient and nothing on the leads, neither the
+    # preconditioned direction nor its fallback descends: each stage stops
+    # at its first iteration, converged, by "no_descent", alone and in a
+    # block beside a run that goes on
+    monkeypatch.setattr(EnergyOperator, "gradient", lambda self, v, cells=None: np.zeros_like(v))
+    graph, p = double_bridge(0.5, 0.5), 3.5
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=40)
+    mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
+    starts = []
+    for seed in range(2):
+        values = initializer_random(graph, 1.0, p, mesh, seed=seed).values.copy()
+        values[: mesh.n_vertices] = 0.0
+        for e in graph.half_lines:
+            values[mesh.edge_dofs[e.id]] = 0.0
+        starts.append(GraphFunction(mesh, values))
+    alone = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
+    for res in alone:
+        assert res.stages == [(10.0, 1, 0, "no_descent"), (20.0, 1, 0, "no_descent")]
+        assert res.converged and res.trace == [] and res.lead_mass == 0.0
+    other = initializer_random(graph, 1.0, p, mesh, seed=5)
+    block = solver._minimize_starts(graph, 1.0, p, cfg, [starts[0], other, starts[1]])
+    _assert_same_run(alone[0], block[0])
+    _assert_same_run(alone[1], block[2])
+    _assert_same_run(minimize(graph, 1.0, p, cfg, initial=other), block[1])
+    assert block[1].stages[0][3] != "no_descent"
+
 def test_runs_from_starts_on_one_mesh_build_one_core(monkeypatch):
     graph = double_bridge(0.5, 0.5)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
