@@ -156,6 +156,16 @@ def check_graphs(seed: int = 0, gn_c: float | None = None) -> CheckResult:
             "text round trip changed the core measure",
         )
 
+    # the certificate's pruned search against a scan of every partition,
+    # which is the certificate over the enumeration passed in
+    for graph in (star, db):
+        p, mu = float(rng.choice([4.0, 4.5, 5.0])), float(rng.uniform(0.5, 2.0))
+        scan = certify_nonexistence(graph, p, mu, partitions=enumerate_partitions(graph, graph.n_half_lines))
+        col.check(
+            certify_nonexistence(graph, p, mu).to_dict() == scan.to_dict(),
+            "certificate search differs from a scan of every partition",
+        )
+
     no_leads = metric_graph(["a", "b"], [("e", "a", "b", 1.0)], [])
     col.check(not validate(no_leads).ok, "graph without half-lines accepted")
     col.check(

@@ -48,6 +48,12 @@ def require_p(p: float) -> None:
         raise ValueError("p must be in (2,6)")
 
 
+def require_mu(mu: float) -> None:
+    # NaN passes no comparison, infinity passes > 0 and a bool passes it as 1.0
+    if isinstance(mu, (bool, np.bool_)) or not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+
+
 def default_gn_constants(p: float, n_half_lines: int) -> tuple[float, float]:
     """Interpolation constants (C, c) by the number of half-lines alone.
 

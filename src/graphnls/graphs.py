@@ -363,7 +363,8 @@ def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
     The half-lines are split into r nonempty groups, which tells the parts
     apart, and each core edge then joins one of them: sum_r S(N, r) r^E
     partitions for N half-lines and E core edges, so only desk scale is
-    feasible.
+    feasible for the enumeration. :func:`least_partition` finds the
+    partition a certificate needs without it.
 
     A part is built as a bit mask over the sorted edge ids. Far fewer
     parts than partitions are distinct, so each distinct part gets its
@@ -402,6 +403,132 @@ def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
     shared = [frozenset(id_tuples[mask]) for mask in ranked]
     keys = sorted([tuple(sorted(map(rank.__getitem__, parts))) for parts in families])
     return [Partition(tuple(map(shared.__getitem__, key))) for key in keys]
+
+
+def _least_largest_group(lengths: Sequence[float], n: int) -> float:
+    """Least largest group measure over the groupings of ``lengths`` into
+    at most n groups, each measured by ``math.fsum`` as
+    :func:`part_core_measure` measures a part.
+
+    Branch and bound: the lengths are placed longest first, each in a new
+    group or an existing one, least loaded first, and a branch stops as
+    soon as a group reaches the best largest group found. No grouping
+    does better than the longest length alone, so reaching it ends the
+    search.
+    """
+    order = sorted(lengths, reverse=True)
+    best = math.fsum(order)
+    groups: list[list[float]] = []
+    loads: list[float] = []
+
+    def place(k: int, worst: float) -> bool:
+        """Place ``order[k:]``; True once ``best`` is the longest length."""
+        nonlocal best
+        if k == len(order):
+            best = worst
+            return best == order[0]
+        x = order[k]
+        if len(groups) < n:
+            groups.append([x])
+            loads.append(x)
+            done = max(worst, x) < best and place(k + 1, max(worst, x))
+            groups.pop()
+            loads.pop()
+            if done:
+                return True
+        for i in sorted(range(len(groups)), key=loads.__getitem__):
+            group, load = groups[i], loads[i]
+            group.append(x)
+            loads[i] = math.fsum(group)
+            done = max(worst, loads[i]) < best and place(k + 1, max(worst, loads[i]))
+            group.pop()
+            loads[i] = load
+            if done:
+                return True
+        return False
+
+    place(0, 0.0)
+    return best
+
+
+def least_partition(graph: MetricGraph) -> Partition:
+    """The first partition, in the canonical order of
+    ``enumerate_partitions(graph, N)``, whose largest part has the least
+    core measure; found without the enumeration.
+
+    The least largest part W* comes first: a partition's parts measure
+    the groups its core edges fall in, so W* is the least largest group
+    over the groupings of the core lengths into at most N groups. The
+    partition is then built part by part. Each next part holds the
+    smallest unassigned edge id, so canonical order makes it the first
+    candidate part, in lexicographic order of its sorted ids, that holds
+    a half-line, stays at or below W*, and leaves a remainder that still
+    splits into such parts. The candidates are visited in lexicographic
+    preorder, and a candidate above W* ends its subtree, since a part
+    only grows there. Whether a remainder splits depends only on its core
+    edges and its number of half-lines, and is memoized by them.
+    """
+    graph.require_valid()
+    n = graph.n_half_lines
+    if n < 2:
+        raise ValueError("partitions need N >= 2 half-lines")
+    bound = _least_largest_group([e.length for e in graph.core_edges], n)
+    by_id = graph.edges_by_id
+    ids = sorted(by_id)
+    # the core length at each sorted position; None marks a half-line
+    lengths = [by_id[eid].length if by_id[eid].in_core else None for eid in ids]
+
+    def within(part: list[int]) -> bool:
+        return math.fsum(lengths[i] for i in part if lengths[i] is not None) <= bound
+
+    def parts(first: int, later: list[int]) -> Iterable[list[int]]:
+        """``first`` with each subset of ``later`` that stays within W*,
+        in lexicographic preorder; ``later`` is ascending. One edge alone
+        stays within W*, which is at least the longest length."""
+        part = [first]
+
+        def visit(start: int) -> Iterable[list[int]]:
+            yield part
+            for k in range(start, len(later)):
+                part.append(later[k])
+                if within(part):
+                    yield from visit(k + 1)
+                part.pop()
+
+        return visit(0)
+
+    splits: dict[tuple[int, int], bool] = {}
+
+    def splittable(core: int, halves: int) -> bool:
+        """Whether the core edges of the bit mask ``core`` fall into at
+        most ``halves`` groups within W*, one for each half-line left."""
+        if not core:
+            return True
+        key = (core, halves)
+        if key not in splits:
+            low = (core & -core).bit_length() - 1
+            rest = [i for i in range(low + 1, core.bit_length()) if core >> i & 1]
+            splits[key] = halves > 0 and any(
+                splittable(core & ~sum(1 << i for i in group), halves - 1)
+                for group in parts(low, rest)
+            )
+        return splits[key]
+
+    found: list[list[int]] = []
+    left = list(range(len(ids)))
+    while left:
+        for part in parts(left[0], left[1:]):
+            held = set(part)
+            rest = [i for i in left if i not in held]
+            core = sum(1 << i for i in rest if lengths[i] is not None)
+            halves = sum(lengths[i] is None for i in rest)
+            if any(lengths[i] is None for i in part) and splittable(core, halves):
+                found.append(list(part))
+                left = rest
+                break
+        else:
+            raise AssertionError("no part within the least largest part")
+    return Partition(tuple(frozenset(ids[i] for i in part) for part in found))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from .energy import (
     energy_report,
     lead_forms,
     lead_profile,
+    require_mu,
     require_p,
 )
 from .functions import GraphFunction, Mesh, _dots, l2_norm_sq, neighbor_average, project_mass, uniform_cells
@@ -731,11 +732,6 @@ def _verdict(table: list[tuple[float, float, int, bool]], energy_tol: float) -> 
     return INCONCLUSIVE
 
 
-def _require_mu(mu: float) -> None:
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and positive, got {mu!r}")
-
-
 def _minimize_starts(
     graph: MetricGraph, mu: float, p: float, config: SolverConfig, starts: list[GraphFunction]
 ) -> list[MinimizationResult]:
@@ -832,7 +828,7 @@ def minimize(
     otherwise.
     """
     require_p(p)
-    _require_mu(mu)
+    require_mu(mu)
     graph.require_valid()
     config = config or SolverConfig()
     if initial is None:
@@ -935,7 +931,7 @@ def existence_dichotomy(
     unanimous zero-trending runs are reported as suspicion of an
     unattained zero infimum."""
     require_p(p)
-    _require_mu(mu)
+    require_mu(mu)
     graph.require_valid()
     config = config or SolverConfig()
     mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])

@@ -18,14 +18,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import energy_value, gn_constants, require_p
+from .energy import energy_value, gn_constants, require_mu, require_p
 from .functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm
 from .graphs import (
     MetricGraph,
     Partition,
     core_measure,
+    # unused here since certificates stopped enumerating, but bench/spans.py
+    # hooks this name in this module, and a traced bench run fails without it
     enumerate_partitions,
     homothety,
+    least_partition,
     part_core_measure,
     partition_violations,
 )
@@ -55,8 +58,7 @@ def const_Cp(p: float) -> float:
 def threshold_exist(p: float, mu: float, n_half_lines: int) -> float:
     """Core measure above which a ground state is guaranteed to exist."""
     _require_p46(p)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    require_mu(mu)
     if n_half_lines < 1:
         raise ValueError("need at least one half-line")
     if p == 4.0:
@@ -81,8 +83,7 @@ def threshold_nonexist(
     as :func:`certify_nonexistence` does.
     """
     _require_p46(p)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    require_mu(mu)
     C, c = gn_constants(p, 2 if n_half_lines is None else n_half_lines, C, c)
     return C ** ((4.0 - p) / (6.0 - p)) * mu ** ((2.0 - p) / (6.0 - p)) * c ** (-p)
 
@@ -224,16 +225,19 @@ def certify_nonexistence(
 
     Candidates are the single-region check (core measure of the whole graph
     against the threshold) plus either the supplied partitions or, when the
-    graph has at least two half-lines, all partitions into at most one
+    graph has at least two half-lines, the partitions into at most one
     region per half-line. The best candidate minimizes the largest
-    per-region core measure; the certificate is valid when that measure is
+    per-region core measure, and the first one in candidate order wins a
+    tie: the single-region check, then the partitions in the order given
+    or in canonical order. The certificate is valid when that measure is
     below the threshold. Constants not passed come
     from :func:`graphnls.energy.gn_constants` for the graph, which gives
     the single-lead pair on graphs with a dead end.
 
-    Every candidate is scanned, but each distinct part's core measure is
-    summed (``math.fsum``) once: the enumerated partitions share far fewer
-    parts than they hold.
+    Without supplied partitions none are enumerated:
+    :func:`graphnls.graphs.least_partition` finds the first partition in
+    canonical order whose largest part is least, by a pruned search, and
+    only it is weighed against the single-region check.
     """
     _require_p46(p)
     graph.require_valid()
@@ -248,21 +252,16 @@ def certify_nonexistence(
                 raise ValueError("invalid partition: " + "; ".join(bad))
         cands: list[Partition | None] = [None, *partitions]
     elif n >= 2:
-        cands = [None, *enumerate_partitions(graph, n)]
+        cands = [None, least_partition(graph)]
     else:
         cands = [None]
 
-    # far fewer parts than candidates are distinct: sum each one once
-    part_measures = {
-        part: part_core_measure(graph, part)
-        for part in {part for cand in cands if cand is not None for part in cand.parts}
-    }
     best: tuple[float, tuple[float, ...], Partition | None] | None = None
     for cand in cands:
         if cand is None:
             meas = (core_measure(graph),)
         else:
-            meas = tuple(map(part_measures.__getitem__, cand.parts))
+            meas = tuple(part_core_measure(graph, part) for part in cand.parts)
         worst = max(meas)
         if best is None or worst < best[0]:
             best = (worst, meas, cand)

@@ -51,7 +51,13 @@ from graphnls.solver import (
     minimize,
     soliton_profile,
 )
-from graphnls.thresholds import inductive_bound_check, threshold_exist, threshold_nonexist
+from graphnls.thresholds import (
+    certify_nonexistence,
+    inductive_bound_check,
+    threshold_exist,
+    threshold_nonexist,
+    threshold_report,
+)
 
 # (graph factory, p, truncation schedule, shooting energy, shooting multiplier)
 SHOOTING_CASES = [
@@ -500,6 +506,23 @@ def test_non_finite_mass_is_rejected(mu):
         lambda: threshold_nonexist(4.0, mu),
     ):
         with pytest.raises(ValueError, match="mu must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("mu", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_boolean_mass_is_rejected(mu):
+    # a bool passes the finite-and-positive test as 1.0: certify issued a
+    # valid certificate for double_bridge(.9, .9) at p = 4 and mu = True
+    graph = double_bridge(0.9, 0.9)
+    for call in (
+        lambda: minimize(graph, mu, 4.0),
+        lambda: existence_dichotomy(graph, mu, 4.0),
+        lambda: threshold_exist(4.0, mu, 2),
+        lambda: threshold_nonexist(4.0, mu),
+        lambda: threshold_report(4.0, mu, 2),
+        lambda: certify_nonexistence(graph, 4.0, mu),
+    ):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
             call()
 
 

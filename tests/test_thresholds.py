@@ -1,23 +1,27 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from graphnls import graphs, thresholds
 from graphnls.energy import energy_value, gn_check, gn_constants
 from graphnls.functions import GraphFunction, Mesh, interpolate, project_mass
 from graphnls.graphs import (
     Partition,
     core_measure,
     double_bridge,
+    least_partition,
     line_graph,
     load_graph,
     metric_graph,
     part_core_measure,
+    partition_violations,
     star_graph,
 )
 from graphnls.thresholds import (
@@ -372,7 +376,7 @@ def _scanned_certificate(graph, p, mu):
     ).to_dict()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(deadline=None, derandomize=True)
 @given(graph=small_graphs(), data=st.data())
 def test_enumerated_partitions_match_brute_force(graph, data):
     max_parts = data.draw(st.integers(2, graph.n_half_lines))
@@ -384,7 +388,7 @@ def test_enumerated_partitions_match_brute_force(graph, data):
     assert len({id(part) for part in parts}) == len(set(parts))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(deadline=None, derandomize=True)
 @given(
     graph=small_graphs(),
     p=st.sampled_from((4.0, 4.5, 5.0)),
@@ -405,6 +409,93 @@ def test_certificates_of_the_demo_graphs_are_pinned():
     for row in pinned:
         cert = certify_nonexistence(load_graph(demos / f"{row['graph']}.graph"), row["p"], row["mu"])
         assert json.loads(json.dumps(cert.to_dict())) == row["certificate"]
+
+
+def _bridge(lengths, n_half_lines):
+    return metric_graph(
+        ["a", "b"],
+        [(f"bridge{i}", "a", "b", x) for i, x in enumerate(lengths)],
+        [(f"lead{k}", "ab"[k % 2]) for k in range(n_half_lines)],
+    )
+
+
+@settings(deadline=None, derandomize=True)
+@given(graph=small_graphs())
+# longest first, each to the least loaded group, gives 1.75 and not 1.5
+@example(graph=_bridge((0.75, 0.75, 0.5, 0.5, 0.5), 2))
+# 0.1 + 0.2 + 0.3 rounds above 0.6 one by one, but math.fsum gives 0.6
+@example(graph=_bridge((0.1, 0.2, 0.3, 0.6), 2))
+def test_least_partition_is_the_first_least_enumerated_partition(graph):
+    # also where the whole-graph check wins the certificate's tie
+    found = enumerate_partitions(graph, graph.n_half_lines)
+    worst = [max(part_core_measure(graph, part) for part in q.parts) for q in found]
+    assert least_partition(graph) == found[worst.index(min(worst))]
+
+
+def _least_largest_group_by_brute_force(lengths, n):
+    """Over every grouping of the lengths into at most n groups."""
+    return min(
+        max(math.fsum(lengths[i] for i in group) for group in groups)
+        for groups in _set_partitions(list(range(len(lengths))))
+        if len(groups) <= n
+    )
+
+
+def test_least_largest_group_matches_brute_force():
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        lengths = [float(x) for x in rng.choice((0.1, 0.2, 0.3, 0.25, 0.5, 1.0), int(rng.integers(1, 8)))]
+        n = int(rng.integers(1, 5))
+        assert graphs._least_largest_group(lengths, n) == _least_largest_group_by_brute_force(lengths, n), (lengths, n)
+
+
+# the star topologies of the benchmark's certificate op, by leads per terminal
+BENCH_STAR_LEADS = ((1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1))
+
+
+def test_certificates_do_not_enumerate_partitions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_nonexistence enumerated the partitions")
+
+    monkeypatch.setattr(graphs, "enumerate_partitions", refuse)
+    monkeypatch.setattr(thresholds, "enumerate_partitions", refuse)
+    demos = Path(__file__).resolve().parents[1] / "demos" / "graphs"
+    pinned = json.loads((Path(__file__).with_name("certify_demo_graphs.json")).read_text())
+    assert len(pinned) == 12
+    for row in pinned:
+        cert = certify_nonexistence(load_graph(demos / f"{row['graph']}.graph"), row["p"], row["mu"])
+        assert json.loads(json.dumps(cert.to_dict())) == row["certificate"]
+    rng = np.random.default_rng(23)
+    for leads in BENCH_STAR_LEADS:
+        for _ in range(3):
+            lengths = [float(x) for x in rng.uniform(0.2, 1.2, len(leads))]
+            vertices = ["hub", *(f"t{i}" for i in range(1, len(leads) + 1))]
+            core = [(f"arm{i}", "hub", f"t{i}", x) for i, x in enumerate(lengths, 1)]
+            half = [(f"lead{i}_{k}", f"t{i}") for i, n in enumerate(leads, 1) for k in range(1, n + 1)]
+            graph = metric_graph(vertices, core, half)
+            p, mu = float(rng.choice([4.0, 4.5, 5.0])), float(rng.uniform(0.8, 1.25))
+            assert certify_nonexistence(graph, p, mu).to_dict() == _scanned_certificate(graph, p, mu)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        # N = 12 half-lines: the enumeration would build about 10^10 partitions
+        pytest.param(star_graph(np.random.default_rng(6).uniform(0.2, 1.2, 6).tolist(), 2), id="star-6-arms-2-leads"),
+        pytest.param(star_graph(np.random.default_rng(8).uniform(0.2, 1.2, 8).tolist(), 1), id="star-8-arms-1-lead"),
+        # more core edges than half-lines, with ties: the parts must share edges
+        pytest.param(_bridge((1.0, 0.5, 0.5, 0.25) * 2, 3), id="bridge-8-edges-3-leads"),
+    ],
+)
+def test_certificates_scale_past_the_enumeration(graph):
+    start = time.perf_counter()
+    cert = certify_nonexistence(graph, 4.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert not cert.whole_graph
+    assert partition_violations(graph, cert.partition.parts) == []
+    lengths = [e.length for e in graph.core_edges]
+    assert cert.max_part_measure == _least_largest_group_by_brute_force(lengths, graph.n_half_lines)
+    assert cert.part_core_measures == tuple(part_core_measure(graph, part) for part in cert.partition.parts)
 
 
 # scaling
