@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .checks import SUITES, run_checks
-from .energy import SCHEMA_VERSION, gn_constants
+from .energy import SCHEMA_VERSION, gn_constants, require_mu, require_p
 from .functions import Mesh, save_function
 from .graphs import (
     MetricGraph,
@@ -74,21 +74,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _check_p(p: float) -> None:
-    if not 2.0 < p < 6.0:
-        raise _UsageError("p must be in (2,6)")
-
-
 def _spec_number(value, key: str) -> float:
     # float() reads JSON true and false as 1.0 and 0.0
     if isinstance(value, bool):
         raise _UsageError(f"{key} must be a number, got {json.dumps(value)}")
     return float(value)
-
-
-def _check_mu(mu: float) -> None:
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise _UsageError(f"mu must be finite and positive, got {mu!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +122,8 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_minimize(args) -> int:
-    _check_p(args.p)
-    _check_mu(args.mu)
+    require_p(args.p)
+    require_mu(args.mu)
     graph = load_graph(args.graph)
     graph.require_valid()
     cfg = _solver_config(args)
@@ -189,8 +179,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    _check_p(args.p)
-    _check_mu(args.mu)
+    require_p(args.p)
+    require_mu(args.mu)
     if args.N < 1:
         raise _UsageError("N must be at least 1")
     if args.p < 4.0:
@@ -249,8 +239,8 @@ def _read_partition_file(path) -> list[frozenset[str]]:
 
 
 def cmd_certify(args) -> int:
-    _check_p(args.p)
-    _check_mu(args.mu)
+    require_p(args.p)
+    require_mu(args.mu)
     if args.p < 4.0:
         raise _UsageError(
             "nonexistence certification applies to p in [4,6); "
@@ -327,9 +317,9 @@ class SweepSpec:
         mu = _spec_number(data.get("mu", 1.0), "mu")
         p = _spec_number(data.get("p", 4.0), "p")
         if axis != "mu":
-            _check_mu(mu)
-        if axis != "p" and not 2.0 < p < 6.0:
-            raise _UsageError("p must be in (2,6)")
+            require_mu(mu)
+        if axis != "p":
+            require_p(p)
         # a "threads" key from older specs is ignored: points run serially
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):

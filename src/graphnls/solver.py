@@ -26,13 +26,15 @@ from its lead mass by a safeguarded Newton iteration (:func:`_lead_shift`).
 Runs from starts on one mesh descend together (:func:`_minimize_starts`;
 ``minimize`` is its one-start case): on the core Mesh that mesh keeps
 (``Mesh.core_mesh``), with one operator and one factorizer, each run
-factoring its own preconditioner. A stage advances them in lockstep
-(:func:`_descend`): each run's scalars and decisions are a coroutine with
-the loop of a lone descent, and the vector work of every run still going
-is done once per step on the block of their core values. Every
-reduction is its own row's 1-D dot, so each run is, bit for bit, the run
-of its start alone. One start's block is its vector, and its columns of
-scalars are plain floats.
+factoring its own preconditioner. Each run's scalars and decisions over
+its whole schedule are one coroutine with the loop of a lone descent,
+which asks for its vector work (a stage's start, a trial, a gradient) by
+request; one flat loop (:func:`_descend`) serves the requests waiting in
+blocks of the runs' core values, trials first, then gradients, then stage
+starts, so the runs start each stage together. Every reduction is its own
+row's 1-D dot, so each run is, bit for bit, the run of its start alone.
+One start's block is its vector, and its columns of scalars are plain
+floats.
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
@@ -278,21 +280,18 @@ def _lead_shift(ratio: float, n: int, h: float) -> float:
 
 
 class _Run:
-    """One start's descent: the state it carries from stage to stage (its
-    core values, lead mass and shift, and its preconditioner's sigma and
-    solve), its record, and how its last stage ended: its energy, gradient
-    norm, iterations, trace, rejected trials and why it stopped,
-    "gradient" (the gradient test passed), "no_descent" (no descent
-    direction left), "line_search" (no acceptable step) or "max_iters"."""
+    """One start's record. It holds the start's core values and lead mass,
+    then, once its schedule is done, its last stage's state (core values,
+    lead mass and shift) with that stage's gradient norm, convergence and
+    trace, a row of ``table`` and of ``stages`` per stage, and its factors
+    over the schedule. A stage stops by "gradient" (the gradient test
+    passed), "no_descent" (no descent direction left), "line_search" (no
+    acceptable step) or "max_iters"."""
 
-    __slots__ = (
-        "u", "lead_mass", "omega", "sigma", "solve", "factorizations", "table", "stages",
-        "energy", "grad_norm", "iterations", "converged", "stop", "backtracks", "trace",
-    )
+    __slots__ = ("u", "lead_mass", "omega", "grad_norm", "converged", "trace", "factorizations", "table", "stages")
 
     def __init__(self, u: np.ndarray, lead_mass: float):
         self.u, self.lead_mass = u, lead_mass
-        self.omega, self.sigma, self.solve = None, 0.0, None
         self.factorizations = 0
         self.table: list[tuple[float, float, int, bool]] = []
         self.stages: list[tuple[float, int, int, str]] = []
@@ -330,204 +329,212 @@ def _shifted_factorizer(mesh: Mesh):
 # its per-run scalars as (k, 1) columns that broadcast against them; a block
 # of one run is its vector, and its columns are plain floats.
 #
-# A run's stage coroutine and the driver pass tagged tuples. The run yields
-# (_START, Phi), (_ITERATE, omega, Phi, Psi) when it has taken a state and
-# wants its gradient, (_TRIAL, t, Phi, pg) for the next trial of its line
-# search, whose direction is -pg, and _STOPPED when the stage is over for it.
+# A run asks the driver for its vector work by requests (kind, i, state,
+# *arguments), i its place among the runs and state a (cell pass, row) pair,
+# the row None in a vector's pass. (_START, i, state, 0, Phi, 0), a stage's
+# start, is a trial of step 0 along a zero direction; (_TRIAL, i, state, t,
+# Phi, pg) is the next trial of its line search, whose direction is -pg;
+# (_ITERATE, i, state, omega, Phi, Psi, Phi - h/2, the stage's vertex
+# weights) asks for the gradient there: the gradient test weighs the
+# vertices on the whole stage mesh, with the anchors' half cells.
 _START, _ITERATE, _TRIAL = "start", "iterate", "trial"
-_STOPPED = ("stop",)
 
 
-def _block(vectors: list[np.ndarray]) -> np.ndarray:
-    """Per-run vectors as a block, or the one run's vector itself."""
-    return vectors[0] if len(vectors) == 1 else np.stack(vectors)
+def _gather(states: list[tuple], field: int | None = None):
+    """The pass of the runs at ``states``, (pass, row) pairs, or its
+    ``field`` alone: the pass itself when the states are its rows in
+    order, else each field's rows, taken (C-contiguous) when they all come
+    from one pass and stacked otherwise; one state's row is a vector."""
+    cells, row = states[0]
+    if len(states) == 1 and row is None:
+        return cells if field is None else cells[field]
+    rows = [i for c, i in states if c is cells]
+    if len(rows) == len(states) and rows == list(range(len(cells[0]))):
+        return cells if field is None else cells[field]
+
+    def block(k: int) -> np.ndarray:
+        if len(rows) < len(states):  # rows of several passes
+            return np.array([c[k] if i is None else c[k][i] for c, i in states])
+        return cells[k][row] if len(rows) == 1 else cells[k].take(rows, 0)
+
+    return CellPass(*map(block, range(len(cells)))) if field is None else block(field)
 
 
-def _row(block: np.ndarray, i: int) -> np.ndarray:
-    """Row ``i`` of a block, or the one run's vector itself."""
-    return block if block.ndim == 1 else block[i]
+def _columns(requests: list[tuple]) -> tuple[tuple, tuple]:
+    """The requests' states, and a column for each scalar and a block for
+    each vector of their arguments (``np.array`` stacks vectors faster than
+    ``np.stack``), or one request's as they are."""
+    if len(requests) == 1:
+        return requests[0][2:3], requests[0][3:]
+    places = list(zip(*requests))
+    return places[2], tuple(np.array(x) if isinstance(x[0], np.ndarray) else np.array(x)[:, None] for x in places[3:])
 
 
-def _take(block: np.ndarray, rows: list[int]) -> np.ndarray:
-    """The block of ``rows`` of a block, a vector for one row (``take``
-    keeps them contiguous), or the one run's vector itself."""
-    if block.ndim == 1:
-        return block
-    return block[rows[0]] if len(rows) == 1 else block.take(rows, 0)
-
-
-def _columns(messages: list[tuple]) -> tuple:
-    """The runs' messages, tags dropped, as a column for each scalar and a
-    block for each vector in them, or the one run's message itself."""
-    if len(messages) == 1:
-        return messages[0][1:]
-    places = list(zip(*messages))[1:]
-    return tuple(np.stack(x) if isinstance(x[0], np.ndarray) else np.array(x)[:, None] for x in places)
-
-
-def _send(coros: list, cols: tuple, blocks: tuple = ()) -> tuple[str | None, list[tuple], tuple]:
-    """Send each run's coroutine its value of every column and its row of
-    every block. Return the tag that all their replies carry (None if they
-    differ), the replies, and, under a common tag, :func:`_columns` of them."""
-    if len(coros) == 1:
-        reply = coros[0].send(cols + blocks)
-        return reply[0], [reply], reply[1:]
-    replies = [c.send(m) for c, m in zip(coros, zip(*(x.ravel().tolist() for x in cols), *blocks))]
-    tag = replies[0][0]
-    if any(m[0] is not tag for m in replies):
-        return None, replies, ()
-    return tag, replies, _columns(replies)
-
-
-def _descend(
-    op: EnergyOperator, factor, counts: np.ndarray, r_cut: float, runs: list[_Run], mu: float, config: SolverConfig
-) -> None:
-    """One truncation stage of every run, descended on the core dofs and
-    its lead shift omega: the leads are eliminated by their closed-form
-    profile, so the stage energy is E(u, omega) = 1/2 (u.S_K u +
-    s Psi(omega)) - 1/p int_K |u|^p on the sphere M_K.u^2 + s Phi(omega) =
-    mu, where s = sum_j a_j^2 over the leads' anchor values (A u.u, A =
+def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], mu: float, config: SolverConfig) -> None:
+    """Every run over the truncation schedule, each stage descended on the
+    core dofs and its lead shift omega: the leads are eliminated by their
+    closed-form profile, so the stage energy is E(u, omega) = 1/2 (u.S_K u
+    + s Psi(omega)) - 1/p int_K |u|^p on the sphere M_K.u^2 + s Phi(omega)
+    = mu, where s = sum_j a_j^2 over the leads' anchor values (A u.u, A =
     ``counts`` the diagonal of lead counts on the vertex dofs). Its minimum
     is that of the truncated problem on the whole stage mesh.
 
     ``op`` evaluates the core terms on the core mesh and ``factor`` is
-    that mesh's :func:`_shifted_factorizer`; each lead is cut at ``r_cut``
-    and meshed by :func:`uniform_cells`. Each run starts from its ``u``
-    and ``omega``, keeps the previous stage's factor while the shift rule
-    allows, and leaves its state and its record of the stage on itself.
+    that mesh's :func:`_shifted_factorizer`; each lead is cut at the
+    stage's r_cut and meshed by :func:`uniform_cells`. Each run starts from
+    its ``u`` and lead mass. The core numbering does not depend on r_cut,
+    so a stage takes the previous stage's core values, shift and factor as
+    they are (the shift rule decides whether the factor stays). Each run
+    leaves its last state and its record on itself.
 
-    The runs descend in lockstep. Each run's scalars and decisions are a
-    coroutine (``stage`` below) with the loop of a lone descent; between its
-    yields, the vector work of every run still going (the gradient, and each
-    round of trials of the line searches) is done here, once, on the block
-    of their core values. A run leaves the block when its stage is over.
-    Every reduction is its own row's 1-D dot
+    Each run is a coroutine (``descent`` below) with the loop of a lone
+    descent, which asks for its vector work by requests. This loop serves
+    them in blocks: every trial waiting, as one block; if none waits, every
+    gradient; if none waits either, every stage start, so the runs start
+    each stage together. Every reduction is its own row's 1-D dot
     (:func:`graphnls.functions._dots`), so each run is, bit for bit, the run
     it would be alone; one run's block is its vector."""
     mass_k = op.mass_vec
     nv = op.mesh.n_vertices
     mass_v, mass_e = mass_k[:nv], mass_k[nv:]
-    n, h = uniform_cells(r_cut, config.h_max)
-    # full-mesh mass weights of the vertex dofs: the anchor's half cells
-    mass_full_v = mass_v + 0.5 * h * counts
-    # the preconditioner is the Schur complement of S + sigma*M on the stage
-    # mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead at its
-    # anchor, at sigma ~ -lam_hat: with a fixed S + M the slow tail modes
-    # contract only by about lam/(k^2 + 1) per step. 1/r_cut^2 floors the
-    # shift so the operator stays positive definite while lam_hat >= 0.
-    # One sparse LU is refactored only when the estimate leaves
-    # [sigma/2, 2*sigma]; a stage starts with the previous stage's factor,
-    # whose leads' terms are the shorter cut's, and the rule decides there too.
-    shift_floor = 1.0 / r_cut**2
-    omega_floor = 0.5 * _lowest_shift(n, h)
 
-    def stage(r: _Run):
-        # One run's stage, the loop of a lone descent. At _START it is sent
-        # (value, s) of its projected start; at _ITERATE, lam_hat, the
-        # block's part of the gradient test and its rows of the residual,
-        # weights, u and g; at _TRIAL, the trial's (value, s). It leaves its
-        # state and record on r before _STOPPED.
-        omega, sigma, solve = r.omega, r.sigma, r.solve
-        phi, psi, dphi = lead_forms(omega, n, h)
-        e, s = yield _START, phi
-        energy = e + 0.5 * psi * s
-        trace: list[tuple[int, float, float, float]] = []
-        window = deque([energy], maxlen=_STALL_WINDOW + 1)
-        grad_norm = math.inf
-        converged = False
-        stop = "max_iters"
-        backtracks = factorizations = 0
-        t0 = _STEP0
-        it = 0
-        for it in range(1, config.max_iters + 1):
-            lam_hat, core_sq, residual, weights, u, g = yield _ITERATE, omega, phi, psi
-            # the gradient test reads the lifted state on the whole stage mesh,
-            # where the leads' nodes carry -(omega + lam_hat) M u and each
-            # anchor the lead's share of it beyond its half cell
-            drift = omega + lam_hat
-            tail = phi - 0.5 * h
-            grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
-            # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)): a
-            # strongly bound state cannot resolve its gradient below rounding
-            # of that term, so an absolute grad_tol would never be met there
-            tol = config.grad_tol * max(1.0, abs(lam_hat) * math.sqrt(mu))
-            stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
-            if grad_norm < tol and stagnant:
-                converged = True
-                stop = "gradient"
-                break
+    def descent(i: int, r: _Run):
+        # One run's schedule, the loop of a lone descent. A _START or _TRIAL
+        # request is answered with the trial's (value, s, state); an
+        # _ITERATE with lam_hat, the block's part of the gradient test and
+        # its rows of the residual, weights, u and g.
+        #
+        # The preconditioner is the Schur complement of S + sigma*M on the
+        # stage mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead
+        # at its anchor, at sigma ~ -lam_hat: with a fixed S + M the slow
+        # tail modes contract only by about lam/(k^2 + 1) per step. 1/r_cut^2
+        # floors the shift so the operator stays positive definite while
+        # lam_hat >= 0. One sparse LU is refactored only when the estimate
+        # leaves [sigma/2, 2*sigma]; a stage starts with the previous stage's
+        # factor, whose leads' terms are the shorter cut's, and the rule
+        # decides there too.
+        omega, sigma, solve, lead_mass = None, 0.0, None, r.lead_mass
+        # a start's state is a pass of its values alone: its start reads no more
+        state = (r.u,), None
+        factorizations = 0
+        for r_cut in config.r_cut_schedule:
+            n, h = uniform_cells(r_cut, config.h_max)
+            half_h = 0.5 * h
+            # the vertex dofs' mass weights on the whole stage mesh: the
+            # anchors' half cells too
+            mass_full_v = mass_v + half_h * counts
+            shift_floor = 1.0 / r_cut**2
+            omega_floor = 0.5 * _lowest_shift(n, h)
+            if omega is None or lead_forms(omega, n, h) is None:
+                # the shift at which this stage's leads carry the lead mass;
+                # with every anchor at zero they carry nothing and start flat
+                s = float(np.dot(counts, _gather([state], 0)[:nv] ** 2))
+                omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
+            phi, psi, dphi = lead_forms(omega, n, h)
+            e, s, state = yield _START, i, state, 0.0, phi, 0.0
+            energy = e + 0.5 * psi * s
+            trace: list[tuple[int, float, float, float]] = []
+            window = deque([energy], maxlen=_STALL_WINDOW + 1)
+            grad_norm = math.inf
+            converged = False
+            stop = "max_iters"
+            backtracks = 0
+            t0 = _STEP0
+            it = 0
+            for it in range(1, config.max_iters + 1):
+                # the gradient test reads the lifted state on the whole stage
+                # mesh, where the leads' nodes carry -(omega + lam_hat) M u and
+                # each anchor the lead's share of it beyond its half cell
+                tail = phi - half_h
+                lam_hat, core_sq, residual, weights, u, g = yield _ITERATE, i, state, omega, phi, psi, tail, mass_full_v
+                drift = omega + lam_hat
+                grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
+                # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
+                # a strongly bound state cannot resolve its gradient below
+                # rounding of that term, so an absolute grad_tol would never be
+                # met there
+                tol = config.grad_tol * max(1.0, abs(lam_hat) * math.sqrt(mu))
+                stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
+                if grad_norm < tol and stagnant:
+                    converged = True
+                    stop = "gradient"
+                    break
 
-            shift = max(-lam_hat, shift_floor)
-            if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
-                sigma = shift
-                phi_s, psi_s, _ = lead_forms(sigma, n, h)
-                solve = factor(sigma, counts * (psi_s + sigma * phi_s))
-                factorizations += 1
-            # the preconditioned gradient, made tangent to the sphere; the
-            # search direction -pg is never formed (negation is exact)
-            pg = solve(residual)
-            pg -= (float(weights.dot(pg * u)) / mu) * u
-            # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega +
-            # lam_hat) d_omega < 0 to the slope, its target kept above
-            # omega_floor so that trials stay admissible; where that floor would
-            # turn the step uphill, omega stays
-            d_omega = max(-lam_hat, omega_floor) - omega
-            lead_slope = -0.5 * s * dphi * drift * d_omega
-            if lead_slope > 0.0:
-                d_omega = lead_slope = 0.0
-            slope = lead_slope - float(g.dot(pg))
-            if slope >= 0.0:
-                # safeguard: fall back to the plain mass-weighted gradient
-                pg = residual / weights
+                shift = max(-lam_hat, shift_floor)
+                if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
+                    sigma = shift
+                    phi_s, psi_s, _ = lead_forms(sigma, n, h)
+                    solve = factor(sigma, counts * (psi_s + sigma * phi_s))
+                    factorizations += 1
+                # the preconditioned gradient, made tangent to the sphere; the
+                # search direction -pg is never formed (negation is exact)
+                pg = solve(residual)
+                pg -= (float(weights.dot(pg * u)) / mu) * u
+                # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega
+                # + lam_hat) d_omega < 0 to the slope, its target kept above
+                # omega_floor so that trials stay admissible; where that floor
+                # would turn the step uphill, omega stays
+                d_omega = max(-lam_hat, omega_floor) - omega
+                lead_slope = -0.5 * s * dphi * drift * d_omega
+                if lead_slope > 0.0:
+                    d_omega = lead_slope = 0.0
                 slope = lead_slope - float(g.dot(pg))
-            if slope >= 0.0:
-                converged = grad_norm < tol
-                stop = "no_descent"
-                break
+                if slope >= 0.0:
+                    # safeguard: fall back to the plain mass-weighted gradient
+                    pg = residual / weights
+                    slope = lead_slope - float(g.dot(pg))
+                if slope >= 0.0:
+                    converged = grad_norm < tol
+                    stop = "no_descent"
+                    break
 
-            t = t0
-            accepted = False
-            # halve t only while the predicted decrease t*|slope| is above one
-            # ulp of the energy: below it a trial passes only on rounding noise
-            rounding = _EPS * abs(energy)
-            while t > 1e-16 and t * -slope > rounding:
-                w_omega = omega + t * d_omega
-                forms = lead_forms(w_omega, n, h)
-                # a shift at or below the lead's lowest is no state: reject it
-                if forms is not None:
-                    e, s_w = yield _TRIAL, t, forms[0], pg
-                    e_new = e + 0.5 * forms[1] * s_w
-                    # strict decrease too: an equal energy would let the stage
-                    # creep on with vanishing steps until max_iters
-                    if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
-                        accepted = True
-                        break
-                t *= _BACKTRACK
-                backtracks += 1
-            if not accepted:
-                # line search exhausted: descent direction no longer useful at
-                # this precision, treat as converged only if the gradient agrees
-                converged = grad_norm < 10.0 * tol
-                stop = "line_search"
-                break
-            # the next search starts at the minimizer of the parabola through
-            # E(0), the slope and E(t), never below _STEP0, when this search took
-            # its first trial and the parabola curves upward; else at _STEP0
-            curvature = e_new - energy - t * slope
-            if t == t0 and curvature > 0.0:
-                t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
-            else:
-                t0 = _STEP0
-            omega, s = w_omega, s_w
-            phi, psi, dphi = forms
-            energy = e_new
-            trace.append((it, energy, grad_norm, t))
-            window.append(energy)
-        r.omega, r.lead_mass, r.energy, r.grad_norm = omega, s * phi, energy, grad_norm
-        r.iterations, r.converged, r.stop, r.backtracks, r.trace = it, converged, stop, backtracks, trace
-        r.sigma, r.solve = sigma, solve
-        r.factorizations += factorizations
-        yield _STOPPED
+                t = t0
+                accepted = False
+                # halve t only while the predicted decrease t*|slope| is above
+                # one ulp of the energy: below it a trial passes only on
+                # rounding noise
+                rounding = _EPS * abs(energy)
+                while t > 1e-16 and t * -slope > rounding:
+                    w_omega = omega + t * d_omega
+                    forms = lead_forms(w_omega, n, h)
+                    # a shift at or below the lead's lowest is no state: reject it
+                    if forms is not None:
+                        e, s_w, w_state = yield _TRIAL, i, state, t, forms[0], pg
+                        e_new = e + 0.5 * forms[1] * s_w
+                        # strict decrease too: an equal energy would let the
+                        # stage creep on with vanishing steps until max_iters
+                        if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
+                            accepted = True
+                            break
+                    t *= _BACKTRACK
+                    backtracks += 1
+                if not accepted:
+                    # line search exhausted: descent direction no longer useful
+                    # at this precision, treat as converged only if the
+                    # gradient agrees
+                    converged = grad_norm < 10.0 * tol
+                    stop = "line_search"
+                    break
+                # the next search starts at the minimizer of the parabola
+                # through E(0), the slope and E(t), never below _STEP0, when
+                # this search took its first trial and the parabola curves
+                # upward; else at _STEP0
+                curvature = e_new - energy - t * slope
+                if t == t0 and curvature > 0.0:
+                    t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
+                else:
+                    t0 = _STEP0
+                omega, s, state = w_omega, s_w, w_state
+                phi, psi, dphi = forms
+                energy = e_new
+                trace.append((it, energy, grad_norm, t))
+                window.append(energy)
+            lead_mass = s * phi
+            r.table.append((r_cut, energy, it, converged))
+            r.stages.append((r_cut, it, backtracks, stop))
+        r.u = _gather([state], 0).copy()
+        r.omega, r.lead_mass, r.grad_norm, r.converged, r.trace = omega, lead_mass, grad_norm, converged, trace
+        r.factorizations = factorizations
 
     def project(v: np.ndarray, phi) -> tuple:
         # each row onto its sphere at its Phi, and its s = A w.w there
@@ -540,20 +547,28 @@ def _descend(
         a = w[..., :nv]
         return w, _dots(counts, a * a)
 
-    runs = list(runs)  # the runs still going, in block order
-    coros = [stage(r) for r in runs]
-    (phi,) = _columns([next(c) for c in coros])
-    u, s = project(_block([r.u for r in runs]), phi)
-    # a state's one cell pass gives its energy and, once accepted, its gradient
-    cells = op.cell_pass(u)
-    _, _, cols = _send(coros, (op.value(u, cells), s))
-    weights = np.empty_like(u)
-    weights[...] = mass_k
-    while True:
-        # the block's gradient at the runs' (omega, Phi, Psi) = cols
-        omega, phi, psi = cols
+    def trial(requests: list[tuple]) -> list[tuple]:
+        # the trial states at the runs' (t, Phi, pg): a state's one cell pass
+        # gives its energy and, once accepted, its gradient
+        states, (step, phi, pg) = _columns(requests)
+        w, s = project(_gather(states, 0) - step * pg, phi)
+        cells = op.cell_pass(w)
+        e = op.value(w, cells)
+        if len(states) == 1:
+            return [(e, s, (cells, None))]
+        return [(e_i, s_i, (cells, i)) for i, (e_i, s_i) in enumerate(zip(e.ravel().tolist(), s.ravel().tolist()))]
+
+    def gradient(requests: list[tuple]) -> list[tuple]:
+        # the gradient at the runs' states and (omega, Phi, Psi, Phi - h/2,
+        # full-mesh vertex weights)
+        states, (omega, phi, psi, tail, mass_full_v) = _columns(requests)
+        cells = _gather(states)
         u = cells.values
         u_v = u[..., :nv]
+        nonlocal weights
+        if weights.shape != u.shape:
+            weights = np.empty_like(u)
+            weights[..., nv:] = mass_e
         np.add(mass_v, phi * counts, out=weights[..., :nv])
         g = op.gradient(u, cells)
         g_v = g[..., :nv]
@@ -565,64 +580,35 @@ def _descend(
         residual = g - lam * (weights * u)
         # the gradient test's part on the block: the lifted residual on the
         # vertices and the mass-weighted gradient off them
-        full_v = residual[..., :nv] + (omega + lam) * (phi - 0.5 * h) * counts * u_v
+        full_v = residual[..., :nv] + (omega + lam) * tail * counts * u_v
         tangent_e = residual[..., nv:] / mass_e
         core_sq = _dots(mass_e, tangent_e * tangent_e) + _dots(full_v, full_v / mass_full_v)
-        # each run tests its gradient and, going on, asks for its first trial
-        tag, trials, cols = _send(coros, (lam, core_sq), (residual, weights, u, g))
-        if tag is not _TRIAL:
-            # the runs that stopped leave the block
-            keep = []
-            for i, m in enumerate(trials):
-                if m is _STOPPED:
-                    runs[i].u = _row(u, i).copy()
-                else:
-                    keep.append(i)
-            if not keep:
-                return
-            runs, coros, trials = ([a[i] for i in keep] for a in (runs, coros, trials))
-            u, weights, cols = _take(u, keep), _take(weights, keep), _columns(trials)
+        if len(states) == 1:
+            return [(lam, core_sq, residual, weights, u, g)]
+        return list(zip(lam.ravel().tolist(), core_sq.ravel().tolist(), residual, weights, u, g))
 
-        # the line searches, in rounds: each round tries the next step of
-        # every run still searching, as one block
-        rows, trying = range(len(runs)), coros
-        base = u
-        found, states = [], []  # (row, trial block's pass, row there) and the state it took
-        while True:
-            # the trial states at the runs' (t, Phi, pg) = cols: their pass,
-            # energy value and s
-            step, phi_w, pg = cols
-            w, s_w = project(base - step * pg, phi_w)
-            w_cells = op.cell_pass(w)
-            tag, replies, cols = _send(trying, (op.value(w, w_cells), s_w))
-            if tag is _TRIAL:  # every run searching tries again
+    # the mass weights of the block's rows, rewritten by each gradient: a
+    # run reads its row only before its next request
+    weights = np.empty(0)
+    # the runs' requests waiting, by kind, each in the order it was asked
+    coros = [descent(i, r) for i, r in enumerate(runs)]
+    trials, gradients, starts = [], [], []
+    queues = {_TRIAL: trials, _ITERATE: gradients, _START: starts}
+    served = [((None, i), None) for i in range(len(runs))]  # each run's first request
+    while True:
+        # each run served takes its reply and asks again, until it is done
+        for request, reply in served:
+            try:
+                request = coros[request[1]].send(reply)
+            except StopIteration:
                 continue
-            if tag is _ITERATE and len(replies) == len(runs):
-                # every run took its step from this trial block: the next block
-                cells = w_cells
-                break
-            retry = []
-            for j, (i, reply) in enumerate(zip(rows, replies)):
-                if reply[0] is _TRIAL:
-                    retry.append(j)
-                elif reply is _STOPPED:  # out of steps, or at max_iters with this step taken
-                    runs[i].u = (_row(w_cells.values, j) if runs[i].stop == "max_iters" else _row(u, i)).copy()
-                else:  # it took this trial's state
-                    found.append((i, w_cells, j))
-                    states.append(reply)
-            if retry:
-                rows, cols = [rows[j] for j in retry], _columns([replies[j] for j in retry])
-                trying, base = [coros[i] for i in rows], _take(base, retry)
-                continue
-            if not found:
-                return
-            # the runs that took a step, their rows gathered from their
-            # trial blocks in the order they took it
-            keep = [f[0] for f in found]
-            runs, coros, cols = [runs[i] for i in keep], [coros[i] for i in keep], _columns(states)
-            weights = _take(weights, keep)
-            cells = CellPass(*(_block([_row(f[1][k], f[2]) for f in found]) for k in range(len(CellPass._fields))))
-            break
+            queues[request[0]].append(request)
+        queue = trials or gradients or starts
+        if not queue:
+            return
+        requests = queue.copy()
+        queue.clear()
+        served = zip(requests, (gradient if queue is gradients else trial)(requests))
 
 
 def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:
@@ -736,30 +722,18 @@ def _minimize_starts(
     graph: MetricGraph, mu: float, p: float, config: SolverConfig, starts: list[GraphFunction]
 ) -> list[MinimizationResult]:
     """The run from each of ``starts``, states on one mesh of ``graph``,
-    descended together stage by stage (:func:`_descend`) on the core Mesh
-    that mesh keeps (:meth:`Mesh.core_mesh`), with one operator and one
-    factorizer for them all: the module-level ``splu`` keeps no reference
-    to the matrix it factors, so each run's factor stays its own. Each
-    result is, bit for bit, that of its start alone."""
+    descended together over the schedule (:func:`_descend`) on the core
+    Mesh that mesh keeps (:meth:`Mesh.core_mesh`), with one operator and
+    one factorizer for them all: the module-level ``splu`` keeps no
+    reference to the matrix it factors, so each run's factor stays its
+    own. Each result is, bit for bit, that of its start alone."""
     core = starts[0].mesh.core_mesh(config.h_max)
     op = EnergyOperator(core, p)
     factor = _shifted_factorizer(core)
     _, counts = core.lead_anchors(graph)
     runs = [_Run(*_start(u0, core)) for u0 in starts]
-    for r_cut in config.r_cut_schedule:
-        n, h = uniform_cells(r_cut, config.h_max)
-        for run in runs:
-            if run.omega is None or lead_forms(run.omega, n, h) is None:
-                # the shift at which this stage's leads carry the lead mass;
-                # with every anchor at zero they carry nothing and start flat
-                s = float(np.dot(counts, run.u[: core.n_vertices] ** 2))
-                run.omega = _lead_shift(run.lead_mass / s, n, h) if s > 0.0 else 0.0
-        # the core numbering does not depend on r_cut, so the core values,
-        # the shift and the preconditioner carry over as they are
-        _descend(op, factor, counts, r_cut, runs, mu, config)
-        for run in runs:
-            run.table.append((r_cut, run.energy, run.iterations, run.converged))
-            run.stages.append((r_cut, run.iterations, run.backtracks, run.stop))
+    _descend(op, factor, counts, runs, mu, config)
+    n, h = uniform_cells(config.r_cut_schedule[-1], config.h_max)
 
     results = []
     for run in runs:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import energy_value, gn_constants, require_mu, require_p
+from .energy import energy_value, gn_constants, require_mu, require_p, require_positive
 from .functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm
 from .graphs import (
     MetricGraph,
@@ -167,8 +167,10 @@ def g_critical_point(L: float, mu: float, n_half_lines: int, p: float) -> Compet
     for p in (4,6): a_opt = (N^2 p (p-4) / (16 L^2))^(1/(p-2))."""
     if not 4.0 < p < 6.0:
         raise ValueError("p must be in (4,6)")
-    if L <= 0 or mu <= 0 or n_half_lines < 1:
-        raise ValueError("need L > 0, mu > 0, at least one half-line")
+    require_positive(L, "L")
+    require_mu(mu)
+    if n_half_lines < 1:
+        raise ValueError("need at least one half-line")
     a_opt = (n_half_lines**2 * p * (p - 4.0) / (16.0 * L**2)) ** (1.0 / (p - 2.0))
     g_min = competitor_mass_requirement(a_opt, L, n_half_lines, p)
     return CompetitorCriticalPoint(
@@ -348,8 +350,7 @@ def mass_thresholds(
     """Invert both thresholds at fixed core measure L, trading the length
     dichotomy for a mass dichotomy."""
     _require_p46(p)
-    if L <= 0:
-        raise ValueError("L must be positive")
+    require_positive(L, "L")
     Cu, cu = gn_constants(p, n_half_lines, C, c)
     if p == 4.0:
         mu1 = n_half_lines**2 / (2.0 * L)

@@ -19,7 +19,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from graphnls import solver
-from graphnls.energy import EnergyOperator, Leads, el_residual, energy_report
+from graphnls.energy import CellPass, EnergyOperator, Leads, el_residual, energy_report
 from graphnls.functions import (
     GraphFunction,
     Mesh,
@@ -1080,6 +1080,78 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
     _assert_same_run(alone[1], block[2])
     _assert_same_run(minimize(graph, 1.0, p, cfg, initial=other), block[1])
     assert block[1].stages[0][3] != "no_descent"
+
+
+def test_gather_returns_a_pass_its_rows_taken_or_stacked():
+    # the driver's blocks come from the runs' states, (pass, row) pairs with
+    # the row None in a vector's pass: each row must be its source's bits
+    core = _core_mesh(double_bridge(0.5, 0.5), 0.05)
+    op = EnergyOperator(core, 3.5)
+    rng = np.random.default_rng(7)
+    block = op.cell_pass(rng.standard_normal((4, core.n_dofs)))
+    other = op.cell_pass(rng.standard_normal((3, core.n_dofs)))
+    vector = op.cell_pass(rng.standard_normal(core.n_dofs))
+
+    def source(state, k):
+        cells, row = state
+        return cells[k] if row is None else cells[k][row]
+
+    # rows in order: the pass itself, or its field
+    assert solver._gather([(block, i) for i in range(4)]) is block
+    assert solver._gather([(block, i) for i in range(4)], 0) is block.values
+    assert solver._gather([(vector, None)]) is vector
+    assert solver._gather([(vector, None)], 0) is vector.values
+    cases = [
+        [(block, 3), (block, 0), (block, 2)],  # a subset of one pass, reordered
+        [(block, 1), (block, 2)],
+        [(block, 2), (other, 0), (vector, None), (block, 0)],  # several passes
+        [(vector, None), (other, 2)],
+        [(block, 0), (block, 1), (block, 2), (other, 0)],  # a pass's first rows and more
+        [(block, 1)],  # one row
+    ]
+    for states in cases:
+        cells = solver._gather(states)
+        assert isinstance(cells, CellPass)
+        for k, field in enumerate(cells):
+            assert np.array_equal(solver._gather(states, k), field)
+            if len(states) == 1:
+                assert field.ndim == 1
+                assert np.array_equal(field, source(states[0], k))
+                continue
+            assert field.shape[0] == len(states) and field.flags.c_contiguous
+            for row, state in zip(field, states):
+                assert np.array_equal(row, source(state, k))
+        # a gathered pass is its values' own: each row's energy is its source's
+        values = np.ravel(op.value(cells.values, cells))
+        for value, (source_cells, row) in zip(values, states):
+            alone = op.value(source_cells.values, source_cells)
+            assert value == (alone if row is None else alone[row, 0])
+
+
+@pytest.mark.parametrize(
+    "factory,p,calls",
+    [
+        pytest.param(lambda: line_graph(1.0), 3.5, 37, id="line"),
+        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, 24, id="star"),
+        pytest.param(lambda: double_bridge(0.5, 0.5), 4.5, 24, id="double_bridge"),
+    ],
+)
+def test_dichotomy_runs_start_each_stage_together(monkeypatch, factory, p, calls):
+    # every run ends a stage before any starts the next, so each stage's
+    # j-th gradient block holds every run still going at its j-th iteration:
+    # a stage takes as many gradient blocks as its longest run iterations
+    gradient, rows = EnergyOperator.gradient, []
+
+    def counted(self, v, cells=None):
+        rows.append(len(v) if v.ndim == 2 else 1)
+        return gradient(self, v, cells)
+
+    monkeypatch.setattr(EnergyOperator, "gradient", counted)
+    d = existence_dichotomy(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
+    stages = [[r.stages[k][1] for r in d.runs.values()] for k in range(3)]
+    assert rows == [sum(n >= j for n in its) for its in stages for j in range(1, max(its) + 1)]
+    assert len(rows) == sum(max(its) for its in stages) == calls
+
 
 def test_runs_from_starts_on_one_mesh_build_one_core(monkeypatch):
     graph = double_bridge(0.5, 0.5)

@@ -138,6 +138,25 @@ def test_mass_thresholds_round_trip():
         assert mt.mu_exist >= mt.mu_nonexist  # more mass needed to guarantee
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, True, np.True_, 0.0, -1.0], ids=["nan", "inf", "bool", "numpy-bool", "zero", "negative"]
+)
+def test_mass_thresholds_and_critical_point_reject_a_bad_measure_or_mass(bad):
+    # NaN passes no comparison, infinity passes L > 0 and a bool passes it as
+    # 1.0: mass_thresholds(4.5, inf, 2) claimed a ground state at every mass
+    # (mu_exist = mu_nonexist = 0.0, consistent) and mass_thresholds(4.0,
+    # True, 2) ran as L = 1
+    for call in (
+        lambda: mass_thresholds(4.5, bad, 2),
+        lambda: mass_thresholds(4.0, bad, 2),
+        lambda: g_critical_point(bad, 1.0, 2, 4.5),
+    ):
+        with pytest.raises(ValueError, match="L must be finite and positive"):
+            call()
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        g_critical_point(1.3, bad, 2, 4.5)
+
+
 # competitor
 
 
