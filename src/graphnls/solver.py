@@ -65,6 +65,7 @@ from .energy import (
     lead_profile,
     require_mu,
     require_p,
+    require_positive,
 )
 from .functions import GraphFunction, Mesh, _dots, l2_norm_sq, neighbor_average, project_mass, uniform_cells
 from .graphs import MetricGraph, core_measure, distance_to_point
@@ -104,13 +105,10 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        # NaN and infinity pass a plain > 0 test: NaN tolerances never stop
-        # a stage, infinite spacings or cuts give one-cell meshes or overflow;
-        # a bool passes it as 1.0
+        # NaN tolerances never stop a stage, infinite spacings give one-cell
+        # meshes
         for name in ("grad_tol", "h_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            require_positive(getattr(self, name), name)
         sched = tuple(self.r_cut_schedule)
         if any(isinstance(r, bool) for r in sched):
             raise ValueError(f"r_cut_schedule entries must be numbers, got {sched!r}")
@@ -590,11 +588,11 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
     # the mass weights of the block's rows, rewritten by each gradient: a
     # run reads its row only before its next request
     weights = np.empty(0)
-    # the runs' requests waiting, by kind, each in the order it was asked
     coros = [descent(i, r) for i, r in enumerate(runs)]
+    # the runs' requests waiting, by kind, each in the order it was asked
     trials, gradients, starts = [], [], []
     queues = {_TRIAL: trials, _ITERATE: gradients, _START: starts}
-    served = [((None, i), None) for i in range(len(runs))]  # each run's first request
+    served = [((None, i), None) for i in range(len(runs))]  # to make each run's first request
     while True:
         # each run served takes its reply and asks again, until it is done
         for request, reply in served:
@@ -603,6 +601,8 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
             except StopIteration:
                 continue
             queues[request[0]].append(request)
+        # a stage start waits until no run has a trial or a gradient left,
+        # so the runs start each stage together
         queue = trials or gradients or starts
         if not queue:
             return
