@@ -13,7 +13,10 @@ them; on a mesh without half-lines the value sums it bit for bit as
 evaluates it on a Mesh of the core subgraph and adds the leads in closed
 form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
 live here, and ``energy_report`` and ``el_residual`` account for such
-leads (:class:`Leads`) without meshing them.
+leads (:class:`Leads`) without meshing them, each lead term in O(1) work:
+Phi and Psi, the profile's sup and its inner nodes' mass in closed form,
+and Simpson's int |profile|^p by a few cells summed directly and
+Euler-Maclaurin on the rest (:meth:`Leads.lp_integral`).
 """
 from __future__ import annotations
 
@@ -34,24 +37,20 @@ from .functions import (
     l2_norm_sq,
     linf_norm,
     lp_integral,
+    require_positive,
 )
 from .graphs import MetricGraph, has_dead_end
 
 SCHEMA_VERSION = 1
 # float64 machine epsilon: where the lead forms' series stop
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal float64
 _END_SIGNS = np.array([[-1.0], [1.0]])  # of a cell's flux at its first and second end
 
 
 def require_p(p: float) -> None:
     if not 2.0 < p < 6.0:
         raise ValueError("p must be in (2,6)")
-
-
-def require_positive(value: float, name: str) -> None:
-    # NaN passes no comparison, infinity passes > 0 and a bool passes it as 1.0
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def require_mu(mu: float) -> None:
@@ -83,9 +82,8 @@ def gn_constants(
     for the number of half-lines (at least one) of any other graph or N.
     The caller's constants must be finite and positive."""
     for name, value in (("C", C), ("c", c)):
-        # NaN passes no comparison and infinity passes > 0
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if value is not None:
+            require_positive(value, name)
     n = graph_or_n
     if isinstance(graph_or_n, MetricGraph):
         n = 1 if has_dead_end(graph_or_n) else max(1, graph_or_n.n_half_lines)
@@ -275,9 +273,11 @@ def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | N
     above where cosh(n theta) may overflow. omega < 0 uses the cos
     analogue.
     """
-    if omega == 0.0:
-        return n * h, 0.0, -(h**3) * (4.0 * n**3 - n) / 6.0
     r = 0.5 * h * math.sqrt(abs(omega))
+    # the flat lead's forms, also where sinh(theta)^2 ~ 4 r^2 would
+    # underflow, and they differ from the flat ones by O((n theta)^2)
+    if 4.0 * r * r < _TINY:
+        return n * h, 0.0, -(h**3) * (4.0 * n**3 - n) / 6.0
     # z = theta and s2 = sech^2(n theta), or z = phi and s2 = sec^2(n phi)
     if omega > 0.0:
         sign, tan_, sin_ = 1.0, math.tanh, math.sinh
@@ -305,18 +305,60 @@ def lead_forms(omega: float, n: int, h: float) -> tuple[float, float, float] | N
     return phi, psi, dphi
 
 
+def _lead_angle(omega: float, h: float) -> float:
+    """theta = 2 asinh(h sqrt(omega) / 2) for omega >= 0, or
+    phi = 2 asin(h sqrt(-omega) / 2) for omega < 0."""
+    r = 0.5 * h * math.sqrt(abs(omega))
+    return 2.0 * math.asinh(r) if omega >= 0.0 else 2.0 * math.asin(r)
+
+
+def _profile_at(omega: float, n: int, h: float, i: np.ndarray) -> np.ndarray:
+    """The lead profile at the distances ``i`` from the anchor, in cells,
+    integers or not (:func:`lead_profile`)."""
+    z = _lead_angle(omega, h)
+    if omega >= 0.0:
+        return np.exp(-i * z) * (1.0 + np.exp(-2.0 * (n - i) * z)) / (1.0 + math.exp(-2.0 * n * z))
+    return np.cos((n - i) * z) / math.cos(n * z)
+
+
 def lead_profile(omega: float, n: int, h: float) -> np.ndarray:
     """The lead's node values per unit anchor value, from the anchor
     (i = 0) to the free end (i = n): cosh((n - i) theta) / cosh(n theta),
     written with exponentials of -theta so that it cannot overflow, or its
     cos analogue when omega < 0."""
-    i = np.arange(n + 1)
-    r = 0.5 * h * math.sqrt(abs(omega))
-    if omega >= 0.0:
-        th = 2.0 * math.asinh(r)
-        return np.exp(-i * th) * (1.0 + np.exp(-2.0 * (n - i) * th)) / (1.0 + math.exp(-2.0 * n * th))
-    ph = 2.0 * math.asin(r)
-    return np.cos((n - i) * ph) / math.cos(n * ph)
+    return _profile_at(omega, n, h, np.arange(n + 1))
+
+
+# Simpson's |profile|^p of a lead in O(1) (Leads.lp_integral): the cells
+# next to the anchor are summed directly, at their nodes and midpoints
+# (_HALF_CELLS), and the rest by Euler-Maclaurin. Its integral takes a
+# 12-point Gauss-Legendre rule (nodes and weights on [-1, 1]) on each of
+# up to 64 panels of widths 1, 2, 4, ... in units of the first:
+# _PANEL_X holds their nodes from the panels' common end and _PANEL_W
+# their weights, panel by panel. Its corrections take the Bernoulli
+# numbers B_2 .. B_24.
+_DIRECT_CELLS = 16
+_HALF_CELLS = np.arange(2 * _DIRECT_CELLS + 1) / 2.0
+_GAUSS_HALF = (
+    (0.1252334085114689, 0.2491470458134027),
+    (0.3678314989981802, 0.2334925365383546),
+    (0.5873179542866175, 0.20316742672306573),
+    (0.7699026741943047, 0.16007832854334642),
+    (0.9041172563704748, 0.10693932599531907),
+    (0.9815606342467192, 0.04717533638651141),
+)
+_GAUSS_X = np.array([-x for x, _ in reversed(_GAUSS_HALF)] + [x for x, _ in _GAUSS_HALF])
+_GAUSS_W = np.array([w for _, w in reversed(_GAUSS_HALF)] + [w for _, w in _GAUSS_HALF])
+_MAX_PANELS = 64
+_PANEL_HALF = 2.0 ** np.arange(-1, _MAX_PANELS - 1)[:, None]  # each panel's half width
+_PANEL_X = (3.0 * _PANEL_HALF - 1.0 + _PANEL_HALF * _GAUSS_X).ravel()
+_PANEL_W = (_PANEL_HALF * _GAUSS_W).ravel()
+_BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
+    7 / 6, -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
+)
+# per correction j: 2^(3-2j) - 2, and B_2j / (2j)
+_EULER_MACLAURIN = tuple((2.0 ** (3 - 2 * j) - 2.0, b / (2 * j)) for j, b in enumerate(_BERNOULLI, 1))
 
 
 @dataclass(frozen=True)
@@ -328,24 +370,30 @@ class Leads:
     and holds its anchor's value times ``lead_profile(omega, n, h)``, the
     solver's stage minimizer on it. :func:`energy_report` and
     :func:`el_residual` take it to account for the leads without a mesh
-    of them."""
+    of them: every lead term below costs O(1) work, whatever ``n`` is, and
+    only ``profile`` builds the n + 1 node values.
+
+    ``n`` must be a positive integer, ``h`` finite and positive and
+    ``omega`` finite and above the lowest shift of the lead, where n phi
+    reaches pi/2 and the profile would change sign (ValueError)."""
 
     graph: MetricGraph
     omega: float
     n: int
     h: float
 
+    def __post_init__(self):
+        if isinstance(self.n, (bool, np.bool_)) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        require_positive(self.h, "h")
+        if isinstance(self.omega, (bool, np.bool_)) or not math.isfinite(self.omega):
+            raise ValueError(f"omega must be a finite number, got {self.omega!r}")
+        self.forms  # ValueError at or below the lowest shift
+
     @cached_property
     def profile(self) -> np.ndarray:
         """``lead_profile(omega, n, h)``, computed once."""
         return lead_profile(self.omega, self.n, self.h)
-
-    def lp_integral(self, p: float) -> float:
-        """Simpson int |profile|^p over the lead, each node's power raised
-        once for both of its cells."""
-        nodes = _abs_pow(self.profile, p)
-        mids = _abs_pow(0.5 * (self.profile[:-1] + self.profile[1:]), p)
-        return _simpson(nodes[:-1], mids, nodes[1:], np.full(self.n, self.h) / 6.0)
 
     @cached_property
     def forms(self) -> tuple[float, float, float]:
@@ -354,6 +402,111 @@ class Leads:
         if forms is None:
             raise ValueError(f"omega={self.omega!r} is at or below the lowest shift of {self.n} cells of {self.h!r}")
         return forms
+
+    @property
+    def sup(self) -> float:
+        """The profile's largest value: 1, at the anchor, for omega >= 0,
+        and 1 / cos(n phi), at the free end, for omega < 0."""
+        if self.omega >= 0.0:
+            return 1.0
+        return 1.0 / math.cos(self.n * _lead_angle(self.omega, self.h))
+
+    @property
+    def inner_mass(self) -> float:
+        """h sum_{i=1}^{n-1} prof_i^2, the lumped mass of the inner nodes,
+        from sum_{k=1}^{m} cosh(2 k theta) = sinh(m theta) cosh((m+1) theta)
+        / sinh(theta): h [(n-1)/2 sech^2(n theta) + sinh((n-1) theta) /
+        (2 sinh(theta) cosh(n theta))], in exponentials of -theta, or its cos
+        analogue; a sum of nonnegative terms, exact to rounding."""
+        n, h, z = self.n, self.h, _lead_angle(self.omega, self.h)
+        if z == 0.0:
+            return h * (n - 1)
+        if self.omega > 0.0:
+            e = math.exp(-2.0 * n * z)
+            sech2 = 4.0 * e / (1.0 + e) ** 2
+            tail = math.exp(-2.0 * z) / -math.expm1(-2.0 * z) * -math.expm1(-2.0 * (n - 1) * z) / (1.0 + e)
+        else:
+            sec = 1.0 / math.cos(n * z)
+            sech2, tail = sec * sec, 0.5 * math.sin((n - 1) * z) / math.sin(z) * sec
+        return h * (0.5 * (n - 1) * sech2 + tail)
+
+    @property
+    def anchor_slope(self) -> float:
+        """The profile's one-sided derivative out of the anchor, from its
+        nodes 0, 1 and 2 (0 and 1 when n = 1), as on a meshed lead."""
+        nodes = _profile_at(self.omega, self.n, self.h, np.arange(min(self.n, 2) + 1))
+        return _edge_end_derivative(nodes, self.h, start=True)
+
+    def lp_integral(self, p: float) -> float:
+        """Simpson int |profile|^p over the lead, cell by cell as on a
+        meshed lead, in O(1) work, equal to that sum to rounding.
+
+        With F = cosh and z = theta (F = cos and z = phi when omega < 0)
+        and x the distance from the free end in cells, the nodes are
+        g(x)^(1/p), g(x) = (F(x z) / F(n z))^p, and a cell's midpoint is
+        F(z/2) g(x + 1/2)^(1/p). The _DIRECT_CELLS cells next to the anchor
+        are summed directly. On the x0 = n - _DIRECT_CELLS cells left, the
+        node and midpoint sums are int_0^x0 g plus Euler-Maclaurin
+        corrections at x0 alone: g is even about the free end, so its odd
+        derivatives vanish there, and the end values cancel. The integral
+        takes the Gauss rule on panels doubling in width from x0 toward
+        the free end, the first no wider than g's local scale
+        1 / (z max(p, 1 / (pi/2 - x0 z))) (no pi/2 term for cosh). The
+        derivatives of g at x0 come from the Taylor coefficients of
+        (F((x0 + t) z) / F(x0 z))^p, a power of C(t z) + T S(t z) with
+        T = tanh(x0 z) (T = -tan(x0 z) for cos), and the corrections stop
+        once a term falls below rounding of the sum. A steep cell's
+        profile has dropped below rounding before x0, and next to a
+        growing profile's pole the direct cells keep x0 at least 16 cells
+        away from it; the sum agrees with the direct Simpson pass to
+        about 1e-15 relative (tests/test_solver.py)."""
+        omega, n, h = self.omega, self.n, self.h
+        z = _lead_angle(omega, h)
+        k = min(n, _DIRECT_CELLS)
+        x0 = n - k
+        if omega >= 0.0:
+            sign, t0, rate = 1.0, math.tanh(x0 * z), p * z
+            log_half = math.log1p(2.0 * math.sinh(0.25 * z) ** 2)  # log cosh(z/2)
+        else:
+            sign, t0 = -1.0, -math.tan(x0 * z)
+            rate = z * max(p, 1.0 / (0.5 * math.pi - x0 * z))
+            log_half = math.log1p(-2.0 * math.sin(0.25 * z) ** 2)  # log cos(z/2)
+        c1 = math.expm1(p * log_half)  # F(z/2)^p - 1
+        c = 1.0 + c1
+        # panels of [0, x0] in cells from x0, the first of width at most
+        # 1 / rate (64 panels reach 2^64 / rate cells)
+        panels = min(_MAX_PANELS, max(1, math.ceil(math.log2(rate * x0 + 1.0))))
+        width = x0 / (2.0**panels - 1.0)
+        at = np.concatenate((_HALF_CELLS[: 2 * k + 1], k + width * _PANEL_X[: 12 * panels]))
+        pw = _abs_pow(_profile_at(omega, n, h, at), p)
+        cells, g0 = pw[: 2 * k + 1], float(pw[2 * k])
+        integral = width * float(pw[2 * k + 1 :].dot(_PANEL_W[: 12 * panels]))
+        # h/6 times: the direct cells' Simpson sum, then 2 (nodes) + 4 c
+        # (midpoints) times the integral
+        total = 2.0 * float(cells[::2].sum()) - float(cells[0]) - g0 + 4.0 * c * float(cells[1::2].sum())
+        total += (2.0 + 4.0 * c) * integral
+        # Euler-Maclaurin: g^(m)(x0) B_2j / (2j)!, m = 2j - 1, times 2
+        # (nodes) and -4 c (1 - 2^(1-2j)) (midpoints, B_2j(1/2)), with
+        # g^(m)(x0) = g0 m! a_m: the Taylor coefficients a_m of q^p, where
+        # q_m = z^m / m! times T for odd m, signs alternating in pairs for
+        # cos, come from m a_m = sum_i ((p + 1) i - m) q_i a_(m-i)
+        q, a, e, m = [1.0], [1.0], 1.0, 0
+        for node_midpoint, bernoulli in _EULER_MACLAURIN:
+            for odd in (True, False):
+                m += 1
+                e *= z / m if odd else sign * z / m
+                q.append(t0 * e if odd else e)
+                s = 0.0
+                for i in range(1, m + 1):
+                    s += ((p + 1.0) * i - m) * q[i] * a[m - i]
+                a.append(s / m)
+                if odd:
+                    # 2 - 4 c (1 - 2^(1-2j)), with no cancellation at j = 1
+                    term = (c * node_midpoint - 2.0 * c1) * bernoulli * g0 * a[m]
+                    total += term
+                    if abs(term) <= _EPS * total:
+                        return h / 6.0 * total
+        return h / 6.0 * total
 
 
 def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -369,14 +522,21 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
     the graph's constants (:func:`gn_constants`).
 
     With ``leads``, ``u`` lives on a mesh of the core and the half-lines
-    are those closed-form leads, as at the end of the solver's last stage:
-    with s = sum_j a_j^2 over the leads' anchor values, the Dirichlet
-    integral is S_K u.u + s Psi and the mass M_K u.u + s Phi, the energy
-    is summed in the stage energy's order (so it is that energy), the sup
-    is the larger of the core's and max_j |a_j| times the profile's, and
-    int |u|^p over the whole graph adds sum_j |a_j|^p times
-    ``leads.lp_integral(p)``. No sum runs over lead nodes, and the GN
-    constants are those of ``leads.graph``.
+    are those closed-form leads, as at the end of the solver's last stage.
+    Each lead term takes O(1) work, whatever the leads' cell count:
+
+    - with s = sum_j a_j^2 over the leads' anchor values, the Dirichlet
+      integral is S_K u.u + s Psi and the mass M_K u.u + s Phi
+      (``leads.forms``, the stage's own), and the energy is summed in the
+      stage energy's order, so it is that energy bit for bit;
+    - the sup is the larger of the core's and max_j |a_j| times the
+      profile's, ``leads.sup`` (1, or 1 / cos(n phi) when omega < 0),
+      exact to rounding;
+    - int |u|^p over the whole graph adds sum_j |a_j|^p times
+      ``leads.lp_integral(p)``, the lead's Simpson sum to about 1e-15
+      relative.
+
+    The GN constants are those of ``leads.graph``.
     """
     require_p(p)
     ksq = kinetic_energy(u)
@@ -395,7 +555,7 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
         energy += 0.5 * psi * s
         ksq += psi * s
         mass += phi * s
-        sup = max(sup, float(np.max(np.abs(a[counts > 0]), initial=0.0)) * float(leads.profile.max()))
+        sup = max(sup, float(np.max(np.abs(a[counts > 0]), initial=0.0)) * leads.sup)
         lp_all += float(np.dot(counts, _abs_pow(a, p))) * leads.lp_integral(p)
     C, c = gn_constants(p, graph)
     slack_p, slack_inf = _gn_slacks(p, C, c, mass, ksq, lp_all, sup)
@@ -478,12 +638,16 @@ def el_residual(
     solutions on intervals or the whole line).
 
     With ``leads`` (see :func:`energy_report`) the core edges are tested
-    on ``u``'s mesh and each lead in closed form: its profile solves the
-    second difference equation d2 = omega v exactly, so a lead with anchor
-    value a has interior residual |omega - lambda| |a| sqrt(h sum_i
-    prof_i^2) over its inner nodes, adds omega a^2 and a^2 times that sum
-    to the least-squares multiplier's numerator and denominator, and
-    leaves its anchor with the one-sided derivative of a times the profile.
+    on ``u``'s mesh and each lead in closed form, in O(1) work: its
+    profile solves the second difference equation d2 = omega v exactly,
+    so a lead with anchor value a has interior residual
+    |omega - lambda| |a| sqrt(h sum_i prof_i^2) over its inner nodes, and
+    adds omega a^2 and a^2 times that sum to the least-squares
+    multiplier's numerator and denominator; the sum is
+    ``leads.inner_mass``, a closed form exact to rounding. It leaves its
+    anchor with a times ``leads.anchor_slope``, the one-sided derivative
+    from the profile's first three nodes, those of a meshed lead bit for
+    bit.
     """
     require_p(p)
     if leads is not None and uniform_nonlinearity:
@@ -525,9 +689,8 @@ def el_residual(
         num += float(np.dot(strong, mid) * h)
         den += float(np.dot(mid, mid) * h)
     if leads is not None:
-        profile = leads.profile
-        inner = leads.h * float(np.dot(profile[1:-1], profile[1:-1]))
-        slope = _edge_end_derivative(profile, leads.h, start=True)
+        inner = leads.inner_mass
+        slope = leads.anchor_slope
         for e, dof in zip(graph.half_lines, dofs):
             anchor = float(u.values[dof])
             interior[e.id] = abs(leads.omega - lam) * abs(anchor) * math.sqrt(inner)

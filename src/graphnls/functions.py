@@ -53,6 +53,13 @@ __all__ = [
 ]
 
 
+def require_positive(value: float, name: str) -> None:
+    """ValueError unless ``value`` is a finite positive number: NaN passes
+    no comparison, infinity passes > 0 and a bool passes it as 1.0."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def uniform_cells(length: float, h_max: float) -> tuple[int, float]:
     """Cell count and width of the uniform mesh of an edge of ``length``
     with spacing at most ``h_max``: the rule of every edge of a
@@ -83,10 +90,9 @@ class Mesh:
 
     def __init__(self, graph: MetricGraph, h_max: float = 0.05, r_cut: float = 20.0):
         # an infinite cut overflows the cell count, an infinite spacing
-        # gives one cell per edge, NaN passes no comparison
+        # gives one cell per edge
         for name, value in (("h_max", h_max), ("r_cut", r_cut)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            require_positive(value, name)
         self.graph = graph
         self.h_max = float(h_max)
         self.r_cut = float(r_cut)
@@ -328,8 +334,7 @@ def linf_norm(u: GraphFunction) -> float:
 
 def project_mass(u: GraphFunction, mu: float) -> GraphFunction:
     """Rescale to squared L2 norm ``mu``."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    require_positive(mu, "mu")
     m = l2_norm_sq(u)
     if m <= 0.0:
         raise ValueError("cannot project the zero function onto a mass sphere")

@@ -65,9 +65,17 @@ from .energy import (
     lead_profile,
     require_mu,
     require_p,
-    require_positive,
 )
-from .functions import GraphFunction, Mesh, _dots, l2_norm_sq, neighbor_average, project_mass, uniform_cells
+from .functions import (
+    GraphFunction,
+    Mesh,
+    _dots,
+    l2_norm_sq,
+    neighbor_average,
+    project_mass,
+    require_positive,
+    uniform_cells,
+)
 from .graphs import MetricGraph, core_measure, distance_to_point
 from .thresholds import g_critical_point
 
@@ -135,6 +143,7 @@ def initializer_competitor(graph: MetricGraph, mu: float, p: float, mesh: Mesh) 
     truncation.
     """
     require_p(p)
+    require_mu(mu)
     graph.require_valid()
     ell = core_measure(graph)
     n = graph.n_half_lines
@@ -197,6 +206,7 @@ def initializer_soliton(
     to the requested mass. Without ``center_edge`` it sits on the first
     core edge by id; without ``center_offset``, at the edge's middle."""
     require_p(p)
+    require_mu(mu)
     graph.require_valid()
     if center_edge is None:
         center_edge = sorted(e.id for e in graph.core_edges)[0]
@@ -218,6 +228,7 @@ def initializer_random(graph: MetricGraph, mu: float, p: float, mesh: Mesh, seed
     """Seeded uniform noise on ``mesh``, smoothed by _SMOOTHING_PASSES
     neighbor-averaging passes and projected to mass mu."""
     require_p(p)
+    require_mu(mu)
     graph.require_valid()
     rng = np.random.default_rng(seed)
     values = neighbor_average(mesh, rng.uniform(0.0, 1.0, mesh.n_dofs), _SMOOTHING_PASSES)
@@ -842,8 +853,7 @@ def dirichlet_line_min(
     if r_cut is not None:
         inputs["r_cut"] = r_cut
     for name, value in inputs.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        require_positive(value, name)
     sides = 1 if half_line else 2
     ratio = m / (sides * a**2)
     r = r_cut if r_cut is not None else max(10.0, 24.0 * ratio)

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import energy_value, gn_constants, require_mu, require_p, require_positive
-from .functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm
+from .energy import energy_value, gn_constants, require_mu, require_p
+from .functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm, require_positive
 from .graphs import (
     MetricGraph,
     Partition,

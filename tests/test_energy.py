@@ -1,7 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphnls.energy import (
     EnergyOperator,
@@ -13,12 +17,13 @@ from graphnls.energy import (
     energy_value,
     gn_check,
     gn_constants,
+    lead_forms,
     lead_profile,
     require_p,
 )
-from graphnls.functions import _abs_pow, GraphFunction, Mesh, interpolate, kinetic_energy, project_mass
+from graphnls.functions import _abs_pow, _simpson_abs_pow, GraphFunction, Mesh, interpolate, kinetic_energy, project_mass
 from graphnls.graphs import MetricGraph, double_bridge, line_graph, metric_graph, star_graph
-from graphnls.solver import soliton_profile
+from graphnls.solver import _lowest_shift, soliton_profile
 
 
 def test_require_p_window():
@@ -306,3 +311,90 @@ def test_closed_form_leads_need_a_function_on_the_core():
         el_residual(u, 3.0, uniform_nonlinearity=True, leads=leads)
     with pytest.raises(ValueError, match="lowest shift"):
         energy_report(u, 3.0, Leads(graph, -0.7, 40, 0.05))
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 20000),
+    h=st.floats(1e-3, 1.0),
+    p=st.floats(2.0, 6.0, exclude_min=True, exclude_max=True),
+    # below 0: that fraction of the lowest shift (to within 1e-6 of it);
+    # from 0: theta, up to steep cells
+    shift=st.floats(-0.999999, 5.0),
+)
+def test_lead_lp_integral_matches_the_direct_sum(n, h, p, shift):
+    omega = -shift * _lowest_shift(n, h) if shift < 0.0 else (2.0 * math.sinh(0.5 * shift) / h) ** 2
+    profile = lead_profile(omega, n, h)
+    direct = _simpson_abs_pow(profile[:-1], profile[1:], np.full(n, h), p)
+    assert Leads(line_graph(1.0), omega, n, h).lp_integral(p) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "omega,n,h",
+    [
+        # at or below the lowest shift (-0.617 for 40 cells of 0.05): the
+        # profile changes sign, and the 500-cell lead gave an integral of 7.6
+        (-1.0, 500, 0.02),
+        (_lowest_shift(40, 0.05), 40, 0.05),
+        (0.3, 0, 0.05),
+        (0.3, -2, 0.05),
+        (0.3, True, 0.05),
+        (0.3, np.True_, 0.05),
+        (0.3, 40.0, 0.05),
+        (0.3, 2.5, 0.05),
+        (0.3, 40, -0.02),
+        (0.3, 40, 0.0),
+        (0.3, 40, math.nan),
+        (0.3, 40, math.inf),
+        (0.3, 40, True),
+        (math.nan, 40, 0.05),
+        (math.inf, 40, 0.05),
+        (-math.inf, 40, 0.05),
+        (True, 40, 0.05),
+    ],
+)
+def test_leads_reject_invalid_input(omega, n, h):
+    with pytest.raises(ValueError):
+        Leads(line_graph(1.0), omega, n, h)
+
+
+def test_leads_accept_any_integer_cell_count():
+    for n in (1, np.int64(40), 5 * 10**10):
+        assert Leads(line_graph(1.0), 0.3, n, 0.02).n == n
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.0, -1e-18], ids=["decaying", "flat", "growing"])
+def test_report_of_a_lead_cut_at_1e9_takes_constant_time_and_memory(omega):
+    # r_cut 1e9 at h 0.02 is 5e10 cells a lead; -1e-18 lies above the
+    # lowest shift of both cuts (-2.5e-18 at 5e10 cells)
+    graph, h, p = star_graph((0.5, 0.7), 2), 0.02, 3.5
+    core = Mesh(graph.core, h)
+    u = GraphFunction(core, np.random.default_rng(3).uniform(0.2, 1.0, core.n_dofs))
+
+    def peak(leads):
+        tracemalloc.start()
+        try:
+            energy_report(u, p, leads)
+            el_residual(u, p, leads=leads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def seconds(report) -> float:
+        start = time.perf_counter()
+        report()
+        return time.perf_counter() - start
+
+    small, huge = Leads(graph, omega, 4000, h), Leads(graph, omega, 5 * 10**10, h)
+    for report in (lambda: energy_report(u, p, huge), lambda: el_residual(u, p, leads=huge)):
+        assert min(seconds(report) for _ in range(3)) < 0.05
+    assert abs(peak(huge) - peak(small)) <= 64 * 1024
+    rep = energy_report(u, p, huge)
+    assert all(math.isfinite(v) for v in (rep.mass, rep.linf, rep.gn_slack_p, rep.gn_slack_inf))
+
+
+def test_lead_forms_of_a_subnormal_shift_are_the_flat_leads():
+    # sinh(theta)^2 underflowed: dPhi/domega divided by zero
+    for omega in (5e-324, -5e-324, 1e-310, -1e-310):
+        assert lead_forms(omega, 5, 0.125) == lead_forms(0.0, 5, 0.125)
+        assert Leads(line_graph(1.0), omega, 5, 0.125).lp_integral(3.0) == pytest.approx(0.625, rel=1e-15)

@@ -75,11 +75,20 @@ def test_mesh_h_subdivision():
         (0.05, math.nan, "r_cut"),
         (0.0, 5.0, "h_max"),
         (0.05, -1.0, "r_cut"),
+        (True, 5.0, "h_max"),
+        (0.05, np.True_, "r_cut"),
     ],
 )
 def test_mesh_rejects_nonfinite_or_nonpositive_spacing_and_cut(h_max, r_cut, name):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         Mesh(line_graph(1.0), h_max=h_max, r_cut=r_cut)
+
+
+@pytest.mark.parametrize("mu", [True, np.True_, math.nan, math.inf, 0.0, -1.0])
+def test_project_mass_rejects_a_bad_mass(mu):
+    u = GraphFunction.constant(Mesh(line_graph(1.0), h_max=0.1, r_cut=2.0), 1.0)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        project_mass(u, mu)
 
 
 def test_constant_mass_equals_measure():

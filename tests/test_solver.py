@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -444,12 +445,42 @@ def test_cell_pass_on_a_block_equals_its_rows(factory, p):
                 op.gradient(other, cells)
 
 
-@pytest.mark.parametrize("omega,n,h", [(0.3, 40, 0.05), (1e-4, 8000, 0.02), (-1e-3, 500, 0.02)])
+LP_LEADS = [
+    (0.3, 40, 0.05),
+    (1e-4, 8000, 0.02),
+    (-1e-3, 500, 0.02),
+    # flat
+    (0.0, 300, 0.02),
+    (0.0, 20000, 0.02),
+    # near the lowest shift, where the profile grows to 1/cos(n phi)
+    (0.999 * _lowest_shift(500, 0.02), 500, 0.02),
+    (0.999999 * _lowest_shift(20000, 0.02), 20000, 0.02),
+    (0.999 * _lowest_shift(1, 0.05), 1, 0.05),
+    (0.999 * _lowest_shift(40, 0.5), 40, 0.5),
+    # one and two cells, and around the cells summed directly
+    (0.3, 1, 0.05),
+    (0.3, 2, 0.05),
+    (-0.5, 2, 0.05),
+    (0.3, 16, 0.05),
+    (0.3, 17, 0.05),
+    (-0.5, 17, 0.05),
+    # steep cells: theta about 0.96, 3.3 and 5.3
+    (400.0, 300, 0.05),
+    (1e4, 200, 0.05),
+    (1e6, 8000, 0.02),
+]
+
+
+@pytest.mark.parametrize("omega,n,h", LP_LEADS)
 @pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
 def test_leads_lp_integral_raises_each_node_once(omega, n, h, p):
+    # the O(1) sum against the direct Simpson pass, which raises each of
+    # the lead's nodes once (largest error seen: 7e-15 relative, on the
+    # flat lead of 20000 cells, where the direct sum rounds off n h)
     leads = Leads(line_graph(1.0), omega, n, h)
-    profile = leads.profile
-    assert leads.lp_integral(p) == _simpson_abs_pow(profile[:-1], profile[1:], np.full(n, h), p)
+    profile = lead_profile(omega, n, h)
+    direct = _simpson_abs_pow(profile[:-1], profile[1:], np.full(n, h), p)
+    assert leads.lp_integral(p) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_a_run_assembles_the_stiffness_once_and_leaves_it(monkeypatch):
@@ -524,6 +555,18 @@ def test_boolean_mass_is_rejected(mu):
     ):
         with pytest.raises(ValueError, match="mu must be finite and positive"):
             call()
+
+
+@pytest.mark.parametrize("mu", [True, np.True_, math.nan, math.inf], ids=["bool", "numpy-bool", "nan", "inf"])
+@pytest.mark.parametrize("init", [initializer_competitor, initializer_soliton, initializer_random])
+def test_initializers_reject_a_bad_mass(init, mu):
+    # True ran as 1.0; inf reached the soliton profile's overflow first
+    graph = line_graph(1.0)
+    mesh = Mesh(graph, h_max=0.05, r_cut=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            init(graph, mu, 3.0, mesh)
 
 
 def test_solver_config_rejects_non_integer_counts():
@@ -760,8 +803,16 @@ def test_dirichlet_scaling_in_m_and_a():
         ((1.0, 1.0), {"r_cut": math.inf}, "r_cut must be finite"),
         ((1.0, 1.0), {"h_max": math.inf}, "h_max must be finite"),
         ((1.0, 1.0), {"h_max": math.nan}, "h_max must be finite"),
+        # a bool ran as 1.0
+        ((True, 1.0), {}, "m must be finite"),
+        ((1.0, np.True_), {}, "a must be finite"),
+        ((1.0, 1.0), {"h_max": True}, "h_max must be finite"),
+        ((1.0, 1.0), {"r_cut": True}, "r_cut must be finite"),
     ],
-    ids=["infeasible", "short_cut", "nan_m", "nan_a", "inf_a", "inf_r_cut", "inf_h_max", "nan_h_max"],
+    ids=[
+        "infeasible", "short_cut", "nan_m", "nan_a", "inf_a", "inf_r_cut", "inf_h_max", "nan_h_max",
+        "bool_m", "bool_a", "bool_h_max", "bool_r_cut",
+    ],
 )
 def test_dirichlet_infeasible_pin(args, kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -295,14 +295,16 @@ def test_certificate_respects_custom_constants():
     assert not loose.valid
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, True])
 @pytest.mark.parametrize("name", ["C", "c"])
 def test_gn_constant_overrides_must_be_finite_and_positive(name, bad):
     # NaN passes no comparison and infinity passes > 0: c = inf gave
-    # mu_nonexist = 0 with consistent=True, c = nan a nan threshold
+    # mu_nonexist = 0 with consistent=True, c = nan a nan threshold; True
+    # ran as 1.0
     g = line_graph(0.5)
     u = project_mass(GraphFunction.constant(Mesh(g, h_max=0.1, r_cut=4.0), 1.0), 1.0)
     for call in (
+        lambda: gn_constants(4.5, g, **{name: bad}),
         lambda: threshold_nonexist(4.5, 1.0, **{name: bad}),
         lambda: threshold_report(4.5, 1.0, 2, **{name: bad}),
         lambda: mass_thresholds(4.5, 1.0, 2, **{name: bad}),
