@@ -6,7 +6,7 @@ certificates, sweep a parameter axis into a phase-diagram CSV, and run the
 randomized property-check suites.
 
 Exit codes: 0 ok, 1 usage/validation, 2 certificate-not-found, 3 internal.
-CSV outputs are byte-identical for identical inputs and seed, apart from the
+CSV outputs are byte-identical for identical inputs, apart from the
 versioned header line. All JSON payloads carry a schema_version field.
 """
 from __future__ import annotations
@@ -276,7 +276,6 @@ class SweepSpec:
     mu: float
     p: float
     out_dir: Path
-    seed: int
     config: SolverConfig
 
     @staticmethod
@@ -320,10 +319,8 @@ class SweepSpec:
             require_mu(mu)
         if axis != "p":
             require_p(p)
-        # a "threads" key from older specs is ignored: points run serially
-        seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise _UsageError(f"seed must be an integer, got {seed!r}")
+        # "threads" and "seed" keys from older specs are ignored: points run
+        # serially, from deterministic starts
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
             raise _UsageError("solver overrides must be a JSON object")
@@ -340,7 +337,6 @@ class SweepSpec:
             mu=mu,
             p=p,
             out_dir=out_dir,
-            seed=seed,
             config=config,
         )
 
@@ -375,7 +371,7 @@ def _sweep_point(base, spec: SweepSpec, axis_value: float) -> tuple[tuple, dict]
     l1, l2, band = _band(graph, p, mu)
     error = None
     try:
-        result = existence_dichotomy(graph, mu, p, spec.config, seed=spec.seed)
+        result = existence_dichotomy(graph, mu, p, spec.config)
         row = (axis_value, result.best_energy, result.verdict, l1, l2, band)
     except Exception as exc:
         # a failed point must not kill the sweep: its row is undecided and

@@ -231,7 +231,8 @@ def test_sweep_phase_csv(broom_file, tmp_path):
         "mu": 1.0,
         "p": 4.0,
         "out_dir": str(tmp_path / "out"),
-        "threads": 2,  # from older specs: accepted and ignored
+        # from older specs: accepted and ignored
+        "threads": 2,
         "seed": 0,
         "solver": {"h_max": 0.05, "r_cut_schedule": [10, 20, 40]},
     }
@@ -300,9 +301,6 @@ def test_demo_sweep_keeps_its_rows(tmp_path):
         # starting states are not solver settings; the seed is top-level only
         pytest.param({"solver": {"seed": 3}}, "seed", id="solver-seed"),
         pytest.param({"solver": {"initializer": "random"}}, "initializer", id="solver-initializer"),
-        pytest.param({"seed": 2.5}, "seed", id="seed-float"),
-        pytest.param({"seed": "7"}, "seed", id="seed-string"),
-        pytest.param({"seed": True}, "seed", id="seed-bool"),
     ],
 )
 def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
@@ -320,6 +318,28 @@ def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
     assert proc.returncode == 1
     assert named in proc.stderr
     assert not (tmp_path / "out" / "phase.csv").exists()
+
+
+def test_sweep_ignores_an_old_spec_seed(tmp_path, broom_file):
+    # the dichotomy's starts are deterministic: a top-level seed, of any
+    # type, is accepted and moves no byte of the data rows
+    rows = []
+    specs = {"none": {}, "int": {"seed": 7}, "float": {"seed": 2.5}, "string": {"seed": "7"}, "bool": {"seed": True}}
+    for name, keys in specs.items():
+        spec = {
+            "axis": "core_scale",
+            "grid": [0.25, 3.0],
+            "graph": broom_file,
+            "out_dir": str(tmp_path / name),
+            "solver": {"h_max": 0.1, "r_cut_schedule": [5, 10]},
+            **keys,
+        }
+        sweep_file = tmp_path / f"{name}.json"
+        sweep_file.write_text(json.dumps(spec))
+        assert cli.main(["sweep", str(sweep_file)]) == 0
+        rows.append((tmp_path / name / "phase.csv").read_bytes().split(b"\n")[1:])
+    assert len(rows[0]) == 4
+    assert rows[1:] == [rows[0]] * (len(specs) - 1)
 
 
 @pytest.mark.parametrize(
@@ -389,10 +409,10 @@ def test_sweep_json_booleans_are_usage_errors(tmp_path, broom_file, capsys, spec
 def test_sweep_log_records_failed_points(tmp_path, broom_file, monkeypatch, capsys):
     real = cli.existence_dichotomy
 
-    def failing_at_mu_2(graph, mu, p, config, *, seed):
+    def failing_at_mu_2(graph, mu, p, config):
         if mu == 2.0:
             raise RuntimeError("no convergence")
-        return real(graph, mu, p, config, seed=seed)
+        return real(graph, mu, p, config)
 
     monkeypatch.setattr(cli, "existence_dichotomy", failing_at_mu_2)
     spec = {
