@@ -320,7 +320,11 @@ class SweepSpec:
         if axis != "p":
             require_p(p)
         # "threads" and "seed" keys from older specs are ignored: points run
-        # serially, from deterministic starts
+        # serially, from deterministic starts. A seed that is not an integer
+        # was never a valid spec and stays a usage error.
+        seed = data.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise _UsageError(f"seed must be an integer, got {seed!r}")
         solver = data.get("solver", {})
         if not isinstance(solver, dict):
             raise _UsageError("solver overrides must be a JSON object")

@@ -301,6 +301,10 @@ def test_demo_sweep_keeps_its_rows(tmp_path):
         # starting states are not solver settings; the seed is top-level only
         pytest.param({"solver": {"seed": 3}}, "seed", id="solver-seed"),
         pytest.param({"solver": {"initializer": "random"}}, "initializer", id="solver-initializer"),
+        # an ignored top-level seed must still be an integer
+        pytest.param({"seed": 2.5}, "seed", id="seed-float"),
+        pytest.param({"seed": "7"}, "seed", id="seed-string"),
+        pytest.param({"seed": True}, "seed", id="seed-bool"),
     ],
 )
 def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
@@ -321,10 +325,10 @@ def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):
 
 
 def test_sweep_ignores_an_old_spec_seed(tmp_path, broom_file):
-    # the dichotomy's starts are deterministic: a top-level seed, of any
-    # type, is accepted and moves no byte of the data rows
+    # the dichotomy's starts are deterministic: an integer top-level seed is
+    # accepted and moves no byte of the data rows
     rows = []
-    specs = {"none": {}, "int": {"seed": 7}, "float": {"seed": 2.5}, "string": {"seed": "7"}, "bool": {"seed": True}}
+    specs = {"none": {}, "zero": {"seed": 0}, "seven": {"seed": 7}, "negative": {"seed": -3}}
     for name, keys in specs.items():
         spec = {
             "axis": "core_scale",
