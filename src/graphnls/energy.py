@@ -5,11 +5,10 @@ E(u) = 1/2 * int_G |u'|^2  -  1/p * int_K |u|^p,   2 < p < 6,
 evaluated on piecewise-linear functions with the quadrature conventions of
 :mod:`graphnls.functions`. The gradient returned here is the exact gradient
 of the discrete energy (stiffness action minus the Simpson-rule core load),
-so directional-derivative checks close to machine precision. Both come
-from one pass over the Mesh's cells (:class:`CellPass`), which the solver
-takes once per trial point, for one vector of nodal values or a block of
-them; on a mesh without half-lines the value sums it bit for bit as
-``kinetic_energy`` and ``lp_integral`` do. The solver
+so directional-derivative checks close to machine precision. Each takes
+its own pass over the Mesh's cells (:class:`CellPass`), for one vector of
+nodal values or a block of them; on a mesh without half-lines the value
+sums it bit for bit as ``kinetic_energy`` and ``lp_integral`` do. The solver
 evaluates it on a Mesh of the core subgraph and adds the leads in closed
 form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
 live here, and ``energy_report`` and ``el_residual`` account for such
@@ -123,13 +122,12 @@ class ELReport:
 
 
 class CellPass(NamedTuple):
-    """One pass of an :class:`EnergyOperator` over its cells at the nodal
-    ``values``, for them alone: each cell's difference ``d``, flux ``d / h``,
+    """One pass of an :class:`EnergyOperator` over its cells at nodal
+    values: each cell's difference ``d``, flux ``d / h``,
     ``x = [first ends | second ends | midpoints]``, ``ax = |x|`` and
-    ``pw = |x|^p``, with one row per row of ``values`` when they are a
+    ``pw = |x|^p``, with one row per row of the values when they are a
     block."""
 
-    values: np.ndarray
     d: np.ndarray
     flux: np.ndarray
     x: np.ndarray
@@ -146,8 +144,9 @@ class EnergyOperator:
 
     Each form takes one vector of nodal values or a (k, m) block of k of
     them, one per row, and gives each row exactly what the row alone gives:
-    the block's elementwise work runs once, and every row is reduced in the
-    1-D order (:func:`graphnls.functions._dots`).
+    it takes its own pass over the cells (:meth:`cell_pass`), whose
+    elementwise work runs once for the block, and every row is reduced in
+    the 1-D order (:func:`graphnls.functions._dots`).
     """
 
     def __init__(self, mesh: Mesh, p: float):
@@ -167,13 +166,9 @@ class EnergyOperator:
         # its two halves of cell ends
         self._blocks = {(): (self._ends, (2, len(self._h)))}
 
-    def cell_pass(self, v: np.ndarray, cells: CellPass | None = None) -> CellPass:
+    def cell_pass(self, v: np.ndarray) -> CellPass:
         """The gathers, midpoints, fluxes and powers of ``v``, a vector or a
-        block: ``cells`` if given (it must be ``v``'s), else computed."""
-        if cells is not None:
-            if cells.values is not v:
-                raise ValueError("the cell pass was computed for another array")
-            return cells
+        block."""
         n = self._n
         # one gather: take keeps a block's rows contiguous, where v[:, idx]
         # is F-ordered; a vector's index is the faster
@@ -184,23 +179,23 @@ class EnergyOperator:
         d = second - first
         ax = np.abs(x)
         # divided by the width: a stored 1/h rounds too far off (README)
-        return CellPass(v, d, d / self._h, x, ax, ax**self.p)
+        return CellPass(d, d / self._h, x, ax, ax**self.p)
 
-    def value(self, v: np.ndarray, cells: CellPass | None = None):
-        """The energy at ``v``, from its pass ``cells`` if given: the sums
-        of ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``;
+    def value(self, v: np.ndarray):
+        """The energy at ``v``, from its pass: the sums of
+        ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``;
         a float, or a (k, 1) column of one per row of a block."""
-        c = cells if cells is not None and cells.values is v else self.cell_pass(v, cells)
+        c = self.cell_pass(v)
         n = self._n
         lp = _simpson(c.pw[..., :n], c.pw[..., 2 * n :], c.pw[..., n : 2 * n], self._w)
         return 0.5 * _dots(c.d, c.flux) - lp / self.p
 
-    def gradient(self, v: np.ndarray, cells: CellPass | None = None) -> np.ndarray:
+    def gradient(self, v: np.ndarray) -> np.ndarray:
         """Exact gradient of the discrete energy w.r.t. nodal values, from
-        ``v``'s pass ``cells`` if given: at each cell end its signed flux less
-        its load w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount
-        over the whole block, each row's ends in the order of a vector's."""
-        c = cells if cells is not None and cells.values is v else self.cell_pass(v, cells)
+        ``v``'s pass: at each cell end its signed flux less its load
+        w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount over the
+        whole block, each row's ends in the order of a vector's."""
+        c = self.cell_pass(v)
         n = self._n
         rows = v.shape[:-1]
         block = self._blocks.get(rows)

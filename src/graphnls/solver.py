@@ -12,9 +12,9 @@ stage mesh. The result keeps the last stage's state as core values and
 closed-form leads (:class:`graphnls.energy.Leads`).
 
 The scheme is projected gradient descent on the mass sphere with an
-Armijo test that also demands a strict decrease. Each trial point takes
-one pass over the core's cells (:meth:`EnergyOperator.cell_pass`): its
-energy sums it, and the accepted point's gradient finishes it. Directions
+Armijo test that also demands a strict decrease. A trial point's energy
+and the accepted point's gradient each take one pass over the core's cells
+(:meth:`EnergyOperator.cell_pass`). Directions
 are Sobolev gradients preconditioned by S + sigma*M (Henning &
 Peterseim), eliminated onto the core (the leads add Psi + sigma*Phi at
 their anchors), with sigma the current multiplier estimate floored at
@@ -29,12 +29,12 @@ Runs from starts on one mesh descend together (:func:`_minimize_starts`;
 factoring its own preconditioner. Each run's scalars and decisions over
 its whole schedule are one coroutine with the loop of a lone descent,
 which asks for its vector work (a stage's start, a trial, a gradient) by
-request; one flat loop (:func:`_descend`) serves the requests waiting in
-blocks of the runs' core values, trials first, then gradients, then stage
-starts, so the runs start each stage together. Every reduction is its own
-row's 1-D dot, so each run is, bit for bit, the run of its start alone.
-One start's block is its vector, and its columns of scalars are plain
-floats.
+requests that carry its core values, and returns its record; one flat
+loop (:func:`_descend`) serves the requests waiting in blocks that stack
+the runs' core values, trials first, then gradients, then stage starts,
+so the runs start each stage together. Every reduction is its own row's
+1-D dot, so each run is, bit for bit, the run of its start alone. One
+start's block is its vector, and its columns of scalars are plain floats.
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
@@ -54,7 +54,6 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .energy import (
-    CellPass,
     ELReport,
     EnergyOperator,
     EnergyReport,
@@ -295,24 +294,6 @@ def _lead_shift(ratio: float, n: int, h: float) -> float:
 # descent core
 
 
-class _Run:
-    """One start's record. It holds the start's core values and lead mass,
-    then, once its schedule is done, its last stage's state (core values,
-    lead mass and shift) with that stage's gradient norm, convergence and
-    trace, a row of ``table`` and of ``stages`` per stage, and its factors
-    over the schedule. A stage stops by "gradient" (the gradient test
-    passed), "no_descent" (no descent direction left), "line_search" (no
-    acceptable step) or "max_iters"."""
-
-    __slots__ = ("u", "lead_mass", "omega", "grad_norm", "converged", "trace", "factorizations", "table", "stages")
-
-    def __init__(self, u: np.ndarray, lead_mass: float):
-        self.u, self.lead_mass = u, lead_mass
-        self.factorizations = 0
-        self.table: list[tuple[float, float, int, bool]] = []
-        self.stages: list[tuple[float, int, int, str]] = []
-
-
 def _shifted_factorizer(mesh: Mesh):
     """``factor(sigma, vertex_shift=0.0)``, which LU-factors
     ``S + diag(sigma*M)`` on ``mesh`` with ``vertex_shift`` added on the
@@ -345,48 +326,31 @@ def _shifted_factorizer(mesh: Mesh):
 # its per-run scalars as (k, 1) columns that broadcast against them; a block
 # of one run is its vector, and its columns are plain floats.
 #
-# A run asks the driver for its vector work by requests (kind, i, state,
-# *arguments), i its place among the runs and state a (cell pass, row) pair,
-# the row None in a vector's pass. (_START, i, state, 0, Phi, 0), a stage's
-# start, is a trial of step 0 along a zero direction; (_TRIAL, i, state, t,
-# Phi, pg) is the next trial of its line search, whose direction is -pg;
-# (_ITERATE, i, state, omega, Phi, Psi, Phi - h/2, the stage's vertex
-# weights) asks for the gradient there: the gradient test weighs the
-# vertices on the whole stage mesh, with the anchors' half cells.
+# A run asks the driver for its vector work by requests (kind, i, u,
+# *arguments), i its place among the runs and u its core values: its start,
+# or a row of the trial block that made them (a lone run's trial is its
+# vector). (_START, i, u, 0, Phi, 0), a stage's start, is a trial of step 0
+# along a zero direction; (_TRIAL, i, u, t, Phi, pg) is the next trial of
+# its line search, whose direction is -pg; (_ITERATE, i, u, omega, Phi, Psi,
+# Phi - h/2, the stage's vertex weights) asks for the gradient there: the
+# gradient test weighs the vertices on the whole stage mesh, with the
+# anchors' half cells.
 _START, _ITERATE, _TRIAL = "start", "iterate", "trial"
 
 
-def _gather(states: list[tuple], field: int | None = None):
-    """The pass of the runs at ``states``, (pass, row) pairs, or its
-    ``field`` alone: the pass itself when the states are its rows in
-    order, else each field's rows, taken (C-contiguous) when they all come
-    from one pass and stacked otherwise; one state's row is a vector."""
-    cells, row = states[0]
-    if len(states) == 1 and row is None:
-        return cells if field is None else cells[field]
-    rows = [i for c, i in states if c is cells]
-    if len(rows) == len(states) and rows == list(range(len(cells[0]))):
-        return cells if field is None else cells[field]
-
-    def block(k: int) -> np.ndarray:
-        if len(rows) < len(states):  # rows of several passes
-            return np.array([c[k] if i is None else c[k][i] for c, i in states])
-        return cells[k][row] if len(rows) == 1 else cells[k].take(rows, 0)
-
-    return CellPass(*map(block, range(len(cells)))) if field is None else block(field)
-
-
-def _columns(requests: list[tuple]) -> tuple[tuple, tuple]:
-    """The requests' states, and a column for each scalar and a block for
-    each vector of their arguments (``np.array`` stacks vectors faster than
-    ``np.stack``), or one request's as they are."""
+def _columns(requests: list[tuple]) -> tuple:
+    """A block for each vector and a column for each scalar of the
+    requests' arguments, their core values first (``np.array`` stacks
+    vectors faster than ``np.stack``), or one request's as they are."""
     if len(requests) == 1:
-        return requests[0][2:3], requests[0][3:]
-    places = list(zip(*requests))
-    return places[2], tuple(np.array(x) if isinstance(x[0], np.ndarray) else np.array(x)[:, None] for x in places[3:])
+        return requests[0][2:]
+    places = list(zip(*requests))[2:]
+    return tuple(np.array(x) if isinstance(x[0], np.ndarray) else np.array(x)[:, None] for x in places)
 
 
-def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], mu: float, config: SolverConfig) -> None:
+def _descend(
+    op: EnergyOperator, factor, counts: np.ndarray, runs: list[tuple[np.ndarray, float]], mu: float, config: SolverConfig
+) -> list[tuple]:
     """Every run over the truncation schedule, each stage descended on the
     core dofs and its lead shift omega: the leads are eliminated by their
     closed-form profile, so the stage energy is E(u, omega) = 1/2 (u.S_K u
@@ -398,27 +362,35 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
     ``op`` evaluates the core terms on the core mesh and ``factor`` is
     that mesh's :func:`_shifted_factorizer`; each lead is cut at the
     stage's r_cut and meshed by :func:`uniform_cells`. Each run starts from
-    its ``u`` and lead mass. The core numbering does not depend on r_cut,
-    so a stage takes the previous stage's core values, shift and factor as
-    they are (the shift rule decides whether the factor stays). Each run
-    leaves its last state and its record on itself.
+    its core values and lead mass in ``runs``. The core numbering does not
+    depend on r_cut, so a stage takes the previous stage's core values,
+    shift and factor as they are (the shift rule decides whether the factor
+    stays).
 
     Each run is a coroutine (``descent`` below) with the loop of a lone
-    descent, which asks for its vector work by requests. This loop serves
-    them in blocks: every trial waiting, as one block; if none waits, every
-    gradient; if none waits either, every stage start, so the runs start
-    each stage together. Every reduction is its own row's 1-D dot
-    (:func:`graphnls.functions._dots`), so each run is, bit for bit, the run
-    it would be alone; one run's block is its vector."""
+    descent, which asks for its vector work by requests and returns the
+    run's record: (u, omega, lead mass, gradient norm, converged, trace,
+    r_cut table, stages, factorizations), its last stage's state with that
+    stage's gradient norm, convergence and trace, a row of the table and of
+    the stages per stage, and its factors over the schedule. A stage stops
+    by "gradient" (the gradient test passed), "no_descent" (no descent
+    direction left), "line_search" (no acceptable step) or "max_iters".
+    This loop serves the requests in blocks of the runs' core values, each
+    a stack of their rows: every trial waiting, as one block; if none
+    waits, every gradient; if none waits either, every stage start, so the
+    runs start each stage together. Every reduction is its own row's 1-D
+    dot (:func:`graphnls.functions._dots`), so each run is, bit for bit, the
+    run it would be alone; one run's block is its vector. Returns the
+    runs' records in order."""
     mass_k = op.mass_vec
     nv = op.mesh.n_vertices
     mass_v, mass_e = mass_k[:nv], mass_k[nv:]
 
-    def descent(i: int, r: _Run):
+    def descent(i: int, u: np.ndarray, lead_mass: float):
         # One run's schedule, the loop of a lone descent. A _START or _TRIAL
-        # request is answered with the trial's (value, s, state); an
-        # _ITERATE with lam_hat, the block's part of the gradient test and
-        # its rows of the residual, weights, u and g.
+        # request is answered with the trial's (value, s, u); an _ITERATE
+        # with lam_hat, the block's part of the gradient test and its rows
+        # of the residual, weights and g.
         #
         # The preconditioner is the Schur complement of S + sigma*M on the
         # stage mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead
@@ -429,10 +401,10 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
         # leaves [sigma/2, 2*sigma]; a stage starts with the previous stage's
         # factor, whose leads' terms are the shorter cut's, and the rule
         # decides there too.
-        omega, sigma, solve, lead_mass = None, 0.0, None, r.lead_mass
-        # a start's state is a pass of its values alone: its start reads no more
-        state = (r.u,), None
+        omega, sigma, solve = None, 0.0, None
         factorizations = 0
+        table: list[tuple[float, float, int, bool]] = []
+        stages: list[tuple[float, int, int, str]] = []
         for r_cut in config.r_cut_schedule:
             n, h = uniform_cells(r_cut, config.h_max)
             half_h = 0.5 * h
@@ -444,10 +416,10 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
             if omega is None or lead_forms(omega, n, h) is None:
                 # the shift at which this stage's leads carry the lead mass;
                 # with every anchor at zero they carry nothing and start flat
-                s = float(np.dot(counts, _gather([state], 0)[:nv] ** 2))
+                s = float(np.dot(counts, u[:nv] ** 2))
                 omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
             phi, psi, dphi = lead_forms(omega, n, h)
-            e, s, state = yield _START, i, state, 0.0, phi, 0.0
+            e, s, u = yield _START, i, u, 0.0, phi, 0.0
             energy = e + 0.5 * psi * s
             trace: list[tuple[int, float, float, float]] = []
             window = deque([energy], maxlen=_STALL_WINDOW + 1)
@@ -462,7 +434,7 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
                 # mesh, where the leads' nodes carry -(omega + lam_hat) M u and
                 # each anchor the lead's share of it beyond its half cell
                 tail = phi - half_h
-                lam_hat, core_sq, residual, weights, u, g = yield _ITERATE, i, state, omega, phi, psi, tail, mass_full_v
+                lam_hat, core_sq, residual, weights, g = yield _ITERATE, i, u, omega, phi, psi, tail, mass_full_v
                 drift = omega + lam_hat
                 grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
                 # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
@@ -515,7 +487,7 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
                     forms = lead_forms(w_omega, n, h)
                     # a shift at or below the lead's lowest is no state: reject it
                     if forms is not None:
-                        e, s_w, w_state = yield _TRIAL, i, state, t, forms[0], pg
+                        e, s_w, w = yield _TRIAL, i, u, t, forms[0], pg
                         e_new = e + 0.5 * forms[1] * s_w
                         # strict decrease too: an equal energy would let the
                         # stage creep on with vanishing steps until max_iters
@@ -540,17 +512,16 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
                     t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
                 else:
                     t0 = _STEP0
-                omega, s, state = w_omega, s_w, w_state
+                omega, s, u = w_omega, s_w, w
                 phi, psi, dphi = forms
                 energy = e_new
                 trace.append((it, energy, grad_norm, t))
                 window.append(energy)
             lead_mass = s * phi
-            r.table.append((r_cut, energy, it, converged))
-            r.stages.append((r_cut, it, backtracks, stop))
-        r.u = _gather([state], 0).copy()
-        r.omega, r.lead_mass, r.grad_norm, r.converged, r.trace = omega, lead_mass, grad_norm, converged, trace
-        r.factorizations = factorizations
+            table.append((r_cut, energy, it, converged))
+            stages.append((r_cut, it, backtracks, stop))
+        # a copy: a row would keep its whole trial block
+        return u.copy(), omega, lead_mass, grad_norm, converged, trace, table, stages, factorizations
 
     def project(v: np.ndarray, phi) -> tuple:
         # each row onto its sphere at its Phi, and its s = A w.w there
@@ -564,29 +535,23 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
         return w, _dots(counts, a * a)
 
     def trial(requests: list[tuple]) -> list[tuple]:
-        # the trial states at the runs' (t, Phi, pg): a state's one cell pass
-        # gives its energy and, once accepted, its gradient
-        states, (step, phi, pg) = _columns(requests)
-        w, s = project(_gather(states, 0) - step * pg, phi)
-        cells = op.cell_pass(w)
-        e = op.value(w, cells)
-        if len(states) == 1:
-            return [(e, s, (cells, None))]
-        return [(e_i, s_i, (cells, i)) for i, (e_i, s_i) in enumerate(zip(e.ravel().tolist(), s.ravel().tolist()))]
+        # the trial points at the runs' (u, t, Phi, pg) and their energies
+        u, step, phi, pg = _columns(requests)
+        w, s = project(u - step * pg, phi)
+        e = op.value(w)
+        if len(requests) == 1:
+            return [(e, s, w)]
+        return list(zip(e.ravel().tolist(), s.ravel().tolist(), w))
 
     def gradient(requests: list[tuple]) -> list[tuple]:
-        # the gradient at the runs' states and (omega, Phi, Psi, Phi - h/2,
+        # the gradient at the runs' (u, omega, Phi, Psi, Phi - h/2,
         # full-mesh vertex weights)
-        states, (omega, phi, psi, tail, mass_full_v) = _columns(requests)
-        cells = _gather(states)
-        u = cells.values
+        u, omega, phi, psi, tail, mass_full_v = _columns(requests)
         u_v = u[..., :nv]
-        nonlocal weights
-        if weights.shape != u.shape:
-            weights = np.empty_like(u)
-            weights[..., nv:] = mass_e
-        np.add(mass_v, phi * counts, out=weights[..., :nv])
-        g = op.gradient(u, cells)
+        weights = np.empty_like(u)
+        weights[..., :nv] = mass_v + phi * counts
+        weights[..., nv:] = mass_e
+        g = op.gradient(u)
         g_v = g[..., :nv]
         g_v += psi * counts * u_v
         # strip the multiplier component before preconditioning: near a
@@ -599,14 +564,12 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
         full_v = residual[..., :nv] + (omega + lam) * tail * counts * u_v
         tangent_e = residual[..., nv:] / mass_e
         core_sq = _dots(mass_e, tangent_e * tangent_e) + _dots(full_v, full_v / mass_full_v)
-        if len(states) == 1:
-            return [(lam, core_sq, residual, weights, u, g)]
-        return list(zip(lam.ravel().tolist(), core_sq.ravel().tolist(), residual, weights, u, g))
+        if len(requests) == 1:
+            return [(lam, core_sq, residual, weights, g)]
+        return list(zip(lam.ravel().tolist(), core_sq.ravel().tolist(), residual, weights, g))
 
-    # the mass weights of the block's rows, rewritten by each gradient: a
-    # run reads its row only before its next request
-    weights = np.empty(0)
-    coros = [descent(i, r) for i, r in enumerate(runs)]
+    coros = [descent(i, u, lead_mass) for i, (u, lead_mass) in enumerate(runs)]
+    records = [None] * len(runs)
     # the runs' requests waiting, by kind, each in the order it was asked
     trials, gradients, starts = [], [], []
     queues = {_TRIAL: trials, _ITERATE: gradients, _START: starts}
@@ -614,16 +577,18 @@ def _descend(op: EnergyOperator, factor, counts: np.ndarray, runs: list[_Run], m
     while True:
         # each run served takes its reply and asks again, until it is done
         for request, reply in served:
+            i = request[1]
             try:
-                request = coros[request[1]].send(reply)
-            except StopIteration:
+                request = coros[i].send(reply)
+            except StopIteration as done:
+                records[i] = done.value
                 continue
             queues[request[0]].append(request)
         # a stage start waits until no run has a trial or a gradient left,
         # so the runs start each stage together
         queue = trials or gradients or starts
         if not queue:
-            return
+            return records
         requests = queue.copy()
         queue.clear()
         served = zip(requests, (gradient if queue is gradients else trial)(requests))
@@ -650,7 +615,6 @@ class MinimizationResult:
     energy: float
     verdict: str
     report: EnergyReport
-    el: ELReport
     energy_trace: list[float]
     trace: list[tuple[int, float, float, float]]
     r_cut_table: list[tuple[float, float, int, bool]]  # (r_cut, energy, iterations, converged)
@@ -664,6 +628,12 @@ class MinimizationResult:
     lead_mass: float
     # LU factors of the preconditioner over the run (not in to_dict)
     factorizations: int
+
+    @cached_property
+    def el(self) -> ELReport:
+        """The Euler-Lagrange residuals of the state, computed on first
+        read."""
+        return el_residual(self.core, self.p, leads=self.leads)
 
     @property
     def lead_shift(self) -> float:  # omega, minus the multiplier the leads decay with
@@ -757,39 +727,38 @@ def _minimize_starts(
     op = EnergyOperator(core, p)
     factor = _shifted_factorizer(core)
     _, counts = core.lead_anchors(graph)
-    runs = [_Run(*_start(u0, core)) for u0 in starts]
-    _descend(op, factor, counts, runs, mu, config)
+    records = _descend(op, factor, counts, [_start(u0, core) for u0 in starts], mu, config)
     n, h = uniform_cells(config.r_cut_schedule[-1], config.h_max)
 
     results = []
-    for run in runs:
+    for u, omega, lead_mass, grad_norm, converged, trace, table, stages, factorizations in records:
         # |u| has the same energy or lower, and the mass form only sees |u|
-        values = np.abs(run.u) if np.any(run.u < 0.0) else run.u
-        # the report and the residuals come from the core values and the
-        # leads in closed form, with no sum over lead nodes; the energy is
-        # then the last stage's, bit for bit, when its state has one sign
+        values = np.abs(u) if np.any(u < 0.0) else u
+        # the report, and the residuals once read, come from the core values
+        # and the leads in closed form, with no sum over lead nodes; the
+        # energy is then the last stage's, bit for bit, when its state has
+        # one sign
         u_core = GraphFunction(core, values)
-        leads = Leads(graph, run.omega, n, h)
+        leads = Leads(graph, omega, n, h)
         report = energy_report(u_core, p, leads)
         results.append(
             MinimizationResult(
                 core=u_core,
                 leads=leads,
                 energy=report.total_energy,
-                verdict=_verdict(run.table, _ENERGY_TOL),
+                verdict=_verdict(table, _ENERGY_TOL),
                 report=report,
-                el=el_residual(u_core, p, leads=leads),
-                energy_trace=[row[1] for row in run.trace],
-                trace=run.trace,
-                r_cut_table=run.table,
-                stages=run.stages,
-                converged=run.converged,
-                iterations=sum(row[2] for row in run.table),
-                grad_norm=run.grad_norm,
+                energy_trace=[row[1] for row in trace],
+                trace=trace,
+                r_cut_table=table,
+                stages=stages,
+                converged=converged,
+                iterations=sum(row[2] for row in table),
+                grad_norm=grad_norm,
                 mu=mu,
                 p=p,
-                lead_mass=run.lead_mass,
-                factorizations=run.factorizations,
+                lead_mass=lead_mass,
+                factorizations=factorizations,
             )
         )
     return results
@@ -815,10 +784,11 @@ def minimize(
     the core mesh and its lead mass giving the shift; without it, from the
     plateau competitor. The result holds the last stage's state as
     ``core`` (|u| where it has a negative value) and ``leads``; its
-    ``report``, ``el`` and ``min_node_value`` come from them with no sum
-    over lead nodes, so ``energy`` is the last entry of ``r_cut_table``
-    whenever that stage's state has one sign (|u| of a state of both signs
-    has an energy no higher). ``function`` lifts it onto the last mesh.
+    ``report``, ``el`` (on first read) and ``min_node_value`` come from
+    them with no sum over lead nodes, so ``energy`` is the last entry of
+    ``r_cut_table`` whenever that stage's state has one sign (|u| of a
+    state of both signs has an energy no higher). ``function`` lifts it
+    onto the last mesh.
 
     Every stage solves a compact surrogate problem, so the verdict encodes
     the truncation trend: NEGATIVE_MINIMUM for a stable strictly negative

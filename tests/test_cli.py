@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -39,8 +41,18 @@ edge e1 a b 1.0
 """
 
 
-def run_cli(*args):
+def run_module(*args):
+    """``python -m graphnls.cli <args>`` in a fresh interpreter."""
     return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=600)
+
+
+def run_cli(*args):
+    """The same command by ``cli.main`` in this process: its exit code and
+    captured output, shaped as ``run_module``'s."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
@@ -135,7 +147,8 @@ def test_certify_invalid_partition(db_file, tmp_path):
 
 def test_certify_not_found_exit_2(db_file):
     # mu = 4 shrinks the threshold to 0.25 < 0.9: no certificate anywhere
-    proc = run_cli("certify", db_file, "--p", "4", "--mu", "4")
+    # through the module entry point: its exit code is the process's
+    proc = run_module("certify", db_file, "--p", "4", "--mu", "4")
     assert proc.returncode == 2
     assert "certificate not found" in proc.stdout
 
@@ -151,7 +164,7 @@ def test_minimize_artifacts_and_determinism(broom_file, tmp_path):
         "minimize", broom_file, "--p", "3", "--mu", "1",
         "--rcut", "6,12", "--h", "0.1",
     )
-    p1 = run_cli(*args, "--out", str(out1))
+    p1 = run_module(*args, "--out", str(out1))
     assert p1.returncode == 0, p1.stderr
     assert "verdict:" in p1.stdout and "energy:" in p1.stdout
     for name in ("result.json", "trace.csv", "state.csv"):
@@ -168,7 +181,7 @@ def test_minimize_artifacts_and_determinism(broom_file, tmp_path):
     assert header[0].startswith("# graphnls")
     assert header[1] == "iter,energy,grad_norm,step"
 
-    p2 = run_cli(*args, "--out", str(out2))
+    p2 = run_module(*args, "--out", str(out2))
     assert p2.returncode == 0
     # determinism modulo nothing: same inputs, same bytes
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()

@@ -396,27 +396,10 @@ def test_cell_pass_gives_the_standalone_value_and_gradient(factory, p):
     core = _core_mesh(factory(), 0.02)
     op = EnergyOperator(core, p)
     v = np.random.default_rng(4).standard_normal(core.n_dofs)
-    cells = op.cell_pass(v)
-    shared = op.gradient(v, cells)
-    assert np.array_equal(shared, op.gradient(v))
-    assert op.value(v, cells) == op.value(v)
     # the report reduces the same pass: a stage's energy is its report's
     assert energy_report(GraphFunction(core, v), p).total_energy == op.value(v)
     ref = _subtract_at_gradient(core, v, p)
-    assert np.linalg.norm(shared - ref) <= 1e-14 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("factory", [f for _, f in CELL_PASS_GRAPHS], ids=[n for n, _ in CELL_PASS_GRAPHS])
-def test_cell_pass_is_never_applied_to_another_array(factory):
-    core = _core_mesh(factory(), 0.02)
-    op = EnergyOperator(core, 3.0)
-    v = np.random.default_rng(5).standard_normal(core.n_dofs)
-    cells = op.cell_pass(v)
-    for other in (v.copy(), 2.0 * v):
-        with pytest.raises(ValueError, match="another array"):
-            op.value(other, cells)
-        with pytest.raises(ValueError, match="another array"):
-            op.gradient(other, cells)
+    assert np.linalg.norm(op.gradient(v) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
@@ -434,20 +417,14 @@ def test_cell_pass_on_a_block_equals_its_rows(factory, p):
     blocks = [rng.standard_normal((4, core.n_dofs)), rng.standard_normal((1, core.n_dofs)), picked]
     for block in blocks:
         cells = op.cell_pass(block)
-        value, gradient = op.value(block, cells), op.gradient(block, cells)
+        value, gradient = op.value(block), op.gradient(block)
         assert value.shape == (len(block), 1) and gradient.shape == block.shape
         for i, row in enumerate(block):
-            alone = op.cell_pass(np.ascontiguousarray(row))
-            for name in ("d", "flux", "x", "ax", "pw"):
-                assert np.array_equal(getattr(cells, name)[i], getattr(alone, name)), name
-            assert value[i, 0] == op.value(alone.values, alone)
-            assert np.array_equal(gradient[i], op.gradient(alone.values, alone))
-        # a block's pass is tied to its array too
-        for other in (block.copy(), 2.0 * block):
-            with pytest.raises(ValueError, match="another array"):
-                op.value(other, cells)
-            with pytest.raises(ValueError, match="another array"):
-                op.gradient(other, cells)
+            alone = np.ascontiguousarray(row)
+            for name, field in zip(CellPass._fields, op.cell_pass(alone)):
+                assert np.array_equal(getattr(cells, name)[i], field), name
+            assert value[i, 0] == op.value(alone)
+            assert np.array_equal(gradient[i], op.gradient(alone))
 
 
 LP_LEADS = [
@@ -1197,7 +1174,7 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
     # preconditioned direction nor its fallback descends: each stage stops
     # at its first iteration, converged, by "no_descent", alone and in a
     # block beside a run that goes on
-    monkeypatch.setattr(EnergyOperator, "gradient", lambda self, v, cells=None: np.zeros_like(v))
+    monkeypatch.setattr(EnergyOperator, "gradient", lambda self, v: np.zeros_like(v))
     graph, p = double_bridge(0.5, 0.5), 3.5
     cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=40)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
@@ -1220,52 +1197,6 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
     assert block[1].stages[0][3] != "no_descent"
 
 
-def test_gather_returns_a_pass_its_rows_taken_or_stacked():
-    # the driver's blocks come from the runs' states, (pass, row) pairs with
-    # the row None in a vector's pass: each row must be its source's bits
-    core = _core_mesh(double_bridge(0.5, 0.5), 0.05)
-    op = EnergyOperator(core, 3.5)
-    rng = np.random.default_rng(7)
-    block = op.cell_pass(rng.standard_normal((4, core.n_dofs)))
-    other = op.cell_pass(rng.standard_normal((3, core.n_dofs)))
-    vector = op.cell_pass(rng.standard_normal(core.n_dofs))
-
-    def source(state, k):
-        cells, row = state
-        return cells[k] if row is None else cells[k][row]
-
-    # rows in order: the pass itself, or its field
-    assert solver._gather([(block, i) for i in range(4)]) is block
-    assert solver._gather([(block, i) for i in range(4)], 0) is block.values
-    assert solver._gather([(vector, None)]) is vector
-    assert solver._gather([(vector, None)], 0) is vector.values
-    cases = [
-        [(block, 3), (block, 0), (block, 2)],  # a subset of one pass, reordered
-        [(block, 1), (block, 2)],
-        [(block, 2), (other, 0), (vector, None), (block, 0)],  # several passes
-        [(vector, None), (other, 2)],
-        [(block, 0), (block, 1), (block, 2), (other, 0)],  # a pass's first rows and more
-        [(block, 1)],  # one row
-    ]
-    for states in cases:
-        cells = solver._gather(states)
-        assert isinstance(cells, CellPass)
-        for k, field in enumerate(cells):
-            assert np.array_equal(solver._gather(states, k), field)
-            if len(states) == 1:
-                assert field.ndim == 1
-                assert np.array_equal(field, source(states[0], k))
-                continue
-            assert field.shape[0] == len(states) and field.flags.c_contiguous
-            for row, state in zip(field, states):
-                assert np.array_equal(row, source(state, k))
-        # a gathered pass is its values' own: each row's energy is its source's
-        values = np.ravel(op.value(cells.values, cells))
-        for value, (source_cells, row) in zip(values, states):
-            alone = op.value(source_cells.values, source_cells)
-            assert value == (alone if row is None else alone[row, 0])
-
-
 @pytest.mark.parametrize(
     "factory,p,calls",
     [
@@ -1280,9 +1211,9 @@ def test_dichotomy_runs_start_each_stage_together(monkeypatch, factory, p, calls
     # a stage takes as many gradient blocks as its longest run iterations
     gradient, rows = EnergyOperator.gradient, []
 
-    def counted(self, v, cells=None):
+    def counted(self, v):
         rows.append(len(v) if v.ndim == 2 else 1)
-        return gradient(self, v, cells)
+        return gradient(self, v)
 
     monkeypatch.setattr(EnergyOperator, "gradient", counted)
     d = existence_dichotomy(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
@@ -1636,7 +1567,7 @@ def test_result_dict_at_a_long_cut_is_closed_form_and_positive():
 
 def test_minimize_reports_through_the_module_level_functions(monkeypatch):
     # the benchmark's energy.report span times the result report through
-    # these two names
+    # these two names, the residuals once .el is read
     calls = []
     for name in ("energy_report", "el_residual"):
         original = getattr(solver, name)
@@ -1646,13 +1577,14 @@ def test_minimize_reports_through_the_module_level_functions(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
-    minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)).el
     assert sorted(calls) == ["el_residual", "energy_report"]
 
 
 def test_dichotomy_reports_and_factors_through_the_module_level_functions(monkeypatch):
     # the benchmark's energy.report and solver.lu_factor spans time the
-    # dichotomy's runs through these names, as they time minimize's
+    # dichotomy's runs through these names, as they time minimize's, the
+    # residuals once .el is read
     calls = []
     for name in ("energy_report", "el_residual", "splu"):
         original = getattr(solver, name)
@@ -1663,5 +1595,36 @@ def test_dichotomy_reports_and_factors_through_the_module_level_functions(monkey
 
         monkeypatch.setattr(solver, name, counted)
     d = existence_dichotomy(double_bridge(0.5, 0.5), 1.0, 3.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    for res in d.runs.values():
+        res.el
     assert calls.count("energy_report") == calls.count("el_residual") == len(d.runs) == 6
     assert calls.count("splu") == sum(r.factorizations for r in d.runs.values()) >= 6
+
+
+def test_residuals_are_computed_once_on_first_read(monkeypatch):
+    # minimize and the dichotomy leave a run's residuals to the first read
+    # of .el, which computes them once; to_dict holds them as before
+    calls = []
+    original = solver.el_residual
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "el_residual", counted)
+    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    res = minimize(line_graph(1.0), 1.0, 3.0, cfg)
+    d = existence_dichotomy(double_bridge(0.5, 0.5), 1.0, 3.5, cfg)
+    assert calls == []
+    for run in [res, *d.runs.values()]:
+        el = run.el
+        assert len(calls) == 1
+        assert run.el is el and len(calls) == 1
+        assert el == original(run.core, run.p, leads=run.leads)
+        calls.clear()
+    fresh = minimize(line_graph(1.0), 1.0, 3.0, cfg)
+    payload = fresh.to_dict()
+    assert len(calls) == 1
+    assert fresh.to_dict() == payload and len(calls) == 1
+    el = original(fresh.core, 3.0, leads=fresh.leads).to_dict()
+    assert {key: payload[key] for key in el} == el
