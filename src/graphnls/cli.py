@@ -75,10 +75,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_number(value, key: str) -> float:
-    # float() reads JSON true and false as 1.0 and 0.0
-    if isinstance(value, bool):
+    # float() reads JSON true and false as 1.0 and 0.0, and "2" as 2.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _UsageError(f"{key} must be a number, got {json.dumps(value)}")
     return float(value)
+
+
+def _spec_path(value, key: str, base: Path) -> Path:
+    # relative paths resolve next to the sweep file itself
+    if not isinstance(value, str):
+        raise _UsageError(f"{key} must be a path string, got {json.dumps(value)}")
+    path = Path(value)
+    return path if path.is_absolute() else base / path
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +301,9 @@ class SweepSpec:
         axis = data["axis"]
         if axis not in ("core_scale", "mu", "p"):
             raise _UsageError("axis must be one of core_scale, mu, p")
-        try:
-            grid = tuple(_spec_number(v, "grid") for v in data["grid"])
-        except (TypeError, ValueError):
+        if not isinstance(data["grid"], list):
             raise _UsageError("grid must be a list of numbers")
+        grid = tuple(_spec_number(v, "grid") for v in data["grid"])
         if not grid:
             raise _UsageError("grid must be nonempty")
         # json reads NaN and Infinity
@@ -306,13 +313,8 @@ class SweepSpec:
                     raise _UsageError(f"grid value {v!r} outside (2,6) for axis p")
             elif not (math.isfinite(v) and v > 0.0):
                 raise _UsageError(f"grid value {v!r} must be finite and positive for axis {axis}")
-        graph_file = Path(data["graph"])
-        if not graph_file.is_absolute():
-            # relative paths resolve next to the sweep file itself
-            graph_file = sweep_path.parent / graph_file
-        out_dir = Path(data.get("out_dir", "sweep_out"))
-        if not out_dir.is_absolute():
-            out_dir = sweep_path.parent / out_dir
+        graph_file = _spec_path(data["graph"], "graph", sweep_path.parent)
+        out_dir = _spec_path(data.get("out_dir", "sweep_out"), "out_dir", sweep_path.parent)
         mu = _spec_number(data.get("mu", 1.0), "mu")
         p = _spec_number(data.get("p", 4.0), "p")
         if axis != "mu":
@@ -334,15 +336,7 @@ class SweepSpec:
             config = SolverConfig(**solver)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad solver overrides {solver!r}: {exc}")
-        return SweepSpec(
-            axis=axis,
-            grid=grid,
-            graph_file=graph_file,
-            mu=mu,
-            p=p,
-            out_dir=out_dir,
-            config=config,
-        )
+        return SweepSpec(axis, grid, graph_file, mu, p, out_dir, config)
 
 
 def _band(graph: MetricGraph, p: float, mu: float) -> tuple[float, float, str]:
@@ -361,18 +355,19 @@ def _band(graph: MetricGraph, p: float, mu: float) -> tuple[float, float, str]:
     return l1, l2, "GAP"
 
 
-def _sweep_point(base, spec: SweepSpec, axis_value: float) -> tuple[tuple, dict]:
+def _sweep_problem(base, spec: SweepSpec, axis_value: float) -> tuple:
+    """The graph, mu, p and ``_band`` of the sweep point at ``axis_value``."""
+    graph = homothety(base, axis_value) if spec.axis == "core_scale" else base
+    mu = axis_value if spec.axis == "mu" else spec.mu
+    p = axis_value if spec.axis == "p" else spec.p
+    return graph, mu, p, _band(graph, p, mu)
+
+
+def _sweep_point(spec: SweepSpec, axis_value: float, problem: tuple) -> tuple[tuple, dict]:
     """One phase.csv row and its sweep_log.json record (wall time, and
     the exception that ended the point, if any)."""
     t0 = time.perf_counter()
-    graph, mu, p = base, spec.mu, spec.p
-    if spec.axis == "core_scale":
-        graph = homothety(base, axis_value)
-    elif spec.axis == "mu":
-        mu = axis_value
-    else:
-        p = axis_value
-    l1, l2, band = _band(graph, p, mu)
+    graph, mu, p, (l1, l2, band) = problem
     error = None
     try:
         result = existence_dichotomy(graph, mu, p, spec.config)
@@ -390,9 +385,12 @@ def cmd_sweep(args) -> int:
     base = load_graph(spec.graph_file)
     base.require_valid()
 
+    # every point's closed-form bands before any point runs: a threshold out
+    # of float64 range (near p = 6) is a usage error, not a lost sweep
+    problems = [_sweep_problem(base, spec, v) for v in spec.grid]
     # one point after another: the work holds the GIL, so worker threads
     # would only contend for it
-    points = [_sweep_point(base, spec, v) for v in spec.grid]
+    points = [_sweep_point(spec, v, problem) for v, problem in zip(spec.grid, problems)]
     rows = [row for row, _ in points]
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)

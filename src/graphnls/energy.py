@@ -5,10 +5,10 @@ E(u) = 1/2 * int_G |u'|^2  -  1/p * int_K |u|^p,   2 < p < 6,
 evaluated on piecewise-linear functions with the quadrature conventions of
 :mod:`graphnls.functions`. The gradient returned here is the exact gradient
 of the discrete energy (stiffness action minus the Simpson-rule core load),
-so directional-derivative checks close to machine precision. Each takes
-its own pass over the Mesh's cells (:class:`CellPass`), for one vector of
-nodal values or a block of them; on a mesh without half-lines the value
-sums it bit for bit as ``kinetic_energy`` and ``lp_integral`` do. The solver
+so directional-derivative checks close to machine precision. Each gathers
+the Mesh's cells for one vector of nodal values or a block of them, and
+reduces only what it needs; on a mesh without half-lines the value sums
+them bit for bit as ``kinetic_energy`` and ``lp_integral`` do. The solver
 evaluates it on a Mesh of the core subgraph and adds the leads in closed
 form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
 live here, and ``energy_report`` and ``el_residual`` account for such
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,20 +120,6 @@ class ELReport:
         return {"schema_version": SCHEMA_VERSION, "lambda": d.pop("lambda_estimate"), **d}
 
 
-class CellPass(NamedTuple):
-    """One pass of an :class:`EnergyOperator` over its cells at nodal
-    values: each cell's difference ``d``, flux ``d / h``,
-    ``x = [first ends | second ends | midpoints]``, ``ax = |x|`` and
-    ``pw = |x|^p``, with one row per row of the values when they are a
-    block."""
-
-    d: np.ndarray
-    flux: np.ndarray
-    x: np.ndarray
-    ax: np.ndarray
-    pw: np.ndarray
-
-
 class EnergyOperator:
     """Cached discrete forms for one (mesh, p) pair.
 
@@ -144,9 +129,8 @@ class EnergyOperator:
 
     Each form takes one vector of nodal values or a (k, m) block of k of
     them, one per row, and gives each row exactly what the row alone gives:
-    it takes its own pass over the cells (:meth:`cell_pass`), whose
-    elementwise work runs once for the block, and every row is reduced in
-    the 1-D order (:func:`graphnls.functions._dots`).
+    it gathers the cells' values once for the block (:meth:`_cells`), and
+    every row is reduced in the 1-D order (:func:`graphnls.functions._dots`).
     """
 
     def __init__(self, mesh: Mesh, p: float):
@@ -158,7 +142,7 @@ class EnergyOperator:
         self._n = len(self._h)
         self._ends = np.concatenate((ia, ib))
         # each cell's first and second ends, and its first again, where
-        # the pass makes its midpoint
+        # the gather makes its midpoint
         self._gather = np.concatenate((ia, ib, ia))
         self._w = np.where(mesh.cell_core, self._h / 6.0, 0.0)  # no nonlinearity off the core
         # per block shape ((k,) or () for a vector): the gradient's bincount
@@ -166,36 +150,36 @@ class EnergyOperator:
         # its two halves of cell ends
         self._blocks = {(): (self._ends, (2, len(self._h)))}
 
-    def cell_pass(self, v: np.ndarray) -> CellPass:
-        """The gathers, midpoints, fluxes and powers of ``v``, a vector or a
-        block."""
+    def _cells(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``x = [first ends | second ends | midpoints]`` of the cells at
+        ``v``, a vector or a block (one row per row), and their differences
+        ``d = second - first``."""
         n = self._n
         # one gather: take keeps a block's rows contiguous, where v[:, idx]
         # is F-ordered; a vector's index is the faster
         x = v[self._gather] if v.ndim == 1 else v.take(self._gather, -1)
-        first, second, mid = x[..., :n], x[..., n : 2 * n], x[..., 2 * n :]
-        mid += second
+        mid = x[..., 2 * n :]
+        mid += x[..., n : 2 * n]
         mid *= 0.5
-        d = second - first
-        ax = np.abs(x)
-        # divided by the width: a stored 1/h rounds too far off (README)
-        return CellPass(d, d / self._h, x, ax, ax**self.p)
+        return x, x[..., n : 2 * n] - x[..., :n]
 
     def value(self, v: np.ndarray):
-        """The energy at ``v``, from its pass: the sums of
-        ``Mesh.dirichlet_integral`` (0 on constants) and ``lp_integral``;
-        a float, or a (k, 1) column of one per row of a block."""
-        c = self.cell_pass(v)
+        """The energy at ``v``: the sums of ``kinetic_energy`` (0 on
+        constants) and ``lp_integral``; a float, or a (k, 1) column of one
+        per row of a block."""
+        x, d = self._cells(v)
         n = self._n
-        lp = _simpson(c.pw[..., :n], c.pw[..., 2 * n :], c.pw[..., n : 2 * n], self._w)
-        return 0.5 * _dots(c.d, c.flux) - lp / self.p
+        pw = _abs_pow(x, self.p)
+        lp = _simpson(pw[..., :n], pw[..., 2 * n :], pw[..., n : 2 * n], self._w)
+        # divided by the width: a stored 1/h rounds too far off (README)
+        return 0.5 * _dots(d, d / self._h) - lp / self.p
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
-        """Exact gradient of the discrete energy w.r.t. nodal values, from
-        ``v``'s pass: at each cell end its signed flux less its load
-        w (g_end + 2 g_mid), g = |x|^(p-2) x, summed by one bincount over the
-        whole block, each row's ends in the order of a vector's."""
-        c = self.cell_pass(v)
+        """Exact gradient of the discrete energy w.r.t. nodal values: at
+        each cell end its signed flux less its load w (g_end + 2 g_mid),
+        g = |x|^(p-2) x, summed by one bincount over the whole block, each
+        row's ends in the order of a vector's."""
+        x, d = self._cells(v)
         n = self._n
         rows = v.shape[:-1]
         block = self._blocks.get(rows)
@@ -203,15 +187,11 @@ class EnergyOperator:
             offsets = np.arange(rows[0])[:, None] * self.mesh.n_dofs
             block = self._blocks[rows] = ((offsets + self._ends).ravel(), (*rows, 2, n))
         targets, halves = block
-        g = c.ax ** (self.p - 2.0) * c.x
-        mid, flux = 2.0 * g[..., 2 * n :], c.flux
-        if rows:
-            # each row's midpoints and fluxes broadcast over its two halves
-            mid, flux = mid[:, None, :], flux[:, None, :]
-        load = (g[..., : 2 * n].reshape(halves) + mid) * self._w
-        signed = _END_SIGNS * flux - load
-        grad = np.bincount(targets, weights=signed.ravel(), minlength=v.size)
-        return grad.reshape(v.shape) if rows else grad
+        g = _abs_pow(x, self.p - 2.0) * x
+        # each row's midpoints and fluxes broadcast over its two halves
+        load = (g[..., : 2 * n].reshape(halves) + 2.0 * g[..., None, 2 * n :]) * self._w
+        signed = _END_SIGNS * (d / self._h)[..., None, :] - load
+        return np.bincount(targets, weights=signed.ravel(), minlength=v.size).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,15 @@ closed-form leads (:class:`graphnls.energy.Leads`).
 
 The scheme is projected gradient descent on the mass sphere with an
 Armijo test that also demands a strict decrease. A trial point's energy
-and the accepted point's gradient each take one pass over the core's cells
-(:meth:`EnergyOperator.cell_pass`). Directions
-are Sobolev gradients preconditioned by S + sigma*M (Henning &
-Peterseim), eliminated onto the core (the leads add Psi + sigma*Phi at
-their anchors), with sigma the current multiplier estimate floored at
-1/r_cut^2. One sparse LU (SuperLU) of the core matrix is refactored only
-when the estimate leaves [sigma/2, 2*sigma], a rule that also decides
-whether a stage keeps the previous stage's factor. A start's shift comes
-from its lead mass by a safeguarded Newton iteration (:func:`_lead_shift`).
+and the accepted point's gradient each take one gather of the core's
+cells (:class:`EnergyOperator`). Directions are Sobolev gradients
+preconditioned by S + sigma*M (Henning & Peterseim), eliminated onto the
+core (the leads add Psi + sigma*Phi at their anchors), with sigma the
+current multiplier estimate floored at 1/r_cut^2. One sparse LU (SuperLU)
+of the core matrix is refactored only when the estimate leaves
+[sigma/2, 2*sigma], a rule that also decides whether a stage keeps the
+previous stage's factor. A start's shift comes from its lead mass by a
+safeguarded Newton iteration (:func:`_lead_shift`).
 
 Runs from starts on one mesh descend together (:func:`_minimize_starts`;
 ``minimize`` is its one-start case): on the core Mesh that mesh keeps
@@ -46,6 +46,7 @@ rejected (``MinimizationResult.stages``); a run counts its factors
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -118,7 +119,9 @@ class SolverConfig:
         for name in ("grad_tol", "h_max"):
             require_positive(getattr(self, name), name)
         sched = tuple(self.r_cut_schedule)
-        if any(isinstance(r, bool) for r in sched):
+        # float() also reads a bool, and each digit of a string "12"; a
+        # numpy bool is no numbers.Real
+        if any(isinstance(r, bool) or not isinstance(r, numbers.Real) for r in sched):
             raise ValueError(f"r_cut_schedule entries must be numbers, got {sched!r}")
         sched = tuple(float(r) for r in sched)
         if not all(math.isfinite(r) and r > 0 for r in sched):

@@ -13,6 +13,8 @@ combinations mu^((p-2)/(6-p)) * L unchanged.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import asdict, dataclass
 
@@ -41,6 +43,33 @@ def _require_p46(p: float) -> None:
         raise ValueError("p must be in [4,6)")
 
 
+def _in_float64_range(form):
+    """``form``, with a ValueError naming its arguments where its value
+    leaves the float64 range: near p = 6 the thresholds' exponents grow like
+    1/(6-p), and float ** raises OverflowError where * and / give inf."""
+
+    @functools.wraps(form)
+    def checked(*args, **kwargs):
+        try:
+            value = form(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            given = inspect.signature(form).bind(*args, **kwargs).arguments
+            named = ", ".join(f"{name}={v!r}" for name, v in given.items())
+            raise ValueError(f"{form.__name__} is out of float64 range at {named}")
+        return value
+
+    return checked
+
+
+def _Cp(p: float) -> float:
+    base = p * (p - 4.0) / 16.0
+    inner = base ** (2.0 / (p - 2.0)) + (p / 8.0) * base ** ((4.0 - p) / (p - 2.0))
+    return inner ** ((p - 2.0) / (6.0 - p))
+
+
+@_in_float64_range
 def const_Cp(p: float) -> float:
     """Coefficient of the existence threshold for p strictly between 4 and 6.
 
@@ -50,11 +79,10 @@ def const_Cp(p: float) -> float:
     """
     if not 4.0 < p < 6.0:
         raise ValueError("p must be in (4,6)")
-    base = p * (p - 4.0) / 16.0
-    inner = base ** (2.0 / (p - 2.0)) + (p / 8.0) * base ** ((4.0 - p) / (p - 2.0))
-    return inner ** ((p - 2.0) / (6.0 - p))
+    return _Cp(p)
 
 
+@_in_float64_range
 def threshold_exist(p: float, mu: float, n_half_lines: int) -> float:
     """Core measure above which a ground state is guaranteed to exist."""
     _require_p46(p)
@@ -63,9 +91,10 @@ def threshold_exist(p: float, mu: float, n_half_lines: int) -> float:
         raise ValueError("need at least one half-line")
     if p == 4.0:
         return n_half_lines**2 / (2.0 * mu)
-    return const_Cp(p) * mu ** ((2.0 - p) / (6.0 - p)) * n_half_lines ** (4.0 / (6.0 - p))
+    return _Cp(p) * mu ** ((2.0 - p) / (6.0 - p)) * n_half_lines ** (4.0 / (6.0 - p))
 
 
+@_in_float64_range
 def threshold_nonexist(
     p: float,
     mu: float,
@@ -258,17 +287,14 @@ def certify_nonexistence(
     else:
         cands = [None]
 
-    best: tuple[float, tuple[float, ...], Partition | None] | None = None
-    for cand in cands:
+    def measures(cand: Partition | None) -> tuple[float, ...]:
         if cand is None:
-            meas = (core_measure(graph),)
-        else:
-            meas = tuple(part_core_measure(graph, part) for part in cand.parts)
-        worst = max(meas)
-        if best is None or worst < best[0]:
-            best = (worst, meas, cand)
-    assert best is not None
-    worst, meas, cand = best
+            return (core_measure(graph),)
+        return tuple(part_core_measure(graph, part) for part in cand.parts)
+
+    # min keeps the first candidate of least largest part
+    meas, cand = min(((measures(cand), cand) for cand in cands), key=lambda mc: max(mc[0]))
+    worst = max(meas)
     offending = tuple(i for i, m in enumerate(meas) if m >= l2)
     return NonexistenceCertificate(
         valid=worst < l2,
@@ -309,14 +335,11 @@ def scaling_check(u: GraphFunction, lam: float, p: float, mu: float | None = Non
     factor = lam ** ((2.0 - p) / (6.0 - p))
     amp = lam ** (2.0 / (6.0 - p))
     mesh = u.mesh
-    g2 = homothety(mesh.graph, factor)
-    mesh2 = Mesh(g2, h_max=mesh.h_max * factor, r_cut=mesh.r_cut * factor)
-    vals = [0.0] * mesh2.n_dofs
+    mesh2 = Mesh(homothety(mesh.graph, factor), h_max=mesh.h_max * factor, r_cut=mesh.r_cut * factor)
+    vals = np.zeros(mesh2.n_dofs)
     for eid, dofs in mesh2.edge_dofs.items():
-        xs = mesh2.edge_coords[eid]
-        for k, dof in enumerate(dofs):
-            vals[dof] = amp * mesh.evaluate(u.values, eid, xs[k] / factor)
-    w = GraphFunction(mesh2, np.asarray(vals))
+        vals[dofs] = amp * mesh.evaluate(u.values, eid, mesh2.edge_coords[eid] / factor)
+    w = GraphFunction(mesh2, vals)
     lhs = energy_value(w, p)
     rhs = lam ** ((2.0 + p) / (6.0 - p)) * energy_value(u, p)
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -351,14 +374,11 @@ def mass_thresholds(
     dichotomy for a mass dichotomy."""
     _require_p46(p)
     require_positive(L, "L")
-    Cu, cu = gn_constants(p, n_half_lines, C, c)
-    if p == 4.0:
-        mu1 = n_half_lines**2 / (2.0 * L)
-        mu2 = cu ** (-4.0) / L
-    else:
-        expo = (6.0 - p) / (p - 2.0)
-        mu1 = (const_Cp(p) * n_half_lines ** (4.0 / (6.0 - p)) / L) ** expo
-        mu2 = (Cu ** ((4.0 - p) / (6.0 - p)) * cu ** (-p) / L) ** expo
+    # by scaling, each threshold at mass mu is its value at mass 1 times
+    # mu^((2-p)/(6-p)); the exponent is 1 at p = 4
+    expo = (6.0 - p) / (p - 2.0)
+    mu1 = (threshold_exist(p, 1.0, n_half_lines) / L) ** expo
+    mu2 = (threshold_nonexist(p, 1.0, C=C, c=c, n_half_lines=n_half_lines) / L) ** expo
     return MassThresholds(mu_exist=mu1, mu_nonexist=mu2, consistent=mu2 <= mu1)
 
 

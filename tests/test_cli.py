@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,16 +411,55 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, 
             "r_cut_schedule entries must be numbers",
             id="solver-r_cut_schedule",
         ),
+        # float() reads a JSON string as its number, and each digit of a
+        # string schedule as a cut: each of these ran and exited 0
+        pytest.param({"axis": "core_scale", "grid": ["1"]}, 'grid must be a number, got "1"', id="grid-string"),
+        pytest.param({"axis": "core_scale", "grid": "12"}, "grid must be a list of numbers", id="grid-not-a-list"),
+        pytest.param({"axis": "core_scale", "grid": [1.0], "mu": "2"}, 'mu must be a number, got "2"', id="mu-string"),
+        pytest.param(
+            {"axis": "core_scale", "grid": [1.0], "solver": {"r_cut_schedule": "12"}},
+            "r_cut_schedule entries must be numbers",
+            id="solver-r_cut_schedule-string",
+        ),
+        # each of these ended as an internal error (exit 3)
+        pytest.param({"axis": "core_scale", "grid": [1.0], "mu": None}, "mu must be a number, got null", id="mu-null"),
+        pytest.param({"axis": "core_scale", "grid": [1.0], "p": [4]}, "p must be a number, got [4]", id="p-list"),
+        pytest.param({"axis": "core_scale", "grid": [1.0], "graph": 5}, "graph must be a path string, got 5", id="graph"),
+        pytest.param({"axis": "core_scale", "grid": [1.0], "out_dir": 5}, "out_dir must be a path string, got 5", id="out_dir"),
     ],
 )
 def test_sweep_json_booleans_are_usage_errors(tmp_path, broom_file, capsys, spec, message):
-    # float() reads JSON true as 1.0: each of these ran as 1.0 and exited 0
+    # float() reads JSON true as 1.0, and a string as its number: each of
+    # these values of the wrong JSON type is refused, naming its key
     out = tmp_path / "out"
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps({"graph": broom_file, "out_dir": str(out), **spec}))
     assert cli.main(["sweep", str(sweep_file)]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,spec",
+    [
+        pytest.param(["thresholds", "--p", "5.999", "--N", "8"], None, id="thresholds"),
+        pytest.param(["certify", "{graph}", "--p", "5.999", "--mu", "0.5"], None, id="certify"),
+        pytest.param(None, {"axis": "p", "grid": [4.5, 5.999]}, id="sweep-p"),
+    ],
+)
+def test_thresholds_out_of_float64_range_are_usage_errors(tmp_path, broom_file, capsys, monkeypatch, argv, spec):
+    # near p = 6 the closed forms overflowed: internal error (exit 3), and a
+    # sweep lost its other rows; a sweep now refuses before any point runs
+    monkeypatch.setattr(cli, "existence_dichotomy", mock.Mock(side_effect=AssertionError("a point ran")))
+    out = tmp_path / "out"
+    if spec is not None:
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(json.dumps({"graph": broom_file, "out_dir": str(out), **spec}))
+        argv = ["sweep", str(sweep_file)]
+    assert cli.main([arg.format(graph=broom_file) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "out of float64 range at p=5.999" in err
     assert not out.exists()
 
 

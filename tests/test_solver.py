@@ -25,7 +25,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from graphnls import solver
-from graphnls.energy import CellPass, EnergyOperator, Leads, el_residual, energy_report
+from graphnls.energy import EnergyOperator, Leads, el_residual, energy_report
 from graphnls.functions import (
     GraphFunction,
     Mesh,
@@ -367,7 +367,7 @@ def test_run_forms_match_the_assembled_stiffness(make_mesh):
     d = v[ib] - v[ia]
     per_cell = float(np.dot(d, d / h))
     assert kinetic_energy(GraphFunction(mesh, v)) == pytest.approx(per_cell, rel=1e-12)
-    assert mesh.dirichlet_integral(v) == pytest.approx(float(v @ (stiffness @ v)), rel=1e-12)
+    assert kinetic_energy(GraphFunction(mesh, v)) == pytest.approx(float(v @ (stiffness @ v)), rel=1e-12)
     # the gradient's stiffness action, its Simpson load taken off the
     # assembled S v as the energy gradient once did
     ref = _subtract_at_load(mesh, v, 3.0, stiffness @ v)
@@ -379,7 +379,7 @@ def test_run_forms_match_the_assembled_stiffness(make_mesh):
     assert np.array_equal(np.sort(cols[stiffness.indices == cols]), np.arange(mesh.n_dofs))
     # differences of equal values: exactly 0 on constants
     constant = np.full(mesh.n_dofs, 0.7)
-    assert mesh.dirichlet_integral(constant) == 0.0
+    assert kinetic_energy(GraphFunction(mesh, constant)) == 0.0
     assert np.array_equal(op.gradient(constant), _subtract_at_load(mesh, constant, 3.0, np.zeros(mesh.n_dofs)))
 
 
@@ -405,8 +405,8 @@ def test_cell_pass_gives_the_standalone_value_and_gradient(factory, p):
 @pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
 @pytest.mark.parametrize("factory", [f for _, f in CELL_PASS_GRAPHS], ids=[n for n, _ in CELL_PASS_GRAPHS])
 def test_cell_pass_on_a_block_equals_its_rows(factory, p):
-    # a (k, m) block's pass, value and gradient are its rows' own, bit for
-    # bit: each row reduced in the order of a lone vector
+    # a (k, m) block's value and gradient are its rows' own, bit for bit:
+    # each row reduced in the order of a lone vector
     core = _core_mesh(factory(), 0.02)
     op = EnergyOperator(core, p)
     rng = np.random.default_rng(6)
@@ -416,13 +416,10 @@ def test_cell_pass_on_a_block_equals_its_rows(factory, p):
     assert not picked.flags.c_contiguous
     blocks = [rng.standard_normal((4, core.n_dofs)), rng.standard_normal((1, core.n_dofs)), picked]
     for block in blocks:
-        cells = op.cell_pass(block)
         value, gradient = op.value(block), op.gradient(block)
         assert value.shape == (len(block), 1) and gradient.shape == block.shape
         for i, row in enumerate(block):
             alone = np.ascontiguousarray(row)
-            for name, field in zip(CellPass._fields, op.cell_pass(alone)):
-                assert np.array_equal(getattr(cells, name)[i], field), name
             assert value[i, 0] == op.value(alone)
             assert np.array_equal(gradient[i], op.gradient(alone))
 
@@ -563,10 +560,15 @@ def test_solver_config_rejects_non_integer_counts():
         pytest.param("h_max", True, id="h_max"),
         pytest.param("grad_tol", True, id="grad_tol"),
         pytest.param("r_cut_schedule", (True, 10.0), id="r_cut_schedule"),
+        pytest.param("r_cut_schedule", (np.True_, 10.0), id="r_cut_schedule-numpy-bool"),
+        # float() reads each digit of "12" as a cut: stages at 1 and 2
+        pytest.param("r_cut_schedule", "12", id="r_cut_schedule-string"),
+        pytest.param("r_cut_schedule", ("10", "20"), id="r_cut_schedule-strings"),
     ],
 )
 def test_solver_config_rejects_booleans(name, bad):
-    # a bool is a number to float() and passes the finite-and-positive test
+    # a bool, like a numeric string, is a number to float() and passes the
+    # finite-and-positive test
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: bad})
 
@@ -1421,7 +1423,7 @@ def test_core_forms_are_the_mesh_forms_on_the_core(factory):
     v = np.random.default_rng(3).standard_normal(mesh.n_dofs)
     d = v[ib] - v[ia]
     u = v[dofs]
-    assert core.dirichlet_integral(u) == pytest.approx(float(np.dot(d, d / h)), rel=1e-12)
+    assert kinetic_energy(GraphFunction(core, u)) == pytest.approx(float(np.dot(d, d / h)), rel=1e-12)
     mass = np.bincount(np.concatenate((ia, ib)), weights=np.concatenate((h, h)) / 2.0, minlength=mesh.n_dofs)
     assert np.array_equal(core.mass_vector(), mass[dofs])
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -155,6 +156,37 @@ def test_mass_thresholds_and_critical_point_reject_a_bad_measure_or_mass(bad):
             call()
     with pytest.raises(ValueError, match="mu must be finite and positive"):
         g_critical_point(1.3, bad, 2, 4.5)
+
+
+@pytest.mark.parametrize(
+    "call,named",
+    [
+        pytest.param(lambda: const_Cp(5.999), "const_Cp is out of float64 range at p=5.999", id="const_Cp"),
+        pytest.param(
+            lambda: threshold_exist(5.999, 1.0, 8),
+            "threshold_exist is out of float64 range at p=5.999, mu=1.0, n_half_lines=8",
+            id="exist",
+        ),
+        # mu^((2-p)/(6-p)) overflows alone, C_p being finite at p = 5.99
+        pytest.param(
+            lambda: threshold_exist(5.99, 1e-3, 1),
+            "threshold_exist is out of float64 range at p=5.99, mu=0.001, n_half_lines=1",
+            id="exist-small-mu",
+        ),
+        pytest.param(
+            lambda: threshold_nonexist(5.999, 0.5, n_half_lines=2),
+            "threshold_nonexist is out of float64 range at p=5.999, mu=0.5, n_half_lines=2",
+            id="nonexist",
+        ),
+        pytest.param(lambda: threshold_report(5.999, 1.0, 2), "p=5.999", id="report"),
+        pytest.param(lambda: mass_thresholds(5.999, 1.0, 8), "p=5.999", id="mass"),
+    ],
+)
+def test_thresholds_out_of_float64_range_are_value_errors(call, named):
+    # near p = 6 the exponents grow like 1/(6-p): each of these raised
+    # OverflowError, which the CLI reports as an internal error
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
 
 
 # competitor
