@@ -12,6 +12,7 @@ versioned header line. All JSON payloads carry a schema_version field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -75,10 +76,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_number(value, key: str) -> float:
-    # float() reads JSON true and false as 1.0 and 0.0, and "2" as 2.0
+    # float() reads JSON true and false as 1.0 and 0.0, and "2" as 2.0, and
+    # raises OverflowError on a JSON integer beyond the float64 range
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _UsageError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _UsageError(f"{key} is out of float64 range, got an integer of {len(str(abs(value)))} digits") from None
 
 
 def _spec_path(value, key: str, base: Path) -> Path:
@@ -447,7 +452,9 @@ def cmd_check(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: parsing leaves the parser as it was
     ap = _Parser(
         prog="graphnls",
         description=(

@@ -14,9 +14,10 @@ is an identity of the interpolant itself, not of any sampling rule.
 Every form is computed on the Mesh's cells, one pass of gathers over the
 endpoint values: the Dirichlet integral, the mass and the |u|^p integrals;
 ``Mesh.stiffness_matrix`` assembles the kinetic form from the same cells
-as the CSC matrix whose shifted copy the solver's preconditioner factors,
-once per mesh. The solver descends on a Mesh of the core subgraph alone,
-whose numbering does not depend on the truncation: ``Mesh.core_mesh`` of
+as a CSC matrix, and ``Mesh.stiffness_band`` lays it out in reverse
+Cuthill-McKee order as the band whose shifted copy the solver's
+preconditioner factors, each once per mesh. The solver descends on a Mesh
+of the core subgraph alone, whose numbering does not depend on the truncation: ``Mesh.core_mesh`` of
 its start's mesh, built once and kept, so that runs from starts on one
 mesh share it and its forms. ``Mesh.lead_anchors`` gives the core dofs
 that anchor the leads, and ``uniform_cells`` each truncation's lead grid,
@@ -31,6 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .graphs import MetricGraph
 
@@ -135,6 +137,7 @@ class Mesh:
         self.cell_core = np.concatenate(core)  # whether each cell lies on a core edge
         self._mass = None
         self._stiffness = None
+        self._band = None
         self._cores: dict[float, Mesh] = {}
 
     def cells(self, core_only: bool = False):
@@ -177,8 +180,8 @@ class Mesh:
         """Assembled P1 stiffness matrix S, from the same cells as
         :func:`kinetic_energy`: u.S.u equals the exact Dirichlet integral of
         the interpolant. CSC with sorted rows and a stored diagonal entry
-        for every dof, built once per mesh; the solver factors
-        ``S + diag(sigma*M + shift)`` by writing only that diagonal."""
+        for every dof, built once per mesh; :meth:`stiffness_band` lays it
+        out for the solver's banded LU."""
         if self._stiffness is None:
             n = self.n_dofs
             # a one-cell self-loop joins a vertex to itself and adds nothing
@@ -198,6 +201,34 @@ class Mesh:
                 (data, (keys % n).astype(np.intc), indptr.astype(np.intc)), shape=(n, n)
             )
         return self._stiffness
+
+    def stiffness_band(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """``(order, inverse, kd, band)``: S in the reverse Cuthill-McKee
+        order of the dofs (``order[k]`` the dof at place k, ``inverse`` its
+        inverse), whose half-bandwidth is ``kd``, in LAPACK's band layout
+        for an LU with kd sub- and superdiagonals: the Fortran-ordered
+        ``band`` of shape (3 kd + 1, n_dofs) holds S[order[i], order[j]] at
+        ``band[2 kd + i - j, j]``, its first kd rows zero for the LU's fill.
+        Built once per mesh, read-only; the solver factors
+        ``S + diag(sigma*M + shift)`` by writing only row 2 kd, the
+        diagonal, of a copy."""
+        if self._band is None:
+            s = self.stiffness_matrix()
+            n = self.n_dofs
+            # RCM keeps each edge's chain of nodes adjacent: the band is 1
+            # or 2 on the demo graphs, wider only at a vertex of high degree
+            order = reverse_cuthill_mckee(s, symmetric_mode=True).astype(np.intp)
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(n)
+            rows = inverse[s.indices]
+            cols = inverse[np.repeat(np.arange(n), np.diff(s.indptr))]
+            kd = int(np.abs(rows - cols).max())
+            band = np.zeros((3 * kd + 1, n), order="F")
+            band[2 * kd + rows - cols, cols] = s.data
+            for a in (order, inverse, band):
+                a.flags.writeable = False  # shared by every factor on this mesh
+            self._band = (order, inverse, kd, band)
+        return self._band
 
     @property
     def mesh_hash(self) -> str:

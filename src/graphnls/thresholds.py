@@ -379,6 +379,11 @@ def mass_thresholds(
     expo = (6.0 - p) / (p - 2.0)
     mu1 = (threshold_exist(p, 1.0, n_half_lines) / L) ** expo
     mu2 = (threshold_nonexist(p, 1.0, C=C, c=c, n_half_lines=n_half_lines) / L) ** expo
+    # dividing by a subnormal L gives inf past the range checks above
+    if not (0.0 < mu1 < math.inf and 0.0 < mu2 < math.inf):
+        raise ValueError(
+            f"mass_thresholds is out of float64 range at p={p!r}, L={L!r}, n_half_lines={n_half_lines!r}"
+        )
     return MassThresholds(mu_exist=mu1, mu_nonexist=mu2, consistent=mu2 <= mu1)
 
 

@@ -426,6 +426,12 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, 
         pytest.param({"axis": "core_scale", "grid": [1.0], "p": [4]}, "p must be a number, got [4]", id="p-list"),
         pytest.param({"axis": "core_scale", "grid": [1.0], "graph": 5}, "graph must be a path string, got 5", id="graph"),
         pytest.param({"axis": "core_scale", "grid": [1.0], "out_dir": 5}, "out_dir must be a path string, got 5", id="out_dir"),
+        # float() raised OverflowError on a JSON integer beyond float64
+        pytest.param(
+            {"axis": "mu", "grid": [10**400]},
+            "grid is out of float64 range, got an integer of 401 digits",
+            id="grid-huge-integer",
+        ),
     ],
 )
 def test_sweep_json_booleans_are_usage_errors(tmp_path, broom_file, capsys, spec, message):

@@ -156,6 +156,11 @@ def test_mass_thresholds_and_critical_point_reject_a_bad_measure_or_mass(bad):
             call()
     with pytest.raises(ValueError, match="mu must be finite and positive"):
         g_critical_point(1.3, bad, 2, 4.5)
+    # a subnormal L passes those checks, and dividing by it overflowed:
+    # both thresholds came back inf, consistent
+    for p in (4.5, 4.0):
+        with pytest.raises(ValueError, match=f"mass_thresholds is out of float64 range at p={p}, L=1e-320, n_half_lines=2"):
+            mass_thresholds(p, 1e-320, 2)
 
 
 @pytest.mark.parametrize(
