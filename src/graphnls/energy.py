@@ -30,7 +30,6 @@ from .functions import (
     Mesh,
     _abs_pow,
     _dots,
-    _simpson,
     kinetic_energy,
     l2_norm_sq,
     linf_norm,
@@ -145,6 +144,7 @@ class EnergyOperator:
         # the gather makes its midpoint
         self._gather = np.concatenate((ia, ib, ia))
         self._w = np.where(mesh.cell_core, self._h / 6.0, 0.0)  # no nonlinearity off the core
+        self._simpson_w = np.concatenate((self._w, self._w, 4.0 * self._w))  # against x of _cells
         # per block shape ((k,) or () for a vector): the gradient's bincount
         # targets, row r's cell ends offset by r * n_dofs, and the shape of
         # its two halves of cell ends
@@ -165,12 +165,10 @@ class EnergyOperator:
 
     def value(self, v: np.ndarray):
         """The energy at ``v``: the sums of ``kinetic_energy`` (0 on
-        constants) and ``lp_integral``; a float, or a (k, 1) column of one
-        per row of a block."""
+        constants) and ``lp_integral``, one dot each; a float, or a (k, 1)
+        column of one per row of a block."""
         x, d = self._cells(v)
-        n = self._n
-        pw = _abs_pow(x, self.p)
-        lp = _simpson(pw[..., :n], pw[..., 2 * n :], pw[..., n : 2 * n], self._w)
+        lp = _dots(self._simpson_w, _abs_pow(x, self.p))
         # divided by the width: a stored 1/h rounds too far off (README)
         return 0.5 * _dots(d, d / self._h) - lp / self.p
 
@@ -484,12 +482,11 @@ class Leads:
         return h / 6.0 * total
 
 
-def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The leads' anchor dofs and counts A on ``u``'s mesh, ``u``'s vertex
-    values a and s = A a.a, summed as the solver's stage energy sums it."""
+def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, float]:
+    """The leads' anchor dofs and counts A on ``u``'s mesh and s = A u.u,
+    summed over every dof as the solver's stage energy sums it."""
     dofs, counts = u.mesh.lead_anchors(leads.graph)
-    a = u.values[: u.mesh.n_vertices]
-    return dofs, counts, a, float(np.dot(counts, a * a))
+    return dofs, counts, float(counts.dot(u.values * u.values))
 
 
 def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> EnergyReport:
@@ -525,13 +522,13 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
     graph = u.mesh.graph
     if leads is not None:
         graph = leads.graph
-        _, counts, a, s = _lead_anchors(u, leads)
+        _, counts, s = _lead_anchors(u, leads)
         phi, psi, _ = leads.forms
         energy += 0.5 * psi * s
         ksq += psi * s
         mass += phi * s
-        sup = max(sup, float(np.max(np.abs(a[counts > 0]), initial=0.0)) * leads.sup)
-        lp_all += float(np.dot(counts, _abs_pow(a, p))) * leads.lp_integral(p)
+        sup = max(sup, float(np.max(np.abs(u.values[counts > 0]), initial=0.0)) * leads.sup)
+        lp_all += float(np.dot(counts, _abs_pow(u.values, p))) * leads.lp_integral(p)
     C, c = gn_constants(p, graph)
     slack_p, slack_inf = _gn_slacks(p, C, c, mass, ksq, lp_all, sup)
     degenerate = ksq <= 1e-13 * max(1.0, mass)
@@ -634,7 +631,7 @@ def el_residual(
     graph = mesh.graph
     if leads is not None:
         graph = leads.graph
-        dofs, _, _, s = _lead_anchors(u, leads)
+        dofs, _, s = _lead_anchors(u, leads)
         phi, psi, _ = leads.forms
         ksq += psi * s
         mass += phi * s

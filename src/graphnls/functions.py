@@ -159,11 +159,12 @@ class Mesh:
     def lead_anchors(self, graph: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
         """On this Mesh of the core of ``graph`` (ValueError for a mesh of
         another graph), the anchor dof of each half-line of ``graph``, in
-        its order, and the number of half-lines at each vertex dof."""
+        its order, and the number of half-lines at each dof (0 off the
+        vertices)."""
         if self.graph != graph.core:
             raise ValueError("closed-form leads need a function on a mesh of their graph's core")
         dofs = np.array([self.vertex_dof[e.tail] for e in graph.half_lines], dtype=np.intp)
-        return dofs, np.bincount(dofs, minlength=self.n_vertices).astype(float)
+        return dofs, np.bincount(dofs, minlength=self.n_dofs).astype(float)
 
     def mass_vector(self) -> np.ndarray:
         """Lumped (trapezoid) mass weights per dof."""
@@ -332,16 +333,12 @@ def _dots(a: np.ndarray, b: np.ndarray):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
-def _simpson(fa: np.ndarray, fm: np.ndarray, fb: np.ndarray, w: np.ndarray):
-    """Simpson sum of an integrand at each cell's ends (fa, fb) and midpoint
-    (fm), w = h/6: a float, or a column of one per row of a block
-    (:func:`_dots`)."""
-    return _dots(w, fa + 4.0 * fm + fb)
-
-
 def _simpson_abs_pow(a: np.ndarray, b: np.ndarray, h: np.ndarray, p: float) -> float:
-    """Per-cell Simpson integral of |u|^p over cells with endpoint values a, b."""
-    return _simpson(_abs_pow(a, p), _abs_pow(0.5 * (a + b), p), _abs_pow(b, p), h / 6.0)
+    """Per-cell Simpson integral of |u|^p over cells with endpoint values a, b:
+    [w | w | 4w].|[a | b | mid]|^p, w = h/6, as ``EnergyOperator.value`` sums it."""
+    w = h / 6.0
+    x = np.concatenate((a, b, 0.5 * (a + b)))
+    return float(np.concatenate((w, w, 4.0 * w)).dot(_abs_pow(x, p)))
 
 
 def lp_integral(u: GraphFunction, p: float, core_only: bool = True) -> float:

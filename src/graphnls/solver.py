@@ -15,14 +15,16 @@ The scheme is projected gradient descent on the mass sphere with an
 Armijo test that also demands a strict decrease. A trial point's energy
 and the accepted point's gradient each take one gather of the core's
 cells (:class:`EnergyOperator`). Directions are Sobolev gradients
-preconditioned by S + sigma*M (Henning & Peterseim), eliminated onto the
-core (the leads add Psi + sigma*Phi at their anchors), with sigma the
-current multiplier estimate floored at 1/r_cut^2. One banded LU of the
-core matrix, in the reverse Cuthill-McKee order of the core dofs (LAPACK's
-dgbtrf and dgbtrs), is refactored only when the estimate leaves
-[sigma/2, 2*sigma], a rule that also decides whether a stage keeps the
-previous stage's factor. A start's shift comes from its lead mass by a
-safeguarded Newton iteration (:func:`_lead_shift`).
+preconditioned by P = S + sigma*M (Henning & Peterseim, SIAM J. Numer.
+Anal. 58, 2020), eliminated onto the core (the leads add Psi + sigma*Phi
+at their anchors), with sigma the current multiplier estimate floored at
+1/r_cut^2, and made tangent to the mass sphere along u, or in P's metric
+where that floor binds. One banded LU of the core matrix, in the reverse
+Cuthill-McKee order of the core dofs (LAPACK's dgbtrf and dgbtrs), is
+refactored only when the estimate leaves [sigma/2, 2*sigma], a rule that
+also decides whether a stage keeps the previous stage's factor. A
+start's shift comes from its lead mass by a safeguarded Newton iteration
+(:func:`_lead_shift`).
 
 Runs from starts on one mesh descend together (:func:`_minimize_starts`;
 ``minimize`` is its one-start case): on the core Mesh that mesh keeps
@@ -347,9 +349,9 @@ def _shifted_factorizer(mesh: Mesh):
 # vector). (_START, i, u, 0, Phi, 0), a stage's start, is a trial of step 0
 # along a zero direction; (_TRIAL, i, u, t, Phi, pg) is the next trial of
 # its line search, whose direction is -pg; (_ITERATE, i, u, omega, Phi, Psi,
-# Phi - h/2, the stage's vertex weights) asks for the gradient there: the
-# gradient test weighs the vertices on the whole stage mesh, with the
-# anchors' half cells.
+# Phi - h/2, the stage's mass weights) asks for the gradient there: the
+# gradient test weighs the dofs on the whole stage mesh, with the anchors'
+# half cells.
 _START, _ITERATE, _TRIAL = "start", "iterate", "trial"
 
 
@@ -371,7 +373,7 @@ def _descend(
     closed-form profile, so the stage energy is E(u, omega) = 1/2 (u.S_K u
     + s Psi(omega)) - 1/p int_K |u|^p on the sphere M_K.u^2 + s Phi(omega)
     = mu, where s = sum_j a_j^2 over the leads' anchor values (A u.u, A =
-    ``counts`` the diagonal of lead counts on the vertex dofs). Its minimum
+    ``counts`` the diagonal of lead counts, 0 off the vertices). Its minimum
     is that of the truncated problem on the whole stage mesh.
 
     ``op`` evaluates the core terms on the core mesh and ``factor`` is
@@ -381,6 +383,10 @@ def _descend(
     depend on r_cut, so a stage takes the previous stage's core values,
     shift and factor as they are (the shift rule decides whether the factor
     stays).
+
+    A direction is made tangent to the sphere along u, or in the
+    preconditioner's metric where the floor 1/r_cut^2 binds its shift;
+    every vector form runs on whole core vectors.
 
     Each run is a coroutine (``descent`` below) with the loop of a lone
     descent, which asks for its vector work by requests and returns the
@@ -398,14 +404,13 @@ def _descend(
     run it would be alone; one run's block is its vector. Returns the
     runs' records in order."""
     mass_k = op.mass_vec
-    nv = op.mesh.n_vertices
-    mass_v, mass_e = mass_k[:nv], mass_k[nv:]
+    vertex_counts = counts[: op.mesh.n_vertices]
 
     def descent(i: int, u: np.ndarray, lead_mass: float):
         # One run's schedule, the loop of a lone descent. A _START or _TRIAL
         # request is answered with the trial's (value, s, u); an _ITERATE
         # with lam_hat, the block's part of the gradient test and its rows
-        # of the residual, weights and g.
+        # of the residual, W u and g.
         #
         # The preconditioner is the Schur complement of S + sigma*M on the
         # stage mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead
@@ -423,15 +428,14 @@ def _descend(
         for r_cut in config.r_cut_schedule:
             n, h = uniform_cells(r_cut, config.h_max)
             half_h = 0.5 * h
-            # the vertex dofs' mass weights on the whole stage mesh: the
-            # anchors' half cells too
-            mass_full_v = mass_v + half_h * counts
+            # the mass weights on the whole stage mesh, anchors' half cells too
+            mass_full = mass_k + half_h * counts
             shift_floor = 1.0 / r_cut**2
             omega_floor = 0.5 * _lowest_shift(n, h)
             if omega is None or lead_forms(omega, n, h) is None:
                 # the shift at which this stage's leads carry the lead mass;
                 # with every anchor at zero they carry nothing and start flat
-                s = float(np.dot(counts, u[:nv] ** 2))
+                s = float(counts.dot(u * u))
                 omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
             phi, psi, dphi = lead_forms(omega, n, h)
             e, s, u = yield _START, i, u, 0.0, phi, 0.0
@@ -449,7 +453,7 @@ def _descend(
                 # mesh, where the leads' nodes carry -(omega + lam_hat) M u and
                 # each anchor the lead's share of it beyond its half cell
                 tail = phi - half_h
-                lam_hat, core_sq, residual, weights, g = yield _ITERATE, i, u, omega, phi, psi, tail, mass_full_v
+                lam_hat, core_sq, residual, wu, g = yield _ITERATE, i, u, omega, phi, psi, tail, mass_full
                 drift = omega + lam_hat
                 grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
                 # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
@@ -467,12 +471,20 @@ def _descend(
                 if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
                     sigma = shift
                     phi_s, psi_s, _ = lead_forms(sigma, n, h)
-                    solve = factor(sigma, counts * (psi_s + sigma * phi_s))
+                    solve = factor(sigma, vertex_counts * (psi_s + sigma * phi_s))
                     factorizations += 1
-                # the preconditioned gradient, made tangent to the sphere; the
-                # search direction -pg is never formed (negation is exact)
+                # the preconditioned gradient, made tangent to the sphere (W u.pg
+                # = 0); the search direction -pg is never formed (negation is
+                # exact). At the floor the shift stays above the multiplier and
+                # a correction along u overshoots: there it is taken in P's
+                # metric, along z = P^-1 W u, for one more solve (Henning &
+                # Peterseim)
                 pg = solve(residual)
-                pg -= (float(weights.dot(pg * u)) / mu) * u
+                if shift == shift_floor:
+                    z = solve(wu)
+                    pg -= (float(wu.dot(pg)) / float(wu.dot(z))) * z
+                else:
+                    pg -= (float(wu.dot(pg)) / mu) * u
                 # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega
                 # + lam_hat) d_omega < 0 to the slope, its target kept above
                 # omega_floor so that trials stay admissible; where that floor
@@ -484,7 +496,7 @@ def _descend(
                 slope = lead_slope - float(g.dot(pg))
                 if slope >= 0.0:
                     # safeguard: fall back to the plain mass-weighted gradient
-                    pg = residual / weights
+                    pg = residual / (mass_k + phi * counts)
                     slope = lead_slope - float(g.dot(pg))
                 if slope >= 0.0:
                     converged = grad_norm < tol
@@ -540,14 +552,12 @@ def _descend(
 
     def project(v: np.ndarray, phi) -> tuple:
         # each row onto its sphere at its Phi, and its s = A w.w there
-        vv = v * v
-        m = _dots(mass_k, vv) + phi * _dots(counts, vv[..., :nv])
+        m = _dots(mass_k + phi * counts, v * v)
         block = isinstance(m, np.ndarray)
         if (m <= 0).any() if block else m <= 0:
             raise ValueError("cannot project the zero function onto the mass sphere")
         w = v * (np.sqrt(mu / m) if block else math.sqrt(mu / m))
-        a = w[..., :nv]
-        return w, _dots(counts, a * a)
+        return w, _dots(counts, w * w)
 
     def trial(requests: list[tuple]) -> list[tuple]:
         # the trial points at the runs' (u, t, Phi, pg) and their energies
@@ -560,28 +570,23 @@ def _descend(
 
     def gradient(requests: list[tuple]) -> list[tuple]:
         # the gradient at the runs' (u, omega, Phi, Psi, Phi - h/2,
-        # full-mesh vertex weights)
-        u, omega, phi, psi, tail, mass_full_v = _columns(requests)
-        u_v = u[..., :nv]
-        weights = np.empty_like(u)
-        weights[..., :nv] = mass_v + phi * counts
-        weights[..., nv:] = mass_e
+        # full-mesh mass weights)
+        u, omega, phi, psi, tail, mass_full = _columns(requests)
         g = op.gradient(u)
-        g_v = g[..., :nv]
-        g_v += psi * counts * u_v
+        g += psi * counts * u
         # strip the multiplier component before preconditioning: near a
         # constrained minimum g is dominated by lam*M*u, and preconditioning
         # that part yields directions with vanishing slope
         lam = _dots(g, u) / mu
-        residual = g - lam * (weights * u)
-        # the gradient test's part on the block: the lifted residual on the
-        # vertices and the mass-weighted gradient off them
-        full_v = residual[..., :nv] + (omega + lam) * tail * counts * u_v
-        tangent_e = residual[..., nv:] / mass_e
-        core_sq = _dots(mass_e, tangent_e * tangent_e) + _dots(full_v, full_v / mass_full_v)
+        wu = (mass_k + phi * counts) * u
+        residual = g - lam * wu
+        # the gradient test's part on the block: the lifted residual,
+        # weighted by the whole stage mesh's mass
+        full = residual + (omega + lam) * tail * counts * u
+        core_sq = _dots(full, full / mass_full)
         if len(requests) == 1:
-            return [(lam, core_sq, residual, weights, g)]
-        return list(zip(lam.ravel().tolist(), core_sq.ravel().tolist(), residual, weights, g))
+            return [(lam, core_sq, residual, wu, g)]
+        return list(zip(lam.ravel().tolist(), core_sq.ravel().tolist(), residual, wu, g))
 
     coros = [descent(i, u, lead_mass) for i, (u, lead_mass) in enumerate(runs)]
     records = [None] * len(runs)
