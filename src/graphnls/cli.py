@@ -2,8 +2,7 @@
 
 Subcommands cover the full workflow: validate a graph file, run a single
 constrained minimization, print threshold reports, search for nonexistence
-certificates, sweep a parameter axis into a phase-diagram CSV, and run the
-randomized property-check suites.
+certificates, and sweep a parameter axis into a phase-diagram CSV.
 
 Exit codes: 0 ok, 1 usage/validation, 2 certificate-not-found, 3 internal.
 CSV outputs are byte-identical for identical inputs, apart from the
@@ -20,7 +19,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checks import SUITES, run_checks
 from .energy import SCHEMA_VERSION, gn_constants, require_mu, require_p
 from .functions import Mesh, save_function
 from .graphs import (
@@ -428,27 +426,6 @@ def cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check
-
-
-def cmd_check(args) -> int:
-    names = None
-    if args.suite is not None:
-        names = [tok.strip() for tok in args.suite.split(",") if tok.strip()]
-        unknown = [n for n in names if n not in SUITES]
-        if unknown:
-            raise _UsageError(
-                f"unknown suite(s) {', '.join(unknown)}; available: {', '.join(SUITES)}"
-            )
-    results = run_checks(names, seed=args.seed, gn_c=args.gn_c)
-    for res in results:
-        print(res.summary())
-    failed = [res for res in results if not res.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
-    return EXIT_OK if not failed else EXIT_USAGE
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -518,22 +495,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sweep", help="run a parameter sweep into phase.csv")
     sp.add_argument("sweep", help="JSON sweep file (axis, grid, graph, solver)")
     sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("check", help="run the randomized property-check suites")
-    sp.add_argument(
-        "--suite",
-        default=None,
-        help=f"comma-separated suite names (default: all of {', '.join(SUITES)})",
-    )
-    sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sp.add_argument(
-        "--gn-c",
-        type=float,
-        default=None,
-        dest="gn_c",
-        help="override the sup-norm interpolation constant (fault injection)",
-    )
-    sp.set_defaults(func=cmd_check)
 
     return ap
 

@@ -194,10 +194,6 @@ def core_measure(graph: MetricGraph) -> float:
     return math.fsum(e.length for e in graph.core_edges)
 
 
-# canonical alias: "measure of the core" reads naturally both ways
-measure_core = core_measure
-
-
 def has_dead_end(graph: MetricGraph) -> bool:
     """True when some core edge is a bridge once every half-line is joined
     to one added vertex at infinity (its implicit head, ``None``).

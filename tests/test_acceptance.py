@@ -48,8 +48,9 @@ from graphnls import (
     threshold_exist,
     threshold_nonexist,
 )
-from graphnls.checks import _random_decaying, _sample_graphs
 from graphnls.energy import el_residual
+
+from _samples import random_decaying, sample_graphs
 
 
 def _report(n: int, detail: str) -> None:
@@ -156,12 +157,12 @@ def test_criterion_06_dirichlet_benchmark():
 
 def test_criterion_07_rearrangement_suite():
     rng = np.random.default_rng(7)
-    graphs = _sample_graphs()
+    graphs = sample_graphs()
     meshes = [Mesh(g, h_max=0.06, r_cut=4.0) for g in graphs]
     worst_eq, worst_slack = 0.0, math.inf
     for i in range(50):
         mesh = meshes[i % len(meshes)]
-        u = _random_decaying(mesh, rng)
+        u = random_decaying(mesh, rng)
         p = float(rng.uniform(2.2, 5.8))
         prof = decreasing_rearrangement(u)
         assert prof.is_nonincreasing()
@@ -217,7 +218,7 @@ def test_criterion_10_scaling_law():
     worst = 0.0
     for lam in (0.5, 2.0):
         for p in (3.0, 4.5):
-            u = project_mass(_random_decaying(mesh, rng), 1.0)
+            u = project_mass(random_decaying(mesh, rng), 1.0)
             sc = scaling_check(u, lam, p)
             worst = max(worst, sc.relative_gap)
             assert sc.relative_gap < 1e-3

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -21,9 +22,11 @@ from graphnls.energy import (
     lead_profile,
     require_p,
 )
-from graphnls.functions import _abs_pow, _simpson_abs_pow, GraphFunction, Mesh, interpolate, kinetic_energy, project_mass
+from graphnls.functions import _abs_pow, _simpson_abs_pow, GraphFunction, Mesh, interpolate, kinetic_energy, l2_norm_sq, project_mass
 from graphnls.graphs import MetricGraph, double_bridge, line_graph, metric_graph, star_graph
 from graphnls.solver import _lowest_shift, soliton_profile
+
+from _samples import random_decaying, sample_graphs
 
 
 def test_require_p_window():
@@ -141,6 +144,34 @@ def test_gn_equality_case_exponential():
     u = interpolate(mesh, lambda t: np.exp(-np.abs(t)), placement)
     _, slack_inf = gn_check(u, 4.0, c=1.0)
     assert abs(slack_inf) < 1e-3
+
+
+@functools.cache
+def sample_mesh(k: int) -> Mesh:
+    return Mesh(sample_graphs()[k], h_max=0.04, r_cut=9.0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(k=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), p=st.floats(2.5, 5.5))
+def test_gn_inequalities_bound_random_decaying_functions(k, seed, p):
+    # the graph's constants bound the L^p and sup norms, and through the
+    # L^p bound the energy: E >= K/2 - (C/p) mu^((p+2)/4) K^((p-2)/4)
+    u = random_decaying(sample_mesh(k), np.random.default_rng(seed))
+    slack_p, slack_inf = gn_check(u, p)
+    assert slack_p >= -1e-9 and slack_inf >= -1e-9
+    K, mu = kinetic_energy(u), l2_norm_sq(u)
+    C, _ = gn_constants(p, u.mesh.graph)
+    assert energy_value(u, p) >= 0.5 * K - (C / p) * mu ** ((p + 2.0) / 4.0) * K ** ((p - 2.0) / 4.0) - 1e-9
+
+
+def test_gn_check_detects_a_bad_sup_norm_constant():
+    # c = 0.5 is below every graph's sup-norm constant: on each sample graph
+    # some function that the graph's own constant bounds breaks it
+    rng = np.random.default_rng(0)
+    for k in range(3):
+        samples = [random_decaying(sample_mesh(k), rng) for _ in range(5)]
+        assert min(gn_check(u, 4.0)[1] for u in samples) >= -1e-9
+        assert min(gn_check(u, 4.0, c=0.5)[1] for u in samples) < 0.0
 
 
 def test_energy_report_degenerate_flag():

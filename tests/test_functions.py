@@ -95,6 +95,7 @@ def test_constant_mass_equals_measure():
     mesh = line_mesh(L=2.0, r=5.0)
     u = GraphFunction.constant(mesh, 1.0)
     assert l2_norm_sq(u) == pytest.approx(12.0, rel=1e-12)
+    assert float(mesh.mass_vector().sum()) == pytest.approx(12.0, rel=1e-12)
     assert l2_norm_sq(u, core_only=True) == pytest.approx(2.0, rel=1e-12)
     assert kinetic_energy(u) == 0.0
     assert linf_norm(u) == 1.0
@@ -187,6 +188,10 @@ def test_evaluate_interpolates_linearly():
     # midpoint of a cell gets the chord value, not the parabola value
     got = mesh.evaluate(vals, "core", 0.25)
     assert got == pytest.approx(0.5 * (0.0 + 0.25), rel=1e-12)
+    # a node gets its own value, on every edge
+    vals = np.arange(mesh.n_dofs, dtype=float)
+    for eid, coords in mesh.edge_coords.items():
+        assert np.array_equal(mesh.evaluate(vals, eid, coords), vals[mesh.edge_dofs[eid]])
 
 
 def test_save_load_round_trip(tmp_path):

@@ -17,7 +17,6 @@ from graphnls.graphs import (
     homothety,
     line_graph,
     load_graph,
-    measure_core,
     metric_graph,
     parse_graph_text,
     part_core_measure,
@@ -38,8 +37,8 @@ def test_line_graph_shape():
 
 
 def test_measure_core_alias():
-    g = double_bridge(0.7, 1.3)
-    assert measure_core(g) == core_measure(g) == 2.0
+    # two parallel core edges are summed
+    assert core_measure(double_bridge(0.7, 1.3)) == 2.0
 
 
 def test_has_dead_end():

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
-from graphnls import functions, solver
+from graphnls import cli, functions, solver
 from graphnls.energy import EnergyOperator, Leads, el_residual, energy_report
 from graphnls.functions import (
     GraphFunction,
@@ -38,7 +39,7 @@ from graphnls.functions import (
     project_mass,
     uniform_cells,
 )
-from graphnls.graphs import MetricGraph, core_measure, double_bridge, line_graph, load_graph, metric_graph, star_graph
+from graphnls.graphs import MetricGraph, core_measure, double_bridge, homothety, line_graph, load_graph, metric_graph, star_graph
 from graphnls.solver import (
     INCONCLUSIVE,
     NEGATIVE_MINIMUM,
@@ -1027,6 +1028,30 @@ def test_existence_dichotomy_zero_side():
     # no initializer may find a negative minimum where none exists
     for res in d.runs.values():
         assert res.verdict != NEGATIVE_MINIMUM
+
+
+# the soundness grid: every demo graph at every core scale and power, mu = 1
+SOUNDNESS_POWERS = (2.5, 3.0, 3.5, 4.0, 4.2, 4.5, 5.0)
+SOUNDNESS_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def test_no_negative_minimum_where_nonexistence_is_proven():
+    # below L2, or with a valid certificate, the paper rules a ground state
+    # out: no verdict at the default SolverConfig may claim one
+    ruled_out = []
+    for base in map(load_graph, DEMO_GRAPHS):
+        for p in SOUNDNESS_POWERS:
+            for scale in SOUNDNESS_SCALES:
+                graph = homothety(base, scale)
+                band = cli._band(graph, p, 1.0)[2]
+                certified = p >= 4.0 and certify_nonexistence(graph, p, 1.0).valid
+                # below L2 the whole graph is its own certificate
+                assert certified or band != "NONEXIST_BAND"
+                if certified:
+                    ruled_out.append((graph, p, band))
+    assert Counter(band for *_, band in ruled_out) == {"NONEXIST_BAND": 20, "GAP": 8}
+    for graph, p, _ in ruled_out:
+        assert existence_dichotomy(graph, 1.0, p).verdict != NEGATIVE_MINIMUM, (core_measure(graph), p)
 
 
 def test_postprocess_keeps_mass_and_positivity():

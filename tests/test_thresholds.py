@@ -72,6 +72,7 @@ def test_threshold_exist_p5_value():
 
 def test_const_cp_matches_independent_grouping():
     for p in (4.1, 4.5, 5.0, 5.5, 5.9):
+        assert 0.0 < const_Cp(p) < math.inf
         assert const_Cp(p) == pytest.approx(cp_direct(p), rel=1e-12)
 
 
@@ -235,6 +236,9 @@ def test_g_critical_point_against_scalar_minimizer():
         p = float(rng.uniform(4.05, 5.9))
         L = float(rng.uniform(0.3, 2.5))
         n = int(rng.integers(1, 4))
+        # g is strictly convex on (0, inf), so its critical point is its minimum
+        grid = np.linspace(0.2, 3.0, 40)
+        assert np.all(np.diff([competitor_mass_requirement(float(a), L, n, p) for a in grid], 2) > 0.0)
         cp = g_critical_point(L, 1.0, n, p)
         res = minimize_scalar(
             lambda a: competitor_mass_requirement(a, L, n, p),
@@ -272,6 +276,11 @@ def test_negative_competitor_exactly_above_threshold():
         assert not below.mass_feasible
         a = above.a_opt
         assert competitor_energy(a, l1 * 1.01, mu, n, p) < 0.0
+        # at p = 4 the energy is negative iff a^2 L < mu - N^2 / (2L), which
+        # above L1 = N^2 / (2 mu) holds at half the largest such amplitude
+        L = threshold_exist(4.0, mu, n) * 1.01
+        a = 0.5 * math.sqrt((mu - n**2 / (2.0 * L)) / L)
+        assert competitor_energy(a, L, mu, n, 4.0) < 0.0
 
 
 # certificates
@@ -574,6 +583,7 @@ def test_scaling_check_identity_and_gap():
             sc = scaling_check(u, lam, p)
             assert sc.relative_gap < 1e-3
             assert sc.mass_expected == pytest.approx(lam * 1.0, rel=1e-12)
+            assert sc.mass == pytest.approx(sc.mass_expected, rel=1e-6)
     assert scaling_check(u, 1.0, 3.0).relative_gap == 0.0
 
 
