@@ -12,7 +12,7 @@ truncations is what backs the verdict.
 
 import math
 
-from graphnls import core_measure, energy_report, gn_check, minimize, star_graph
+from graphnls import core_measure, energy_report, gn_check, gn_constants, minimize, star_graph
 
 graph = star_graph((3.0,), half_lines_per_terminal=2)
 print(f"graph: core measure {core_measure(graph):.1f}, "
@@ -41,14 +41,17 @@ print(f"  worst Kirchhoff residual: {max(el.kirchhoff_residuals.values()):.3e}")
 rep = energy_report(result.function, 4.0)
 print("\nenergy split:")
 print(f"  kinetic {rep.kinetic:.6f}  potential {rep.potential:.6f}")
-print(f"  report constants: c = {rep.gn_c:.6f} (dead end), slack_inf = {rep.gn_slack_inf:.6f}")
+C, c = gn_constants(4.0, graph)
+slack_p, slack_inf = gn_check(result.function, 4.0)
+print(f"  graph constants: C = {C:.6f}, c = {c:.6f} (dead end), "
+      f"slack_p = {slack_p:.6f}, slack_inf = {slack_inf:.6f}")
 
 # The broom is also a cautionary example for the interpolation inequalities.
 # The half-line constants (c = sqrt(2), C = c^(p-2)) hold on every graph
 # with a half-line. The sharper two-escape-route constants (c = 1) need two
 # edge-disjoint paths to infinity from the maximum point, and the broom's
 # dead-end tip has only one: the minimizer genuinely violates them. The
-# default report above already detects the dead end and uses c = sqrt(2),
+# graph's constants above already detect the dead end and use c = sqrt(2),
 # as the two explicit checks below compare.
 slack_p_safe, slack_inf_safe = gn_check(
     result.function, 4.0, C=2.0, c=math.sqrt(2.0)

@@ -194,6 +194,9 @@ def cmd_thresholds(args) -> int:
     require_mu(args.mu)
     if args.N < 1:
         raise _UsageError("N must be at least 1")
+    # caller-given constants are checked at every p, also below 4, where no
+    # threshold uses them
+    gn_constants(args.p, args.N, args.C, args.c)
     if args.p < 4.0:
         # below the L^2-critical power of the half-line problem the ground
         # state is attained for every mass and every core measure

@@ -13,9 +13,10 @@ evaluates it on a Mesh of the core subgraph and adds the leads in closed
 form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
 live here, and ``energy_report`` and ``el_residual`` account for such
 leads (:class:`Leads`) without meshing them, each lead term in O(1) work:
-Phi and Psi, the profile's sup and its inner nodes' mass in closed form,
-and Simpson's int |profile|^p by a few cells summed directly and
-Euler-Maclaurin on the rest (:meth:`Leads.lp_integral`).
+Phi and Psi, the profile's sup and its inner nodes' mass in closed form.
+The nonlinearity acts on the core alone, so no lead term needs int |u|^p;
+``gn_check`` computes the Gagliardo-Nirenberg slacks of a function on a
+mesh of the whole graph.
 """
 from __future__ import annotations
 
@@ -95,12 +96,7 @@ class EnergyReport:
     potential: float        # 1/p * int_K |u|^p
     mass: float
     linf: float
-    gn_slack_p: float
-    gn_slack_inf: float
-    gn_degenerate: bool
     p: float
-    gn_C: float
-    gn_c: float
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -302,38 +298,6 @@ def lead_profile(omega: float, n: int, h: float) -> np.ndarray:
     return _profile_at(omega, n, h, np.arange(n + 1))
 
 
-# Simpson's |profile|^p of a lead in O(1) (Leads.lp_integral): the cells
-# next to the anchor are summed directly, at their nodes and midpoints
-# (_HALF_CELLS), and the rest by Euler-Maclaurin. Its integral takes a
-# 12-point Gauss-Legendre rule (nodes and weights on [-1, 1]) on each of
-# up to 64 panels of widths 1, 2, 4, ... in units of the first:
-# _PANEL_X holds their nodes from the panels' common end and _PANEL_W
-# their weights, panel by panel. Its corrections take the Bernoulli
-# numbers B_2 .. B_24.
-_DIRECT_CELLS = 16
-_HALF_CELLS = np.arange(2 * _DIRECT_CELLS + 1) / 2.0
-_GAUSS_HALF = (
-    (0.1252334085114689, 0.2491470458134027),
-    (0.3678314989981802, 0.2334925365383546),
-    (0.5873179542866175, 0.20316742672306573),
-    (0.7699026741943047, 0.16007832854334642),
-    (0.9041172563704748, 0.10693932599531907),
-    (0.9815606342467192, 0.04717533638651141),
-)
-_GAUSS_X = np.array([-x for x, _ in reversed(_GAUSS_HALF)] + [x for x, _ in _GAUSS_HALF])
-_GAUSS_W = np.array([w for _, w in reversed(_GAUSS_HALF)] + [w for _, w in _GAUSS_HALF])
-_MAX_PANELS = 64
-_PANEL_HALF = 2.0 ** np.arange(-1, _MAX_PANELS - 1)[:, None]  # each panel's half width
-_PANEL_X = (3.0 * _PANEL_HALF - 1.0 + _PANEL_HALF * _GAUSS_X).ravel()
-_PANEL_W = (_PANEL_HALF * _GAUSS_W).ravel()
-_BERNOULLI = (
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
-    7 / 6, -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
-)
-# per correction j: 2^(3-2j) - 2, and B_2j / (2j)
-_EULER_MACLAURIN = tuple((2.0 ** (3 - 2 * j) - 2.0, b / (2 * j)) for j, b in enumerate(_BERNOULLI, 1))
-
-
 @dataclass(frozen=True)
 class Leads:
     """The half-lines of ``graph`` in closed form, for a function given on
@@ -410,77 +374,6 @@ class Leads:
         nodes = _profile_at(self.omega, self.n, self.h, np.arange(min(self.n, 2) + 1))
         return _edge_end_derivative(nodes, self.h, start=True)
 
-    def lp_integral(self, p: float) -> float:
-        """Simpson int |profile|^p over the lead, cell by cell as on a
-        meshed lead, in O(1) work, equal to that sum to rounding.
-
-        With F = cosh and z = theta (F = cos and z = phi when omega < 0)
-        and x the distance from the free end in cells, the nodes are
-        g(x)^(1/p), g(x) = (F(x z) / F(n z))^p, and a cell's midpoint is
-        F(z/2) g(x + 1/2)^(1/p). The _DIRECT_CELLS cells next to the anchor
-        are summed directly. On the x0 = n - _DIRECT_CELLS cells left, the
-        node and midpoint sums are int_0^x0 g plus Euler-Maclaurin
-        corrections at x0 alone: g is even about the free end, so its odd
-        derivatives vanish there, and the end values cancel. The integral
-        takes the Gauss rule on panels doubling in width from x0 toward
-        the free end, the first no wider than g's local scale
-        1 / (z max(p, 1 / (pi/2 - x0 z))) (no pi/2 term for cosh). The
-        derivatives of g at x0 come from the Taylor coefficients of
-        (F((x0 + t) z) / F(x0 z))^p, a power of C(t z) + T S(t z) with
-        T = tanh(x0 z) (T = -tan(x0 z) for cos), and the corrections stop
-        once a term falls below rounding of the sum. A steep cell's
-        profile has dropped below rounding before x0, and next to a
-        growing profile's pole the direct cells keep x0 at least 16 cells
-        away from it; the sum agrees with the direct Simpson pass to
-        about 1e-15 relative (tests/test_solver.py)."""
-        omega, n, h = self.omega, self.n, self.h
-        z = _lead_angle(omega, h)
-        k = min(n, _DIRECT_CELLS)
-        x0 = n - k
-        if omega >= 0.0:
-            sign, t0, rate = 1.0, math.tanh(x0 * z), p * z
-            log_half = math.log1p(2.0 * math.sinh(0.25 * z) ** 2)  # log cosh(z/2)
-        else:
-            sign, t0 = -1.0, -math.tan(x0 * z)
-            rate = z * max(p, 1.0 / (0.5 * math.pi - x0 * z))
-            log_half = math.log1p(-2.0 * math.sin(0.25 * z) ** 2)  # log cos(z/2)
-        c1 = math.expm1(p * log_half)  # F(z/2)^p - 1
-        c = 1.0 + c1
-        # panels of [0, x0] in cells from x0, the first of width at most
-        # 1 / rate (64 panels reach 2^64 / rate cells)
-        panels = min(_MAX_PANELS, max(1, math.ceil(math.log2(rate * x0 + 1.0))))
-        width = x0 / (2.0**panels - 1.0)
-        at = np.concatenate((_HALF_CELLS[: 2 * k + 1], k + width * _PANEL_X[: 12 * panels]))
-        pw = _abs_pow(_profile_at(omega, n, h, at), p)
-        cells, g0 = pw[: 2 * k + 1], float(pw[2 * k])
-        integral = width * float(pw[2 * k + 1 :].dot(_PANEL_W[: 12 * panels]))
-        # h/6 times: the direct cells' Simpson sum, then 2 (nodes) + 4 c
-        # (midpoints) times the integral
-        total = 2.0 * float(cells[::2].sum()) - float(cells[0]) - g0 + 4.0 * c * float(cells[1::2].sum())
-        total += (2.0 + 4.0 * c) * integral
-        # Euler-Maclaurin: g^(m)(x0) B_2j / (2j)!, m = 2j - 1, times 2
-        # (nodes) and -4 c (1 - 2^(1-2j)) (midpoints, B_2j(1/2)), with
-        # g^(m)(x0) = g0 m! a_m: the Taylor coefficients a_m of q^p, where
-        # q_m = z^m / m! times T for odd m, signs alternating in pairs for
-        # cos, come from m a_m = sum_i ((p + 1) i - m) q_i a_(m-i)
-        q, a, e, m = [1.0], [1.0], 1.0, 0
-        for node_midpoint, bernoulli in _EULER_MACLAURIN:
-            for odd in (True, False):
-                m += 1
-                e *= z / m if odd else sign * z / m
-                q.append(t0 * e if odd else e)
-                s = 0.0
-                for i in range(1, m + 1):
-                    s += ((p + 1.0) * i - m) * q[i] * a[m - i]
-                a.append(s / m)
-                if odd:
-                    # 2 - 4 c (1 - 2^(1-2j)), with no cancellation at j = 1
-                    term = (c * node_midpoint - 2.0 * c1) * bernoulli * g0 * a[m]
-                    total += term
-                    if abs(term) <= _EPS * total:
-                        return h / 6.0 * total
-        return h / 6.0 * total
-
 
 def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, float]:
     """The leads' anchor dofs and counts A on ``u``'s mesh and s = A u.u,
@@ -490,8 +383,9 @@ def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarra
 
 
 def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> EnergyReport:
-    """Full energy accounting for one function, including GN slacks with
-    the graph's constants (:func:`gn_constants`).
+    """Energy accounting for one function: the energy, its kinetic and
+    potential terms, the mass and the sup. Its GN slacks are
+    :func:`gn_check`'s.
 
     With ``leads``, ``u`` lives on a mesh of the core and the half-lines
     are those closed-form leads, as at the end of the solver's last stage.
@@ -503,48 +397,22 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
       stage energy's order, so it is that energy bit for bit;
     - the sup is the larger of the core's and max_j |a_j| times the
       profile's, ``leads.sup`` (1, or 1 / cos(n phi) when omega < 0),
-      exact to rounding;
-    - int |u|^p over the whole graph adds sum_j |a_j|^p times
-      ``leads.lp_integral(p)``, the lead's Simpson sum to about 1e-15
-      relative.
-
-    The GN constants are those of ``leads.graph``.
+      exact to rounding.
     """
     require_p(p)
     ksq = kinetic_energy(u)
-    lp_core = lp_integral(u, p, core_only=True)
-    pot = lp_core / p
+    pot = lp_integral(u, p, core_only=True) / p
     energy = 0.5 * ksq - pot
     mass = l2_norm_sq(u)
     sup = linf_norm(u)
-    # on a mesh without lead cells both sums run over the same cells
-    lp_all = lp_core if u.mesh.cell_core.all() else lp_integral(u, p, core_only=False)
-    graph = u.mesh.graph
     if leads is not None:
-        graph = leads.graph
         _, counts, s = _lead_anchors(u, leads)
         phi, psi, _ = leads.forms
         energy += 0.5 * psi * s
         ksq += psi * s
         mass += phi * s
         sup = max(sup, float(np.max(np.abs(u.values[counts > 0]), initial=0.0)) * leads.sup)
-        lp_all += float(np.dot(counts, _abs_pow(u.values, p))) * leads.lp_integral(p)
-    C, c = gn_constants(p, graph)
-    slack_p, slack_inf = _gn_slacks(p, C, c, mass, ksq, lp_all, sup)
-    degenerate = ksq <= 1e-13 * max(1.0, mass)
-    return EnergyReport(
-        total_energy=energy,
-        kinetic=0.5 * ksq,
-        potential=pot,
-        mass=mass,
-        linf=sup,
-        gn_slack_p=slack_p,
-        gn_slack_inf=slack_inf,
-        gn_degenerate=degenerate,
-        p=p,
-        gn_C=C,
-        gn_c=c,
-    )
+    return EnergyReport(total_energy=energy, kinetic=0.5 * ksq, potential=pot, mass=mass, linf=sup, p=p)
 
 
 def energy_value(u: GraphFunction, p: float) -> float:
@@ -556,34 +424,23 @@ def energy_gradient(u: GraphFunction, p: float) -> GraphFunction:
     return u.with_values(op.gradient(u.values))
 
 
-def _gn_slacks(
-    p: float, C: float, c: float, mass: float, ksq: float, lp_all: float, sup: float
+def gn_check(
+    u: GraphFunction, p: float, C: float | None = None, c: float | None = None
 ) -> tuple[float, float]:
-    """Interpolation-inequality slacks from the squared L2 norm ``mass``,
-    the Dirichlet integral ``ksq``, the whole-graph ``lp_all`` = ||u||_p^p
-    and the sup ``sup``:
+    """Interpolation-inequality slacks, by default with the graph's
+    :func:`gn_constants`; nonnegative when the constants are valid for the
+    graph and u decays into the truncation:
 
     slack_p   = C ||u||_2^(p/2+1) ||u'||_2^(p/2-1) - ||u||_p^p
     slack_inf = c ||u||_2^(1/2) ||u'||_2^(1/2)     - ||u||_inf
     """
-    norm2 = math.sqrt(max(mass, 0.0))
-    dnorm = math.sqrt(max(ksq, 0.0))
-    slack_p = C * norm2 ** (p / 2.0 + 1.0) * dnorm ** (p / 2.0 - 1.0) - lp_all
-    slack_inf = c * math.sqrt(norm2) * math.sqrt(dnorm) - sup
-    return float(slack_p), float(slack_inf)
-
-
-def gn_check(
-    u: GraphFunction, p: float, C: float | None = None, c: float | None = None
-) -> tuple[float, float]:
-    """Interpolation-inequality slacks (:func:`_gn_slacks`; nonnegative when
-    the constants are valid for the graph and u decays into the
-    truncation), by default with the graph's :func:`gn_constants`."""
     require_p(p)
     C, c = gn_constants(p, u.mesh.graph, C, c)
-    return _gn_slacks(
-        p, C, c, l2_norm_sq(u), kinetic_energy(u), lp_integral(u, p, core_only=False), linf_norm(u)
-    )
+    norm2 = math.sqrt(max(l2_norm_sq(u), 0.0))
+    dnorm = math.sqrt(max(kinetic_energy(u), 0.0))
+    slack_p = C * norm2 ** (p / 2.0 + 1.0) * dnorm ** (p / 2.0 - 1.0) - lp_integral(u, p, core_only=False)
+    slack_inf = c * math.sqrt(norm2) * math.sqrt(dnorm) - linf_norm(u)
+    return float(slack_p), float(slack_inf)
 
 
 def _edge_end_derivative(vals: np.ndarray, h: float, start: bool) -> float:

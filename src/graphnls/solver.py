@@ -99,6 +99,8 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _ENERGY_TOL = 1e-5
 _STALL_WINDOW = 10
+# the gradient norm a stage must reach, relative to max(1, |lam| sqrt(mu))
+_GRAD_TOL = 1e-7
 # relative rounding level of an energy value, where the line search stops
 _EPS = float(np.finfo(float).eps)
 # energies within this relative distance of the lowest count as equal when
@@ -111,7 +113,6 @@ _SMOOTHING_PASSES = 5
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    grad_tol: float = 1e-7
     r_cut_schedule: tuple[float, ...] = (10.0, 20.0, 40.0)
     h_max: float = 0.02
 
@@ -121,10 +122,8 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        # NaN tolerances never stop a stage, infinite spacings give one-cell
-        # meshes
-        for name in ("grad_tol", "h_max"):
-            require_positive(getattr(self, name), name)
+        # an infinite spacing gives one-cell meshes
+        require_positive(self.h_max, "h_max")
         sched = tuple(self.r_cut_schedule)
         # float() also reads a bool, and each digit of a string "12"; a
         # numpy bool is no numbers.Real
@@ -458,9 +457,9 @@ def _descend(
                 grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
                 # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
                 # a strongly bound state cannot resolve its gradient below
-                # rounding of that term, so an absolute grad_tol would never be
-                # met there
-                tol = config.grad_tol * max(1.0, abs(lam_hat) * math.sqrt(mu))
+                # rounding of that term, so an absolute tolerance would never
+                # be met there
+                tol = _GRAD_TOL * max(1.0, abs(lam_hat) * math.sqrt(mu))
                 stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
                 if grad_norm < tol and stagnant:
                     converged = True
@@ -493,11 +492,10 @@ def _descend(
                 lead_slope = -0.5 * s * dphi * drift * d_omega
                 if lead_slope > 0.0:
                     d_omega = lead_slope = 0.0
+                # P is positive definite, so the slope is lead_slope - r.P^-1 r
+                # <= 0 on either tangent branch: it reaches 0 only where the
+                # residual r vanishes to rounding
                 slope = lead_slope - float(g.dot(pg))
-                if slope >= 0.0:
-                    # safeguard: fall back to the plain mass-weighted gradient
-                    pg = residual / (mass_k + phi * counts)
-                    slope = lead_slope - float(g.dot(pg))
                 if slope >= 0.0:
                     converged = grad_norm < tol
                     stop = "no_descent"

@@ -372,6 +372,10 @@ def test_sweep_ignores_an_old_spec_seed(tmp_path, broom_file):
         # caller-given GN constants: a nan c gave a nan L2 with exit 0
         pytest.param(["thresholds", "--p", "4.5", "--c", "nan"], None, "nan", id="thresholds-c-nan"),
         pytest.param(["thresholds", "--p", "4.5", "--C", "inf"], None, "inf", id="thresholds-C-inf"),
+        # below p = 4 the report is unconditional, and the constants went
+        # unchecked with exit 0
+        pytest.param(["thresholds", "--p", "3", "--c", "nan"], None, "nan", id="thresholds-p3-c-nan"),
+        pytest.param(["thresholds", "--p", "3", "--C", "inf"], None, "inf", id="thresholds-p3-C-inf"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, spec, named):
@@ -400,9 +404,10 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, broom_file, capsys, argv, 
             "h_max must be finite and positive, got True",
             id="solver-h_max",
         ),
+        # the gradient tolerance is fixed: the key is unknown
         pytest.param(
             {"axis": "core_scale", "grid": [1.0], "solver": {"grad_tol": True}},
-            "grad_tol must be finite and positive, got True",
+            "unexpected keyword argument 'grad_tol'",
             id="solver-grad_tol",
         ),
         pytest.param(
