@@ -155,22 +155,12 @@ def test_criterion_06_dirichlet_benchmark():
     _report(6, f"line={val_line:.6f} in [0.99,1.02]; half-line={val_half:.6f} in [0.2475,0.255]")
 
 
-def _uniform_noise(mesh, rng):
-    """Raw uniform noise in [0, 1), damped by e^{-2x} on the half-lines."""
-    vals = rng.uniform(0.0, 1.0, mesh.n_dofs)
-    for eid, dofs in mesh.edge_dofs.items():
-        if mesh.graph.edges_by_id[eid].is_half_line:
-            vals[dofs] *= np.exp(-2.0 * mesh.edge_coords[eid])
-    return GraphFunction(mesh, vals)
-
-
 def test_criterion_07_rearrangement_suite():
-    # 50 random_decaying samples at r = 2 and a random p, and 15 of raw
-    # uniform noise at r = 2 and 3, over the three sample shapes
+    # 50 random_decaying samples at r = 2 and a random p over the three
+    # sample shapes; raw uniform noise is test_rearrangement_random_suite's
     rng = np.random.default_rng(7)
     meshes = [Mesh(g, h_max=0.06, r_cut=4.0) for g in sample_graphs()]
     samples = [(random_decaying(meshes[i % 3], rng), float(rng.uniform(2.2, 5.8))) for i in range(50)]
-    samples += [(_uniform_noise(meshes[i % 3], rng), 3.0) for i in range(15)]
     worst_eq, worst_slack = 0.0, math.inf
     for u, p in samples:
         graph = u.mesh.graph

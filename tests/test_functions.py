@@ -259,3 +259,25 @@ def test_rearrangement_of_monotone_profile_is_itself():
     assert prof.kinetic_energy() <= kinetic_energy(u) + 1e-10
     # already nonincreasing: kinetic energy is preserved, not just bounded
     assert prof.kinetic_energy() == pytest.approx(kinetic_energy(u), rel=1e-6)
+
+
+def test_rearrangement_random_suite():
+    rng = np.random.default_rng(7)
+    shapes = [line_graph(1.0), double_bridge(0.7, 1.3), star_graph((0.5, 0.8, 1.1))]
+    for graph in shapes:
+        mesh = Mesh(graph, h_max=0.05, r_cut=4.0)
+        total = sum(e.length for e in graph.edges if e.in_core) + graph.n_half_lines * 4.0
+        for _ in range(5):
+            vals = rng.uniform(0.0, 1.0, mesh.n_dofs)
+            for eid, dofs in mesh.edge_dofs.items():
+                if mesh.graph.edges_by_id[eid].is_half_line:
+                    vals[dofs] = vals[dofs] * np.exp(-2.0 * mesh.edge_coords[eid])
+            u = GraphFunction(mesh, vals)
+            prof = decreasing_rearrangement(u)
+            assert prof.is_nonincreasing()
+            assert prof.measure() == pytest.approx(total, rel=1e-8)
+            for r in (2.0, 3.0):
+                assert prof.abs_power_integral(r) == pytest.approx(
+                    abs_power_integral(u, r), rel=1e-8, abs=1e-30
+                )
+            assert kinetic_energy(u) - prof.kinetic_energy() >= -1e-10
