@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .energy import SCHEMA_VERSION, gn_constants, require_mu, require_p
-from .functions import Mesh, save_function
+from .functions import save_function
 from .graphs import (
     MetricGraph,
     Partition,
@@ -37,6 +37,7 @@ from .solver import (
     initializer_random,
     initializer_soliton,
     minimize,
+    start_mesh,
 )
 from .thresholds import (
     certify_nonexistence,
@@ -119,14 +120,6 @@ def _solver_config(args) -> SolverConfig:
     updates: dict = {}
     if args.h is not None:
         updates["h_max"] = args.h
-    if args.rcut is not None:
-        try:
-            schedule = tuple(float(tok) for tok in args.rcut.split(",") if tok.strip())
-        except ValueError:
-            raise _UsageError(f"--rcut expects comma-separated numbers, got {args.rcut!r}")
-        if not schedule:
-            raise _UsageError("--rcut schedule is empty")
-        updates["r_cut_schedule"] = schedule
     if args.max_iters is not None:
         updates["max_iters"] = args.max_iters
     return SolverConfig(**updates)
@@ -141,11 +134,11 @@ def cmd_minimize(args) -> int:
 
     if (args.init_edge is not None or args.init_offset is not None) and args.init != "soliton":
         raise _UsageError("--init-edge/--init-offset require --init soliton")
-    # the start is sampled on the first stage's mesh; the competitor is
-    # minimize's own default start
+    # the start is sampled on the start mesh; the competitor is minimize's
+    # own default start
     initial = None
     if args.init != "competitor":
-        mesh = Mesh(graph, h_max=cfg.h_max, r_cut=cfg.r_cut_schedule[0])
+        mesh = start_mesh(graph, cfg.h_max)
         if args.init == "soliton":
             initial = initializer_soliton(
                 graph, args.mu, args.p, mesh, center_edge=args.init_edge, center_offset=args.init_offset
@@ -179,10 +172,14 @@ def cmd_minimize(args) -> int:
 
     save_function(result.function, out_dir / "state.csv")
 
-    print(f"verdict: {result.verdict}")
+    print(f"verdict: {_verdict_text(result.verdict)}")
     print(f"energy: {result.energy!r}")
     print(f"wrote {out_dir / 'result.json'}, trace.csv, state.csv")
     return EXIT_OK
+
+
+def _verdict_text(verdict: str) -> str:
+    return f"{verdict} (evidence only)" if verdict == ZERO_INFIMUM_SUSPECTED else verdict
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +324,9 @@ class SweepSpec:
             require_mu(mu)
         if axis != "p":
             require_p(p)
-        # "threads" and "seed" keys from older specs are ignored: points run
-        # serially, from deterministic starts. A seed that is not an integer
-        # was never a valid spec and stays a usage error.
+        # "threads" and "seed" keys from older specs are ignored (points run
+        # serially, from deterministic starts), and so is the solver's
+        # "r_cut_schedule"; the seed and the schedule are still validated.
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise _UsageError(f"seed must be an integer, got {seed!r}")
@@ -411,7 +408,7 @@ def cmd_sweep(args) -> int:
     (spec.out_dir / "sweep_log.json").write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
 
     for value, e_min, verdict, l1, l2, band in rows:
-        print(f"{spec.axis}={value!r}: {verdict} E_min={e_min!r} band={band}")
+        print(f"{spec.axis}={value!r}: {_verdict_text(verdict)} E_min={e_min!r} band={band}")
     print(f"wrote {out_path}, sweep_log.json")
 
     unsound = [
@@ -454,11 +451,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=float, default=4.0, help="nonlinearity power in (2,6)")
     sp.add_argument("--h", type=float, default=None, help="target mesh width")
     sp.add_argument(
-        "--rcut",
-        default=None,
-        help="comma-separated half-line truncation schedule, e.g. 10,20,40",
-    )
-    sp.add_argument(
         "--init",
         choices=("competitor", "soliton", "random"),
         default="competitor",
@@ -472,7 +464,7 @@ def build_parser() -> _Parser:
         help="soliton center offset along --init-edge",
     )
     sp.add_argument("--seed", type=int, default=0, help="seed for the random initializer")
-    sp.add_argument("--max-iters", type=int, default=None, help="iteration cap per stage")
+    sp.add_argument("--max-iters", type=int, default=None, help="iteration cap of the descent")
     sp.add_argument("--out", default="run_out", help="output directory for artifacts")
     sp.set_defaults(func=cmd_minimize)
 

@@ -382,10 +382,19 @@ def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarra
     return dofs, counts, float(counts.dot(u.values * u.values))
 
 
-def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> EnergyReport:
+def core_sums(u: GraphFunction, p: float) -> tuple[float, float, float]:
+    """The Dirichlet integral, int_K |u|^p and the mass of ``u`` on its
+    mesh, which :func:`energy_report` and :func:`el_residual` both sum."""
+    return kinetic_energy(u), lp_integral(u, p, core_only=True), l2_norm_sq(u)
+
+
+def energy_report(
+    u: GraphFunction, p: float, leads: Leads | None = None, sums: tuple[float, float, float] | None = None
+) -> EnergyReport:
     """Energy accounting for one function: the energy, its kinetic and
     potential terms, the mass and the sup. Its GN slacks are
-    :func:`gn_check`'s.
+    :func:`gn_check`'s. ``sums`` are ``core_sums(u, p)`` when the caller
+    has them.
 
     With ``leads``, ``u`` lives on a mesh of the core and the half-lines
     are those closed-form leads, as at the end of the solver's last stage.
@@ -400,10 +409,9 @@ def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> Ene
       exact to rounding.
     """
     require_p(p)
-    ksq = kinetic_energy(u)
-    pot = lp_integral(u, p, core_only=True) / p
+    ksq, lp, mass = sums or core_sums(u, p)
+    pot = lp / p
     energy = 0.5 * ksq - pot
-    mass = l2_norm_sq(u)
     sup = linf_norm(u)
     if leads is not None:
         _, counts, s = _lead_anchors(u, leads)
@@ -454,7 +462,7 @@ def _edge_end_derivative(vals: np.ndarray, h: float, start: bool) -> float:
 
 
 def el_residual(
-    u: GraphFunction, p: float, uniform_nonlinearity: bool = False, leads: Leads | None = None
+    u: GraphFunction, p: float, uniform_nonlinearity: bool = False, leads: Leads | None = None, sums=None
 ) -> ELReport:
     """Stationarity diagnostics for the constrained problem.
 
@@ -477,14 +485,17 @@ def el_residual(
     anchor with a times ``leads.anchor_slope``, the one-sided derivative
     from the profile's first three nodes, those of a meshed lead bit for
     bit.
+
+    ``sums`` are ``core_sums(u, p)`` when the caller has them, as the
+    solver has from its report (not with ``uniform_nonlinearity``).
     """
     require_p(p)
     if leads is not None and uniform_nonlinearity:
         raise ValueError("closed-form leads carry no nonlinearity")
     mesh = u.mesh
-    ksq = kinetic_energy(u)
-    pot_int = lp_integral(u, p, core_only=not uniform_nonlinearity)
-    mass = l2_norm_sq(u)
+    if sums is None:
+        sums = kinetic_energy(u), lp_integral(u, p, core_only=not uniform_nonlinearity), l2_norm_sq(u)
+    ksq, pot_int, mass = sums
     graph = mesh.graph
     if leads is not None:
         graph = leads.graph

@@ -1,49 +1,48 @@
-"""Mass-constrained energy minimization on truncated metric graphs.
+"""Mass-constrained energy minimization on metric graphs with half-line leads.
 
-Every truncation stage is solved on the compact core alone. On a lead the
-discrete problem is linear, so the stage minimizer's lead values are the
-closed-form profile a cosh((n - i) theta) / cosh(n theta) of the anchor
-value a and the shift omega (minus the multiplier), cosh(theta) = 1 +
-omega h^2/2; a lead carries mass s Phi(omega) and Dirichlet integral
-s Psi(omega), s summing the squared anchor values over the leads. A stage
-descends on the core dofs and the one shift omega that all leads share;
-its energy and verdict are those of the truncated problem on the whole
-stage mesh. The result keeps the last stage's state as core values and
-closed-form leads (:class:`graphnls.energy.Leads`).
+A run descends once, with its leads cut at R (:func:`problem_scales`): with
+a = sqrt(mu/L) the plateau that holds the mass on a core of measure L, the
+verdict's rounding bound is 64 eps times the energy scale mu a^(p-2), and
+R puts the flat state's energy (L/p) (mu/(N R + L))^(p/2) far below it.
+The scales, the bound, R and every tolerance rescale with the problem under
+:func:`graphnls.graphs.homothety`. A converged run that ends below minus
+the bound is NEGATIVE_MINIMUM; one that does not is ZERO_INFIMUM_SUSPECTED,
+evidence only; a run that does not converge is INCONCLUSIVE.
+
+The run is solved on the compact core alone. On a lead the discrete
+problem is linear, so the minimizer's lead values are the closed-form
+profile a cosh((n - i) theta) / cosh(n theta) of the anchor value a and
+the shift omega (minus the multiplier), cosh(theta) = 1 + omega h^2/2; a
+lead carries mass s Phi(omega) and Dirichlet integral s Psi(omega), s
+summing the squared anchor values over the leads, and n enters only as a
+number. A run descends on the core dofs and the one shift omega that all
+leads share. The result keeps the state as core values and closed-form
+leads (:class:`graphnls.energy.Leads`), and n theta, their decay over R.
 
 The scheme is projected gradient descent on the mass sphere with an
-Armijo test that also demands a strict decrease. A trial point's energy
-and the accepted point's gradient each take one gather of the core's
-cells (:class:`EnergyOperator`). Directions are Sobolev gradients
-preconditioned by P = S + sigma*M (Henning & Peterseim, SIAM J. Numer.
-Anal. 58, 2020), eliminated onto the core (the leads add Psi + sigma*Phi
-at their anchors), with sigma the current multiplier estimate floored at
-1/r_cut^2, and made tangent to the mass sphere along u, or in P's metric
-where that floor binds. One banded LU of the core matrix, in the reverse
-Cuthill-McKee order of the core dofs (LAPACK's dgbtrf and dgbtrs), is
-refactored only when the estimate leaves [sigma/2, 2*sigma], a rule that
-also decides whether a stage keeps the previous stage's factor. A
-start's shift comes from its lead mass by a safeguarded Newton iteration
-(:func:`_lead_shift`).
+Armijo test that also demands a strict decrease. Directions are Sobolev
+gradients preconditioned by P = S + sigma*M (Henning & Peterseim, SIAM J.
+Numer. Anal. 58, 2020), eliminated onto the core, with sigma the current
+multiplier estimate floored at a fixed fraction of a^(p-2), and made
+tangent to the mass sphere along u, or in P's metric where that floor
+binds. One banded LU of the core matrix (LAPACK's dgbtrf and dgbtrs) is
+refactored only when the estimate leaves [sigma/2, 2*sigma].
 
 Runs from starts on one mesh descend together (:func:`_minimize_starts`;
 ``minimize`` is its one-start case): on the core Mesh that mesh keeps
 (``Mesh.core_mesh``), with one operator and one factorizer, each run
-factoring its own preconditioner. Each run's scalars and decisions over
-its whole schedule are one coroutine with the loop of a lone descent,
-which asks for its vector work (a stage's start, a trial, a gradient) by
+factoring its own preconditioner. Each run is one coroutine with the loop
+of a lone descent, which asks for its vector work (a trial, a gradient) by
 requests that carry its core values, and returns its record; one flat
 loop (:func:`_descend`) serves the requests waiting in blocks that stack
-the runs' core values, trials first, then gradients, then stage starts,
-so the runs start each stage together. Every reduction is its own row's
-1-D dot, so each run is, bit for bit, the run of its start alone. One
-start's block is its vector, and its columns of scalars are plain floats.
+the runs' core values, trials first. Every reduction is its own row's 1-D
+dot, so each run is, bit for bit, the run of its start alone.
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
-step only while the predicted decrease is above one ulp of the energy.
-Each stage records why it stopped and how many trials its searches
-rejected (``MinimizationResult.stages``); a run counts its factors
+step only while the predicted decrease is above one ulp of the energy. A
+run records why it stopped and how many trials its searches rejected
+(``MinimizationResult.stages``, one row), and counts its factors
 (``MinimizationResult.factorizations``).
 """
 from __future__ import annotations
@@ -66,7 +65,9 @@ from .energy import (
     EnergyOperator,
     EnergyReport,
     Leads,
+    _lead_angle,
     _profile_at,
+    core_sums,
     el_residual,
     energy_report,
     lead_forms,
@@ -91,21 +92,33 @@ NEGATIVE_MINIMUM = "NEGATIVE_MINIMUM"
 ZERO_INFIMUM_SUSPECTED = "ZERO_INFIMUM_SUSPECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# fixed descent parameters: first trial step, Armijo constant, backtrack
-# factor, and the energy drop a stage must stay below over _STALL_WINDOW
-# iterations to stop
+# Every tolerance is a fixed multiple of the problem's scales (problem_scales).
+# Fixed descent parameters: first trial step, Armijo constant, backtrack
+# factor, and the iterations over which a run's energy must drop by no more
+# than the rounding bound for its gradient test to stop it
 _STEP0 = 1.0
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
-_ENERGY_TOL = 1e-5
 _STALL_WINDOW = 10
-# the gradient norm a stage must reach, relative to max(1, |lam| sqrt(mu))
+# the gradient norm a run must reach, relative to sqrt(mu) times the larger
+# of the multiplier scale and |lam|
 _GRAD_TOL = 1e-7
 # relative rounding level of an energy value, where the line search stops
 _EPS = float(np.finfo(float).eps)
-# energies within this relative distance of the lowest count as equal when
-# existence_dichotomy picks its best start, so rounding does not flip it
-_ENERGY_TIE = 64 * _EPS
+# the verdict's rounding bound, over the energy scale; energies within it
+# of the lowest count as equal when existence_dichotomy picks its best
+# start, so rounding does not flip the pick
+_ROUNDING = 64 * _EPS
+# the flat state's energy at the cut, over the rounding bound
+_CUT_MARGIN = 2.0**-6
+# the preconditioner's least shift, over the multiplier scale
+_SHIFT_FLOOR = 1e-4
+# the starts' mesh cuts its leads at this multiple of the core measure
+_START_CUT = 10.0
+# the lifted state's leads end where their profile falls below e^-_DISPLAY_DECAY
+# (1e-16) of the anchor, after at most _DISPLAY_CELLS cells
+_DISPLAY_DECAY = 16.0 * math.log(10.0)
+_DISPLAY_CELLS = 2**14
 # neighbor-averaging passes that smooth the random starting state
 _SMOOTHING_PASSES = 5
 
@@ -113,11 +126,12 @@ _SMOOTHING_PASSES = 5
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
+    # deprecated and ignored (a run derives its cut), still validated
     r_cut_schedule: tuple[float, ...] = (10.0, 20.0, 40.0)
     h_max: float = 0.02
 
     def __post_init__(self):
-        # a bool is an int: max_iters=True would run one-iteration stages
+        # a bool is an int: max_iters=True would run one-iteration descents
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
@@ -135,6 +149,30 @@ class SolverConfig:
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("r_cut_schedule must be strictly increasing and nonempty")
         object.__setattr__(self, "r_cut_schedule", sched)
+
+
+def problem_scales(graph: MetricGraph, mu: float, p: float) -> tuple[float, float, float]:
+    """(multiplier scale, rounding bound, cut) of the problem.
+
+    With a = sqrt(mu/L) the plateau that holds the whole mass on the core
+    of measure L, the multiplier scale is a^(p-2) and the energy scale mu
+    a^(p-2), p times the plateau's potential term. The bound is _ROUNDING
+    times the energy scale, and the cut R puts the flat state's energy
+    (L/p) (mu/(N R + L))^(p/2) at _CUT_MARGIN times the bound: R = L ((p
+    _CUT_MARGIN _ROUNDING)^(-2/p) - 1) / N, free of mu. Under homothety by
+    f = lam^((2-p)/(6-p)) at mass lam mu the multiplier scale goes as
+    f^-2, the bound as the energy, lam^((2+p)/(6-p)), and R as f."""
+    ell = core_measure(graph)
+    lam_scale = (mu / ell) ** (0.5 * (p - 2.0))
+    r_cut = ell * ((p * _CUT_MARGIN * _ROUNDING) ** (-2.0 / p) - 1.0) / graph.n_half_lines
+    return lam_scale, _ROUNDING * mu * lam_scale, r_cut
+
+
+def start_mesh(graph: MetricGraph, h_max: float) -> Mesh:
+    """The mesh the default starts are sampled on, its leads cut at
+    _START_CUT core measures: a start is reduced to its core values and
+    lead mass anyway (:func:`_start`)."""
+    return Mesh(graph, h_max=h_max, r_cut=_START_CUT * core_measure(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -261,42 +299,15 @@ def _lowest_shift(n: int, h: float) -> float:
     return -((2.0 * math.sin(0.25 * math.pi / n) / h) ** 2)
 
 
-def _lead_shift(ratio: float, n: int, h: float) -> float:
-    """The shift at which a lead carries mass ``ratio`` per unit squared
-    anchor value (Phi(omega) = ratio), by Newton's method on
-    g = (Phi - h/2)^(-1/2), concave and increasing in omega (README), from
-    the untruncated lead's root theta = atanh(h / (2 ratio)), or from 0
-    when the flat lead's mass n h is short of the ratio. A step out of the
-    bracket of shifts evaluated takes the chord through the bracket's lower
-    end instead (its midpoint when only rounding sent it up). A ratio at or
-    below the anchor's half cell gets a shift whose lead is empty to
-    rounding."""
+def _lead_shift(ratio: float, h: float) -> float:
+    """The shift at which an untruncated lead of cells ``h`` carries mass
+    ``ratio`` per unit squared anchor value: Phi = h coth(theta) / 2, so
+    theta = atanh(h / (2 ratio)); a lead of n cells differs by a relative
+    O(e^(-2 n theta)). A ratio at or below the anchor's half cell gets a
+    shift whose lead is empty to rounding."""
     if not ratio > 0.5 * h:
         return (2.0 * math.sinh(64.0) / h) ** 2
-    target = (ratio - 0.5 * h) ** -0.5
-    # Phi > ratio at lo, where g is g_lo (0 at the lowest shift), Phi <= ratio at hi
-    lo, g_lo, hi = _lowest_shift(n, h), 0.0, math.inf
-    omega = (2.0 * math.sinh(0.5 * math.atanh(0.5 * h / ratio)) / h) ** 2 if ratio < n * h else 0.0
-    best = (math.inf, omega)
-    for _ in range(64):
-        # no state at the lowest shift, to rounding: Phi is infinite there
-        phi, _, dphi = lead_forms(omega, n, h) or (math.inf, 0.0, 0.0)
-        best = min(best, (abs(phi - ratio), omega))
-        if best[0] <= _EPS * ratio:
-            break
-        g = (phi - 0.5 * h) ** -0.5 if phi > 0.5 * h else math.inf
-        if phi > ratio:
-            lo, g_lo = omega, g
-        else:
-            hi = omega
-        slope = -0.5 * g**3 * dphi  # dg/domega
-        new = omega + (target - g) / slope if 0.0 < slope < math.inf else math.nan
-        if not lo < new < hi:
-            new = lo + (omega - lo) * (target - g_lo) / (g - g_lo) if omega == hi else 0.5 * (lo + hi)
-        if not lo < new < hi or new == omega:
-            break
-        omega = new
-    return best[1]
+    return (2.0 * math.sinh(0.5 * math.atanh(0.5 * h / ratio)) / h) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +355,11 @@ def _shifted_factorizer(mesh: Mesh):
 #
 # A run asks the driver for its vector work by requests (kind, i, u,
 # *arguments), i its place among the runs and u its core values: its start,
-# or a row of the trial block that made them (a lone run's trial is its
-# vector). (_START, i, u, 0, Phi, 0), a stage's start, is a trial of step 0
-# along a zero direction; (_TRIAL, i, u, t, Phi, pg) is the next trial of
-# its line search, whose direction is -pg; (_ITERATE, i, u, omega, Phi, Psi,
-# Phi - h/2, the stage's mass weights) asks for the gradient there: the
-# gradient test weighs the dofs on the whole stage mesh, with the anchors'
-# half cells.
-_START, _ITERATE, _TRIAL = "start", "iterate", "trial"
+# or a row of the trial block that made them. (_TRIAL, i, u, t, Phi, pg) is
+# the next trial of its line search, whose direction is -pg (its start is
+# the trial of step 0 along a zero direction); (_ITERATE, i, u, omega, Phi,
+# Psi, Phi - h/2) asks for the gradient there.
+_ITERATE, _TRIAL = "iterate", "trial"
 
 
 def _columns(requests: list[tuple]) -> tuple:
@@ -365,188 +373,173 @@ def _columns(requests: list[tuple]) -> tuple:
 
 
 def _descend(
-    op: EnergyOperator, factor, counts: np.ndarray, runs: list[tuple[np.ndarray, float]], mu: float, config: SolverConfig
+    op: EnergyOperator,
+    factor,
+    counts: np.ndarray,
+    runs: list[tuple[np.ndarray, float]],
+    mu: float,
+    config: SolverConfig,
+    scales: tuple[float, float, float],
 ) -> list[tuple]:
-    """Every run over the truncation schedule, each stage descended on the
-    core dofs and its lead shift omega: the leads are eliminated by their
-    closed-form profile, so the stage energy is E(u, omega) = 1/2 (u.S_K u
-    + s Psi(omega)) - 1/p int_K |u|^p on the sphere M_K.u^2 + s Phi(omega)
-    = mu, where s = sum_j a_j^2 over the leads' anchor values (A u.u, A =
-    ``counts`` the diagonal of lead counts, 0 off the vertices). Its minimum
-    is that of the truncated problem on the whole stage mesh.
+    """Every run descended on the core dofs and its lead shift omega at the
+    cut of ``scales`` (:func:`problem_scales`): the leads are eliminated
+    by their closed-form profile, so the energy is E(u, omega) = 1/2
+    (u.S_K u + s Psi(omega)) - 1/p int_K |u|^p on the sphere M_K.u^2 + s
+    Phi(omega) = mu, where s = sum_j a_j^2 over the leads' anchor values
+    (A u.u, A = ``counts`` the diagonal of lead counts, 0 off the
+    vertices). Its minimum is that of the problem cut at R on a mesh of
+    the whole graph, each lead meshed by :func:`uniform_cells`.
 
     ``op`` evaluates the core terms on the core mesh and ``factor`` is
-    that mesh's :func:`_shifted_factorizer`; each lead is cut at the
-    stage's r_cut and meshed by :func:`uniform_cells`. Each run starts from
-    its core values and lead mass in ``runs``. The core numbering does not
-    depend on r_cut, so a stage takes the previous stage's core values,
-    shift and factor as they are (the shift rule decides whether the factor
-    stays).
-
-    A direction is made tangent to the sphere along u, or in the
-    preconditioner's metric where the floor 1/r_cut^2 binds its shift;
-    every vector form runs on whole core vectors.
+    that mesh's :func:`_shifted_factorizer`. Each run starts from its core
+    values and lead mass in ``runs``, at the untruncated lead's shift for
+    that mass.
 
     Each run is a coroutine (``descent`` below) with the loop of a lone
     descent, which asks for its vector work by requests and returns the
     run's record: (u, omega, lead mass, gradient norm, converged, trace,
-    r_cut table, stages, factorizations), its last stage's state with that
-    stage's gradient norm, convergence and trace, a row of the table and of
-    the stages per stage, and its factors over the schedule. A stage stops
-    by "gradient" (the gradient test passed), "no_descent" (no descent
-    direction left), "line_search" (no acceptable step) or "max_iters".
-    This loop serves the requests in blocks of the runs' core values, each
-    a stack of their rows: every trial waiting, as one block; if none
-    waits, every gradient; if none waits either, every stage start, so the
-    runs start each stage together. Every reduction is its own row's 1-D
-    dot (:func:`graphnls.functions._dots`), so each run is, bit for bit, the
-    run it would be alone; one run's block is its vector. Returns the
-    runs' records in order."""
+    stage, factorizations), its stage the row (r_cut, iterations,
+    backtracks, stop). A run stops by "gradient" (the gradient test
+    passed), "no_descent" (no descent direction left), "line_search" (no
+    acceptable step) or "max_iters". This loop serves the requests in
+    blocks of the runs' core values: every trial waiting, as one block; if
+    none waits, every gradient. Every reduction is its own row's 1-D dot
+    (:func:`graphnls.functions._dots`), so each run is, bit for bit, the
+    run it would be alone. Returns the runs' records in order."""
     mass_k = op.mass_vec
     vertex_counts = counts[: op.mesh.n_vertices]
+    lam_scale, bound, r_cut = scales
+    n, h = uniform_cells(r_cut, config.h_max)
+    half_h = 0.5 * h
+    # the mass weights on the whole cut mesh, anchors' half cells too
+    mass_full = mass_k + half_h * counts
+    # The preconditioner is the Schur complement of S + sigma*M on the cut
+    # mesh at sigma ~ -lam_hat: with a fixed S + M the slow tail modes
+    # contract only by about lam/(k^2 + 1) per step. The floor keeps it
+    # positive definite, and clear of S's rounding, at any cut.
+    shift_floor = _SHIFT_FLOOR * lam_scale
+    omega_floor = 0.5 * _lowest_shift(n, h)
+    grad_tol = _GRAD_TOL * math.sqrt(mu)
 
     def descent(i: int, u: np.ndarray, lead_mass: float):
-        # One run's schedule, the loop of a lone descent. A _START or _TRIAL
-        # request is answered with the trial's (value, s, u); an _ITERATE
-        # with lam_hat, the block's part of the gradient test and its rows
-        # of the residual, W u and g.
-        #
-        # The preconditioner is the Schur complement of S + sigma*M on the
-        # stage mesh, S_K + sigma*M_K plus (Psi + sigma*Phi)(sigma) per lead
-        # at its anchor, at sigma ~ -lam_hat: with a fixed S + M the slow
-        # tail modes contract only by about lam/(k^2 + 1) per step. 1/r_cut^2
-        # floors the shift so the operator stays positive definite while
-        # lam_hat >= 0. One banded LU is refactored only when the estimate
-        # leaves [sigma/2, 2*sigma]; a stage starts with the previous stage's
-        # factor, whose leads' terms are the shorter cut's, and the rule
-        # decides there too.
-        omega, sigma, solve = None, 0.0, None
+        # One run, the loop of a lone descent. A _TRIAL request is answered
+        # with the trial's (value, s, u); an _ITERATE with lam_hat, the
+        # block's part of the gradient test and its rows of the residual,
+        # W u and g.
+        sigma, solve = 0.0, None
         factorizations = 0
-        table: list[tuple[float, float, int, bool]] = []
-        stages: list[tuple[float, int, int, str]] = []
-        for r_cut in config.r_cut_schedule:
-            n, h = uniform_cells(r_cut, config.h_max)
-            half_h = 0.5 * h
-            # the mass weights on the whole stage mesh, anchors' half cells too
-            mass_full = mass_k + half_h * counts
-            shift_floor = 1.0 / r_cut**2
-            omega_floor = 0.5 * _lowest_shift(n, h)
-            if omega is None or lead_forms(omega, n, h) is None:
-                # the shift at which this stage's leads carry the lead mass;
-                # with every anchor at zero they carry nothing and start flat
-                s = float(counts.dot(u * u))
-                omega = _lead_shift(lead_mass / s, n, h) if s > 0.0 else 0.0
-            phi, psi, dphi = lead_forms(omega, n, h)
-            e, s, u = yield _START, i, u, 0.0, phi, 0.0
-            energy = e + 0.5 * psi * s
-            trace: list[tuple[int, float, float, float]] = []
-            window = deque([energy], maxlen=_STALL_WINDOW + 1)
-            grad_norm = math.inf
-            converged = False
-            stop = "max_iters"
-            backtracks = 0
-            t0 = _STEP0
-            it = 0
-            for it in range(1, config.max_iters + 1):
-                # the gradient test reads the lifted state on the whole stage
-                # mesh, where the leads' nodes carry -(omega + lam_hat) M u and
-                # each anchor the lead's share of it beyond its half cell
-                tail = phi - half_h
-                lam_hat, core_sq, residual, wu, g = yield _ITERATE, i, u, omega, phi, psi, tail, mass_full
-                drift = omega + lam_hat
-                grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
-                # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
-                # a strongly bound state cannot resolve its gradient below
-                # rounding of that term, so an absolute tolerance would never
-                # be met there
-                tol = _GRAD_TOL * max(1.0, abs(lam_hat) * math.sqrt(mu))
-                stagnant = len(window) > _STALL_WINDOW and window[0] - energy < _ENERGY_TOL
-                if grad_norm < tol and stagnant:
-                    converged = True
-                    stop = "gradient"
-                    break
+        # the shift at which the leads carry the lead mass; with every
+        # anchor at zero they carry nothing and start flat
+        s = float(counts.dot(u * u))
+        omega = _lead_shift(lead_mass / s, h) if s > 0.0 else 0.0
+        phi, psi, dphi = lead_forms(omega, n, h)
+        e, s, u = yield _TRIAL, i, u, 0.0, phi, np.zeros_like(u)
+        energy = e + 0.5 * psi * s
+        trace: list[tuple[int, float, float, float]] = []
+        window = deque([energy], maxlen=_STALL_WINDOW + 1)
+        grad_norm = math.inf
+        converged = False
+        stop = "max_iters"
+        backtracks = 0
+        t0 = _STEP0
+        it = 0
+        for it in range(1, config.max_iters + 1):
+            # the gradient test reads the lifted state on the whole cut
+            # mesh, where the leads' nodes carry -(omega + lam_hat) M u and
+            # each anchor the lead's share of it beyond its half cell
+            tail = phi - half_h
+            lam_hat, core_sq, residual, wu, g = yield _ITERATE, i, u, omega, phi, psi, tail
+            drift = omega + lam_hat
+            grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
+            # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
+            # a strongly bound state cannot resolve its gradient below
+            # rounding of that term, so a tolerance on the scale alone
+            # would never be met there
+            tol = grad_tol * max(lam_scale, abs(lam_hat))
+            stagnant = len(window) > _STALL_WINDOW and window[0] - energy <= bound
+            if grad_norm < tol and stagnant:
+                converged = True
+                stop = "gradient"
+                break
 
-                shift = max(-lam_hat, shift_floor)
-                if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
-                    sigma = shift
-                    phi_s, psi_s, _ = lead_forms(sigma, n, h)
-                    solve = factor(sigma, vertex_counts * (psi_s + sigma * phi_s))
-                    factorizations += 1
-                # the preconditioned gradient, made tangent to the sphere (W u.pg
-                # = 0); the search direction -pg is never formed (negation is
-                # exact). At the floor the shift stays above the multiplier and
-                # a correction along u overshoots: there it is taken in P's
-                # metric, along z = P^-1 W u, for one more solve (Henning &
-                # Peterseim)
-                pg = solve(residual)
-                if shift == shift_floor:
-                    z = solve(wu)
-                    pg -= (float(wu.dot(pg)) / float(wu.dot(z))) * z
-                else:
-                    pg -= (float(wu.dot(pg)) / mu) * u
-                # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega
-                # + lam_hat) d_omega < 0 to the slope, its target kept above
-                # omega_floor so that trials stay admissible; where that floor
-                # would turn the step uphill, omega stays
-                d_omega = max(-lam_hat, omega_floor) - omega
-                lead_slope = -0.5 * s * dphi * drift * d_omega
-                if lead_slope > 0.0:
-                    d_omega = lead_slope = 0.0
-                # P is positive definite, so the slope is lead_slope - r.P^-1 r
-                # <= 0 on either tangent branch: it reaches 0 only where the
-                # residual r vanishes to rounding
-                slope = lead_slope - float(g.dot(pg))
-                if slope >= 0.0:
-                    converged = grad_norm < tol
-                    stop = "no_descent"
-                    break
+            shift = max(-lam_hat, shift_floor)
+            if solve is None or not 0.5 * sigma <= shift <= 2.0 * sigma:
+                sigma = shift
+                phi_s, psi_s, _ = lead_forms(sigma, n, h)
+                solve = factor(sigma, vertex_counts * (psi_s + sigma * phi_s))
+                factorizations += 1
+            # the preconditioned gradient, made tangent to the sphere (W u.pg
+            # = 0); the search direction -pg is never formed (negation is
+            # exact). At the floor the shift stays above the multiplier and
+            # a correction along u overshoots: there it is taken in P's
+            # metric, along z = P^-1 W u, for one more solve (Henning &
+            # Peterseim)
+            pg = solve(residual)
+            if shift == shift_floor:
+                z = solve(wu)
+                pg -= (float(wu.dot(pg)) / float(wu.dot(z))) * z
+            else:
+                pg -= (float(wu.dot(pg)) / mu) * u
+            # omega steps toward -lam_hat, adding -1/2 s Phi'(omega) (omega
+            # + lam_hat) d_omega < 0 to the slope, its target kept above
+            # omega_floor so that trials stay admissible; where that floor
+            # would turn the step uphill, omega stays
+            d_omega = max(-lam_hat, omega_floor) - omega
+            lead_slope = -0.5 * s * dphi * drift * d_omega
+            if lead_slope > 0.0:
+                d_omega = lead_slope = 0.0
+            # P is positive definite, so the slope is lead_slope - r.P^-1 r
+            # <= 0 on either tangent branch: it reaches 0 only where the
+            # residual r vanishes to rounding
+            slope = lead_slope - float(g.dot(pg))
+            if slope >= 0.0:
+                converged = grad_norm < tol
+                stop = "no_descent"
+                break
 
-                t = t0
-                accepted = False
-                # halve t only while the predicted decrease t*|slope| is above
-                # one ulp of the energy: below it a trial passes only on
-                # rounding noise
-                rounding = _EPS * abs(energy)
-                while t > 1e-16 and t * -slope > rounding:
-                    w_omega = omega + t * d_omega
-                    forms = lead_forms(w_omega, n, h)
-                    # a shift at or below the lead's lowest is no state: reject it
-                    if forms is not None:
-                        e, s_w, w = yield _TRIAL, i, u, t, forms[0], pg
-                        e_new = e + 0.5 * forms[1] * s_w
-                        # strict decrease too: an equal energy would let the
-                        # stage creep on with vanishing steps until max_iters
-                        if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
-                            accepted = True
-                            break
-                    t *= _BACKTRACK
-                    backtracks += 1
-                if not accepted:
-                    # line search exhausted: descent direction no longer useful
-                    # at this precision, treat as converged only if the
-                    # gradient agrees
-                    converged = grad_norm < 10.0 * tol
-                    stop = "line_search"
-                    break
-                # the next search starts at the minimizer of the parabola
-                # through E(0), the slope and E(t), never below _STEP0, when
-                # this search took its first trial and the parabola curves
-                # upward; else at _STEP0
-                curvature = e_new - energy - t * slope
-                if t == t0 and curvature > 0.0:
-                    t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
-                else:
-                    t0 = _STEP0
-                omega, s, u = w_omega, s_w, w
-                phi, psi, dphi = forms
-                energy = e_new
-                trace.append((it, energy, grad_norm, t))
-                window.append(energy)
-            lead_mass = s * phi
-            table.append((r_cut, energy, it, converged))
-            stages.append((r_cut, it, backtracks, stop))
+            t = t0
+            accepted = False
+            # halve t only while the predicted decrease t*|slope| is above
+            # one ulp of the energy: below it a trial passes only on
+            # rounding noise
+            rounding = _EPS * abs(energy)
+            while t > 1e-16 and t * -slope > rounding:
+                w_omega = omega + t * d_omega
+                forms = lead_forms(w_omega, n, h)
+                # a shift at or below the lead's lowest is no state: reject it
+                if forms is not None:
+                    e, s_w, w = yield _TRIAL, i, u, t, forms[0], pg
+                    e_new = e + 0.5 * forms[1] * s_w
+                    # strict decrease too: an equal energy would let the
+                    # run creep on with vanishing steps until max_iters
+                    if e_new < energy and e_new <= energy + _ARMIJO * t * slope:
+                        accepted = True
+                        break
+                t *= _BACKTRACK
+                backtracks += 1
+            if not accepted:
+                # line search exhausted: descent direction no longer useful
+                # at this precision, treat as converged only if the
+                # gradient agrees
+                converged = grad_norm < 10.0 * tol
+                stop = "line_search"
+                break
+            # the next search starts at the minimizer of the parabola
+            # through E(0), the slope and E(t), never below _STEP0, when
+            # this search took its first trial and the parabola curves
+            # upward; else at _STEP0
+            curvature = e_new - energy - t * slope
+            if t == t0 and curvature > 0.0:
+                t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
+            else:
+                t0 = _STEP0
+            omega, s, u = w_omega, s_w, w
+            phi, psi, dphi = forms
+            energy = e_new
+            trace.append((it, energy, grad_norm, t))
+            window.append(energy)
         # a copy: a row would keep its whole trial block
-        return u.copy(), omega, lead_mass, grad_norm, converged, trace, table, stages, factorizations
+        return u.copy(), omega, s * phi, grad_norm, converged, trace, (r_cut, it, backtracks, stop), factorizations
 
     def project(v: np.ndarray, phi) -> tuple:
         # each row onto its sphere at its Phi, and its s = A w.w there
@@ -567,9 +560,8 @@ def _descend(
         return list(zip(e.ravel().tolist(), s.ravel().tolist(), w))
 
     def gradient(requests: list[tuple]) -> list[tuple]:
-        # the gradient at the runs' (u, omega, Phi, Psi, Phi - h/2,
-        # full-mesh mass weights)
-        u, omega, phi, psi, tail, mass_full = _columns(requests)
+        # the gradient at the runs' (u, omega, Phi, Psi, Phi - h/2)
+        u, omega, phi, psi, tail = _columns(requests)
         g = op.gradient(u)
         g += psi * counts * u
         # strip the multiplier component before preconditioning: near a
@@ -579,7 +571,7 @@ def _descend(
         wu = (mass_k + phi * counts) * u
         residual = g - lam * wu
         # the gradient test's part on the block: the lifted residual,
-        # weighted by the whole stage mesh's mass
+        # weighted by the whole cut mesh's mass
         full = residual + (omega + lam) * tail * counts * u
         core_sq = _dots(full, full / mass_full)
         if len(requests) == 1:
@@ -589,8 +581,8 @@ def _descend(
     coros = [descent(i, u, lead_mass) for i, (u, lead_mass) in enumerate(runs)]
     records = [None] * len(runs)
     # the runs' requests waiting, by kind, each in the order it was asked
-    trials, gradients, starts = [], [], []
-    queues = {_TRIAL: trials, _ITERATE: gradients, _START: starts}
+    trials, gradients = [], []
+    queues = {_TRIAL: trials, _ITERATE: gradients}
     served = [((None, i), None) for i in range(len(runs))]  # to make each run's first request
     while True:
         # each run served takes its reply and asks again, until it is done
@@ -602,9 +594,7 @@ def _descend(
                 records[i] = done.value
                 continue
             queues[request[0]].append(request)
-        # a stage start waits until no run has a trial or a gradient left,
-        # so the runs start each stage together
-        queue = trials or gradients or starts
+        queue = trials or gradients
         if not queue:
             return records
         requests = queue.copy()
@@ -626,8 +616,8 @@ def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:
 
 @dataclass
 class MinimizationResult:
-    # the last stage's state: its core values (|u| where it had a negative
-    # value) and its leads, each its anchor's value times ``leads.profile``
+    # the state: its core values (|u| where it had a negative value) and
+    # its leads, each its anchor's value times ``leads.profile``
     core: GraphFunction
     leads: Leads
     energy: float
@@ -635,8 +625,7 @@ class MinimizationResult:
     report: EnergyReport
     energy_trace: list[float]
     trace: list[tuple[int, float, float, float]]
-    r_cut_table: list[tuple[float, float, int, bool]]  # (r_cut, energy, iterations, converged)
-    stages: list[tuple[float, int, int, str]]  # (r_cut, iterations, backtracks, stop)
+    stages: list[tuple[float, int, int, str]]  # one row: (r_cut, iterations, backtracks, stop)
     converged: bool
     iterations: int
     grad_norm: float
@@ -646,37 +635,59 @@ class MinimizationResult:
     lead_mass: float
     # LU factors of the preconditioner over the run (not in to_dict)
     factorizations: int
+    # the verdict's rounding bound (problem_scales)
+    bound: float
+    # graphnls.energy.core_sums of the state, for the report and residuals
+    core_sums: tuple[float, float, float] = field(repr=False, default=None)
 
     @cached_property
     def el(self) -> ELReport:
         """The Euler-Lagrange residuals of the state, computed on first
-        read."""
-        return el_residual(self.core, self.p, leads=self.leads)
+        read from the report's core sums."""
+        return el_residual(self.core, self.p, leads=self.leads, sums=self.core_sums)
 
     @property
     def lead_shift(self) -> float:  # omega, minus the multiplier the leads decay with
         return self.leads.omega
 
+    @property
+    def r_cut(self) -> float:
+        return self.stages[0][0]
+
+    @property
+    def n_theta(self) -> float:
+        """The leads' decay over the cut, their profile ending near
+        e^-(n theta) (0 for omega <= 0): >> 1 for a bound state."""
+        leads = self.leads
+        return leads.n * _lead_angle(leads.omega, leads.h) if leads.omega > 0.0 else 0.0
+
     @cached_property
     def function(self) -> GraphFunction:
-        """The state on the last stage's mesh, built on first read."""
-        graph, core = self.leads.graph, self.core
-        mesh = Mesh(graph, h_max=core.mesh.h_max, r_cut=self.r_cut_table[-1][0])
+        """The state on a mesh of the whole graph, built on first read, its
+        leads on their own cells up to where the profile falls below 1e-16
+        of the anchor, at most _DISPLAY_CELLS of them: for a bound state,
+        the state to rounding."""
+        graph, core, leads = self.leads.graph, self.core, self.leads
+        theta = _lead_angle(leads.omega, leads.h) if leads.omega > 0.0 else 0.0
+        cells = min(leads.n, _DISPLAY_CELLS)
+        if theta > 0.0:
+            cells = min(cells, math.ceil(_DISPLAY_DECAY / theta))
+        mesh = Mesh(graph, h_max=core.mesh.h_max, r_cut=cells * leads.h)
         values = np.empty(mesh.n_dofs)
         for eid, dofs in core.mesh.edge_dofs.items():
             values[mesh.edge_dofs[eid]] = core.values[dofs]
+        profile = _profile_at(leads.omega, leads.n, leads.h, np.arange(cells + 1))
         for e in graph.half_lines:
             dofs = mesh.edge_dofs[e.id]
-            values[dofs] = values[dofs[0]] * self.leads.profile
+            values[dofs] = values[dofs[0]] * profile
         return GraphFunction(mesh, values)
 
     @property
     def min_node_value(self) -> float:
-        """The least value of :attr:`function`, in O(1) work per lead:
-        anchors are >= 0 and rounding monotone, so a lead's is its least
-        anchor times the profile's least, which is its free end (node n)
-        for omega > 0 and its anchor otherwise. At long cuts the free end
-        underflows to 0."""
+        """The least nodal value of the state over the whole cut, in O(1)
+        work per lead: anchors are >= 0 and rounding monotone, so a lead's
+        is its least anchor times the profile's least, at its free end
+        (underflowing to 0 at long cuts) for omega > 0, else its anchor."""
         values, leads = self.core.values, self.leads
         anchors = values[self.core.mesh.lead_anchors(leads.graph)[0]]
         least = _profile_at(leads.omega, leads.n, leads.h, np.array(leads.n)) if leads.omega > 0.0 else 1.0
@@ -684,9 +695,8 @@ class MinimizationResult:
 
     @property
     def strictly_positive(self) -> bool:
-        """Every core value, anchors included, is > 0: the closed-form lead
-        profile is positive for every admissible shift, so the state is
-        positive in exact arithmetic, also where :attr:`min_node_value`
+        """Every core value, anchors included, is > 0: the lead profile is
+        positive at every admissible shift, also where :attr:`min_node_value`
         underflows."""
         return float(self.core.values.min()) > 0.0
 
@@ -702,81 +712,68 @@ class MinimizationResult:
                 "min_node_value": self.min_node_value,
                 "strictly_positive": self.strictly_positive,
                 "mu": self.mu,
-                "r_cut_table": [list(row) for row in self.r_cut_table],
+                "r_cut": self.r_cut,
+                "bound": self.bound,
+                "n_theta": self.n_theta,
             }
         )
         return d
 
 
-def _verdict(table: list[tuple[float, float, int, bool]], energy_tol: float) -> str:
-    if not all(row[3] for row in table):
+def _verdict(energy: float, converged: bool, bound: float) -> str:
+    """INCONCLUSIVE unless the run converged; then NEGATIVE_MINIMUM below
+    minus the bound, ZERO_INFIMUM_SUSPECTED (evidence only) otherwise."""
+    if not converged:
         return INCONCLUSIVE
-    energies = [row[1] for row in table]
-    e_last = energies[-1]
-    if len(energies) >= 2:
-        rel = abs(energies[-1] - energies[-2]) / max(abs(energies[-1]), 1e-300)
-        if e_last < -10.0 * energy_tol and rel < 0.01:
-            return NEGATIVE_MINIMUM
-    increasing = all(b >= a - 1e-15 for a, b in zip(energies, energies[1:]))
-    if increasing and e_last <= energy_tol:
-        if abs(e_last) < energy_tol:
-            return ZERO_INFIMUM_SUSPECTED
-        if len(energies) >= 3:
-            d1 = energies[-2] - energies[-3]
-            d2 = energies[-1] - energies[-2]
-            if d1 > 0 and 0.0 < d2 / d1 < 0.9:
-                r = d2 / d1
-                e_inf = energies[-1] + d2 * r / (1.0 - r)
-                if e_inf >= -energy_tol:
-                    return ZERO_INFIMUM_SUSPECTED
-    return INCONCLUSIVE
+    return NEGATIVE_MINIMUM if energy < -bound else ZERO_INFIMUM_SUSPECTED
 
 
 def _minimize_starts(
     graph: MetricGraph, mu: float, p: float, config: SolverConfig, starts: list[GraphFunction]
 ) -> list[MinimizationResult]:
     """The run from each of ``starts``, states on one mesh of ``graph``,
-    descended together over the schedule (:func:`_descend`) on the core
-    Mesh that mesh keeps (:meth:`Mesh.core_mesh`), with one operator and
-    one factorizer for them all: each factor LU-factors its own copy of
-    the core mesh's band, so each run's factor stays its own. Each result
-    is, bit for bit, that of its start alone."""
+    descended together (:func:`_descend`) on the core Mesh that mesh keeps
+    (:meth:`Mesh.core_mesh`), with one operator and one factorizer; each
+    result is, bit for bit, that of its start alone."""
     core = starts[0].mesh.core_mesh(config.h_max)
     op = EnergyOperator(core, p)
     factor = _shifted_factorizer(core)
     _, counts = core.lead_anchors(graph)
-    records = _descend(op, factor, counts, [_start(u0, core) for u0 in starts], mu, config)
-    n, h = uniform_cells(config.r_cut_schedule[-1], config.h_max)
+    scales = problem_scales(graph, mu, p)
+    records = _descend(op, factor, counts, [_start(u0, core) for u0 in starts], mu, config, scales)
+    bound = scales[1]
+    n, h = uniform_cells(scales[2], config.h_max)
 
     results = []
-    for u, omega, lead_mass, grad_norm, converged, trace, table, stages, factorizations in records:
+    for u, omega, lead_mass, grad_norm, converged, trace, stage, factorizations in records:
         # |u| has the same energy or lower, and the mass form only sees |u|
         values = np.abs(u) if np.any(u < 0.0) else u
         # the report, and the residuals once read, come from the core values
         # and the leads in closed form, with no sum over lead nodes; the
-        # energy is then the last stage's, bit for bit, when its state has
-        # one sign
+        # energy is then the run's, bit for bit, when its state has one sign
         u_core = GraphFunction(core, values)
         leads = Leads(graph, omega, n, h)
-        report = energy_report(u_core, p, leads)
+        sums = core_sums(u_core, p)
+        report = energy_report(u_core, p, leads, sums=sums)
         results.append(
             MinimizationResult(
                 core=u_core,
                 leads=leads,
                 energy=report.total_energy,
-                verdict=_verdict(table, _ENERGY_TOL),
+                verdict=_verdict(report.total_energy, converged, bound),
                 report=report,
                 energy_trace=[row[1] for row in trace],
                 trace=trace,
-                r_cut_table=table,
-                stages=stages,
+                stages=[stage],
                 converged=converged,
-                iterations=sum(row[2] for row in table),
+                iterations=stage[1],
                 grad_norm=grad_norm,
                 mu=mu,
                 p=p,
                 lead_mass=lead_mass,
                 factorizations=factorizations,
+                bound=bound,
+                core_sums=sums,
             )
         )
     return results
@@ -789,38 +786,32 @@ def minimize(
     config: SolverConfig | None = None,
     initial: GraphFunction | None = None,
 ) -> MinimizationResult:
-    """Projected-gradient minimization over an increasing truncation
-    schedule, warm starting each stage from the previous one.
+    """Projected-gradient minimization at the cut :func:`problem_scales`
+    derives, the one-start case of :func:`_minimize_starts`.
 
-    It is the one-start case of :func:`_minimize_starts`. Each stage
-    descends on the core dofs and one lead shift (:func:`_descend`), on
-    the core mesh that ``initial``'s mesh keeps (:meth:`Mesh.core_mesh`);
-    later stages take the core values, the shift and the preconditioner's
-    factor as they are.
-    The first stage starts from ``initial``, a state on any mesh of
-    ``graph`` (ValueError for another graph), its core interpolated onto
-    the core mesh and its lead mass giving the shift; without it, from the
-    plateau competitor. The result holds the last stage's state as
-    ``core`` (|u| where it has a negative value) and ``leads``; its
-    ``report``, ``el`` (on first read) and ``min_node_value`` come from
-    them with no sum over lead nodes, so ``energy`` is the last entry of
-    ``r_cut_table`` whenever that stage's state has one sign (|u| of a
-    state of both signs has an energy no higher). ``function`` lifts it
-    onto the last mesh.
+    The run descends on the core dofs and one lead shift (:func:`_descend`)
+    on the core mesh that ``initial``'s mesh keeps (:meth:`Mesh.core_mesh`),
+    from ``initial``, a state on any mesh of ``graph`` (ValueError for
+    another graph), its core interpolated onto the core mesh and its lead
+    mass giving the shift; without it, from the plateau competitor on
+    :func:`start_mesh`. The result holds the state as ``core`` (|u| where
+    it has a negative value) and ``leads``; its ``report``, ``el`` (on
+    first read) and ``min_node_value`` come from them with no sum over
+    lead nodes, so ``energy`` is the run's last energy whenever its state
+    has one sign. ``function`` lifts it onto a bounded display of the leads.
 
-    Every stage solves a compact surrogate problem, so the verdict encodes
-    the truncation trend: NEGATIVE_MINIMUM for a stable strictly negative
-    limit (evidence of existence, up to truncation and discretization
-    error), ZERO_INFIMUM_SUSPECTED when energies rise monotonically to zero
-    (mass escaping along the half-lines; evidence only), INCONCLUSIVE
-    otherwise.
+    The verdict: NEGATIVE_MINIMUM when the converged run ends below minus
+    the rounding bound (``bound``), evidence of existence up to
+    discretization error; ZERO_INFIMUM_SUSPECTED when it does not (mass
+    escaping along the half-lines; evidence only); INCONCLUSIVE when the
+    run did not converge.
     """
     require_p(p)
     require_mu(mu)
     graph.require_valid()
     config = config or SolverConfig()
     if initial is None:
-        initial = initializer_competitor(graph, mu, p, Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0]))
+        initial = initializer_competitor(graph, mu, p, start_mesh(graph, config.h_max))
     elif initial.mesh.graph != graph:
         raise ValueError("the initial state lives on a mesh of another graph")
 
@@ -848,7 +839,7 @@ def dirichlet_line_min(
     ratio = m / (sides * a^2) per unit a^2, the pin's half cell included.
     The default cut is 12 decay lengths of the side's tail
     a exp(-x / (2 ratio)), and no less than 10; the grid is
-    ``uniform_cells(r, min(h_max, r/50))``.
+    ``uniform_cells(r, min(h_max, r/50))``, the shift the untruncated lead's.
 
     Returns (minimal value, (grid, minimizer values)).
     """
@@ -866,7 +857,7 @@ def dirichlet_line_min(
         raise ValueError("infeasible: pinned node already exhausts the mass")
     if ratio >= n * h:
         raise ValueError("truncation too short: the constant a carries no more than mass m")
-    v = a * lead_profile(_lead_shift(ratio, n, h), n, h)
+    v = a * lead_profile(_lead_shift(ratio, h), n, h)
     # the shift meets the mass only to rounding; rescale the side
     weights = np.full(n, h)
     weights[-1] = 0.5 * h
@@ -906,20 +897,21 @@ def _core_position(graph: MetricGraph, frac: float) -> tuple[str, float]:
 
 
 def existence_dichotomy(graph: MetricGraph, mu: float, p: float, config: SolverConfig | None = None) -> DichotomyResult:
-    """Run the minimizer from six deterministic starts, all sampled on the
-    first stage's mesh: the plateau competitor, bump profiles centered at
+    """Run the minimizer from six deterministic starts, all sampled on
+    :func:`start_mesh`: the plateau competitor, bump profiles centered at
     three core positions, and plateaus at 1/4 and 3/4 of the largest
     amplitude sqrt(mu / core measure). The six runs descend as one block
     on that mesh's core Mesh, with one operator and one factorizer
     (:func:`_minimize_starts`), and each is, bit for bit, the
     :func:`minimize` of its start. Any stably negative run settles the
-    question in favor of existence; unanimous zero-trending runs are
-    reported as suspicion of an unattained zero infimum."""
+    question in favor of existence; unanimous runs that end above minus
+    the rounding bound are reported as suspicion of an unattained zero
+    infimum, evidence only."""
     require_p(p)
     require_mu(mu)
     graph.require_valid()
     config = config or SolverConfig()
-    mesh0 = Mesh(graph, h_max=config.h_max, r_cut=config.r_cut_schedule[0])
+    mesh0 = start_mesh(graph, config.h_max)
     starts = {"competitor": initializer_competitor(graph, mu, p, mesh0)}
     for frac in (0.25, 0.5, 0.75):
         eid, off = _core_position(graph, frac)
@@ -930,7 +922,8 @@ def existence_dichotomy(graph: MetricGraph, mu: float, p: float, config: SolverC
 
     # the first start, in order, whose energy ties with the lowest
     e_min = min(r.energy for r in runs.values())
-    best_label = next(k for k, r in runs.items() if r.energy <= e_min + _ENERGY_TIE * abs(e_min))
+    bound = next(iter(runs.values())).bound
+    best_label = next(k for k, r in runs.items() if r.energy <= e_min + bound)
     best = runs[best_label]
     if any(r.verdict == NEGATIVE_MINIMUM for r in runs.values()):
         verdict = NEGATIVE_MINIMUM

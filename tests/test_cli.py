@@ -10,10 +10,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from graphnls import cli
+from graphnls import cli, solver
 from graphnls.functions import Mesh
 from graphnls.graphs import load_graph
-from graphnls.solver import initializer_soliton
+from graphnls.solver import initializer_soliton, start_mesh
 
 CLI = [sys.executable, "-m", "graphnls.cli"]
 STAR = Path(__file__).resolve().parents[1] / "demos" / "graphs" / "star.graph"
@@ -162,12 +162,14 @@ def test_certify_p_below_4_usage_error(db_file):
 def test_minimize_artifacts_and_determinism(broom_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = (
-        "minimize", broom_file, "--p", "3", "--mu", "1",
-        "--rcut", "6,12", "--h", "0.1",
+        "minimize", broom_file, "--p", "3", "--mu", "1", "--h", "0.1",
     )
     p1 = run_module(*args, "--out", str(out1))
     assert p1.returncode == 0, p1.stderr
     assert "verdict:" in p1.stdout and "energy:" in p1.stdout
+    # the state is displayed where its leads are above 1e-16 of their anchors
+    state = (out1 / "state.csv").read_text().splitlines()
+    assert state[0].startswith("# mesh_hash=") and len(state) < 2 * (solver._DISPLAY_CELLS + 1) + 40
     for name in ("result.json", "trace.csv", "state.csv"):
         assert (out1 / name).exists()
     payload = json.loads((out1 / "result.json").read_text())
@@ -199,7 +201,7 @@ def test_minimize_p_out_of_range(broom_file):
 def test_minimize_soliton_placement(db_file, tmp_path):
     proc = run_cli(
         "minimize", db_file, "--p", "3", "--mu", "1",
-        "--rcut", "6", "--h", "0.1", "--init", "soliton",
+        "--h", "0.1", "--init", "soliton",
         "--init-edge", "bridge1", "--init-offset", "0.45",
         "--out", str(tmp_path / "sol"),
     )
@@ -209,14 +211,14 @@ def test_minimize_soliton_placement(db_file, tmp_path):
 def test_minimize_soliton_offset_without_edge(tmp_path):
     # --init-offset alone places the bump on the first core edge (arm1)
     # instead of being reset to that edge's middle
-    args = ("minimize", str(STAR), "--p", "4", "--rcut", "10", "--h", "0.05", "--init", "soliton")
+    args = ("minimize", str(STAR), "--p", "4", "--h", "0.05", "--init", "soliton")
     plain = run_cli(*args, "--out", str(tmp_path / "plain"))
     offset = run_cli(*args, "--init-offset", "0.1", "--out", str(tmp_path / "offset"))
     assert plain.returncode == 0 and offset.returncode == 0, offset.stderr
     assert (tmp_path / "plain" / "state.csv").read_bytes() != (tmp_path / "offset" / "state.csv").read_bytes()
     # the descent moves the peak, so check the start the command builds
     graph = load_graph(STAR)
-    mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
+    mesh = start_mesh(graph, 0.05)
     u0 = initializer_soliton(graph, 1.0, 4.0, mesh, center_offset=0.1)
     peak = int(np.argmax(u0.values))
     arm = list(mesh.edge_dofs["arm1"])
@@ -225,9 +227,11 @@ def test_minimize_soliton_offset_without_edge(tmp_path):
 
 
 def test_minimize_rejects_an_infinite_cut(broom_file, tmp_path):
+    # the run derives its cut: a cut on the command line, finite or not, is
+    # a usage error that names the option
     proc = run_cli("minimize", broom_file, "--rcut", "10,inf", "--out", str(tmp_path / "x"))
     assert proc.returncode == 1
-    assert "r_cut must be finite and positive" in proc.stderr
+    assert "unrecognized arguments: --rcut" in proc.stderr
 
 
 def test_minimize_init_edge_requires_soliton(broom_file, tmp_path):
@@ -279,11 +283,11 @@ def test_sweep_phase_csv(broom_file, tmp_path):
 # demos/sweep.json's phase.csv rows as (axis_value, E_min, verdict, L1, L2,
 # band); CI reruns the demo and compares the reruns, this pins the rows
 DEMO_SWEEP_ROWS = [
-    ("0.25", -2.5411980706351408e-06, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "NONEXIST_BAND"),
-    ("0.5", -5.3083507474531e-06, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "NONEXIST_BAND"),
-    ("1.5", -2.003500966833057e-05, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "GAP"),
-    ("3.0", -0.001298210086699744, "NEGATIVE_MINIMUM", "2.0", "1.0", "EXIST_BAND"),
-    ("4.0", -0.0038299665192026936, "NEGATIVE_MINIMUM", "2.0", "1.0", "EXIST_BAND"),
+    ("0.25", -9.275056372293424e-16, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "NONEXIST_BAND"),
+    ("0.5", -4.861173150223537e-16, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "NONEXIST_BAND"),
+    ("1.5", -2.0833844036339783e-16, "ZERO_INFIMUM_SUSPECTED", "2.0", "1.0", "GAP"),
+    ("3.0", -0.0012982100854022289, "NEGATIVE_MINIMUM", "2.0", "1.0", "EXIST_BAND"),
+    ("4.0", -0.0038299665192024906, "NEGATIVE_MINIMUM", "2.0", "1.0", "EXIST_BAND"),
 ]
 
 
@@ -310,7 +314,7 @@ def test_demo_sweep_keeps_its_rows(tmp_path):
         pytest.param({"solver": {"max_iter": 50}}, "max_iter", id="solver0-max_iter"),
         pytest.param({"solver": {"r_cut_schedule": None}}, "r_cut_schedule", id="solver1-r_cut_schedule"),
         pytest.param({"solver": {"max_iters": 2.5}}, "max_iters", id="solver2-max_iters"),
-        # a bool is an int: true ran one-iteration stages
+        # a bool is an int: true ran one-iteration runs
         pytest.param({"solver": {"max_iters": True}}, "max_iters", id="solver3-max_iters-bool"),
         # starting states are not solver settings; the seed is top-level only
         pytest.param({"solver": {"seed": 3}}, "seed", id="solver-seed"),

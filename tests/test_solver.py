@@ -66,7 +66,9 @@ from graphnls.thresholds import (
     threshold_report,
 )
 
-# (graph factory, p, truncation schedule, shooting energy, shooting multiplier)
+# (graph factory, p, truncation schedule, shooting energy, shooting
+# multiplier); the schedules are those the cases once needed, now
+# deprecated and ignored: each run descends once at its derived cut
 SHOOTING_CASES = [
     (lambda: line_graph(1.0), 2.5, (20.0, 40.0), -0.0332399179, 0.1044398066),
     (lambda: line_graph(1.0), 3.0, (20.0, 40.0), -0.0070495399, 0.0378741300),
@@ -93,28 +95,28 @@ def test_minimize_matches_shooting_oracle(factory, p, schedule, e_ref, lam_ref):
 def test_weakly_bound_state_needs_long_truncation():
     # p = 3.5 on line_graph(1): multiplier 0.00276, decay length about 19;
     # shooting energy -0.0002174268
-    cfg = SolverConfig(r_cut_schedule=(20.0, 40.0, 80.0, 160.0), max_iters=8000)
+    cfg = SolverConfig(max_iters=8000)
     res = minimize(line_graph(1.0), 1.0, 3.5, cfg)
     assert res.verdict == NEGATIVE_MINIMUM
     assert res.energy == pytest.approx(-0.0002174268, rel=2e-3)
     assert res.el.lambda_estimate == pytest.approx(0.0027622728, rel=1e-2)
     # the multiplier-shifted preconditioner resolves the slow tail in a few
-    # dozen iterations per stage; a fixed S + M shift needs about 13.5k
+    # dozen iterations; a fixed S + M shift needs about 13.5k
     assert res.iterations <= 500
 
 
 def test_noisy_starts_reach_the_same_minimum():
     # the benchmark's recipe: plateau start times 1 + 5% noise, back on the
-    # mass sphere; every stage must converge from every start
+    # mass sphere; the run must converge from every start
     graph = line_graph(1.0)
-    cfg = SolverConfig(r_cut_schedule=(20.0, 40.0, 80.0, 160.0), h_max=0.02, max_iters=8000)
+    cfg = SolverConfig(h_max=0.02, max_iters=8000)
     start = initializer_competitor(graph, 1.0, 2.5, mesh=Mesh(graph, h_max=0.02, r_cut=20.0))
     energies = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         noisy = start.values * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, start.values.shape))
         res = minimize(graph, 1.0, 2.5, cfg, initial=project_mass(start.with_values(noisy), 1.0))
-        assert res.verdict == NEGATIVE_MINIMUM, (seed, res.r_cut_table)
+        assert res.verdict == NEGATIVE_MINIMUM, (seed, res.stages)
         energies.append(res.energy)
     assert max(energies) - min(energies) <= 1e-9 * abs(energies[0])
 
@@ -122,10 +124,12 @@ def test_noisy_starts_reach_the_same_minimum():
 def test_noisy_starts_reject_few_trials_at_the_shift_floor():
     # the bound_states benchmark's starts: per seed, each case's plateau
     # start in turn times 1 + 5% noise from one generator, back on the mass
-    # sphere. The first stages run at the shift floor 1/r_cut^2, where the
-    # tangent correction along u overshot: it rejected 392 trials in their
-    # 402 iterations, the correction in the preconditioner's metric 26 in 350
-    cfg = SolverConfig(r_cut_schedule=(20.0, 40.0), h_max=0.02, max_iters=8000)
+    # sphere. Where the shift sits at its floor, the tangent correction
+    # along u overshot: over a truncation schedule's first stages it
+    # rejected 392 trials in 402 iterations, the correction in the
+    # preconditioner's metric 26 in 350; one run at the derived cut rejects
+    # 20 in 546
+    cfg = SolverConfig(h_max=0.02, max_iters=8000)
     cases = []
     for graph in (line_graph(1.0), double_bridge(0.5, 0.5)):
         for p in (2.5, 3.0, 3.5):
@@ -147,21 +151,23 @@ def test_noisy_starts_reject_few_trials_at_the_shift_floor():
 def test_line_search_requires_strict_decrease():
     # strongly bound (mu = 4, p = 5): the Armijo margin falls below the
     # energy's ulp, and accepting equal energies used to creep on with
-    # steps of about 3e-11 until max_iters in both stages
+    # steps of about 3e-11 until max_iters. From the
+    # competitor: a smoothed random field on a mesh cut at 10 holds most of
+    # its mass on the leads, and at p > 4 such a spread state descends to
+    # the local minimum at u = 0 (E = -7e-15, ZERO_INFIMUM_SUSPECTED)
     graph = line_graph(1.0)
-    start = initializer_random(graph, 4.0, 5.0, Mesh(graph, h_max=0.02, r_cut=10.0))
-    res = minimize(graph, 4.0, 5.0, SolverConfig(r_cut_schedule=(10.0, 20.0)), initial=start)
+    res = minimize(graph, 4.0, 5.0, SolverConfig())
     assert res.verdict == NEGATIVE_MINIMUM
-    assert all(converged for *_, converged in res.r_cut_table)
+    assert res.converged
     assert res.iterations < 1000
     # at p = 5.5 the shifted preconditioner alone does not prevent the
-    # creep: a stage must end once no step lowers the energy
-    res = minimize(line_graph(1.0), 4.0, 5.5, SolverConfig(r_cut_schedule=(10.0, 20.0)))
+    # creep: a run must end once no step lowers the energy
+    res = minimize(line_graph(1.0), 4.0, 5.5, SolverConfig())
     assert res.iterations < 1000
 
 
 def test_line_search_stops_at_the_energys_rounding_level(monkeypatch):
-    # halving the step down to 1e-16 at a stage's minimum costs about 54
+    # halving the step down to 1e-16 at a run's minimum costs about 54
     # failing energy values: 130 values for 21 iterations here
     value = EnergyOperator.value
     calls = []
@@ -171,16 +177,16 @@ def test_line_search_stops_at_the_energys_rounding_level(monkeypatch):
         return value(self, *args)
 
     monkeypatch.setattr(EnergyOperator, "value", counted)
-    res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(h_max=0.05))
     assert res.verdict == NEGATIVE_MINIMUM
-    assert all(converged for *_, converged in res.r_cut_table)
+    assert res.converged
     assert len(calls) <= 2 * res.iterations
 
 
 def test_model_first_step_shortens_the_weakly_bound_descent():
     # with every search starting at step 1, the step is 1 at every iteration
     # and the gradient shrinks by about 0.7 per iteration: 102 iterations
-    cfg = SolverConfig(r_cut_schedule=(20.0, 40.0, 80.0, 160.0))
+    cfg = SolverConfig()
     res = minimize(line_graph(1.0), 1.0, 3.5, cfg)
     assert res.verdict == NEGATIVE_MINIMUM
     assert res.iterations <= 70
@@ -188,27 +194,28 @@ def test_model_first_step_shortens_the_weakly_bound_descent():
 
 
 def test_stages_record_why_they_stopped():
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    # one row, at the cut the problem's scales derive
+    cfg = SolverConfig(h_max=0.05)
     res = minimize(line_graph(1.0), 1.0, 3.5, cfg)
-    assert [row[0] for row in res.stages] == list(cfg.r_cut_schedule)
-    for (r_cut, iterations, backtracks, stop), row in zip(res.stages, res.r_cut_table):
-        assert iterations == row[2]
-        assert backtracks >= 0
-        assert stop in ("gradient", "no_descent", "line_search")
-    res = minimize(line_graph(1.0), 1.0, 3.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=3))
-    assert [stop for *_, stop in res.stages] == ["max_iters", "max_iters"]
-    assert [iterations for _, iterations, _, _ in res.stages] == [3, 3]
+    ((r_cut, iterations, backtracks, stop),) = res.stages
+    assert r_cut == res.r_cut == solver.problem_scales(line_graph(1.0), 1.0, 3.5)[2]
+    assert iterations == res.iterations
+    assert backtracks >= 0
+    assert stop in ("gradient", "no_descent", "line_search")
+    res = minimize(line_graph(1.0), 1.0, 3.5, SolverConfig(h_max=0.05, max_iters=3))
+    assert [stop for *_, stop in res.stages] == ["max_iters"]
+    assert [iterations for _, iterations, _, _ in res.stages] == [3]
     assert res.verdict == INCONCLUSIVE
 
 
 def test_strongly_bound_stage_converges_on_relative_tolerance():
     # mu = 8, p = 5: E = -133.3 and lambda of order 100, so the gradient
     # cannot be resolved below about 5e-6; an absolute grad_tol of 1e-7
-    # left both stages unconverged and the verdict INCONCLUSIVE
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), max_iters=2000)
+    # left the runs unconverged and the verdict INCONCLUSIVE
+    cfg = SolverConfig(max_iters=2000)
     res = minimize(line_graph(1.0), 8.0, 5.0, cfg)
     assert res.verdict == NEGATIVE_MINIMUM
-    assert all(converged for *_, converged in res.r_cut_table)
+    assert res.converged
 
 
 DEMO_GRAPHS_DIR = Path(__file__).resolve().parents[1] / "demos" / "graphs"
@@ -272,7 +279,7 @@ def test_factor_rejects_a_non_positive_shift():
 
 
 def _stage_vertex_shift(graph, core, sigma, r_cut=20.0):
-    """The vertex shift a stage at ``r_cut`` passes with ``sigma``."""
+    """The vertex shift a run cut at ``r_cut`` passes with ``sigma``."""
     counts = np.bincount([core.vertex_dof[e.tail] for e in graph.half_lines], minlength=core.n_vertices)
     phi, psi, _ = lead_forms(sigma, *uniform_cells(r_cut, 0.02))
     return counts * (psi + sigma * phi)
@@ -382,7 +389,7 @@ def test_a_second_factorizer_on_a_core_mesh_builds_no_new_order(monkeypatch):
     assert len(ordered) == 1
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
     u0 = initializer_competitor(graph, 1.0, 3.0, mesh)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     for _ in range(2):
         minimize(graph, 1.0, 3.0, cfg, initial=u0)
     assert len(ordered) == 2
@@ -484,7 +491,7 @@ def test_cell_pass_gives_the_standalone_value_and_gradient(factory, p):
     core = _core_mesh(factory(), 0.02)
     op = EnergyOperator(core, p)
     v = np.random.default_rng(4).standard_normal(core.n_dofs)
-    # the report reduces the same pass: a stage's energy is its report's
+    # the report reduces the same pass: a run's energy is its report's
     assert energy_report(GraphFunction(core, v), p).total_energy == op.value(v)
     ref = _subtract_at_gradient(core, v, p)
     assert np.linalg.norm(op.gradient(v) - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -567,7 +574,7 @@ def test_a_run_assembles_the_stiffness_once_and_leaves_it(monkeypatch):
         return assemble(self)
 
     monkeypatch.setattr(Mesh, "stiffness_matrix", record)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     assert minimize(line_graph(1.0), 1.0, 2.5, cfg).verdict == NEGATIVE_MINIMUM
     assert len(built) == 1
     (core,) = built
@@ -579,16 +586,18 @@ def test_a_run_assembles_the_stiffness_once_and_leaves_it(monkeypatch):
 
 
 def test_zero_infimum_below_threshold():
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0))
+    # the run spreads over the cut and ends within the rounding bound of 0,
+    # at or below the flat state's energy there, which lies below 0
+    cfg = SolverConfig()
     res = minimize(line_graph(0.25), 1.0, 4.0, cfg)
     assert res.verdict == ZERO_INFIMUM_SUSPECTED
-    energies = [row[1] for row in res.r_cut_table]
-    assert energies[0] < energies[1] < energies[2] <= 0.0
-    assert abs(energies[-1]) < 1e-3
+    flat = -(0.25 / 4.0) * (1.0 / (2.0 * res.r_cut + 0.25)) ** 2
+    assert -res.bound < res.energy <= flat < 0.0
+    assert res.bound < 1e-3
 
 
 def test_energy_trace_monotone():
-    res = minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0,)))
+    res = minimize(line_graph(1.0), 1.0, 3.0, SolverConfig())
     trace = res.energy_trace
     assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
@@ -668,7 +677,7 @@ def test_solver_config_rejects_booleans(name, bad):
 def test_dead_end_minimizer_within_single_lead_constants():
     # the broom's tip is a dead end, so gn_check checks the minimizer
     # against c = sqrt 2 (it violates the two-lead c = 1)
-    res = minimize(star_graph((3.0,), 2), 1.0, 4.0, SolverConfig(r_cut_schedule=(20.0, 40.0)))
+    res = minimize(star_graph((3.0,), 2), 1.0, 4.0, SolverConfig())
     assert gn_constants(4.0, res.function.mesh.graph)[1] == math.sqrt(2.0)
     slack_p, slack_inf = gn_check(res.function, 4.0)
     assert slack_inf > 0.0 and slack_p > 0.0
@@ -677,6 +686,7 @@ def test_dead_end_minimizer_within_single_lead_constants():
 
 
 def test_solver_config_validation():
+    # the schedule is deprecated and ignored, but still validated
     with pytest.raises(ValueError):
         SolverConfig(r_cut_schedule=(20.0, 10.0))
     with pytest.raises(ValueError):
@@ -701,15 +711,15 @@ def test_solver_config_validation():
     ],
 )
 def test_solver_config_rejects_non_finite_or_non_positive_values(name, bad):
-    # the config is the only check on them: a run meshes its leads from
-    # r_cut and h_max without building a Mesh per stage
+    # the config is the only check on them: a run meshes its core from
+    # h_max, and the schedule, though ignored, stays validated
     with pytest.raises(ValueError, match="finite and positive"):
         SolverConfig(**{name: bad})
 
 
-# r_cut_table and stages of SolverConfig(r_cut_schedule=(10, 20), h_max=0.05)
-# runs from the default start at mu = 1: where the stages get their core
-# forms must not move them, and they do not move with the BLAS thread count
+# (r_cut, energy, iterations, converged) and stages of SolverConfig(h_max=0.05)
+# runs from the default start at mu = 1: where a run gets its core forms
+# must not move them, and they do not move with the BLAS thread count
 # either. Re-pinned when the gradient became one bincount of the cell pass,
 # the lead shift a Newton iteration and the preconditioner a carry-over
 # between stages: the energies moved in their last digits, the iterations
@@ -720,27 +730,29 @@ def test_solver_config_rejects_non_finite_or_non_positive_values(name, bad):
 # tangent correction at the shift floor moved to the preconditioner's
 # metric and the descent's sums to whole core vectors: energies moved in
 # their last digits, and the double bridge's first stage from 8 iterations
-# and 4 rejected trials to 9 and 1.
+# and 4 rejected trials to 9 and 1. Re-pinned when the truncation schedule
+# (10, 20) gave way to one run at the derived cut, from a start sampled on
+# the start mesh: one row each.
 PINNED_STAGES = [
     pytest.param(
         lambda: line_graph(1.0),
         3.0,
-        [(10.0, -0.008264617779086356, 12, True), (20.0, -0.007072884756353197, 7, True)],
-        [(10.0, 12, 0, "line_search"), (20.0, 7, 0, "line_search")],
+        [(6555346979.542621, -0.007046607945460543, 11, True)],
+        [(6555346979.542621, 11, 0, "line_search")],
         id="line",
     ),
     pytest.param(
         lambda: double_bridge(0.5, 0.5),
         3.5,
-        [(10.0, -0.0019902680780338475, 9, True), (20.0, -0.0007243027927813098, 10, True)],
-        [(10.0, 9, 1, "line_search"), (20.0, 10, 0, "line_search")],
+        [(215260962.4512978, -0.00020131932992397718, 14, True)],
+        [(215260962.4512978, 14, 2, "line_search")],
         id="double_bridge",
     ),
     pytest.param(
         lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2),
         3.0,
-        [(10.0, -0.0019098137117035683, 11, True), (20.0, -0.0008086105552482251, 9, True)],
-        [(10.0, 11, 0, "line_search"), (20.0, 9, 0, "line_search")],
+        [(4588742885.679834, -0.0002856778510833462, 23, True)],
+        [(4588742885.679834, 23, 1, "line_search")],
         id="star",
     ),
 ]
@@ -748,17 +760,17 @@ PINNED_STAGES = [
 
 @pytest.mark.parametrize("factory,p,table,stages", PINNED_STAGES)
 def test_stage_tables_are_pinned(factory, p, table, stages):
-    res = minimize(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
-    assert res.r_cut_table == table
+    res = minimize(factory(), 1.0, p, SolverConfig(h_max=0.05))
+    assert [(res.r_cut, res.energy, res.iterations, res.converged)] == table
     assert res.stages == stages
-    # the result's energy is the last stage's, not a sum over its lifted mesh
-    assert res.energy == table[-1][1]
+    # the result's energy is the run's last, not a sum over its lifted mesh
+    assert res.energy == res.trace[-1][1]
 
 
 @pytest.mark.parametrize("factory,p,table,stages", PINNED_STAGES)
 def test_factorizations_count_the_lu_factors(monkeypatch, factory, p, table, stages):
-    # every stage starts with the previous stage's factor, so a run of two
-    # stages may factor once; result.json keeps its fields
+    # a run refactors only when its shift leaves [sigma/2, 2 sigma], so it
+    # may factor once; result.json keeps its fields
     factors = []
     dgbtrf = solver.dgbtrf
 
@@ -767,14 +779,14 @@ def test_factorizations_count_the_lu_factors(monkeypatch, factory, p, table, sta
         return dgbtrf(*args, **kwargs)
 
     monkeypatch.setattr(solver, "dgbtrf", counted)
-    res = minimize(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    res = minimize(factory(), 1.0, p, SolverConfig(h_max=0.05))
     assert res.factorizations == len(factors) >= 1
     assert "factorizations" not in res.to_dict()
 
 
 _BLAS_RUN = """
 from graphnls import SolverConfig, line_graph, minimize
-res = minimize(line_graph(1), 1, 3, SolverConfig(r_cut_schedule=(20, 40, 80, 160), h_max=0.02))
+res = minimize(line_graph(1), 1, 3, SolverConfig(h_max=0.02))
 print(repr(res.energy), repr(res.el.lambda_estimate), repr(res.report.to_dict()))
 """
 
@@ -796,7 +808,7 @@ def test_result_does_not_depend_on_the_blas_thread_count():
 def test_determinism_with_seed():
     graph = line_graph(1.0)
     mesh = Mesh(graph, h_max=0.1, r_cut=6.0)
-    cfg = SolverConfig(r_cut_schedule=(6.0,), h_max=0.1, max_iters=800)
+    cfg = SolverConfig(h_max=0.1, max_iters=800)
     r1 = minimize(graph, 1.0, 3.0, cfg, initial=initializer_random(graph, 1.0, 3.0, mesh, seed=42))
     r2 = minimize(graph, 1.0, 3.0, cfg, initial=initializer_random(graph, 1.0, 3.0, mesh, seed=42))
     assert r1.energy == r2.energy
@@ -916,43 +928,30 @@ def test_dirichlet_line_second_order_and_exact_mass(half_line, exact):
     assert all(a >= 3.5 * b for a, b in zip(errors, errors[1:]))
 
 
-# verdict classification on synthetic truncation tables
-
-
-def tbl(energies, converged=True):
-    return [(10.0 * 2**i, e, 100, converged) for i, e in enumerate(energies)]
+# verdict classification of a run's energy against its rounding bound
 
 
 def test_verdict_negative_minimum():
-    assert _verdict(tbl([-0.51, -0.502, -0.5019]), 1e-5) == NEGATIVE_MINIMUM
+    assert _verdict(-0.5019, True, 1e-14) == NEGATIVE_MINIMUM
+    assert _verdict(-2e-14, True, 1e-14) == NEGATIVE_MINIMUM
 
 
 def test_verdict_zero_small_last_energy():
-    assert _verdict(tbl([-3e-4, -2e-5, -8e-6]), 1e-5) == ZERO_INFIMUM_SUSPECTED
-
-
-def test_verdict_zero_by_extrapolation():
-    # ratios 0.5: limit -1.95e-5 + 1e-5 ... extrapolates above -tol
-    assert _verdict(tbl([-8e-5, -4e-5, -2e-5]), 1e-5) == ZERO_INFIMUM_SUSPECTED
-
-
-def test_verdict_inconclusive_when_drifting():
-    assert _verdict(tbl([-0.9, -0.5, -0.3]), 1e-5) == INCONCLUSIVE
+    # within the bound of 0, on either side: evidence only
+    for energy in (-8e-15, -1e-14, 0.0, 3e-12):
+        assert _verdict(energy, True, 1e-14) == ZERO_INFIMUM_SUSPECTED
 
 
 def test_verdict_inconclusive_without_convergence():
-    assert _verdict(tbl([-0.51, -0.502, -0.5019], converged=False), 1e-5) == INCONCLUSIVE
-
-
-def test_verdict_inconclusive_nonmonotone_near_zero():
-    assert _verdict(tbl([-2e-5, -9e-4, -3e-4]), 1e-5) == INCONCLUSIVE
+    for energy in (-0.5019, -8e-15, 3e-12):
+        assert _verdict(energy, False, 1e-14) == INCONCLUSIVE
 
 
 # dichotomy
 
 
 def test_existence_dichotomy_negative_side():
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=3000)
+    cfg = SolverConfig(h_max=0.05, max_iters=3000)
     d = existence_dichotomy(star_graph((3.0,), half_lines_per_terminal=2), 1.0, 4.0, cfg)
     assert d.verdict == NEGATIVE_MINIMUM
     assert d.best_energy < -0.02
@@ -973,16 +972,20 @@ def test_existence_dichotomy_negative_side():
 def test_existence_dichotomy_breaks_energy_ties_by_start_order(factory, p):
     # several starts reach the same minimum to within rounding; the label
     # used to follow the last digits, here the competitor comes first
-    cfg = SolverConfig(h_max=0.05, r_cut_schedule=(10.0, 20.0, 40.0), max_iters=3000)
+    cfg = SolverConfig(h_max=0.05, max_iters=3000)
     d = existence_dichotomy(factory(), 1.0, p, cfg)
     assert d.best_label == "competitor"
     assert d.best_energy == d.runs["competitor"].energy
     e_min = min(r.energy for r in d.runs.values())
-    assert d.best_energy - e_min <= 64 * np.finfo(float).eps * abs(e_min)
+    # energies tie within the rounding bound; a zero-side run ends at the
+    # bound's rounding level (1e-16 against 8e-15 on the double bridge),
+    # where a tie relative to its own energy would follow noise
+    tie = 64 * np.finfo(float).eps * abs(e_min) if d.verdict == NEGATIVE_MINIMUM else d.runs["competitor"].bound
+    assert d.best_energy - e_min <= tie
 
 
 def test_existence_dichotomy_zero_side():
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05, max_iters=3000)
+    cfg = SolverConfig(h_max=0.05, max_iters=3000)
     d = existence_dichotomy(line_graph(0.25), 1.0, 4.0, cfg)
     assert d.verdict == ZERO_INFIMUM_SUSPECTED
     # no initializer may find a negative minimum where none exists
@@ -1014,24 +1017,112 @@ def test_no_negative_minimum_where_nonexistence_is_proven():
         assert existence_dichotomy(graph, 1.0, p).verdict != NEGATIVE_MINIMUM, (core_measure(graph), p)
 
 
+@pytest.fixture(scope="module")
+def soundness_grid():
+    """(graph, p, band, dichotomy) at every point of the soundness grid, at
+    the default SolverConfig."""
+    points = []
+    for base in map(load_graph, DEMO_GRAPHS):
+        for p in SOUNDNESS_POWERS:
+            for scale in SOUNDNESS_SCALES:
+                graph = homothety(base, scale)
+                points.append((graph, p, cli._band(graph, p, 1.0)[2], existence_dichotomy(graph, 1.0, p)))
+    return points
+
+
+def test_a_ground_state_is_found_wherever_existence_is_proven(soundness_grid):
+    # above L1, or for every p < 4, the paper proves a ground state: every
+    # such grid point must say so
+    proven = [(graph, p, d) for graph, p, band, d in soundness_grid if band == "EXIST_BAND"]
+    assert len(proven) == 72
+    for graph, p, d in proven:
+        assert d.verdict == NEGATIVE_MINIMUM, (core_measure(graph), p, d.best_energy)
+
+
+def test_best_runs_localize_as_their_verdicts_say(soundness_grid):
+    # the numerical face of compactness or vanishing: a negative minimum's
+    # leads decay by e^-20 or more within the cut, a zero infimum's spread
+    # over it
+    for graph, p, _, d in soundness_grid:
+        n_theta = d.runs[d.best_label].n_theta
+        assert d.verdict in (NEGATIVE_MINIMUM, ZERO_INFIMUM_SUSPECTED)
+        assert (n_theta > 20.0) == (d.verdict == NEGATIVE_MINIMUM), (core_measure(graph), p, n_theta)
+
+
+@pytest.mark.parametrize(
+    "graph,p,verdict,energy",
+    [
+        # a truncation trend called these ZERO_INFIMUM_SUSPECTED (line(6), at
+        # -1.02e-4) and INCONCLUSIVE (the other two); the energies are the
+        # ODE references' to the mesh error
+        pytest.param(line_graph(6.0), 4.5, NEGATIVE_MINIMUM, -1.10574e-5, id="line6-p4.5"),
+        pytest.param(line_graph(1.0), 3.5, NEGATIVE_MINIMUM, -2.17427e-4, id="line1-p3.5"),
+        pytest.param(double_bridge(0.49, 0.49), 3.5, NEGATIVE_MINIMUM, -1.75897e-4, id="bridge0.49-p3.5"),
+        # the truncation also gave -1.01e-4 here, as ZERO_INFIMUM_SUSPECTED;
+        # its two halves of 0.9 < L2 = 1 certify that no ground state exists
+        # (criterion 12), and the run spreads over the cut
+        pytest.param(double_bridge(0.9, 0.9), 4.0, ZERO_INFIMUM_SUSPECTED, 0.0, id="bridge0.9-p4"),
+    ],
+)
+def test_verdicts_the_truncation_trend_got_wrong(graph, p, verdict, energy):
+    d = existence_dichotomy(graph, 1.0, p)
+    assert d.verdict == verdict
+    best = d.runs[d.best_label]
+    if verdict == NEGATIVE_MINIMUM:
+        assert d.best_energy == pytest.approx(energy, rel=1e-4)
+        assert best.n_theta > 20.0
+    else:
+        assert certify_nonexistence(graph, p, 1.0).valid
+        assert abs(d.best_energy) <= best.bound and best.n_theta <= 20.0
+
+
+@pytest.mark.parametrize("p", SOUNDNESS_POWERS)
+@pytest.mark.parametrize("name", ["line", "double_bridge", "star"])
+def test_verdicts_do_not_depend_on_the_units(name, p):
+    # homothety by f = lam^((2-p)/(6-p)) at mass lam mu, with h_max scaled
+    # by f too, maps the discrete problem onto itself and its energies by
+    # lam^((2+p)/(6-p)); every tolerance is a multiple of the problem's own
+    # scales, so the verdicts and the best starts must not move either
+    base = load_graph(DEMO_GRAPHS_DIR / f"{name}.graph")
+    ref = existence_dichotomy(base, 1.0, p, SolverConfig(h_max=0.02))
+    for lam in (1e-2, 1e-1, 10.0, 1e2):
+        f = lam ** ((2.0 - p) / (6.0 - p))
+        d = existence_dichotomy(homothety(base, f), lam, p, SolverConfig(h_max=0.02 * f))
+        assert (d.verdict, d.best_label) == (ref.verdict, ref.best_label), lam
+        scale = lam ** ((2.0 + p) / (6.0 - p))
+        bound = ref.runs[ref.best_label].bound
+        assert d.runs[d.best_label].bound / scale == pytest.approx(bound, rel=1e-12)
+        if ref.verdict == NEGATIVE_MINIMUM:
+            assert d.best_energy / scale == pytest.approx(ref.best_energy, rel=1e-12, abs=0.0), lam
+        else:
+            # a run that spreads over the cut stops once its energy moves by
+            # no more than the bound: below it, energies are rounding noise
+            assert abs(d.best_energy / scale) <= bound and abs(ref.best_energy) <= bound
+
 def test_postprocess_keeps_mass_and_positivity():
     graph = double_bridge(0.5, 0.5)
     start = initializer_random(graph, 1.0, 3.0, Mesh(graph, h_max=0.1, r_cut=8.0), seed=3)
-    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(8.0,), h_max=0.1), initial=start)
+    res = minimize(graph, 1.0, 3.0, SolverConfig(h_max=0.1), initial=start)
     assert res.report.mass == pytest.approx(1.0, abs=1e-10)
     assert res.min_node_value >= 0.0
 
 
 def test_warm_start_transfer_extends_tails():
+    # the lifted state displays the leads up to where they fall below 1e-16
+    # of their anchors, on the run's own lead cells
     g = line_graph(1.0)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     res = minimize(g, 1.0, 3.0, cfg)
     mesh = res.function.mesh
-    assert mesh.r_cut == 20.0
-    # tail values decay, no truncation spike at the old cut
+    cells = math.ceil(solver._DISPLAY_DECAY / (res.n_theta / res.leads.n))
+    assert cells < min(res.leads.n, solver._DISPLAY_CELLS)
+    assert uniform_cells(mesh.r_cut, 0.05)[0] == cells
+    assert mesh.r_cut == pytest.approx(cells * res.leads.h, rel=1e-15)
+    # tail values decay, no truncation spike at the display cut
     lead = res.function.values[mesh.edge_dofs["lead1"]]
     tail = lead[len(lead) // 2 :]
     assert np.all(np.diff(tail) <= 1e-12)
+    assert lead[-1] <= 1e-16 * lead[0] < lead[-2]
 
 
 # what a run builds
@@ -1045,7 +1136,7 @@ def test_minimize_rejects_mismatched_meshes(other):
     # be clipped onto the shorter core, another topology has other edges
     graph = other()
     start = initializer_competitor(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0))
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     with pytest.raises(ValueError, match="another graph"):
         minimize(line_graph(1.0), 1.0, 3.0, cfg, initial=start)
 
@@ -1064,7 +1155,7 @@ def _count_meshes(monkeypatch) -> list:
 
 def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
     graph = line_graph(1.0)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     start = initializer_soliton(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0), center_offset=0.3)
     built = _count_meshes(monkeypatch)
     res = minimize(graph, 1.0, 3.0, cfg, initial=start)
@@ -1073,11 +1164,13 @@ def test_minimize_builds_the_core_and_the_last_stage_mesh(monkeypatch):
     (core,) = built
     assert core.graph.n_half_lines == 0 and core.n_dofs == 21
     assert res.core.mesh is core
-    # the last stage's mesh is built on the first read of the function
+    # the display mesh is built on the first read of the function, far
+    # short of the run's cut
     function = res.function
-    assert len(built) == 2 and built[1] is function.mesh and function.mesh.r_cut == 40.0
+    assert len(built) == 2 and built[1] is function.mesh and function.mesh.r_cut < 1e-6 * res.r_cut
     assert res.function is function and len(built) == 2
-    # the default start is sampled on the first stage's mesh, built for it
+    # the default start is sampled on the start mesh, built for it, whose
+    # cut is 10 core measures
     built.clear()
     minimize(graph, 1.0, 3.0, cfg)
     assert [m.r_cut for m in built if m.graph is graph] == [10.0]
@@ -1100,7 +1193,7 @@ def _count_assemblies(monkeypatch) -> list:
 def test_dichotomy_builds_one_start_mesh_one_core_and_one_assembly(monkeypatch):
     # the six starts live on one mesh, which keeps one core for them all
     built, assembled = _count_meshes(monkeypatch), _count_assemblies(monkeypatch)
-    d = existence_dichotomy(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
+    d = existence_dichotomy(line_graph(1.0), 1.0, 3.0, SolverConfig(h_max=0.05))
     assert len(built) == 2
     assert [m.graph.n_half_lines for m in built] == [2, 0]
     assert assembled == built[1:]
@@ -1121,7 +1214,7 @@ def test_shared_core_runs_equal_standalone_runs(monkeypatch, factory, p):
     # vector and its stiffness matrix; each must be the one-start minimize
     # of an equal start on a fresh mesh, bit for bit
     graph = factory()
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=3000)
+    cfg = SolverConfig(h_max=0.05, max_iters=3000)
     calls, run = [], solver._minimize_starts
 
     def recorded(*args):
@@ -1176,7 +1269,7 @@ def _dichotomy_answer(runs):
     """The verdict and best energy existence_dichotomy draws from ``runs``,
     in start order."""
     e_min = min(r.energy for r in runs)
-    best = next(r.energy for r in runs if r.energy <= e_min + solver._ENERGY_TIE * abs(e_min))
+    best = next(r.energy for r in runs if r.energy <= e_min + runs[0].bound)
     if any(r.verdict == NEGATIVE_MINIMUM for r in runs):
         return NEGATIVE_MINIMUM, best
     if all(r.verdict == ZERO_INFIMUM_SUSPECTED for r in runs):
@@ -1186,9 +1279,9 @@ def _dichotomy_answer(runs):
 
 # Runs that stop on the gradient test (grad_tol 1e-7) on one state spread
 # in energy by up to about grad_tol^2 over the curvature of the state's
-# softest mode. On stars with long dead-end arms that spread outgrows
-# _ENERGY_TIE: up to 1.5e-11 relative among the runs on one branch of the
-# first example below, whose two branches differ by 1.4e-3.
+# softest mode. On stars with long dead-end arms that spread outgrew a tie
+# of 64 eps of the energy: up to 1.5e-11 relative among the runs on one
+# branch of the first example below, whose two branches differ by 1.4e-3.
 _FINISH_TIE = 1e-10
 
 
@@ -1211,7 +1304,7 @@ def test_random_starts_change_no_dichotomy_answer(graph, p):
     # random fields, descended as one block on the same mesh: every run is
     # its lone run, and the noise moves neither the verdict nor the best
     # energy beyond the spread of the descent's finish
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     calls, run = [], solver._minimize_starts
 
     def recorded(*args):
@@ -1235,43 +1328,44 @@ def test_random_starts_change_no_dichotomy_answer(graph, p):
     "factory,p",
     [
         pytest.param(lambda: double_bridge(0.5, 0.5), 3.5, id="double_bridge"),
-        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, id="star"),
+        # at p = 4 all seven runs stop on a line search after 10 or 11
+        # iterations: no cap gives both stops and several lengths
+        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 3.0, id="star"),
     ],
 )
 def test_block_runs_do_not_depend_on_their_neighbours(factory, p):
-    # random starts and plateaus of three heights leave their stages at
-    # different iterations, by different stops (max_iters cuts the longer
-    # first stages short, with the step of the last iteration taken); a
-    # run's result may not depend on which runs share its block, nor on its
-    # place there, nor on a twin in it. The descent forgets the random
-    # starts' noise: alone, their stages all end at one or two lengths.
+    # random starts and plateaus of three heights end at different
+    # iterations, by different stops (max_iters cuts the longer runs short,
+    # with the step of the last iteration taken); a run's result may not
+    # depend on which runs share its block, nor on its place there, nor on a
+    # twin in it. The descent forgets the random starts' noise: alone, they
+    # all end at one or two lengths.
     graph = factory()
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=10)
+    cfg = SolverConfig(h_max=0.05, max_iters=15)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
     starts = [initializer_random(graph, 1.0, p, mesh, seed=seed) for seed in range(4)]
     cap = math.sqrt(1.0 / core_measure(graph))
     starts += [solver._plateau(graph, 1.0, mesh, frac * cap) for frac in (0.1, 0.25, 0.95)]
     alone = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
     stages = [res.stages for res in alone]
-    assert len({row[0][1] for row in stages}) > 1  # first stages of several lengths
+    assert len({row[0][1] for row in stages}) > 1  # runs of several lengths
     assert {stop for row in stages for *_, stop in row} == {"line_search", "max_iters"}
     for order in ([6, 5, 4, 3, 2, 1, 0], [0, 1, 2, 3, 4, 5, 6, 3], [5, 5, 0]):
         block = solver._minimize_starts(graph, 1.0, p, cfg, [starts[k] for k in order])
         for k, res in zip(order, block):
             _assert_same_run(alone[k], res)
-    # a stage cut by max_iters ends at the state of its last step, whose
+    # a run cut by max_iters ends at the state of its last step, whose
     # energy the result reports
-    cut = SolverConfig(r_cut_schedule=(10.0,), h_max=0.05, max_iters=5)
+    cut = SolverConfig(h_max=0.05, max_iters=5)
     for u0, res in zip(starts, solver._minimize_starts(graph, 1.0, p, cut, starts)):
         assert res.stages[0][1:] == (5, res.stages[0][2], "max_iters")
-        assert res.energy == res.r_cut_table[-1][1] == res.trace[-1][1]
+        assert res.energy == res.trace[-1][1]
         _assert_same_run(minimize(graph, 1.0, p, cut, initial=u0), res)
-
 
 
 def test_an_uphill_preconditioner_stops_each_stage_as_no_descent(monkeypatch):
     # a preconditioner whose solves point uphill leaves no descent
-    # direction: each stage stops at its first iteration by "no_descent",
+    # direction: each run stops at its first iteration by "no_descent",
     # not converged, with no step taken, and a run in a block is still its
     # run alone
     factorizer = solver._shifted_factorizer
@@ -1286,13 +1380,13 @@ def test_an_uphill_preconditioner_stops_each_stage_as_no_descent(monkeypatch):
         return flipped
 
     graph, p = double_bridge(0.5, 0.5), 3.5
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=40)
+    cfg = SolverConfig(h_max=0.05, max_iters=40)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
     starts = [initializer_random(graph, 1.0, p, mesh, seed=seed) for seed in range(3)]
     monkeypatch.setattr(solver, "_shifted_factorizer", uphill)
     alone = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
     for res in alone:
-        assert res.stages == [(10.0, 1, 0, "no_descent"), (20.0, 1, 0, "no_descent")]
+        assert res.stages == [(res.r_cut, 1, 0, "no_descent")]
         assert not res.converged and res.trace == []
     for k, res in enumerate(solver._minimize_starts(graph, 1.0, p, cfg, starts[::-1])):
         _assert_same_run(alone[2 - k], res)
@@ -1300,12 +1394,12 @@ def test_an_uphill_preconditioner_stops_each_stage_as_no_descent(monkeypatch):
 
 def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
     # with a zero gradient and nothing on the leads, the preconditioned
-    # direction does not descend: each stage stops
+    # direction does not descend: each run stops
     # at its first iteration, converged, by "no_descent", alone and in a
     # block beside a run that goes on
     monkeypatch.setattr(EnergyOperator, "gradient", lambda self, v: np.zeros_like(v))
     graph, p = double_bridge(0.5, 0.5), 3.5
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05, max_iters=40)
+    cfg = SolverConfig(h_max=0.05, max_iters=40)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
     starts = []
     for seed in range(2):
@@ -1316,7 +1410,7 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
         starts.append(GraphFunction(mesh, values))
     alone = [minimize(graph, 1.0, p, cfg, initial=u0) for u0 in starts]
     for res in alone:
-        assert res.stages == [(10.0, 1, 0, "no_descent"), (20.0, 1, 0, "no_descent")]
+        assert res.stages == [(res.r_cut, 1, 0, "no_descent")]
         assert res.converged and res.trace == [] and res.lead_mass == 0.0
     other = initializer_random(graph, 1.0, p, mesh, seed=5)
     block = solver._minimize_starts(graph, 1.0, p, cfg, [starts[0], other, starts[1]])
@@ -1329,15 +1423,15 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
 @pytest.mark.parametrize(
     "factory,p,calls",
     [
-        pytest.param(lambda: line_graph(1.0), 3.5, 34, id="line"),
-        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, 22, id="star"),
-        pytest.param(lambda: double_bridge(0.5, 0.5), 4.5, 23, id="double_bridge"),
+        pytest.param(lambda: line_graph(1.0), 3.5, 24, id="line"),
+        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, 11, id="star"),
+        pytest.param(lambda: double_bridge(0.5, 0.5), 4.5, 10, id="double_bridge"),
     ],
 )
 def test_dichotomy_runs_start_each_stage_together(monkeypatch, factory, p, calls):
-    # every run ends a stage before any starts the next, so each stage's
-    # j-th gradient block holds every run still going at its j-th iteration:
-    # a stage takes as many gradient blocks as its longest run iterations
+    # the runs start together, so the j-th gradient block holds every run
+    # still going at its j-th iteration: the block of runs takes as many
+    # gradient blocks as its longest run iterations
     gradient, rows = EnergyOperator.gradient, []
 
     def counted(self, v):
@@ -1345,17 +1439,17 @@ def test_dichotomy_runs_start_each_stage_together(monkeypatch, factory, p, calls
         return gradient(self, v)
 
     monkeypatch.setattr(EnergyOperator, "gradient", counted)
-    d = existence_dichotomy(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0, 40.0), h_max=0.05))
-    stages = [[r.stages[k][1] for r in d.runs.values()] for k in range(3)]
-    assert rows == [sum(n >= j for n in its) for its in stages for j in range(1, max(its) + 1)]
-    assert len(rows) == sum(max(its) for its in stages) == calls
+    d = existence_dichotomy(factory(), 1.0, p, SolverConfig(h_max=0.05))
+    its = [r.iterations for r in d.runs.values()]
+    assert rows == [sum(n >= j for n in its) for j in range(1, max(its) + 1)]
+    assert len(rows) == max(its) == calls
 
 
 def test_runs_from_starts_on_one_mesh_build_one_core(monkeypatch):
     graph = double_bridge(0.5, 0.5)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
     starts = [initializer_competitor(graph, 1.0, 3.0, mesh), initializer_random(graph, 1.0, 3.0, mesh, seed=1)]
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     built, assembled = _count_meshes(monkeypatch), _count_assemblies(monkeypatch)
     runs = [minimize(graph, 1.0, 3.0, cfg, initial=u0) for u0 in starts]
     assert len(built) == 1 and assembled == built
@@ -1369,7 +1463,7 @@ def test_a_start_on_another_spacing_gets_a_core_at_the_configs(monkeypatch):
     graph = line_graph(1.0)
     start = initializer_competitor(graph, 1.0, 3.0, Mesh(graph, h_max=0.1, r_cut=10.0))
     built = _count_meshes(monkeypatch)
-    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05), initial=start)
+    res = minimize(graph, 1.0, 3.0, SolverConfig(h_max=0.05), initial=start)
     assert built == [res.core.mesh] and res.core.mesh.h_max == 0.05 and res.core.mesh.n_dofs == 21
     # the start's mesh keeps a core per spacing
     assert start.mesh.core_mesh(0.05) is res.core.mesh
@@ -1460,11 +1554,22 @@ def test_lead_forms_reject_shifts_at_the_lowest():
 
 @pytest.mark.parametrize("omega", [0.5, 1e-3, 0.0, 0.3 * _lowest_shift(500, 0.02)])
 def test_lead_shift_recovers_the_shift_from_the_lead_mass(omega):
+    # the closed form inverts the untruncated lead's Phi = h coth(theta) / 2:
+    # whatever ratio a lead of 500 cells carries at omega, the untruncated
+    # lead carries it at the shift returned, a positive one; on a lead long
+    # enough to be untruncated to rounding, that is omega back
     n, h = 500, 0.02
-    phi = lead_forms(omega, n, h)[0]
-    back = _lead_shift(phi, n, h)
-    assert lead_forms(back, n, h)[0] == pytest.approx(phi, rel=1e-12)
-    assert back == pytest.approx(omega, abs=1e-9 * max(1.0, abs(omega)))
+    ratio = lead_forms(omega, n, h)[0]
+    back = _lead_shift(ratio, h)
+    assert back > 0.0
+    assert lead_forms(back, _UNTRUNCATED, h)[0] == pytest.approx(ratio, rel=1e-12)
+    if omega > 0.0:
+        assert _lead_shift(lead_forms(omega, _UNTRUNCATED, h)[0], h) == pytest.approx(omega, rel=1e-9)
+
+
+# cells of a lead whose truncation, e^(-2 n theta), lies below rounding at
+# every positive shift the tests use
+_UNTRUNCATED = 10**15
 
 
 def _lead_shift_cases(n, h):
@@ -1476,7 +1581,9 @@ def _lead_shift_cases(n, h):
 
 @pytest.mark.parametrize("n", [1, 50, 500, 8000])
 def test_lead_shift_meets_the_lead_mass_in_a_few_newton_steps(monkeypatch, n):
-    # the bisection took about 60 lead_forms calls; a return to it fails
+    # the bisection took about 60 lead_forms calls, the Newton iteration up
+    # to 12; the closed form takes none, and meets the mass of the
+    # untruncated lead for every ratio a lead of n cells carries
     h = 0.02
     calls = []
 
@@ -1488,9 +1595,9 @@ def test_lead_shift_meets_the_lead_mass_in_a_few_newton_steps(monkeypatch, n):
     for omega in _lead_shift_cases(n, h):
         ratio = lead_forms(omega, n, h)[0]
         calls.clear()
-        back = _lead_shift(ratio, n, h)
-        assert len(calls) <= 12, omega
-        assert abs(lead_forms(back, n, h)[0] - ratio) <= 4 * np.spacing(ratio), omega
+        back = _lead_shift(ratio, h)
+        assert len(calls) == 0, omega
+        assert abs(lead_forms(back, _UNTRUNCATED, h)[0] - ratio) <= 4 * np.spacing(ratio), omega
 
 
 @pytest.mark.parametrize("n", [1, 50, 500, 8000])
@@ -1498,7 +1605,7 @@ def test_lead_shift_caps_a_ratio_within_the_anchors_half_cell(n):
     # Phi never falls to h/2: such a ratio gets a lead empty to rounding
     h = 0.02
     for ratio in (0.5 * h, 0.25 * h):
-        back = _lead_shift(ratio, n, h)
+        back = _lead_shift(ratio, h)
         assert lead_forms(back, n, h)[0] == 0.5 * h
         assert lead_profile(back, n, h)[1] < 1e-50
 
@@ -1580,7 +1687,7 @@ def test_core_solve_without_edge_nodes():
     # every core edge is one cell: the core has no edge block at all
     graph = metric_graph(["a", "b"], [("e", "a", "b", 0.01)], [("lead", "a")])
     assert _core_mesh(graph, 0.02).n_dofs == 2
-    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(5.0, 10.0), h_max=0.02))
+    res = minimize(graph, 1.0, 3.0, SolverConfig(h_max=0.02))
     assert res.report.mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -1595,8 +1702,11 @@ FULL_PROBLEM_GRAPHS = [
 
 @pytest.mark.parametrize("factory,p", FULL_PROBLEM_GRAPHS)
 def test_result_solves_the_full_truncated_problem(factory, p):
+    # bound states: the displayed leads end where they fall below 1e-16 of
+    # their anchors, so the lifted function is the cut problem's state to
+    # rounding, and the gradient rule reads the same on it
     graph = factory()
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     res = minimize(graph, 1.0, p, cfg)
     mesh, u = res.function.mesh, res.function.values
     op = EnergyOperator(mesh, p)
@@ -1605,8 +1715,11 @@ def test_result_solves_the_full_truncated_problem(factory, p):
     residual = g - lam * op.mass_vec * u
     tangent = residual / op.mass_vec
     grad_norm = math.sqrt(float(np.dot(op.mass_vec, tangent * tangent)))
-    # the last stage's gradient rule, read on the whole stage mesh
-    tol = solver._GRAD_TOL * max(1.0, abs(lam))
+    # the run's gradient rule, read on the lifted state; the multiplier
+    # scale (1/L)^((p-2)/2) is at most 1 on these graphs
+    lam_scale = solver.problem_scales(graph, 1.0, p)[0]
+    assert lam_scale <= 1.0
+    tol = solver._GRAD_TOL * max(lam_scale, abs(lam))
     stop = res.stages[-1][3]
     assert stop in ("gradient", "line_search")
     assert grad_norm < (tol if stop == "gradient" else 10.0 * tol)
@@ -1620,7 +1733,8 @@ def test_result_solves_the_full_truncated_problem(factory, p):
     assert res.lead_shift == pytest.approx(-lam, rel=1e-6)
     assert res.lead_mass == pytest.approx(l2_norm_sq(res.function) - l2_norm_sq(res.function, core_only=True), rel=1e-12)
     assert set(res.to_dict()) == set(res.report.to_dict()) | set(res.el.to_dict()) | {
-        "verdict", "converged", "iterations", "grad_norm", "min_node_value", "strictly_positive", "mu", "r_cut_table"
+        "verdict", "converged", "iterations", "grad_norm", "min_node_value", "strictly_positive", "mu", "r_cut",
+        "bound", "n_theta",
     }
 
 
@@ -1634,21 +1748,26 @@ def test_no_stage_evaluates_the_energy_on_the_stage_mesh(monkeypatch):
         built.append(mesh)
 
     monkeypatch.setattr(EnergyOperator, "__init__", counted)
-    res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    res = minimize(line_graph(1.0), 1.0, 2.5, SolverConfig(h_max=0.05))
     assert res.verdict == NEGATIVE_MINIMUM
     assert len(built) == 1 and built[0].graph.n_half_lines == 0
 
 
 def _assert_matches_the_lifted_report(res, p):
     """Every report field and residual of ``res`` against energy_report and
-    el_residual evaluated on its lifted function."""
+    el_residual evaluated on its lifted function, a bound state's displayed
+    to 1e-16 of its anchors; ``min_node_value`` on leads short enough to
+    display whole."""
     ref = energy_report(res.function, p).to_dict()
     for name, value in res.report.to_dict().items():
         if isinstance(value, bool) or name in ("schema_version", "p"):
             assert value == ref[name], name
         else:
             assert value == pytest.approx(ref[name], rel=1e-12), name
-    assert res.min_node_value == float(res.function.values.min())
+    short = dataclasses.replace(res, leads=Leads(res.leads.graph, res.leads.omega, 400, res.leads.h))
+    assert len(short.function.values) - len(res.core.values) == 400 * res.leads.graph.n_half_lines
+    assert short.min_node_value == float(short.function.values.min())
+    assert 0.0 <= res.min_node_value <= short.min_node_value
     assert res.strictly_positive == bool(res.function.values.min() > 0.0)
     ref_el = el_residual(res.function, p)
     assert res.el.lambda_estimate == pytest.approx(ref_el.lambda_estimate, rel=1e-12)
@@ -1663,35 +1782,37 @@ def _assert_matches_the_lifted_report(res, p):
 @pytest.mark.parametrize("factory,p", FULL_PROBLEM_GRAPHS)
 def test_result_report_matches_the_lifted_function(factory, p):
     # the report is built from the core values and the closed-form leads
-    res = minimize(factory(), 1.0, p, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
-    assert res.energy == res.r_cut_table[-1][1]
+    res = minimize(factory(), 1.0, p, SolverConfig(h_max=0.05))
+    assert res.energy == res.trace[-1][1]
     _assert_matches_the_lifted_report(res, p)
 
 
 def test_negated_start_reports_its_absolute_value():
     graph = star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     start = initializer_competitor(graph, 1.0, 3.0, Mesh(graph, h_max=0.05, r_cut=10.0))
     res = minimize(graph, 1.0, 3.0, cfg, initial=-1.0 * start)
     assert res.strictly_positive
     assert res.energy == minimize(graph, 1.0, 3.0, cfg, initial=start).energy
-    assert res.energy == res.r_cut_table[-1][1]
+    assert res.energy == res.trace[-1][1]
     _assert_matches_the_lifted_report(res, 3.0)
 
 
 def test_result_dict_at_a_long_cut_is_closed_form_and_positive():
     # min_node_value reads each lead's free end in closed form, not its
-    # profile; at 5e10 cells that end underflows, but the state stays
-    # positive in exact arithmetic, and the result says so
+    # profile; at the derived cut, over 1e11 cells, that end underflows,
+    # but the state stays positive in exact arithmetic, and the result
+    # says so
     graph = line_graph(1.0)
-    res = minimize(graph, 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    res = minimize(graph, 1.0, 3.0, SolverConfig(h_max=0.05))
+    assert res.leads.n > 5 * 10**10
     _assert_matches_the_lifted_report(res, 3.0)
-    far = dataclasses.replace(res, leads=Leads(graph, res.leads.omega, 5 * 10**10, res.leads.h))
+    near = dataclasses.replace(res, leads=Leads(graph, res.leads.omega, 400, res.leads.h))
     t0 = time.perf_counter()
-    d = far.to_dict()
+    d = res.to_dict()
     assert time.perf_counter() - t0 < 0.05
-    assert d["strictly_positive"] is True and far.strictly_positive
-    assert 0.0 <= d["min_node_value"] < res.min_node_value
+    assert d["strictly_positive"] is True and res.strictly_positive
+    assert 0.0 <= d["min_node_value"] < near.min_node_value
 
 
 def test_minimize_reports_through_the_module_level_functions(monkeypatch):
@@ -1706,7 +1827,7 @@ def test_minimize_reports_through_the_module_level_functions(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
-    minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)).el
+    minimize(line_graph(1.0), 1.0, 3.0, SolverConfig(h_max=0.05)).el
     assert sorted(calls) == ["el_residual", "energy_report"]
 
 
@@ -1723,7 +1844,7 @@ def test_dichotomy_reports_and_factors_through_the_module_level_functions(monkey
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
-    d = existence_dichotomy(double_bridge(0.5, 0.5), 1.0, 3.5, SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05))
+    d = existence_dichotomy(double_bridge(0.5, 0.5), 1.0, 3.5, SolverConfig(h_max=0.05))
     for res in d.runs.values():
         res.el
     assert calls.count("energy_report") == calls.count("el_residual") == len(d.runs) == 6
@@ -1741,7 +1862,7 @@ def test_residuals_are_computed_once_on_first_read(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(solver, "el_residual", counted)
-    cfg = SolverConfig(r_cut_schedule=(10.0, 20.0), h_max=0.05)
+    cfg = SolverConfig(h_max=0.05)
     res = minimize(line_graph(1.0), 1.0, 3.0, cfg)
     d = existence_dichotomy(double_bridge(0.5, 0.5), 1.0, 3.5, cfg)
     assert calls == []
