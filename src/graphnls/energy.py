@@ -192,7 +192,7 @@ class EnergyOperator:
 # the leads in closed form
 #
 # On a lead the discrete problem is linear. With anchor value a and shift
-# omega (minus the multiplier), the stage minimizer's lead values solve
+# omega (minus the multiplier), the minimizer's lead values solve
 # (S + omega M) u = 0 off the anchor, with the natural far end, so
 # u_i = a cosh((n - i) theta) / cosh(n theta), i = 0..n, where
 # cosh(theta) = 1 + omega h^2 / 2 (cos and phi in place of cosh and theta
@@ -305,7 +305,7 @@ class Leads:
     :meth:`~graphnls.functions.Mesh.lead_anchors` are their anchors: each
     lead is cut into ``n`` cells of width ``h``
     and holds its anchor's value times ``lead_profile(omega, n, h)``, the
-    solver's stage minimizer on it. :func:`energy_report` and
+    solver's minimizer on it. :func:`energy_report` and
     :func:`el_residual` take it to account for the leads without a mesh
     of them: every lead term below costs O(1) work, whatever ``n`` is, and
     only ``profile`` builds the n + 1 node values.
@@ -377,7 +377,7 @@ class Leads:
 
 def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarray, float]:
     """The leads' anchor dofs and counts A on ``u``'s mesh and s = A u.u,
-    summed over every dof as the solver's stage energy sums it."""
+    summed over every dof as the solver's energy sums it."""
     dofs, counts = u.mesh.lead_anchors(leads.graph)
     return dofs, counts, float(counts.dot(u.values * u.values))
 
@@ -397,13 +397,13 @@ def energy_report(
     has them.
 
     With ``leads``, ``u`` lives on a mesh of the core and the half-lines
-    are those closed-form leads, as at the end of the solver's last stage.
+    are those closed-form leads, as at the end of a solver run.
     Each lead term takes O(1) work, whatever the leads' cell count:
 
     - with s = sum_j a_j^2 over the leads' anchor values, the Dirichlet
       integral is S_K u.u + s Psi and the mass M_K u.u + s Phi
-      (``leads.forms``, the stage's own), and the energy is summed in the
-      stage energy's order, so it is that energy bit for bit;
+      (``leads.forms``, the run's own), and the energy is summed in the
+      run's order, so it is the run's energy bit for bit;
     - the sup is the larger of the core's and max_j |a_j| times the
       profile's, ``leads.sup`` (1, or 1 / cos(n phi) when omega < 0),
       exact to rounding.

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from graphnls import cli, solver
-from graphnls.functions import Mesh
 from graphnls.graphs import load_graph
 from graphnls.solver import initializer_soliton, start_mesh
 
