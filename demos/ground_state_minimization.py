@@ -21,7 +21,7 @@ print(f"graph: core measure {core_measure(graph):.1f}, "
 
 result = minimize(graph, mu=1.0, p=4.0)
 
-((r_cut, iters, rejected, stop),) = result.stages
+r_cut, iters, rejected, stop = result.stages[-1]  # one descent at p <= 4
 print(f"\nrun: cut {r_cut:.4g}, {iters} iterations, {rejected} rejected trials, "
       f"stopped by {stop} (converged: {result.converged})")
 print(f"tails decay over the cut by e^-{result.n_theta:.4g}")

@@ -487,14 +487,19 @@ def el_residual(
     bit.
 
     ``sums`` are ``core_sums(u, p)`` when the caller has them, as the
-    solver has from its report (not with ``uniform_nonlinearity``).
+    solver has from its report; their L^p sum is the core's, so they are
+    refused with ``uniform_nonlinearity``.
     """
     require_p(p)
     if leads is not None and uniform_nonlinearity:
         raise ValueError("closed-form leads carry no nonlinearity")
+    if sums is not None and uniform_nonlinearity:
+        raise ValueError("core sums carry the core's L^p integral, not the whole graph's")
     mesh = u.mesh
-    if sums is None:
-        sums = kinetic_energy(u), lp_integral(u, p, core_only=not uniform_nonlinearity), l2_norm_sq(u)
+    if uniform_nonlinearity:
+        sums = kinetic_energy(u), lp_integral(u, p, core_only=False), l2_norm_sq(u)
+    elif sums is None:
+        sums = core_sums(u, p)
     ksq, pot_int, mass = sums
     graph = mesh.graph
     if leads is not None:

@@ -1,9 +1,12 @@
 """Mass-constrained energy minimization on metric graphs with half-line leads.
 
-A run descends once, with its leads cut at R (:func:`problem_scales`): with
+A run descends with its leads cut at R (:func:`problem_scales`): with
 a = sqrt(mu/L) the plateau that holds the mass on a core of measure L, the
 verdict's rounding bound is 64 eps times the energy scale mu a^(p-2), and
 R puts the flat state's energy (L/p) (mu/(N R + L))^(p/2) far below it.
+When p > 4, where u = 0 is a local minimum of the untruncated problem that
+a start spread over its leads would descend to, the run first descends at
+its start mesh's own cut.
 The scales, the bound, R and every tolerance rescale with the problem under
 :func:`graphnls.graphs.homothety`. A converged run that ends below minus
 the bound is NEGATIVE_MINIMUM; one that does not is ZERO_INFIMUM_SUSPECTED,
@@ -42,7 +45,7 @@ Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
 step only while the predicted decrease is above one ulp of the energy. A
 run records why it stopped and how many trials its searches rejected
-(``MinimizationResult.stages``, one row), and counts its factors
+(``MinimizationResult.stages``, a row per descent), and counts its factors
 (``MinimizationResult.factorizations``).
 """
 from __future__ import annotations
@@ -623,9 +626,11 @@ class MinimizationResult:
     energy: float
     verdict: str
     report: EnergyReport
+    # the last descent's (iteration, energy, gradient norm, step) rows
     energy_trace: list[float]
     trace: list[tuple[int, float, float, float]]
-    stages: list[tuple[float, int, int, str]]  # one row: (r_cut, iterations, backtracks, stop)
+    # a row (r_cut, iterations, backtracks, stop) per descent, two if p > 4
+    stages: list[tuple[float, int, int, str]]
     converged: bool
     iterations: int
     grad_norm: float
@@ -652,7 +657,7 @@ class MinimizationResult:
 
     @property
     def r_cut(self) -> float:
-        return self.stages[0][0]
+        return self.stages[-1][0]
 
     @property
     def n_theta(self) -> float:
@@ -668,7 +673,7 @@ class MinimizationResult:
         of the anchor, at most _DISPLAY_CELLS of them: for a bound state,
         the state to rounding."""
         graph, core, leads = self.leads.graph, self.core, self.leads
-        theta = _lead_angle(leads.omega, leads.h) if leads.omega > 0.0 else 0.0
+        theta = self.n_theta / leads.n
         cells = min(leads.n, _DISPLAY_CELLS)
         if theta > 0.0:
             cells = min(cells, math.ceil(_DISPLAY_DECAY / theta))
@@ -740,12 +745,25 @@ def _minimize_starts(
     factor = _shifted_factorizer(core)
     _, counts = core.lead_anchors(graph)
     scales = problem_scales(graph, mu, p)
-    records = _descend(op, factor, counts, [_start(u0, core) for u0 in starts], mu, config, scales)
+    runs = [_start(u0, core) for u0 in starts]
+    first = [None] * len(runs)
+    if p > 4.0:
+        # Above p = 4 the untruncated problem keeps a local minimum at
+        # u = 0, and a start that holds much of its mass on its leads
+        # spreads there at R. On the leads the starts' mesh cuts, the mass
+        # can spread no further than the starts hold it: each run descends
+        # there first and carries its core values and lead mass on to R.
+        first = _descend(op, factor, counts, runs, mu, config, scales[:2] + (starts[0].mesh.r_cut,))
+        runs = [(record[0], record[2]) for record in first]
+    records = _descend(op, factor, counts, runs, mu, config, scales)
     bound = scales[1]
     n, h = uniform_cells(scales[2], config.h_max)
 
     results = []
-    for u, omega, lead_mass, grad_norm, converged, trace, stage, factorizations in records:
+    for before, (u, omega, lead_mass, grad_norm, converged, trace, stage, factorizations) in zip(first, records):
+        stages = [stage] if before is None else [before[6], stage]
+        if before is not None:
+            factorizations += before[7]
         # |u| has the same energy or lower, and the mass form only sees |u|
         values = np.abs(u) if np.any(u < 0.0) else u
         # the report, and the residuals once read, come from the core values
@@ -764,9 +782,9 @@ def _minimize_starts(
                 report=report,
                 energy_trace=[row[1] for row in trace],
                 trace=trace,
-                stages=[stage],
+                stages=stages,
                 converged=converged,
-                iterations=stage[1],
+                iterations=sum(row[1] for row in stages),
                 grad_norm=grad_norm,
                 mu=mu,
                 p=p,
@@ -794,11 +812,13 @@ def minimize(
     from ``initial``, a state on any mesh of ``graph`` (ValueError for
     another graph), its core interpolated onto the core mesh and its lead
     mass giving the shift; without it, from the plateau competitor on
-    :func:`start_mesh`. The result holds the state as ``core`` (|u| where
-    it has a negative value) and ``leads``; its ``report``, ``el`` (on
-    first read) and ``min_node_value`` come from them with no sum over
-    lead nodes, so ``energy`` is the run's last energy whenever its state
-    has one sign. ``function`` lifts it onto a bounded display of the leads.
+    :func:`start_mesh`. When p > 4 it first descends at the cut of
+    ``initial``'s mesh, then from there at the derived cut. The result
+    holds the state as ``core`` (|u| where it has a negative value) and
+    ``leads``; its ``report``, ``el`` (on first read) and
+    ``min_node_value`` come from them with no sum over lead nodes, so
+    ``energy`` is the run's last energy whenever its state has one sign.
+    ``function`` lifts it onto a bounded display of the leads.
 
     The verdict: NEGATIVE_MINIMUM when the converged run ends below minus
     the rounding bound (``bound``), evidence of existence up to
@@ -835,11 +855,11 @@ def dirichlet_line_min(
 
     With the pin as anchor, each side is a lead of the solver's truncated
     problem (natural far end, no nonlinearity): its minimizer is
-    a * :func:`lead_profile` at the shift :func:`_lead_shift` that carries
-    ratio = m / (sides * a^2) per unit a^2, the pin's half cell included.
-    The default cut is 12 decay lengths of the side's tail
+    a * :func:`lead_profile` at the shift at which the side, cut at r,
+    carries ratio = m / (sides * a^2) per unit a^2, the pin's half cell
+    included. The default cut is 12 decay lengths of the side's tail
     a exp(-x / (2 ratio)), and no less than 10; the grid is
-    ``uniform_cells(r, min(h_max, r/50))``, the shift the untruncated lead's.
+    ``uniform_cells(r, min(h_max, r/50))``.
 
     Returns (minimal value, (grid, minimizer values)).
     """
@@ -857,7 +877,14 @@ def dirichlet_line_min(
         raise ValueError("infeasible: pinned node already exhausts the mass")
     if ratio >= n * h:
         raise ValueError("truncation too short: the constant a carries no more than mass m")
-    v = a * lead_profile(_lead_shift(ratio, h), n, h)
+    # bisect for the cut side's shift, bracketed from the untruncated
+    # lead's, which carries a relative O(e^(-2 n theta)) more or less
+    lo, hi = 0.0, _lead_shift(ratio, h)
+    while lead_forms(hi, n, h)[0] > ratio:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if lead_forms(mid, n, h)[0] > ratio else (lo, mid)
+    v = a * lead_profile(hi, n, h)
     # the shift meets the mass only to rounding; rescale the side
     weights = np.full(n, h)
     weights[-1] = 0.5 * h

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from graphnls.energy import (
     EnergyOperator,
     Leads,
+    core_sums,
     default_gn_constants,
     el_residual,
     energy_gradient,
@@ -178,6 +179,15 @@ def test_el_residual_zero_function_raises():
     mesh = Mesh(line_graph(1.0), h_max=0.1, r_cut=2.0)
     with pytest.raises(ValueError):
         el_residual(GraphFunction.constant(mesh, 0.0), 3.0)
+
+
+def test_el_residual_takes_the_core_sums_it_would_compute():
+    mesh = Mesh(double_bridge(0.7, 1.3), h_max=0.05, r_cut=3.0)
+    u = random_decaying(mesh, np.random.default_rng(3))
+    assert el_residual(u, 3.5, sums=core_sums(u, 3.5)).to_dict() == el_residual(u, 3.5).to_dict()
+    # with the nonlinearity on every edge, the core's L^p sum is the wrong one
+    with pytest.raises(ValueError, match="core sums"):
+        el_residual(u, 3.5, uniform_nonlinearity=True, sums=core_sums(u, 3.5))
 
 
 def soliton_graph_function(mesh, mu, p, L):
