@@ -29,8 +29,7 @@ print(f"tails decay over the cut by e^-{result.n_theta:.4g}")
 print(f"\nverdict: {result.verdict} (rounding bound {result.bound:.1e})")
 print(f"energy:  {result.energy:.8f}")
 print(f"mass:    {result.report.mass:.12f}  (constraint mu = 1)")
-print(f"minimum nodal value: {result.min_node_value:.3e} "
-      f"(strictly positive: {result.strictly_positive})")
+print(f"strictly positive: {result.strictly_positive}")
 
 el = result.el
 print("\nstationarity diagnostics (u'' + kappa u|u|^(p-2) = lambda u):")

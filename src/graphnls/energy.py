@@ -308,7 +308,7 @@ class Leads:
     solver's minimizer on it. :func:`energy_report` and
     :func:`el_residual` take it to account for the leads without a mesh
     of them: every lead term below costs O(1) work, whatever ``n`` is, and
-    only ``profile`` builds the n + 1 node values.
+    none builds the n + 1 node values.
 
     ``n`` must be a positive integer, ``h`` finite and positive and
     ``omega`` finite and above the lowest shift of the lead, where n phi
@@ -326,11 +326,6 @@ class Leads:
         if isinstance(self.omega, (bool, np.bool_)) or not math.isfinite(self.omega):
             raise ValueError(f"omega must be a finite number, got {self.omega!r}")
         self.forms  # ValueError at or below the lowest shift
-
-    @cached_property
-    def profile(self) -> np.ndarray:
-        """``lead_profile(omega, n, h)``, computed once."""
-        return lead_profile(self.omega, self.n, self.h)
 
     @cached_property
     def forms(self) -> tuple[float, float, float]:

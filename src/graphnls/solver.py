@@ -620,7 +620,8 @@ def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:
 @dataclass
 class MinimizationResult:
     # the state: its core values (|u| where it had a negative value) and
-    # its leads, each its anchor's value times ``leads.profile``
+    # its leads, each its anchor's value times
+    # ``lead_profile(leads.omega, leads.n, leads.h)``
     core: GraphFunction
     leads: Leads
     energy: float
@@ -688,20 +689,9 @@ class MinimizationResult:
         return GraphFunction(mesh, values)
 
     @property
-    def min_node_value(self) -> float:
-        """The least nodal value of the state over the whole cut, in O(1)
-        work per lead: anchors are >= 0 and rounding monotone, so a lead's
-        is its least anchor times the profile's least, at its free end
-        (underflowing to 0 at long cuts) for omega > 0, else its anchor."""
-        values, leads = self.core.values, self.leads
-        anchors = values[self.core.mesh.lead_anchors(leads.graph)[0]]
-        least = _profile_at(leads.omega, leads.n, leads.h, np.array(leads.n)) if leads.omega > 0.0 else 1.0
-        return min(float(values.min()), float(anchors.min() * least))
-
-    @property
     def strictly_positive(self) -> bool:
         """Every core value, anchors included, is > 0: the lead profile is
-        positive at every admissible shift, also where :attr:`min_node_value`
+        positive at every admissible shift, also where its free end
         underflows."""
         return float(self.core.values.min()) > 0.0
 
@@ -714,7 +704,6 @@ class MinimizationResult:
                 "converged": self.converged,
                 "iterations": self.iterations,
                 "grad_norm": self.grad_norm,
-                "min_node_value": self.min_node_value,
                 "strictly_positive": self.strictly_positive,
                 "mu": self.mu,
                 "r_cut": self.r_cut,
@@ -815,9 +804,9 @@ def minimize(
     :func:`start_mesh`. When p > 4 it first descends at the cut of
     ``initial``'s mesh, then from there at the derived cut. The result
     holds the state as ``core`` (|u| where it has a negative value) and
-    ``leads``; its ``report``, ``el`` (on first read) and
-    ``min_node_value`` come from them with no sum over lead nodes, so
-    ``energy`` is the run's last energy whenever its state has one sign.
+    ``leads``; its ``report`` and ``el`` (on first read) come from them
+    with no sum over lead nodes, so ``energy`` is the run's last energy
+    whenever its state has one sign.
     ``function`` lifts it onto a bounded display of the leads.
 
     The verdict: NEGATIVE_MINIMUM when the converged run ends below minus

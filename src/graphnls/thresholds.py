@@ -259,16 +259,19 @@ def certify_nonexistence(
     graph has at least two half-lines, the partitions into at most one
     region per half-line. The best candidate minimizes the largest
     per-region core measure, and the first one in candidate order wins a
-    tie: the single-region check, then the partitions in the order given
-    or in canonical order. The certificate is valid when that measure is
-    below the threshold. Constants not passed come
-    from :func:`graphnls.energy.gn_constants` for the graph, which gives
-    the single-lead pair on graphs with a dead end.
+    tie: the single-region check, then the partitions in the order given.
+    The certificate is valid when that measure is below the threshold.
+    Constants not passed come from :func:`graphnls.energy.gn_constants`
+    for the graph, which gives the single-lead pair on graphs with a dead
+    end.
 
-    Without supplied partitions none are enumerated:
-    :func:`graphnls.graphs.least_partition` finds the first partition in
-    canonical order whose largest part is least, by a pruned search, and
-    only it is weighed against the single-region check.
+    Without supplied partitions none are enumerated: validity depends only
+    on the least largest part, and :func:`graphnls.graphs.least_partition`
+    builds one partition that attains it from a branch and bound over the
+    groupings of the core lengths. Only it is weighed against the
+    single-region check. Which of several least partitions it reports
+    follows that search, not the canonical order of
+    :func:`graphnls.graphs.enumerate_partitions`.
     """
     _require_p46(p)
     graph.require_valid()

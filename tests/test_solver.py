@@ -1137,7 +1137,7 @@ def test_postprocess_keeps_mass_and_positivity():
     start = initializer_random(graph, 1.0, 3.0, Mesh(graph, h_max=0.1, r_cut=8.0), seed=3)
     res = minimize(graph, 1.0, 3.0, SolverConfig(h_max=0.1), initial=start)
     assert res.report.mass == pytest.approx(1.0, abs=1e-10)
-    assert res.min_node_value >= 0.0
+    assert res.strictly_positive
 
 
 def test_warm_start_transfer_extends_tails():
@@ -1771,7 +1771,7 @@ def test_result_solves_the_full_truncated_problem(factory, p):
     assert res.lead_shift == pytest.approx(-lam, rel=1e-6)
     assert res.lead_mass == pytest.approx(l2_norm_sq(res.function) - l2_norm_sq(res.function, core_only=True), rel=1e-12)
     assert set(res.to_dict()) == set(res.report.to_dict()) | set(res.el.to_dict()) | {
-        "verdict", "converged", "iterations", "grad_norm", "min_node_value", "strictly_positive", "mu", "r_cut",
+        "verdict", "converged", "iterations", "grad_norm", "strictly_positive", "mu", "r_cut",
         "bound", "n_theta",
     }
 
@@ -1794,8 +1794,8 @@ def test_no_stage_evaluates_the_energy_on_the_stage_mesh(monkeypatch):
 def _assert_matches_the_lifted_report(res, p):
     """Every report field and residual of ``res`` against energy_report and
     el_residual evaluated on its lifted function, a bound state's displayed
-    to 1e-16 of its anchors; ``min_node_value`` on leads short enough to
-    display whole."""
+    to 1e-16 of its anchors; ``strictly_positive`` also on leads short
+    enough to display whole."""
     ref = energy_report(res.function, p).to_dict()
     for name, value in res.report.to_dict().items():
         if isinstance(value, bool) or name in ("schema_version", "p"):
@@ -1804,8 +1804,7 @@ def _assert_matches_the_lifted_report(res, p):
             assert value == pytest.approx(ref[name], rel=1e-12), name
     short = dataclasses.replace(res, leads=Leads(res.leads.graph, res.leads.omega, 400, res.leads.h))
     assert len(short.function.values) - len(res.core.values) == 400 * res.leads.graph.n_half_lines
-    assert short.min_node_value == float(short.function.values.min())
-    assert 0.0 <= res.min_node_value <= short.min_node_value
+    assert short.strictly_positive == bool(short.function.values.min() > 0.0)
     assert res.strictly_positive == bool(res.function.values.min() > 0.0)
     ref_el = el_residual(res.function, p)
     assert res.el.lambda_estimate == pytest.approx(ref_el.lambda_estimate, rel=1e-12)
@@ -1837,10 +1836,9 @@ def test_negated_start_reports_its_absolute_value():
 
 
 def test_result_dict_at_a_long_cut_is_closed_form_and_positive():
-    # min_node_value reads each lead's free end in closed form, not its
-    # profile; at the derived cut, over 1e11 cells, that end underflows,
-    # but the state stays positive in exact arithmetic, and the result
-    # says so
+    # strictly_positive reads the core values alone; at the derived cut,
+    # over 1e11 cells, each lead's free end underflows, but the state
+    # stays positive in exact arithmetic, and the result says so
     graph = line_graph(1.0)
     res = minimize(graph, 1.0, 3.0, SolverConfig(h_max=0.05))
     assert res.leads.n > 5 * 10**10
@@ -1850,7 +1848,8 @@ def test_result_dict_at_a_long_cut_is_closed_form_and_positive():
     d = res.to_dict()
     assert time.perf_counter() - t0 < 0.05
     assert d["strictly_positive"] is True and res.strictly_positive
-    assert 0.0 <= d["min_node_value"] < near.min_node_value
+    # leads short enough to display whole are positive at every node
+    assert near.strictly_positive and near.function.values.min() > 0.0
 
 
 def test_minimize_reports_through_the_module_level_functions(monkeypatch):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,23 @@ def _scanned_certificate(graph, p, mu):
     ).to_dict()
 
 
+def _assert_matches_the_scan(graph, p, mu):
+    """certify_nonexistence against the scan on every field but which least
+    partition it picked, and that partition on its own."""
+    cert = certify_nonexistence(graph, p, mu)
+    got, want = cert.to_dict(), _scanned_certificate(graph, p, mu)
+    for name in ("partition", "part_core_measures", "offending_parts"):
+        del got[name], want[name]
+    assert got == want
+    if cert.whole_graph:
+        assert cert.part_core_measures == (core_measure(graph),)
+    else:
+        parts = cert.partition.parts
+        assert partition_violations(graph, parts) == []
+        assert cert.part_core_measures == tuple(part_core_measure(graph, part) for part in parts)
+    assert cert.offending_parts == tuple(i for i, m in enumerate(cert.part_core_measures) if m >= cert.threshold)
+
+
 @settings(deadline=None, derandomize=True)
 @given(graph=small_graphs(), data=st.data())
 def test_enumerated_partitions_match_brute_force(graph, data):
@@ -462,7 +480,7 @@ def test_enumerated_partitions_match_brute_force(graph, data):
     mu=st.sampled_from((0.5, 1.0, 2.0)),
 )
 def test_certificate_matches_a_scan_of_every_candidate(graph, p, mu):
-    assert certify_nonexistence(graph, p, mu).to_dict() == _scanned_certificate(graph, p, mu)
+    _assert_matches_the_scan(graph, p, mu)
 
 
 def test_certificates_of_the_demo_graphs_are_pinned():
@@ -492,11 +510,12 @@ def _bridge(lengths, n_half_lines):
 @example(graph=_bridge((0.75, 0.75, 0.5, 0.5, 0.5), 2))
 # 0.1 + 0.2 + 0.3 rounds above 0.6 one by one, but math.fsum gives 0.6
 @example(graph=_bridge((0.1, 0.2, 0.3, 0.6), 2))
-def test_least_partition_is_the_first_least_enumerated_partition(graph):
+def test_least_partition_is_a_least_enumerated_partition(graph):
     # also where the whole-graph check wins the certificate's tie
-    found = enumerate_partitions(graph, graph.n_half_lines)
-    worst = [max(part_core_measure(graph, part) for part in q.parts) for q in found]
-    assert least_partition(graph) == found[worst.index(min(worst))]
+    found = least_partition(graph)
+    assert partition_violations(graph, found.parts) == []
+    least = min(max(part_core_measure(graph, part) for part in q.parts) for q in enumerate_partitions(graph, graph.n_half_lines))
+    assert max(part_core_measure(graph, part) for part in found.parts) == least
 
 
 def _least_largest_group_by_brute_force(lengths, n):
@@ -513,7 +532,12 @@ def test_least_largest_group_matches_brute_force():
     for _ in range(40):
         lengths = [float(x) for x in rng.choice((0.1, 0.2, 0.3, 0.25, 0.5, 1.0), int(rng.integers(1, 8)))]
         n = int(rng.integers(1, 5))
-        assert graphs._least_largest_group(lengths, n) == _least_largest_group_by_brute_force(lengths, n), (lengths, n)
+        least, grouping = graphs._least_largest_group(lengths, n)
+        assert least == _least_largest_group_by_brute_force(lengths, n), (lengths, n)
+        # each index once, in at most n groups, the largest measuring W*
+        assert sorted(i for group in grouping for i in group) == list(range(len(lengths)))
+        assert 1 <= len(grouping) <= n and all(grouping)
+        assert max(math.fsum(lengths[i] for i in group) for group in grouping) == least
 
 
 # the star topologies of the benchmark's certificate op, by leads per terminal
@@ -541,7 +565,7 @@ def test_certificates_do_not_enumerate_partitions(monkeypatch):
             half = [(f"lead{i}_{k}", f"t{i}") for i, n in enumerate(leads, 1) for k in range(1, n + 1)]
             graph = metric_graph(vertices, core, half)
             p, mu = float(rng.choice([4.0, 4.5, 5.0])), float(rng.uniform(0.8, 1.25))
-            assert certify_nonexistence(graph, p, mu).to_dict() == _scanned_certificate(graph, p, mu)
+            _assert_matches_the_scan(graph, p, mu)
 
 
 @pytest.mark.parametrize(
@@ -563,6 +587,32 @@ def test_certificates_scale_past_the_enumeration(graph):
     lengths = [e.length for e in graph.core_edges]
     assert cert.max_part_measure == _least_largest_group_by_brute_force(lengths, graph.n_half_lines)
     assert cert.part_core_measures == tuple(part_core_measure(graph, part) for part in cert.partition.parts)
+
+
+def _grid(k):
+    """A k x k grid core of edges of 0.1, a lead at each vertex of its left
+    and right columns."""
+    vertices = [f"v{r}_{c}" for r in range(k) for c in range(k)]
+    core = [(f"h{r}_{c}", f"v{r}_{c}", f"v{r}_{c + 1}", 0.1) for r in range(k) for c in range(k - 1)]
+    core += [(f"u{r}_{c}", f"v{r}_{c}", f"v{r + 1}_{c}", 0.1) for r in range(k - 1) for c in range(k)]
+    leads = [(f"lead{r}_{c}", f"v{r}_{c}") for r in range(k) for c in (0, k - 1)]
+    return metric_graph(vertices, core, leads)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_certificates_of_grid_cores_return(k):
+    # 24 core edges and 8 leads, then 40 and 10: many equal lengths, which
+    # the search for the least largest part must not branch over
+    graph = _grid(k)
+    assert (len(graph.core_edges), graph.n_half_lines) == (2 * k * (k - 1), 2 * k)
+    start = time.perf_counter()
+    cert = certify_nonexistence(graph, 4.5, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert partition_violations(graph, cert.partition.parts) == []
+    lengths = [e.length for e in graph.core_edges]
+    # the even split: k - 1 edges per part, each measuring the exact
+    # total over N, rounded
+    assert cert.max_part_measure == float(sum(map(Fraction, lengths)) / graph.n_half_lines) > max(lengths)
 
 
 # scaling
