@@ -31,6 +31,7 @@ from .graphs import (
 )
 from .solver import (
     INCONCLUSIVE,
+    NEGATIVE_MINIMUM,
     ZERO_INFIMUM_SUSPECTED,
     SolverConfig,
     existence_dichotomy,
@@ -411,18 +412,22 @@ def cmd_sweep(args) -> int:
         print(f"{spec.axis}={value!r}: {_verdict_text(verdict)} E_min={e_min!r} band={band}")
     print(f"wrote {out_path}, sweep_log.json")
 
-    unsound = [
-        row for row in rows if row[5] == "EXIST_BAND" and row[2] == ZERO_INFIMUM_SUSPECTED
-    ]
-    if unsound:
-        values = ", ".join(repr(row[0]) for row in unsound)
-        print(
-            "sweep soundness violation: zero infimum reported inside the "
-            f"guaranteed-existence band at {spec.axis} in {{{values}}}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    return EXIT_OK
+    # both directions of the paper's dichotomy: a verdict that contradicts
+    # its proven band marks the run unsound
+    status = EXIT_OK
+    for band, verdict, claim, proven in (
+        ("EXIST_BAND", ZERO_INFIMUM_SUSPECTED, "zero infimum", "guaranteed-existence"),
+        ("NONEXIST_BAND", NEGATIVE_MINIMUM, "negative minimum", "proven-nonexistence"),
+    ):
+        unsound = [repr(row[0]) for row in rows if row[5] == band and row[2] == verdict]
+        if unsound:
+            print(
+                f"sweep soundness violation: {claim} reported inside the "
+                f"{proven} band at {spec.axis} in {{{', '.join(unsound)}}}",
+                file=sys.stderr,
+            )
+            status = EXIT_INTERNAL
+    return status
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,9 @@ class EnergyOperator:
 
     Each form takes one vector of nodal values or a (k, m) block of k of
     them, one per row, and gives each row exactly what the row alone gives:
-    it gathers the cells' values once for the block (:meth:`_cells`), and
-    every row is reduced in the 1-D order (:func:`graphnls.functions._dots`).
+    it gathers the cells' values once for the block (:meth:`cells`), one
+    gather that a caller of both forms may pass to each, and every row is
+    reduced in the 1-D order (:func:`graphnls.functions._dots`).
     """
 
     def __init__(self, mesh: Mesh, p: float):
@@ -140,16 +141,17 @@ class EnergyOperator:
         # the gather makes its midpoint
         self._gather = np.concatenate((ia, ib, ia))
         self._w = np.where(mesh.cell_core, self._h / 6.0, 0.0)  # no nonlinearity off the core
-        self._simpson_w = np.concatenate((self._w, self._w, 4.0 * self._w))  # against x of _cells
+        self._simpson_w = np.concatenate((self._w, self._w, 4.0 * self._w))  # against x of cells
         # per block shape ((k,) or () for a vector): the gradient's bincount
         # targets, row r's cell ends offset by r * n_dofs, and the shape of
         # its two halves of cell ends
         self._blocks = {(): (self._ends, (2, len(self._h)))}
 
-    def _cells(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``x = [first ends | second ends | midpoints]`` of the cells at
-        ``v``, a vector or a block (one row per row), and their differences
-        ``d = second - first``."""
+    def cells(self, v: np.ndarray) -> tuple:
+        """``(x, |x|, d, d / h)`` at ``v``, a vector or a block (one row per
+        row): ``x = [first ends | second ends | midpoints]`` of the cells,
+        ``d = second - first`` their differences and ``h`` their widths,
+        all that ``value`` and ``gradient`` read."""
         n = self._n
         # one gather: take keeps a block's rows contiguous, where v[:, idx]
         # is F-ordered; a vector's index is the faster
@@ -157,23 +159,26 @@ class EnergyOperator:
         mid = x[..., 2 * n :]
         mid += x[..., n : 2 * n]
         mid *= 0.5
-        return x, x[..., n : 2 * n] - x[..., :n]
+        d = x[..., n : 2 * n] - x[..., :n]
+        # divided by the width: a stored 1/h rounds too far off (README)
+        return x, np.abs(x), d, d / self._h
 
-    def value(self, v: np.ndarray):
+    def value(self, v: np.ndarray, cells: tuple | None = None):
         """The energy at ``v``: the sums of ``kinetic_energy`` (0 on
         constants) and ``lp_integral``, one dot each; a float, or a (k, 1)
-        column of one per row of a block."""
-        x, d = self._cells(v)
-        lp = _dots(self._simpson_w, _abs_pow(x, self.p))
-        # divided by the width: a stored 1/h rounds too far off (README)
-        return 0.5 * _dots(d, d / self._h) - lp / self.p
+        column of one per row of a block. ``cells`` are ``cells(v)`` when
+        the caller has them."""
+        _, ax, d, slope = cells or self.cells(v)
+        lp = _dots(self._simpson_w, ax**self.p)
+        return 0.5 * _dots(d, slope) - lp / self.p
 
-    def gradient(self, v: np.ndarray) -> np.ndarray:
+    def gradient(self, v: np.ndarray, cells: tuple | None = None) -> np.ndarray:
         """Exact gradient of the discrete energy w.r.t. nodal values: at
         each cell end its signed flux less its load w (g_end + 2 g_mid),
         g = |x|^(p-2) x, summed by one bincount over the whole block, each
-        row's ends in the order of a vector's."""
-        x, d = self._cells(v)
+        row's ends in the order of a vector's. ``cells`` are ``cells(v)``
+        when the caller has them."""
+        x, ax, _, slope = cells or self.cells(v)
         n = self._n
         rows = v.shape[:-1]
         block = self._blocks.get(rows)
@@ -181,10 +186,10 @@ class EnergyOperator:
             offsets = np.arange(rows[0])[:, None] * self.mesh.n_dofs
             block = self._blocks[rows] = ((offsets + self._ends).ravel(), (*rows, 2, n))
         targets, halves = block
-        g = _abs_pow(x, self.p - 2.0) * x
+        g = ax ** (self.p - 2.0) * x
         # each row's midpoints and fluxes broadcast over its two halves
         load = (g[..., : 2 * n].reshape(halves) + 2.0 * g[..., None, 2 * n :]) * self._w
-        signed = _END_SIGNS * (d / self._h)[..., None, :] - load
+        signed = _END_SIGNS * slope[..., None, :] - load
         return np.bincount(targets, weights=signed.ravel(), minlength=v.size).reshape(v.shape)
 
 

@@ -200,24 +200,43 @@ def has_dead_end(graph: MetricGraph) -> bool:
 
     Mass peaked beyond such an edge drains to infinity through that edge
     alone, not along two edge-disjoint routes. An edge is a bridge when
-    removing it leaves its endpoints apart.
+    removing it leaves its endpoints apart: one depth-first search with
+    low-links (Tarjan) finds every bridge in O(V + E) steps. It skips a
+    vertex's tree edge by the edge's index, not by the vertex it came from,
+    so that parallel edges and self-loops are never bridges.
     """
-    links = [(e.tail, e.head) for e in graph.edges]
-    for skip, edge in enumerate(graph.edges):
-        if not edge.in_core:
+    adjacent: dict[str | None, list[tuple[str | None, int]]] = {}
+    for k, e in enumerate(graph.edges):
+        adjacent.setdefault(e.tail, []).append((e.head, k))
+        adjacent.setdefault(e.head, []).append((e.tail, k))
+    # each vertex's discovery order, and the least order reachable from its
+    # subtree by one edge off the tree
+    order: dict[str | None, int] = {}
+    low: dict[str | None, int] = {}
+    for root in adjacent:
+        if root in order:
             continue
-        reached, frontier = {edge.tail}, [edge.tail]
-        while frontier:
-            v = frontier.pop()
-            for k, (a, b) in enumerate(links):
-                if k == skip or v not in (a, b):
+        order[root] = low[root] = len(order)
+        # (vertex, index of its tree edge, its edges not yet walked)
+        stack = [(root, -1, iter(adjacent[root]))]
+        while stack:
+            v, tree_edge, rest = stack[-1]
+            for w, k in rest:
+                if k == tree_edge:
                     continue
-                w = b if a == v else a
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
-        if edge.head not in reached:
-            return True
+                if w in order:
+                    low[v] = min(low[v], order[w])
+                else:
+                    order[w] = low[w] = len(order)
+                    stack.append((w, k, iter(adjacent[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent] and graph.edges[tree_edge].in_core:
+                        return True
     return False
 
 

@@ -35,11 +35,12 @@ Runs from starts on one mesh descend together (:func:`_minimize_starts`;
 ``minimize`` is its one-start case): on the core Mesh that mesh keeps
 (``Mesh.core_mesh``), with one operator and one factorizer, each run
 factoring its own preconditioner. Each run is one coroutine with the loop
-of a lone descent, which asks for its vector work (a trial, a gradient) by
-requests that carry its core values, and returns its record; one flat
-loop (:func:`_descend`) serves the requests waiting in blocks that stack
-the runs' core values, trials first. Every reduction is its own row's 1-D
-dot, so each run is, bit for bit, the run of its start alone.
+of a lone descent, which asks for its vector work by trial requests that
+carry its core values, and returns its record; one flat loop
+(:func:`_descend`) serves the trials waiting in one block that stacks the
+runs' core values, and each reply brings the trial's energy and its
+gradient, from one gather of the cells. Every reduction is its own row's
+1-D dot, so each run is, bit for bit, the run of its start alone.
 
 Each line search starts at step 1, or at the minimizer of the parabola
 through the last accepted search when that lies beyond 1, and halves the
@@ -356,13 +357,11 @@ def _shifted_factorizer(mesh: Mesh):
 # its per-run scalars as (k, 1) columns that broadcast against them; a block
 # of one run is its vector, and its columns are plain floats.
 #
-# A run asks the driver for its vector work by requests (kind, i, u,
-# *arguments), i its place among the runs and u its core values: its start,
-# or a row of the trial block that made them. (_TRIAL, i, u, t, Phi, pg) is
-# the next trial of its line search, whose direction is -pg (its start is
-# the trial of step 0 along a zero direction); (_ITERATE, i, u, omega, Phi,
-# Psi, Phi - h/2) asks for the gradient there.
-_ITERATE, _TRIAL = "iterate", "trial"
+# A run asks the block loop for its vector work by trial requests (i, u, t,
+# pg, omega, Phi, Psi), i its place among the runs and u its core values:
+# its start, or a row of the trial block that made them. It is the next
+# trial of its line search, whose direction is -pg, at the shift omega and
+# its lead forms (its start is the trial of step 0 along a zero direction).
 
 
 def _columns(requests: list[tuple]) -> tuple:
@@ -370,8 +369,8 @@ def _columns(requests: list[tuple]) -> tuple:
     requests' arguments, their core values first (``np.array`` stacks
     vectors faster than ``np.stack``), or one request's as they are."""
     if len(requests) == 1:
-        return requests[0][2:]
-    places = list(zip(*requests))[2:]
+        return requests[0][1:]
+    places = list(zip(*requests))[1:]
     return tuple(np.array(x) if isinstance(x[0], np.ndarray) else np.array(x)[:, None] for x in places)
 
 
@@ -404,9 +403,12 @@ def _descend(
     stage, factorizations), its stage the row (r_cut, iterations,
     backtracks, stop). A run stops by "gradient" (the gradient test
     passed), "no_descent" (no descent direction left), "line_search" (no
-    acceptable step) or "max_iters". This loop serves the requests in
-    blocks of the runs' core values: every trial waiting, as one block; if
-    none waits, every gradient. Every reduction is its own row's 1-D dot
+    acceptable step) or "max_iters". Its only request is a trial, and this
+    loop serves every trial waiting as one block of the runs' core values:
+    one pass projects each trial point and, from one gather of its cells
+    (:meth:`EnergyOperator.cells`), gives its energy and the gradient pieces
+    at its own shift, which a run keeps from its accepted trial for its next
+    iteration. Every reduction is its own row's 1-D dot
     (:func:`graphnls.functions._dots`), so each run is, bit for bit, the
     run it would be alone. Returns the runs' records in order."""
     mass_k = op.mass_vec
@@ -425,10 +427,9 @@ def _descend(
     grad_tol = _GRAD_TOL * math.sqrt(mu)
 
     def descent(i: int, u: np.ndarray, lead_mass: float):
-        # One run, the loop of a lone descent. A _TRIAL request is answered
-        # with the trial's (value, s, u); an _ITERATE with lam_hat, the
-        # block's part of the gradient test and its rows of the residual,
-        # W u and g.
+        # One run, the loop of a lone descent. A trial is answered with its
+        # core energy, s and point u, then lam_hat, the block's part of the
+        # gradient test and its rows of the residual, W u and g there.
         sigma, solve = 0.0, None
         factorizations = 0
         # the shift at which the leads carry the lead mass; with every
@@ -436,7 +437,7 @@ def _descend(
         s = float(counts.dot(u * u))
         omega = _lead_shift(lead_mass / s, h) if s > 0.0 else 0.0
         phi, psi, dphi = lead_forms(omega, n, h)
-        e, s, u = yield _TRIAL, i, u, 0.0, phi, np.zeros_like(u)
+        e, s, u, *pieces = yield i, u, 0.0, np.zeros_like(u), omega, phi, psi
         energy = e + 0.5 * psi * s
         trace: list[tuple[int, float, float, float]] = []
         window = deque([energy], maxlen=_STALL_WINDOW + 1)
@@ -451,7 +452,7 @@ def _descend(
             # mesh, where the leads' nodes carry -(omega + lam_hat) M u and
             # each anchor the lead's share of it beyond its half cell
             tail = phi - half_h
-            lam_hat, core_sq, residual, wu, g = yield _ITERATE, i, u, omega, phi, psi, tail
+            lam_hat, core_sq, residual, wu, g = pieces
             drift = omega + lam_hat
             grad_norm = math.sqrt(max(core_sq + drift * drift * s * tail, 0.0))
             # relative to the multiplier term lam*M*u (norm |lam|*sqrt(mu)):
@@ -511,7 +512,7 @@ def _descend(
                 forms = lead_forms(w_omega, n, h)
                 # a shift at or below the lead's lowest is no state: reject it
                 if forms is not None:
-                    e, s_w, w = yield _TRIAL, i, u, t, forms[0], pg
+                    e, s_w, w, *w_pieces = yield i, u, t, pg, w_omega, *forms[:2]
                     e_new = e + 0.5 * forms[1] * s_w
                     # strict decrease too: an equal energy would let the
                     # run creep on with vanishing steps until max_iters
@@ -536,7 +537,7 @@ def _descend(
                 t0 = max(_STEP0, -slope * t * t / (2.0 * curvature))
             else:
                 t0 = _STEP0
-            omega, s, u = w_omega, s_w, w
+            omega, s, u, pieces = w_omega, s_w, w, w_pieces
             phi, psi, dphi = forms
             energy = e_new
             trace.append((it, energy, grad_norm, t))
@@ -544,65 +545,54 @@ def _descend(
         # a copy: a row would keep its whole trial block
         return u.copy(), omega, s * phi, grad_norm, converged, trace, (r_cut, it, backtracks, stop), factorizations
 
-    def project(v: np.ndarray, phi) -> tuple:
-        # each row onto its sphere at its Phi, and its s = A w.w there
-        m = _dots(mass_k + phi * counts, v * v)
+    def trial(requests: list[tuple]) -> list[tuple]:
+        # the runs' trial points at their (u, t, pg, omega, Phi, Psi), each
+        # row projected onto its sphere at its Phi, with its energy, its
+        # s = A w.w and the gradient pieces there
+        u, step, pg, omega, phi, psi = _columns(requests)
+        v = u - step * pg
+        weights = mass_k + phi * counts
+        m = _dots(weights, v * v)
         block = isinstance(m, np.ndarray)
         if (m <= 0).any() if block else m <= 0:
             raise ValueError("cannot project the zero function onto the mass sphere")
         w = v * (np.sqrt(mu / m) if block else math.sqrt(mu / m))
-        return w, _dots(counts, w * w)
-
-    def trial(requests: list[tuple]) -> list[tuple]:
-        # the trial points at the runs' (u, t, Phi, pg) and their energies
-        u, step, phi, pg = _columns(requests)
-        w, s = project(u - step * pg, phi)
-        e = op.value(w)
-        if len(requests) == 1:
-            return [(e, s, w)]
-        return list(zip(e.ravel().tolist(), s.ravel().tolist(), w))
-
-    def gradient(requests: list[tuple]) -> list[tuple]:
-        # the gradient at the runs' (u, omega, Phi, Psi, Phi - h/2)
-        u, omega, phi, psi, tail = _columns(requests)
-        g = op.gradient(u)
-        g += psi * counts * u
+        s = _dots(counts, w * w)
+        cells = op.cells(w)
+        e = op.value(w, cells)
+        g = op.gradient(w, cells)
+        g += psi * counts * w
         # strip the multiplier component before preconditioning: near a
         # constrained minimum g is dominated by lam*M*u, and preconditioning
         # that part yields directions with vanishing slope
-        lam = _dots(g, u) / mu
-        wu = (mass_k + phi * counts) * u
+        lam = _dots(g, w) / mu
+        wu = weights * w
         residual = g - lam * wu
         # the gradient test's part on the block: the lifted residual,
         # weighted by the whole cut mesh's mass
-        full = residual + (omega + lam) * tail * counts * u
+        full = residual + (omega + lam) * (phi - half_h) * counts * w
         core_sq = _dots(full, full / mass_full)
-        if len(requests) == 1:
-            return [(lam, core_sq, residual, wu, g)]
-        return list(zip(lam.ravel().tolist(), core_sq.ravel().tolist(), residual, wu, g))
+        if not block:
+            return [(e, s, w, lam, core_sq, residual, wu, g)]
+        e, s, lam, core_sq = (x.ravel().tolist() for x in (e, s, lam, core_sq))
+        return list(zip(e, s, w, lam, core_sq, residual, wu, g))
 
     coros = [descent(i, u, lead_mass) for i, (u, lead_mass) in enumerate(runs)]
     records = [None] * len(runs)
-    # the runs' requests waiting, by kind, each in the order it was asked
-    trials, gradients = [], []
-    queues = {_TRIAL: trials, _ITERATE: gradients}
-    served = [((None, i), None) for i in range(len(runs))]  # to make each run's first request
+    served = [((i,), None) for i in range(len(runs))]  # to make each run's first request
     while True:
-        # each run served takes its reply and asks again, until it is done
+        # each run served takes its reply and asks for its next trial,
+        # until it is done
+        requests = []
         for request, reply in served:
-            i = request[1]
+            i = request[0]
             try:
-                request = coros[i].send(reply)
+                requests.append(coros[i].send(reply))
             except StopIteration as done:
                 records[i] = done.value
-                continue
-            queues[request[0]].append(request)
-        queue = trials or gradients
-        if not queue:
+        if not requests:
             return records
-        requests = queue.copy()
-        queue.clear()
-        served = zip(requests, (gradient if queue is gradients else trial)(requests))
+        served = zip(requests, trial(requests))
 
 
 def _start(initial: GraphFunction, core: Mesh) -> tuple[np.ndarray, float]:

@@ -507,6 +507,40 @@ def test_sweep_log_records_failed_points(tmp_path, broom_file, monkeypatch, caps
     assert all(math.isfinite(r["seconds"]) and r["seconds"] >= 0.0 for r in log["points"])
 
 
+@pytest.mark.parametrize(
+    "verdict,message",
+    [
+        pytest.param(
+            solver.ZERO_INFIMUM_SUSPECTED,
+            "zero infimum reported inside the guaranteed-existence band at core_scale in {10.0}",
+            id="zero_in_exist_band",
+        ),
+        pytest.param(
+            solver.NEGATIVE_MINIMUM,
+            "negative minimum reported inside the proven-nonexistence band at core_scale in {0.1}",
+            id="negative_in_nonexist_band",
+        ),
+    ],
+)
+def test_sweep_exits_3_on_a_verdict_its_band_rules_out(tmp_path, broom_file, monkeypatch, capsys, verdict, message):
+    # the broom at p 4.5 is NONEXIST_BAND at core scale 0.1, GAP at 1 and
+    # EXIST_BAND at 10; every point reports ``verdict``, so exactly one
+    # point contradicts its band, and the rows are written for inspection
+    energy = -1.0 if verdict == solver.NEGATIVE_MINIMUM else 0.0
+    result = solver.DichotomyResult(verdict=verdict, best_label="competitor", best_energy=energy)
+    monkeypatch.setattr(cli, "existence_dichotomy", mock.Mock(return_value=result))
+    out = tmp_path / "out"
+    sweep_file = tmp_path / "sweep.json"
+    spec = {"axis": "core_scale", "grid": [0.1, 1.0, 10.0], "graph": broom_file, "p": 4.5, "out_dir": str(out)}
+    sweep_file.write_text(json.dumps(spec))
+    assert cli.main(["sweep", str(sweep_file)]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.count("sweep soundness violation") == 1 and message in err
+    rows = (out / "phase.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == [verdict] * 3
+    assert [row.split(",")[5] for row in rows] == ["NONEXIST_BAND", "GAP", "EXIST_BAND"]
+
+
 def test_sweep_missing_key(tmp_path):
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps({"axis": "mu", "grid": [1.0]}))

@@ -3,6 +3,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphnls.graphs import (
     GraphFormatError,
@@ -54,6 +56,50 @@ def test_has_dead_end():
     )
     assert has_dead_end(lollipop)
     assert not has_dead_end(metric_graph(["a"], [("o", "a", "a", 1.0)], [("l1", "a"), ("l2", "a")]))
+
+
+def _scanned_dead_end(graph):
+    """has_dead_end by one reachability scan per core edge, O(E^2 V): each
+    scan walks from the edge's tail over every other edge, half-lines
+    joined at infinity (``None``), and the edge is a bridge when its head
+    stays out of reach."""
+    links = [(e.tail, e.head) for e in graph.edges]
+    for skip, edge in enumerate(graph.edges):
+        if not edge.in_core:
+            continue
+        reached, frontier = {edge.tail}, [edge.tail]
+        while frontier:
+            v = frontier.pop()
+            for k, (a, b) in enumerate(links):
+                if k != skip and v in (a, b):
+                    w = b if a == v else a
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+        if edge.head not in reached:
+            return True
+    return False
+
+
+@st.composite
+def multigraphs(draw):
+    """1 to 5 vertices, up to 7 core edges between any two of them (self-loops
+    and parallel edges included) and up to 4 leads; not always connected."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    ends = st.sampled_from(vertices)
+    core = [(f"e{k}", draw(ends), draw(ends), 1.0) for k in range(draw(st.integers(0, 7)))]
+    leads = [(f"l{k}", draw(ends)) for k in range(draw(st.integers(0, 4)))]
+    return metric_graph(vertices, core, leads)
+
+
+@settings(deadline=None, derandomize=True)
+@given(graph=multigraphs())
+# a bridge between two loops, leads on one side only
+@example(graph=metric_graph(["a", "b"], [("o", "a", "a", 1.0), ("e", "a", "b", 1.0), ("p", "b", "b", 1.0)], [("l", "a")]))
+# two parallel edges to a leafless vertex: neither is a bridge
+@example(graph=metric_graph(["a", "b"], [("e", "a", "b", 1.0), ("f", "a", "b", 1.0)], [("l", "a")]))
+def test_has_dead_end_matches_a_scan_of_every_core_edge(graph):
+    assert has_dead_end(graph) == _scanned_dead_end(graph)
 
 
 def test_star_graph_counts():

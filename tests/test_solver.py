@@ -39,7 +39,17 @@ from graphnls.functions import (
     project_mass,
     uniform_cells,
 )
-from graphnls.graphs import MetricGraph, core_measure, double_bridge, homothety, line_graph, load_graph, metric_graph, star_graph
+from graphnls.graphs import (
+    MetricGraph,
+    core_measure,
+    double_bridge,
+    has_dead_end,
+    homothety,
+    line_graph,
+    load_graph,
+    metric_graph,
+    star_graph,
+)
 from graphnls.solver import (
     INCONCLUSIVE,
     NEGATIVE_MINIMUM,
@@ -517,6 +527,24 @@ def test_cell_pass_on_a_block_equals_its_rows(factory, p):
             alone = np.ascontiguousarray(row)
             assert value[i, 0] == op.value(alone)
             assert np.array_equal(gradient[i], op.gradient(alone))
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 5.5])
+@pytest.mark.parametrize("factory", [f for _, f in CELL_PASS_GRAPHS], ids=[n for n, _ in CELL_PASS_GRAPHS])
+def test_cell_pass_shares_its_cells_between_the_forms(factory, p):
+    # value and gradient given the cells of one gather are, bit for bit,
+    # what each gives from its own gather, on a vector and on a (k, m)
+    # block, and neither writes into the cells the other reads
+    core = _core_mesh(factory(), 0.02)
+    op = EnergyOperator(core, p)
+    rng = np.random.default_rng(10)
+    for v in (rng.standard_normal(core.n_dofs), rng.standard_normal((3, core.n_dofs))):
+        cells = op.cells(v)
+        kept = [a.copy() for a in cells]
+        assert np.array_equal(cells[1], np.abs(cells[0]))
+        assert np.array_equal(op.value(v, cells), op.value(v))
+        assert np.array_equal(op.gradient(v, cells), op.gradient(v))
+        assert all(np.array_equal(a, b) for a, b in zip(cells, kept))
 
 
 def _per_cell_energy(mesh, v, p, core_only=True):
@@ -1132,6 +1160,28 @@ def test_verdicts_do_not_depend_on_the_units(name, p):
         assert d.best_energy / scale == pytest.approx(ref.best_energy, rel=rel, abs=0.0), lam
 
 
+@pytest.mark.parametrize("name", ["line", "double_bridge", "star"])
+def test_p4_verdict_turns_at_l1_on_graphs_without_a_dead_end(name):
+    # numerical evidence, not a theorem: at p = 4 the paper proves existence
+    # above L1 = N^2 / (2 mu) and leaves the band down to L2 open; on these
+    # dead-end-free demo graphs the dichotomy finds no ground state at
+    # 0.99 L1 and one at 1.01 L1, whose energy is small there (-4.0e-8 to
+    # -1.8e-8, millions of rounding bounds below zero), as the competitor's
+    # small-amplitude energy a^4 [N^2 / (8 (mu - a^2 L)) - L / 4] turns
+    # negative just above L1
+    base = load_graph(DEMO_GRAPHS_DIR / f"{name}.graph")
+    assert not has_dead_end(base)
+    l1 = threshold_exist(4.0, 1.0, base.n_half_lines)
+    for f, verdict in ((0.99, ZERO_INFIMUM_SUSPECTED), (1.01, NEGATIVE_MINIMUM)):
+        graph = homothety(base, f * l1 / core_measure(base))
+        assert core_measure(graph) == pytest.approx(f * l1, rel=1e-12)
+        assert cli._band(graph, 4.0, 1.0)[2] == ("GAP" if f < 1.0 else "EXIST_BAND")
+        d = existence_dichotomy(graph, 1.0, 4.0)
+        assert d.verdict == verdict, f
+        if verdict == NEGATIVE_MINIMUM:
+            assert -1e-7 < d.best_energy < -1e-8
+
+
 def test_postprocess_keeps_mass_and_positivity():
     graph = double_bridge(0.5, 0.5)
     start = initializer_random(graph, 1.0, 3.0, Mesh(graph, h_max=0.1, r_cut=8.0), seed=3)
@@ -1432,7 +1482,7 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
     # direction does not descend: each run stops
     # at its first iteration, converged, by "no_descent", alone and in a
     # block beside a run that goes on
-    monkeypatch.setattr(EnergyOperator, "gradient", lambda self, v: np.zeros_like(v))
+    monkeypatch.setattr(EnergyOperator, "gradient", lambda self, v, cells=None: np.zeros_like(v))
     graph, p = double_bridge(0.5, 0.5), 3.5
     cfg = SolverConfig(h_max=0.05, max_iters=40)
     mesh = Mesh(graph, h_max=0.05, r_cut=10.0)
@@ -1458,29 +1508,47 @@ def test_a_run_with_no_descent_direction_stops_there(monkeypatch):
 @pytest.mark.parametrize(
     "factory,p,calls",
     [
-        pytest.param(lambda: line_graph(1.0), 3.5, 24, id="line"),
-        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, 11, id="star"),
+        pytest.param(lambda: line_graph(1.0), 3.5, 29, id="line"),
+        pytest.param(lambda: star_graph((0.5, 0.7, 0.9), half_lines_per_terminal=2), 4.0, 14, id="star"),
         pytest.param(lambda: double_bridge(0.5, 0.5), 4.5, 20, id="double_bridge"),
     ],
 )
 def test_dichotomy_runs_start_each_stage_together(monkeypatch, factory, p, calls):
     # every run ends a descent before any starts the next (two above p = 4),
-    # so each descent's j-th gradient block holds every run still going at
-    # its j-th iteration: a descent takes as many gradient blocks as its
-    # longest run iterations
-    gradient, rows = EnergyOperator.gradient, []
+    # and a run asks for one trial per block until it stops, so each
+    # descent's j-th block holds every run still going at its j-th trial:
+    # the first holds them all and none holds more than the one before.
+    # Each trial block brings its gradient block, with the same rows
+    value, gradient, descend = EnergyOperator.value, EnergyOperator.gradient, solver._descend
+    descents, gradients = [], []
 
-    def counted(self, v):
-        rows.append(len(v) if v.ndim == 2 else 1)
-        return gradient(self, v)
+    def counted_value(self, v, cells=None):
+        descents[-1].append(len(v) if v.ndim == 2 else 1)
+        return value(self, v, cells)
 
-    monkeypatch.setattr(EnergyOperator, "gradient", counted)
+    def counted_gradient(self, v, cells=None):
+        gradients.append(len(v) if v.ndim == 2 else 1)
+        return gradient(self, v, cells)
+
+    def counted_descend(*args):
+        descents.append([])
+        return descend(*args)
+
+    monkeypatch.setattr(EnergyOperator, "value", counted_value)
+    monkeypatch.setattr(EnergyOperator, "gradient", counted_gradient)
+    monkeypatch.setattr(solver, "_descend", counted_descend)
     d = existence_dichotomy(factory(), 1.0, p, SolverConfig(h_max=0.05))
     runs = list(d.runs.values())
     stages = [[r.stages[k][1] for r in runs] for k in range(len(runs[0].stages))]
-    assert len(stages) == (2 if p > 4.0 else 1)
-    assert rows == [sum(n >= j for n in its) for its in stages for j in range(1, max(its) + 1)]
-    assert len(rows) == sum(max(its) for its in stages) == calls
+    assert len(descents) == len(stages) == (2 if p > 4.0 else 1)
+    for rows, its in zip(descents, stages):
+        assert rows[0] == len(runs)
+        assert all(a >= b for a, b in zip(rows, rows[1:]))
+        # a run's trials: its start's, and an accepted one in each
+        # iteration but its last
+        assert sum(rows) >= sum(its) and len(rows) >= max(its)
+    assert gradients == [k for rows in descents for k in rows]
+    assert len(gradients) == calls
 
 
 def test_runs_from_starts_on_one_mesh_build_one_core(monkeypatch):

@@ -18,6 +18,7 @@ from graphnls.graphs import (
     Partition,
     core_measure,
     double_bridge,
+    has_dead_end,
     least_partition,
     line_graph,
     load_graph,
@@ -613,6 +614,22 @@ def test_certificates_of_grid_cores_return(k):
     # the even split: k - 1 edges per part, each measuring the exact
     # total over N, rounded
     assert cert.max_part_measure == float(sum(map(Fraction, lengths)) / graph.n_half_lines) > max(lengths)
+
+
+def test_certificate_of_an_8x8_grid_core_is_quick():
+    # 112 core edges and 16 leads: the dead-end test is one bridge search,
+    # O(V + E), where a reachability scan per core edge took about 0.1-0.2 s
+    # (O(E^2 V)); the whole certificate takes about 1.5 ms on a shared
+    # 2-core Linux host, and its best of three must stay under 50 ms
+    graph = _grid(8)
+    assert not has_dead_end(graph)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        cert = certify_nonexistence(graph, 4.5, 1.0)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
+    assert cert.valid and partition_violations(graph, cert.partition.parts) == []
 
 
 # scaling
