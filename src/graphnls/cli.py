@@ -280,6 +280,10 @@ def cmd_certify(args) -> int:
 # sweep
 
 
+# every key a sweep file may hold
+_SPEC_KEYS = {"axis", "grid", "graph", "mu", "p", "out_dir", "solver", "threads", "seed"}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axis: str
@@ -299,6 +303,10 @@ class SweepSpec:
             raise _UsageError(f"sweep file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise _UsageError("sweep file must hold a JSON object")
+        # a misspelt key would otherwise run at its default
+        unknown = sorted(set(data) - _SPEC_KEYS)
+        if unknown:
+            raise _UsageError(f"sweep file has unknown keys {unknown}")
         for key in ("axis", "grid", "graph"):
             if key not in data:
                 raise _UsageError(f"sweep file missing required key {key!r}")

@@ -11,12 +11,15 @@ reduces only what it needs; on a mesh without half-lines the value sums
 them bit for bit as ``kinetic_energy`` and ``lp_integral`` do. The solver
 evaluates it on a Mesh of the core subgraph and adds the leads in closed
 form: the lead profile and its forms (``lead_profile``, ``lead_forms``)
-live here, and ``energy_report`` and ``el_residual`` account for such
-leads (:class:`Leads`) without meshing them, each lead term in O(1) work:
-Phi and Psi, the profile's sup and its inner nodes' mass in closed form.
-The nonlinearity acts on the core alone, so no lead term needs int |u|^p;
-``gn_check`` computes the Gagliardo-Nirenberg slacks of a function on a
-mesh of the whole graph.
+live here. ``energy_report`` and ``el_residual`` each sum the Dirichlet
+integral, int_K |u|^p and the mass of a function on its mesh themselves
+(``kinetic_energy``, ``lp_integral``, ``l2_norm_sq``), and account for
+such leads (:class:`Leads`) without meshing them, each lead term in O(1)
+work: Phi and Psi, the profile's sup and its inner nodes' mass in closed
+form. The nonlinearity acts on the core alone, so no lead term needs
+int |u|^p; ``gn_check`` computes the Gagliardo-Nirenberg slacks of a
+function on a mesh of the whole graph, with the constants of
+``gn_constants``.
 """
 from __future__ import annotations
 
@@ -40,7 +43,8 @@ from .functions import (
 from .graphs import MetricGraph, has_dead_end
 
 SCHEMA_VERSION = 1
-# float64 machine epsilon: where the lead forms' series stop
+# float64 machine epsilon: where the lead forms' series and the solver's
+# line search stop
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the least normal float64
 _END_SIGNS = np.array([[-1.0], [1.0]])  # of a cell's flux at its first and second end
@@ -55,38 +59,29 @@ def require_mu(mu: float) -> None:
     require_positive(mu, "mu")
 
 
-def default_gn_constants(p: float, n_half_lines: int) -> tuple[float, float]:
-    """Interpolation constants (C, c) by the number of half-lines alone.
-
-    The sup-norm constant c is sqrt(2) for a single lead and 1 for two or
-    more; the L^p constant is tied to it as C = c^(p-2). The two-lead value
-    needs two edge-disjoint routes to infinity from a maximum point, which a
-    dead end defeats; :func:`gn_constants` applies that rule for a graph.
-    """
-    require_p(p)
-    if n_half_lines < 1:
-        raise ValueError("need at least one half-line")
-    c = math.sqrt(2.0) if n_half_lines == 1 else 1.0
-    return c ** (p - 2.0), c
-
-
 def gn_constants(
     p: float, graph_or_n: MetricGraph | int, C: float | None = None, c: float | None = None
 ) -> tuple[float, float]:
     """Interpolation constants (C, c): the caller's where given, otherwise
-    the single-lead pair C = 2^((p-2)/2), c = sqrt(2) for a graph with a
-    dead end (:func:`graphnls.graphs.has_dead_end`), whose peaked states
-    drain to infinity through one edge only, and ``default_gn_constants``
-    for the number of half-lines (at least one) of any other graph or N.
-    The caller's constants must be finite and positive."""
+    by the number N of half-lines of ``graph_or_n``, a graph or N itself.
+
+    The sup-norm constant c is sqrt(2) for a single lead and 1 for two or
+    more; the L^p constant is tied to it as C = c^(p-2). The two-lead value
+    needs two edge-disjoint routes to infinity from a maximum point, which
+    a dead end (:func:`graphnls.graphs.has_dead_end`) defeats: a graph with
+    one, or with no half-line, takes the single-lead pair. An N below 1 is
+    refused, and the caller's constants must be finite and positive."""
     for name, value in (("C", C), ("c", c)):
         if value is not None:
             require_positive(value, name)
+    require_p(p)
     n = graph_or_n
     if isinstance(graph_or_n, MetricGraph):
         n = 1 if has_dead_end(graph_or_n) else max(1, graph_or_n.n_half_lines)
-    dC, dc = default_gn_constants(p, n)
-    return (dC if C is None else C), (dc if c is None else c)
+    elif n < 1:
+        raise ValueError("need at least one half-line")
+    dc = math.sqrt(2.0) if n == 1 else 1.0
+    return (dc ** (p - 2.0) if C is None else C), (dc if c is None else c)
 
 
 @dataclass
@@ -382,19 +377,10 @@ def _lead_anchors(u: GraphFunction, leads: Leads) -> tuple[np.ndarray, np.ndarra
     return dofs, counts, float(counts.dot(u.values * u.values))
 
 
-def core_sums(u: GraphFunction, p: float) -> tuple[float, float, float]:
-    """The Dirichlet integral, int_K |u|^p and the mass of ``u`` on its
-    mesh, which :func:`energy_report` and :func:`el_residual` both sum."""
-    return kinetic_energy(u), lp_integral(u, p, core_only=True), l2_norm_sq(u)
-
-
-def energy_report(
-    u: GraphFunction, p: float, leads: Leads | None = None, sums: tuple[float, float, float] | None = None
-) -> EnergyReport:
+def energy_report(u: GraphFunction, p: float, leads: Leads | None = None) -> EnergyReport:
     """Energy accounting for one function: the energy, its kinetic and
     potential terms, the mass and the sup. Its GN slacks are
-    :func:`gn_check`'s. ``sums`` are ``core_sums(u, p)`` when the caller
-    has them.
+    :func:`gn_check`'s.
 
     With ``leads``, ``u`` lives on a mesh of the core and the half-lines
     are those closed-form leads, as at the end of a solver run.
@@ -409,8 +395,8 @@ def energy_report(
       exact to rounding.
     """
     require_p(p)
-    ksq, lp, mass = sums or core_sums(u, p)
-    pot = lp / p
+    ksq, mass = kinetic_energy(u), l2_norm_sq(u)
+    pot = lp_integral(u, p, core_only=True) / p
     energy = 0.5 * ksq - pot
     sup = linf_norm(u)
     if leads is not None:
@@ -462,7 +448,7 @@ def _edge_end_derivative(vals: np.ndarray, h: float, start: bool) -> float:
 
 
 def el_residual(
-    u: GraphFunction, p: float, uniform_nonlinearity: bool = False, leads: Leads | None = None, sums=None
+    u: GraphFunction, p: float, uniform_nonlinearity: bool = False, leads: Leads | None = None
 ) -> ELReport:
     """Stationarity diagnostics for the constrained problem.
 
@@ -485,22 +471,13 @@ def el_residual(
     anchor with a times ``leads.anchor_slope``, the one-sided derivative
     from the profile's first three nodes, those of a meshed lead bit for
     bit.
-
-    ``sums`` are ``core_sums(u, p)`` when the caller has them, as the
-    solver has from its report; their L^p sum is the core's, so they are
-    refused with ``uniform_nonlinearity``.
     """
     require_p(p)
     if leads is not None and uniform_nonlinearity:
         raise ValueError("closed-form leads carry no nonlinearity")
-    if sums is not None and uniform_nonlinearity:
-        raise ValueError("core sums carry the core's L^p integral, not the whole graph's")
     mesh = u.mesh
-    if uniform_nonlinearity:
-        sums = kinetic_energy(u), lp_integral(u, p, core_only=False), l2_norm_sq(u)
-    elif sums is None:
-        sums = core_sums(u, p)
-    ksq, pot_int, mass = sums
+    ksq, mass = kinetic_energy(u), l2_norm_sq(u)
+    pot_int = lp_integral(u, p, core_only=not uniform_nonlinearity)
     graph = mesh.graph
     if leads is not None:
         graph = leads.graph

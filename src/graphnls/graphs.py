@@ -353,7 +353,7 @@ def partition_violations(graph: MetricGraph, parts: Sequence[frozenset[str]]) ->
     return bad
 
 
-def _splits(items: Sequence[int], r: int) -> Iterable[list[list[int]]]:
+def _splits(items: Sequence[str], r: int) -> Iterable[list[list[str]]]:
     """Every split of ``items`` into r nonempty unordered groups, each once:
     the first item either starts a group of its own or joins one group of
     a split of the rest."""
@@ -373,7 +373,8 @@ def _splits(items: Sequence[int], r: int) -> Iterable[list[list[int]]]:
 
 def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
     """All admissible partitions with 2..max_parts parts, each once as an
-    unordered family, in lexicographic order of the canonical key.
+    unordered family, in lexicographic order of the canonical key: the
+    parts' sorted edge ids, sorted.
 
     The half-lines are split into r nonempty groups, which tells the parts
     apart, and each core edge then joins one of them: sum_r S(N, r) r^E
@@ -381,12 +382,6 @@ def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
     feasible for the enumeration. :func:`least_partition` finds a
     partition of least largest part, which is all a certificate needs,
     without it; it need not be the first such in this order.
-
-    A part is built as a bit mask over the sorted edge ids. Far fewer
-    parts than partitions are distinct, so each distinct part gets its
-    sorted id tuple and its frozenset once, and every partition holding
-    it shares that frozenset; the partitions are sorted by the ranks of
-    their parts' id tuples, which is the order of the canonical keys.
     """
     graph.require_valid()
     n = graph.n_half_lines
@@ -394,31 +389,18 @@ def enumerate_partitions(graph: MetricGraph, max_parts: int) -> list[Partition]:
         raise ValueError("partitions need N >= 2 half-lines")
     if not 2 <= max_parts <= n:
         raise ValueError(f"max_parts must lie in [2, {n}]")
-    ids = sorted(e.id for e in graph.edges)
-    bit = {eid: 1 << i for i, eid in enumerate(ids)}
-    half_bits = [bit[e.id] for e in graph.half_lines]
-    core_bits = [bit[e.id] for e in graph.core_edges]
-    families: list[list[int]] = []
+    half = [e.id for e in graph.half_lines]
+    core = [e.id for e in graph.core_edges]
+    keys = []
     for r in range(2, max_parts + 1):
-        # the core edges each group gets, per assignment of them to groups
-        core_masks = []
-        for c_assign in itertools.product(range(r), repeat=len(core_bits)):
-            masks = [0] * r
-            for b, k in zip(core_bits, c_assign):
-                masks[k] |= b
-            core_masks.append(masks)
-        for groups in _splits(half_bits, r):
-            base = [sum(g) for g in groups]
-            families.extend([[h | c for h, c in zip(base, masks)] for masks in core_masks])
-    id_tuples = {
-        mask: tuple(eid for i, eid in enumerate(ids) if mask >> i & 1)
-        for mask in {mask for parts in families for mask in parts}
-    }
-    ranked = sorted(id_tuples, key=id_tuples.__getitem__)
-    rank = {mask: i for i, mask in enumerate(ranked)}
-    shared = [frozenset(id_tuples[mask]) for mask in ranked]
-    keys = sorted([tuple(sorted(map(rank.__getitem__, parts))) for parts in families])
-    return [Partition(tuple(map(shared.__getitem__, key))) for key in keys]
+        for groups in _splits(half, r):
+            for assign in itertools.product(range(r), repeat=len(core)):
+                parts = [list(group) for group in groups]
+                for eid, k in zip(core, assign):
+                    parts[k].append(eid)
+                keys.append(tuple(sorted(tuple(sorted(part)) for part in parts)))
+    keys.sort()
+    return [Partition(tuple(map(frozenset, key))) for key in keys]
 
 
 def _least_largest_group(lengths: Sequence[float], n: int) -> tuple[float, list[list[int]]]:

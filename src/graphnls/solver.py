@@ -69,9 +69,9 @@ from .energy import (
     EnergyOperator,
     EnergyReport,
     Leads,
+    _EPS,
     _lead_angle,
     _profile_at,
-    core_sums,
     el_residual,
     energy_report,
     lead_forms,
@@ -107,8 +107,6 @@ _STALL_WINDOW = 10
 # the gradient norm a run must reach, relative to sqrt(mu) times the larger
 # of the multiplier scale and |lam|
 _GRAD_TOL = 1e-7
-# relative rounding level of an energy value, where the line search stops
-_EPS = float(np.finfo(float).eps)
 # the verdict's rounding bound, over the energy scale; energies within it
 # of the lowest count as equal when existence_dichotomy picks its best
 # start, so rounding does not flip the pick
@@ -614,16 +612,13 @@ class MinimizationResult:
     # ``lead_profile(leads.omega, leads.n, leads.h)``
     core: GraphFunction
     leads: Leads
-    energy: float
     verdict: str
     report: EnergyReport
     # the last descent's (iteration, energy, gradient norm, step) rows
-    energy_trace: list[float]
     trace: list[tuple[int, float, float, float]]
     # a row (r_cut, iterations, backtracks, stop) per descent, two if p > 4
     stages: list[tuple[float, int, int, str]]
     converged: bool
-    iterations: int
     grad_norm: float
     mu: float
     p: float
@@ -633,18 +628,26 @@ class MinimizationResult:
     factorizations: int
     # the verdict's rounding bound (problem_scales)
     bound: float
-    # graphnls.energy.core_sums of the state, for the report and residuals
-    core_sums: tuple[float, float, float] = field(repr=False, default=None)
+
+    @property
+    def energy(self) -> float:
+        return self.report.total_energy
+
+    @property
+    def energy_trace(self) -> list[float]:
+        """The last descent's energies, one per row of ``trace``."""
+        return [row[1] for row in self.trace]
+
+    @property
+    def iterations(self) -> int:
+        """The iterations of every descent, summed over ``stages``."""
+        return sum(row[1] for row in self.stages)
 
     @cached_property
     def el(self) -> ELReport:
         """The Euler-Lagrange residuals of the state, computed on first
-        read from the report's core sums."""
-        return el_residual(self.core, self.p, leads=self.leads, sums=self.core_sums)
-
-    @property
-    def lead_shift(self) -> float:  # omega, minus the multiplier the leads decay with
-        return self.leads.omega
+        read from ``core`` and ``leads``."""
+        return el_residual(self.core, self.p, leads=self.leads)
 
     @property
     def r_cut(self) -> float:
@@ -750,27 +753,22 @@ def _minimize_starts(
         # energy is then the run's, bit for bit, when its state has one sign
         u_core = GraphFunction(core, values)
         leads = Leads(graph, omega, n, h)
-        sums = core_sums(u_core, p)
-        report = energy_report(u_core, p, leads, sums=sums)
+        report = energy_report(u_core, p, leads)
         results.append(
             MinimizationResult(
                 core=u_core,
                 leads=leads,
-                energy=report.total_energy,
                 verdict=_verdict(report.total_energy, converged, bound),
                 report=report,
-                energy_trace=[row[1] for row in trace],
                 trace=trace,
                 stages=stages,
                 converged=converged,
-                iterations=sum(row[1] for row in stages),
                 grad_norm=grad_norm,
                 mu=mu,
                 p=p,
                 lead_mass=lead_mass,
                 factorizations=factorizations,
                 bound=bound,
-                core_sums=sums,
             )
         )
     return results

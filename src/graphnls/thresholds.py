@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import energy_value, gn_constants, require_mu, require_p
+from .energy import SCHEMA_VERSION, energy_value, gn_constants, require_mu, require_p
 from .functions import GraphFunction, Mesh, kinetic_energy, l2_norm_sq, linf_norm, require_positive
 from .graphs import (
     MetricGraph,
@@ -34,8 +34,6 @@ from .graphs import (
     part_core_measure,
     partition_violations,
 )
-
-SCHEMA_VERSION = 1
 
 
 def _require_p46(p: float) -> None:

@@ -322,6 +322,9 @@ def test_demo_sweep_keeps_its_rows(tmp_path):
         pytest.param({"seed": 2.5}, "seed", id="seed-float"),
         pytest.param({"seed": "7"}, "seed", id="seed-string"),
         pytest.param({"seed": True}, "seed", id="seed-bool"),
+        # a misspelt top-level key ran at its default and exited 0
+        pytest.param({"Mu": 9}, "'Mu'", id="unknown-key-Mu"),
+        pytest.param({"solvers": {}}, "'solvers'", id="unknown-key-solvers"),
     ],
 )
 def test_sweep_bad_solver_overrides(tmp_path, broom_file, keys, named):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from graphnls.energy import (
     EnergyOperator,
     Leads,
-    core_sums,
-    default_gn_constants,
     el_residual,
     energy_gradient,
     energy_report,
@@ -23,7 +21,16 @@ from graphnls.energy import (
     lead_profile,
     require_p,
 )
-from graphnls.functions import _abs_pow, GraphFunction, Mesh, interpolate, kinetic_energy, l2_norm_sq, project_mass
+from graphnls.functions import (
+    _abs_pow,
+    GraphFunction,
+    Mesh,
+    interpolate,
+    kinetic_energy,
+    l2_norm_sq,
+    lp_integral,
+    project_mass,
+)
 from graphnls.graphs import MetricGraph, double_bridge, line_graph, metric_graph, star_graph
 from graphnls.solver import _lowest_shift, soliton_profile
 
@@ -94,22 +101,22 @@ def test_gradient_is_exact_discrete_derivative():
 
 
 def test_gn_constants_by_half_line_count():
-    C1, c1 = default_gn_constants(4.0, 1)
-    C2, c2 = default_gn_constants(4.0, 2)
+    C1, c1 = gn_constants(4.0, 1)
+    C2, c2 = gn_constants(4.0, 2)
     assert c1 == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert C1 == pytest.approx(2.0, rel=1e-15)  # c^(p-2) at p=4
     assert c2 == 1.0 and C2 == 1.0
-    C5, c5 = default_gn_constants(5.0, 2)
+    C5, c5 = gn_constants(5.0, 2)
     assert C5 == 1.0 and c5 == 1.0
 
 
 def test_gn_constants_follow_the_graph():
     broom = star_graph((3.0,), half_lines_per_terminal=2)
-    single = default_gn_constants(4.0, 1)
+    single = gn_constants(4.0, 1)
     assert gn_constants(4.0, broom) == single  # dead end: one route out
-    assert gn_constants(4.0, line_graph(1.0)) == default_gn_constants(4.0, 2)
-    assert gn_constants(4.5, double_bridge(0.5, 0.5)) == default_gn_constants(4.5, 2)
-    assert gn_constants(4.5, 3) == default_gn_constants(4.5, 3)  # N alone
+    assert gn_constants(4.0, line_graph(1.0)) == gn_constants(4.0, 2)
+    assert gn_constants(4.5, double_bridge(0.5, 0.5)) == gn_constants(4.5, 2)
+    assert gn_constants(4.5, 3) == gn_constants(4.5, 2)  # N alone, any N >= 2 alike
     # explicit constants win, each on its own
     assert gn_constants(4.0, broom, C=1.0, c=1.0) == (1.0, 1.0)
     assert gn_constants(4.0, broom, c=1.0) == (single[0], 1.0)
@@ -145,6 +152,14 @@ def test_gn_equality_case_exponential():
     u = interpolate(mesh, lambda t: np.exp(-np.abs(t)), placement)
     _, slack_inf = gn_check(u, 4.0, c=1.0)
     assert abs(slack_inf) < 1e-3
+    # and meets the L^p bound with C = 1 at the rate p/2 - 1: ||u||_2 =
+    # ||u'||_2 = 1 and ||u||_p^p = 2/p, so slack_p / ||u||_p^p = p/2 - 1,
+    # which a C smaller by a tenth turns negative near p = 2
+    for p in (2.05, 2.1):
+        slack_p, _ = gn_check(u, p)
+        rate = slack_p / lp_integral(u, p, core_only=False)
+        assert rate >= 0.0
+        assert rate == pytest.approx(p / 2.0 - 1.0, abs=1e-4)
 
 
 @functools.cache
@@ -179,15 +194,6 @@ def test_el_residual_zero_function_raises():
     mesh = Mesh(line_graph(1.0), h_max=0.1, r_cut=2.0)
     with pytest.raises(ValueError):
         el_residual(GraphFunction.constant(mesh, 0.0), 3.0)
-
-
-def test_el_residual_takes_the_core_sums_it_would_compute():
-    mesh = Mesh(double_bridge(0.7, 1.3), h_max=0.05, r_cut=3.0)
-    u = random_decaying(mesh, np.random.default_rng(3))
-    assert el_residual(u, 3.5, sums=core_sums(u, 3.5)).to_dict() == el_residual(u, 3.5).to_dict()
-    # with the nonlinearity on every edge, the core's L^p sum is the wrong one
-    with pytest.raises(ValueError, match="core sums"):
-        el_residual(u, 3.5, uniform_nonlinearity=True, sums=core_sums(u, 3.5))
 
 
 def soliton_graph_function(mesh, mu, p, L):

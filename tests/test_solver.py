@@ -1322,7 +1322,7 @@ def _assert_same_run(a, b):
     assert a.factorizations == b.factorizations
     assert a.trace == b.trace
     assert np.array_equal(a.core.values, b.core.values)
-    assert a.lead_shift == b.lead_shift
+    assert a.leads.omega == b.leads.omega
 
 
 @st.composite
@@ -1686,7 +1686,7 @@ def _lead_shift_cases(n, h):
 
 
 @pytest.mark.parametrize("n", [1, 50, 500, 8000])
-def test_lead_shift_meets_the_lead_mass_in_a_few_newton_steps(monkeypatch, n):
+def test_lead_shift_meets_the_lead_mass_in_closed_form(monkeypatch, n):
     # the bisection took about 60 lead_forms calls, the Newton iteration up
     # to 12; the closed form takes none, and meets the mass of the
     # untruncated lead for every ratio a lead of n cells carries
@@ -1836,7 +1836,7 @@ def test_result_solves_the_full_truncated_problem(factory, p):
     lead_sq = float(np.dot(op.mass_vec[lead], tangent[lead] ** 2))
     assert lead_sq <= np.finfo(float).eps * abs(res.energy)
     # the result reports the leads' shift and mass
-    assert res.lead_shift == pytest.approx(-lam, rel=1e-6)
+    assert res.leads.omega == pytest.approx(-lam, rel=1e-6)
     assert res.lead_mass == pytest.approx(l2_norm_sq(res.function) - l2_norm_sq(res.function, core_only=True), rel=1e-12)
     assert set(res.to_dict()) == set(res.report.to_dict()) | set(res.el.to_dict()) | {
         "verdict", "converged", "iterations", "grad_norm", "strictly_positive", "mu", "r_cut",

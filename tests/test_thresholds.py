@@ -469,9 +469,6 @@ def test_enumerated_partitions_match_brute_force(graph, data):
     found = enumerate_partitions(graph, max_parts)
     # each part in canonical order, each partition once, sorted by key
     assert [tuple(tuple(sorted(part)) for part in q.parts) for q in found] == _brute_force_keys(graph, max_parts)
-    # equal parts are one shared frozenset
-    parts = [part for q in found for part in q.parts]
-    assert len({id(part) for part in parts}) == len(set(parts))
 
 
 @settings(deadline=None, derandomize=True)
